@@ -44,9 +44,8 @@ namespace cogradio::bench {
 //   manifest.write();   // -> BENCH_e1_cogcast_vs_c.json
 //
 // The resolved CliArgs flags become the manifest's config section (--jobs
-// and --shards are routed to the volatile section: neither affects results
-// — see util/sweep.h and sim/network.h — and the merged BENCH_all.json
-// must be invariant under both).
+// is routed to the volatile section: it never affects results — see
+// util/sweep.h — and the merged BENCH_all.json must be invariant under it).
 // Wall-clock and phase() timings are volatile too. Harnesses without
 // CliArgs (E18's google-benchmark main) pass nullptr and fill config
 // explicitly.
@@ -107,7 +106,7 @@ class BenchManifest {
   bool write() {
     if (args_ != nullptr) {
       for (const auto& flag : args_->resolved()) {
-        if (flag.name == "jobs" || flag.name == "shards") {
+        if (flag.name == "jobs") {
           manifest_.set_volatile_int(flag.name,
                                      std::atoll(flag.value.c_str()));
           continue;
@@ -163,8 +162,8 @@ inline Summary run_trials(const std::string& pattern, int trials,
 // Median CogCast completion slots over `trials` independent topologies and
 // executions of the given static/dynamic pattern.
 inline Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
-                             int trials, std::uint64_t base_seed, int jobs = 1,
-                             double gamma = 4.0, int shards = 1) {
+                             int trials, std::uint64_t base_seed,
+                             int jobs = 1) {
   return run_trials(
       pattern, trials, base_seed, jobs,
       [&](const std::string& pat, Rng& rng) -> std::optional<double> {
@@ -173,10 +172,9 @@ inline Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
         auto assignment =
             make_assignment(pat, n, c, k, LabelMode::LocalRandom, Rng(s1));
         CogCastRunConfig config;
-        config.params = {n, c, k, gamma};
+        config.params = {n, c, k, 4.0};
         config.seed = s2;
         config.max_slots = 64 * config.params.horizon();
-        config.net.shards = shards;
         const auto out = run_cogcast(*assignment, config);
         if (!out.completed) return std::nullopt;
         return static_cast<double>(out.slots);
@@ -188,7 +186,7 @@ inline Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
 inline Summary rendezvous_broadcast_slots(const std::string& pattern, int n,
                                           int c, int k, int trials,
                                           std::uint64_t base_seed,
-                                          int jobs = 1, int shards = 1) {
+                                          int jobs = 1) {
   return run_trials(
       pattern, trials, base_seed, jobs,
       [&](const std::string& pat, Rng& rng) -> std::optional<double> {
@@ -199,7 +197,6 @@ inline Summary rendezvous_broadcast_slots(const std::string& pattern, int n,
         BaselineRunConfig config;
         config.seed = s2;
         config.max_slots = 4'000'000;
-        config.net.shards = shards;
         const auto out = run_rendezvous_broadcast(*assignment, config);
         if (!out.completed) return std::nullopt;
         return static_cast<double>(out.slots);

@@ -15,14 +15,13 @@ using namespace cogradio::bench;
 namespace {
 
 Summary hopping_slots(int n, int c, int k, int trials,
-                      std::uint64_t base_seed, int shards) {
+                      std::uint64_t base_seed) {
   std::vector<double> samples;
   Rng seeder(base_seed);
   for (int t = 0; t < trials; ++t) {
     PartitionedAssignment assignment(n, c, k, LabelMode::Global,
                                      Rng(seeder()));
     BaselineRunConfig config;
-    config.net.shards = shards;
     config.seed = seeder();
     config.max_slots = 8LL * assignment.total_channels();
     const auto out = run_hopping_together(assignment, config);
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   args.finish();
   BenchManifest manifest("e10_hopping_together", &args);
 
@@ -52,9 +50,9 @@ int main(int argc, char** argv) {
     const int c = n * n;
     const int k = c - 1;
     const int big_c = k + n * (c - k);
-    const Summary hop = hopping_slots(n, c, k, trials, seed + n, shards);
+    const Summary hop = hopping_slots(n, c, k, trials, seed + n);
     const Summary cog =
-        cogcast_slots("partitioned", n, c, k, trials, seed + 100 + n, jobs, 4.0, shards);
+        cogcast_slots("partitioned", n, c, k, trials, seed + 100 + n, jobs);
     manifest.add_summary("example.n" + std::to_string(n) + ".hopping", hop);
     manifest.add_summary("example.n" + std::to_string(n) + ".cogcast", cog);
     example.add_row({Table::num(static_cast<std::int64_t>(n)),
@@ -71,9 +69,9 @@ int main(int argc, char** argv) {
   const int n = 8, c = 32;
   for (int k : {1, 2, 4, 8, 16, 31}) {
     const int big_c = k + n * (c - k);
-    const Summary hop = hopping_slots(n, c, k, trials, seed + 200 + k, shards);
+    const Summary hop = hopping_slots(n, c, k, trials, seed + 200 + k);
     const Summary cog =
-        cogcast_slots("partitioned", n, c, k, trials, seed + 300 + k, jobs, 4.0, shards);
+        cogcast_slots("partitioned", n, c, k, trials, seed + 300 + k, jobs);
     manifest.add_summary("crossover.k" + std::to_string(k) + ".hopping", hop);
     manifest.add_summary("crossover.k" + std::to_string(k) + ".cogcast", cog);
     crossover.add_row({Table::num(static_cast<std::int64_t>(k)),

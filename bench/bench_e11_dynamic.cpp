@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 30));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 64));
   args.finish();
   BenchManifest manifest("e11_dynamic", &args);
@@ -33,9 +32,9 @@ int main(int argc, char** argv) {
     const std::set<int> ks{2, std::max(1, c / 4)};
     for (int k : ks) {
       const Summary stat =
-          cogcast_slots("shared-core", n, c, k, trials, seed + c + k, jobs, 4.0, shards);
+          cogcast_slots("shared-core", n, c, k, trials, seed + c + k, jobs);
       const Summary dyn = cogcast_slots("dynamic-shared-core", n, c, k, trials,
-                                        seed + 50 + c + k, jobs, 4.0, shards);
+                                        seed + 50 + c + k, jobs);
       const std::string tag =
           "shared-core.c" + std::to_string(c) + ".k" + std::to_string(k);
       manifest.add_summary(tag + ".static", stat);
@@ -52,9 +51,9 @@ int main(int argc, char** argv) {
   for (int c : {8, 16, 32}) {
     const int k = c / 2;
     const Summary stat =
-        cogcast_slots("pigeonhole", n, c, k, trials, seed + 500 + c, jobs, 4.0, shards);
+        cogcast_slots("pigeonhole", n, c, k, trials, seed + 500 + c, jobs);
     const Summary dyn = cogcast_slots("dynamic-pigeonhole", n, c, k, trials,
-                                      seed + 600 + c, jobs, 4.0, shards);
+                                      seed + 600 + c, jobs);
     manifest.add_summary("pigeonhole.c" + std::to_string(c) + ".static", stat);
     manifest.add_summary("pigeonhole.c" + std::to_string(c) + ".dynamic", dyn);
     table2.add_row({Table::num(static_cast<std::int64_t>(c)),

@@ -17,8 +17,7 @@ using namespace cogradio::bench;
 namespace {
 
 Summary jammed_cogcast(int n, int c, int budget, const std::string& strategy,
-                       int trials, std::uint64_t base_seed, int jobs,
-                       int shards) {
+                       int trials, std::uint64_t base_seed, int jobs) {
   return summarize(sweep_trials(
       trials, base_seed, jobs, [&](Rng& rng) -> std::optional<double> {
         IdentityAssignment assignment(n, c, LabelMode::LocalRandom, Rng(rng()));
@@ -32,7 +31,6 @@ Summary jammed_cogcast(int n, int c, int budget, const std::string& strategy,
 
         CogCastRunConfig config;
 
-        config.net.shards = shards;
         const int k_eff = std::max(1, c - 2 * budget);
         config.params = {n, c, k_eff, 4.0};
         config.seed = rng();
@@ -51,7 +49,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 32));
   const int c = static_cast<int>(args.get_int("c", 16));
   args.finish();
@@ -69,7 +66,7 @@ int main(int argc, char** argv) {
       const double theory = theorem4_shape(n, c, k_eff);
       const Summary s = jammed_cogcast(n, c, j, strategy, trials,
                                        seed + static_cast<std::uint64_t>(j * 17),
-                                       jobs, shards);
+                                       jobs);
       manifest.add_summary(strategy + ".j" + std::to_string(j), s);
       table.add_row({Table::num(static_cast<std::int64_t>(j)),
                      Table::num(static_cast<std::int64_t>(k_eff)),

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   const int cast_trials = static_cast<int>(args.get_int("cast-trials", 15));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   args.finish();
   BenchManifest manifest("e13_backoff", &args);
 
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
       SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                       Rng(rng()));
       CogCastRunConfig config;
-      config.net.shards = shards;
       config.params = {n, c, k, 4.0};
       config.seed = rng();
       config.net.emulate_backoff = true;

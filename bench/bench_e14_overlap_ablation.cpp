@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 30));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   args.finish();
   BenchManifest manifest("e14_overlap_ablation", &args);
 
@@ -38,8 +37,9 @@ int main(int argc, char** argv) {
     for (const auto& pattern : static_pattern_names()) {
       const double theory =
           theorem4_shape_effective(pattern, cfg.n, cfg.c, cfg.k);
-      const Summary s = cogcast_slots(pattern, cfg.n, cfg.c, cfg.k, trials,
-                                      seed + static_cast<std::uint64_t>(cfg.n * 131 + cfg.c), jobs, 4.0, shards);
+      const Summary s = cogcast_slots(
+          pattern, cfg.n, cfg.c, cfg.k, trials,
+          seed + static_cast<std::uint64_t>(cfg.n * 131 + cfg.c), jobs);
       const double normalized = safe_ratio(s.median, theory);
       lo = std::min(lo, normalized);
       hi = std::max(hi, normalized);

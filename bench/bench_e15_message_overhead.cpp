@@ -14,13 +14,12 @@ using namespace cogradio::bench;
 namespace {
 
 double max_words(int n, int c, int k, AggOp op, int trials,
-                 std::uint64_t base_seed, int jobs, int shards) {
+                 std::uint64_t base_seed, int jobs) {
   const auto samples = sweep_trials(
       trials, base_seed, jobs, [&](Rng& rng) -> std::optional<double> {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                         Rng(rng()));
         CogCompRunConfig config;
-        config.net.shards = shards;
         config.params = {n, c, k, 4.0};
         config.seed = rng();
         config.op = op;
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 10));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int c = static_cast<int>(args.get_int("c", 12));
   const int k = static_cast<int>(args.get_int("k", 3));
   args.finish();
@@ -55,10 +53,10 @@ int main(int argc, char** argv) {
   for (int n : {8, 16, 32, 64, 128}) {
     const double sum_words =
         max_words(n, c, k, AggOp::Sum, trials,
-                  seed + static_cast<std::uint64_t>(n), jobs, shards);
+                  seed + static_cast<std::uint64_t>(n), jobs);
     const double col_words =
         max_words(n, c, k, AggOp::CollectAll, trials,
-                  seed + 900 + static_cast<std::uint64_t>(n), jobs, shards);
+                  seed + 900 + static_cast<std::uint64_t>(n), jobs);
     manifest.set("n" + std::to_string(n) + ".sum.max_words", sum_words);
     manifest.set("n" + std::to_string(n) + ".collect.max_words", col_words);
     table.add_row({Table::num(static_cast<std::int64_t>(n)),

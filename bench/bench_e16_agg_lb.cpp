@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 12));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 96));
   const int c = static_cast<int>(args.get_int("c", 16));
   args.finish();
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
       PartitionedAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                        Rng(rng()));
       CogCompRunConfig config;
-      config.net.shards = shards;
       config.params = {n, c, k, 4.0};
       config.seed = rng();
       const auto out = run_cogcomp(assignment, values, config);

@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 300));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   args.finish();
   BenchManifest manifest("e17_reduction", &args);
 

@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 48));
   const int c = static_cast<int>(args.get_int("c", 12));
   const int k = static_cast<int>(args.get_int("k", 3));

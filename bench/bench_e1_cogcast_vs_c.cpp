@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 256));
   const int k = static_cast<int>(args.get_int("k", 2));
   args.finish();
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
     std::vector<double> xs, ys;
     for (int c : {8, 16, 32, 64, 128}) {
       const double theory = theorem4_shape_effective(pattern, n, c, k);
-      const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + c, jobs, 4.0, shards);
+      const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + c, jobs);
       manifest.add_summary(pattern + ".c" + std::to_string(c), s);
       table.add_row({Table::num(static_cast<std::int64_t>(c)),
                      Table::num(effective_overlap(pattern, c, k), 1),

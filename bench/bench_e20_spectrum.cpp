@@ -19,7 +19,7 @@ using namespace cogradio::bench;
 namespace {
 
 Summary spectrum_cogcast(int n, int c, int k, double duty, int trials,
-                         std::uint64_t base_seed, int jobs, int shards) {
+                         std::uint64_t base_seed, int jobs) {
   // duty = stationary busy probability; fix departure rate, solve arrival.
   SpectrumParams sp;
   sp.band = 2 * c;
@@ -30,7 +30,6 @@ Summary spectrum_cogcast(int n, int c, int k, double duty, int trials,
       trials, base_seed, jobs, [&](Rng& rng) -> std::optional<double> {
         MarkovSpectrumAssignment assignment(n, c, k, sp, Rng(rng()));
         CogCastRunConfig config;
-        config.net.shards = shards;
         config.params = {n, c, k, 4.0};
         config.seed = rng();
         config.max_slots = 64 * config.params.horizon();
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 48));
   const int c = static_cast<int>(args.get_int("c", 12));
   const int k = static_cast<int>(args.get_int("k", 3));
@@ -64,8 +62,7 @@ int main(int argc, char** argv) {
   for (double duty : {0.0, 0.2, 0.4, 0.6, 0.8, 0.95}) {
     const Summary s =
         spectrum_cogcast(n, c, k, duty, trials,
-                         seed + static_cast<std::uint64_t>(duty * 100), jobs,
-                         shards);
+                         seed + static_cast<std::uint64_t>(duty * 100), jobs);
     manifest.add_summary(
         "duty" + std::to_string(static_cast<int>(duty * 100)), s);
     table.add_row({Table::num(duty, 2), Table::num(s.median, 1),

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 15));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int c = static_cast<int>(args.get_int("c", 8));
   const int k = static_cast<int>(args.get_int("k", 2));
   args.finish();
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
                                       Rng(seeder()));
       const auto values = make_values(n, seeder());
       GossipConfig config;
-      config.net.shards = shards;
       config.seed = seeder();
       const auto out = run_gossip(assignment, values, config);
       if (out.completed)
@@ -46,7 +44,8 @@ int main(int argc, char** argv) {
     }
     const Summary gossip = summarize(gossip_slots);
     const Summary one_cast =
-        cogcast_slots("shared-core", n, c, k, trials, seed + 500 + static_cast<std::uint64_t>(n), jobs, 4.0, shards);
+        cogcast_slots("shared-core", n, c, k, trials,
+                      seed + 500 + static_cast<std::uint64_t>(n), jobs);
     const double sequential = one_cast.median * n;
     const std::string tag = "n" + std::to_string(n);
     manifest.add_summary(tag + ".gossip", gossip);

@@ -27,8 +27,7 @@ struct Phase4Trial {
 };
 
 Summary phase4_slots(int n, int c, int k, bool mediated, int trials,
-                     std::uint64_t base_seed, int jobs, int shards,
-                     int* incomplete) {
+                     std::uint64_t base_seed, int jobs, int* incomplete) {
   std::vector<Phase4Trial> outcomes(static_cast<std::size_t>(trials));
   ParallelSweep pool(jobs);
   pool.run(trials, [&](int t) {
@@ -36,7 +35,6 @@ Summary phase4_slots(int n, int c, int k, bool mediated, int trials,
     PartitionedAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                      Rng(rng()));
     CogCompRunConfig config;
-    config.net.shards = shards;
     config.params = {n, c, k, 4.0};
     config.params.mediated = mediated;
     config.seed = rng();
@@ -63,7 +61,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 12));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   args.finish();
   BenchManifest manifest("e27_mediator_ablation", &args);
 
@@ -86,11 +83,11 @@ int main(int argc, char** argv) {
     int incomplete_med = 0, incomplete_unmed = 0;
     const Summary med = phase4_slots(cfg.n, cfg.c, cfg.k, true, trials,
                                      seed + static_cast<std::uint64_t>(cfg.n),
-                                     jobs, shards, &incomplete_med);
+                                     jobs, &incomplete_med);
     const Summary unmed =
         phase4_slots(cfg.n, cfg.c, cfg.k, false, trials,
                      seed + 100 + static_cast<std::uint64_t>(cfg.n), jobs,
-                     shards, &incomplete_unmed);
+                     &incomplete_unmed);
     const double med_steps = med.median / 3.0;
     const double unmed_steps = unmed.median / 2.0;
     const std::string tag = "n" + std::to_string(cfg.n) + ".c" +

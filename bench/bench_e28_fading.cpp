@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 32));
   const int c = static_cast<int>(args.get_int("c", 8));
   const int k = static_cast<int>(args.get_int("k", 2));
@@ -52,7 +51,6 @@ int main(int argc, char** argv) {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                         Rng(rng()));
         CogCastRunConfig config;
-        config.net.shards = shards;
         config.params = {n, c, k, 4.0};
         config.seed = rng();
         config.net.loss_prob = q;
@@ -65,7 +63,6 @@ int main(int argc, char** argv) {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                         Rng(rng()));
         CogCompRunConfig config;
-        config.net.shards = shards;
         config.params = {n, c, k, 4.0};
         config.seed = rng();
         config.net.loss_prob = q;

@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   args.finish();
   BenchManifest manifest("e29_scorecard", &args);
 
@@ -37,14 +36,17 @@ int main(int argc, char** argv) {
 
   {  // Theorem 4: broadcast time shape (partitioned => overlap exactly k).
     const int n = 128, c = 16, k = 4;
-    const Summary s = cogcast_slots("partitioned", n, c, k, trials, seeder(), jobs, 4.0, shards);
+    const Summary s =
+        cogcast_slots("partitioned", n, c, k, trials, seeder(), jobs);
     rows.push_back({"broadcast slots (n=128,c=16,k=4)", "Theorem 4",
                     theory::cogcast_slots(n, c, k), s.median, 0.2, 3.0});
   }
   {  // Theorem 4: the 1/k factor — ratio of medians at k vs 4k.
     const int n = 64, c = 16;
-    const Summary s1 = cogcast_slots("partitioned", n, c, 2, trials, seeder(), jobs, 4.0, shards);
-    const Summary s4 = cogcast_slots("partitioned", n, c, 8, trials, seeder(), jobs, 4.0, shards);
+    const Summary s1 =
+        cogcast_slots("partitioned", n, c, 2, trials, seeder(), jobs);
+    const Summary s4 =
+        cogcast_slots("partitioned", n, c, 8, trials, seeder(), jobs);
     rows.push_back({"T(k=2)/T(k=8) (n=64,c=16)", "Theorem 4 (1/k)", 4.0,
                     safe_ratio(s1.median, s4.median), 0.5, 2.0});
   }
@@ -56,7 +58,6 @@ int main(int argc, char** argv) {
       SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                       Rng(local()));
       CogCompRunConfig config;
-      config.net.shards = shards;
       config.params = {n, c, k, 4.0};
       config.seed = local();
       const auto values = make_values(n, local());
@@ -131,7 +132,6 @@ int main(int argc, char** argv) {
       PartitionedAssignment assignment(n, c, k, LabelMode::Global,
                                        Rng(local()));
       BaselineRunConfig config;
-      config.net.shards = shards;
       config.seed = local();
       config.max_slots = 8LL * assignment.total_channels();
       const auto out = run_hopping_together(assignment, config);
@@ -157,7 +157,8 @@ int main(int argc, char** argv) {
   {  // Section 1: rendezvous broadcast straw man shape.
     const int n = 32, c = 16, k = 2;
     const Summary s =
-        rendezvous_broadcast_slots("partitioned", n, c, k, trials, seeder(), jobs, shards);
+        rendezvous_broadcast_slots("partitioned", n, c, k, trials, seeder(),
+                                   jobs);
     rows.push_back({"rendezvous broadcast (n=32,c=16,k=2)",
                     "Section 1 straw man",
                     theory::rendezvous_broadcast_slots(n, c, k), s.median, 0.2,

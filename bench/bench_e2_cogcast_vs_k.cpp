@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 128));
   const int c = static_cast<int>(args.get_int("c", 32));
   args.finish();
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
     for (int k : {1, 2, 4, 8, 16, 32}) {
       if (k > c) continue;
       const double theory = theorem4_shape_effective(pattern, n, c, k);
-      const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + k, jobs, 4.0, shards);
+      const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + k, jobs);
       manifest.add_summary(pattern + ".k" + std::to_string(k), s);
       table.add_row({Table::num(static_cast<std::int64_t>(k)),
                      Table::num(effective_overlap(pattern, c, k), 1),

@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 15));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int c = static_cast<int>(args.get_int("c", 8));
   const int k = static_cast<int>(args.get_int("k", 2));
   args.finish();
@@ -38,7 +37,8 @@ int main(int argc, char** argv) {
               "certificates correct"});
   for (int n : {8, 16, 32, 64}) {
     const Summary plain =
-        cogcast_slots("shared-core", n, c, k, trials, seed + static_cast<std::uint64_t>(n), jobs, 4.0, shards);
+        cogcast_slots("shared-core", n, c, k, trials,
+                      seed + static_cast<std::uint64_t>(n), jobs);
     std::vector<double> slots;
     int correct = 0;
     Rng seeder(seed + 400 + static_cast<std::uint64_t>(n));
@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
       SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                       Rng(seeder()));
       CogCastRunConfig config;
-      config.net.shards = shards;
       config.params = {n, c, k, 4.0};
       config.seed = seeder();
       for (NodeId u = 1; u < m; ++u) config.extra_sources.push_back(u);

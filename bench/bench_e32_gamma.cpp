@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 200));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   args.finish();
   BenchManifest manifest("e32_gamma", &args);
 
@@ -53,7 +52,6 @@ int main(int argc, char** argv) {
       auto assignment = make_assignment(cfg.pattern, cfg.n, cfg.c, cfg.k,
                                         LabelMode::LocalRandom, Rng(rng()));
       CogCastRunConfig config;
-      config.net.shards = shards;
       config.params = {cfg.n, cfg.c, cfg.k, 4.0};
       config.seed = rng();
       config.max_slots = 256 * config.params.horizon();

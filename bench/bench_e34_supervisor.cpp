@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 32));
   const int c = static_cast<int>(args.get_int("c", 8));
   const int k = static_cast<int>(args.get_int("k", 3));
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
     SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                     Rng(topo_seed));
     CogCastRunConfig config;
-    config.net.shards = shards;
     config.params = cast_params;
     SupervisorOptions options;
     options.deadline = 8 * cast_params.horizon() + burst_from + burst_len;
@@ -161,7 +159,6 @@ int main(int argc, char** argv) {
                                     Rng(topo_seed));
     const std::vector<Value> values = make_values(n, value_seed);
     CogCompRunConfig config;
-    config.net.shards = shards;
     config.params = comp_params;
     SupervisorOptions options;
     options.deadline = comp_params.max_slots() + 16;

@@ -24,7 +24,7 @@
 //     politely stayed must all byte-verify (churn.surviving_verified).
 //
 // With --compare BASELINE [--tolerances FILE] the run self-gates exactly
-// like E35/E36 (the CI smoke step runs this at reduced --sessions; the
+// like E35 (the CI smoke step runs this at reduced --sessions; the
 // gate metrics are size-invariant flags, so metric names and expected
 // values never change with scale).
 #include <algorithm>
@@ -99,7 +99,7 @@ std::optional<std::string> read_file(const std::string& path) {
   return ss.str();
 }
 
-// Self-gate against a committed baseline (same shape as E35/E36's).
+// Self-gate against a committed baseline (same shape as E35's).
 int self_gate(const RunManifest& manifest, const std::string& compare_path,
               const std::string& tolerances_path) {
   std::string error;

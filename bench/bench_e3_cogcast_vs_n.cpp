@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int c = static_cast<int>(args.get_int("c", 32));
   const int k = static_cast<int>(args.get_int("k", 4));
   args.finish();
@@ -30,7 +29,7 @@ int main(int argc, char** argv) {
     Table table({"n", "regime", "theory", "median", "p95", "median/theory"});
     for (int n : {4, 8, 16, 32, 64, 128, 256, 512}) {
       const double theory = theorem4_shape_effective(pattern, n, c, k);
-      const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + n, jobs, 4.0, shards);
+      const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + n, jobs);
       manifest.add_summary(pattern + ".n" + std::to_string(n), s);
       table.add_row({Table::num(static_cast<std::int64_t>(n)),
                      n < c ? "c>n (x c/n)" : "n>=c",

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 64));
   const int k = static_cast<int>(args.get_int("k", 2));
   args.finish();
@@ -55,9 +54,10 @@ int main(int argc, char** argv) {
   // the ratio should track the claimed factor c cleanly.
   Table table({"c", "cogcast med", "rendezvous med", "ratio", "ratio/c"});
   for (int c : {8, 16, 32, 64}) {
-    const Summary cog = cogcast_slots("partitioned", n, c, k, trials, seed + c, jobs, 4.0, shards);
-    const Summary rv =
-        rendezvous_broadcast_slots("partitioned", n, c, k, trials, seed + c, jobs, shards);
+    const Summary cog =
+        cogcast_slots("partitioned", n, c, k, trials, seed + c, jobs);
+    const Summary rv = rendezvous_broadcast_slots("partitioned", n, c, k,
+                                                  trials, seed + c, jobs);
     const double ratio = safe_ratio(rv.median, cog.median);
     const std::string tag = "c" + std::to_string(c);
     manifest.add_summary(tag + ".cogcast", cog);
@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
     for (int t = 0; t < trials; ++t) {
       SharedCoreAssignment a(2, c, k, LabelMode::LocalRandom, Rng(seeder()));
       BaselineRunConfig config;
-      config.net.shards = shards;
       config.seed = seeder();
       const auto out = run_rendezvous_broadcast(a, config);
       rnd.push_back(static_cast<double>(out.slots));

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 15));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int c = static_cast<int>(args.get_int("c", 16));
   const int k = static_cast<int>(args.get_int("k", 4));
   args.finish();
@@ -42,7 +41,6 @@ int main(int argc, char** argv) {
       SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                       Rng(rng()));
       CogCompRunConfig config;
-      config.net.shards = shards;
       config.params = {n, c, k, 4.0};
       config.seed = rng();
       const auto values = make_values(n, rng());

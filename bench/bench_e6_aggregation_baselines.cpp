@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(args.get_int("trials", 10));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int c = static_cast<int>(args.get_int("c", 16));
   const int k = static_cast<int>(args.get_int("k", 4));
   args.finish();
@@ -43,7 +42,6 @@ int main(int argc, char** argv) {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                         Rng(rng()));
         CogCompRunConfig config;
-        config.net.shards = shards;
         config.params = {n, c, k, 4.0};
         config.seed = rng();
         const auto out = run_cogcomp(assignment, values, config);
@@ -53,7 +51,6 @@ int main(int argc, char** argv) {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                         Rng(rng()));
         BaselineRunConfig config;
-        config.net.shards = shards;
         config.seed = rng();
         config.max_slots = 8'000'000;
         const auto out = run_rendezvous_aggregation(assignment, values, config);
@@ -99,7 +96,6 @@ int main(int argc, char** argv) {
         PartitionedAssignment assignment(n, cc, kk, LabelMode::LocalRandom,
                                          Rng(rng()));
         CogCompRunConfig config;
-        config.net.shards = shards;
         config.params = {n, cc, kk, 4.0};
         config.seed = rng();
         const auto out = run_cogcomp(assignment, values, config);
@@ -109,7 +105,6 @@ int main(int argc, char** argv) {
         PartitionedAssignment assignment(n, cc, kk, LabelMode::LocalRandom,
                                          Rng(rng()));
         BaselineRunConfig config;
-        config.net.shards = shards;
         config.seed = rng();
         config.max_slots = 16'000'000;
         const auto out = run_rendezvous_aggregation(assignment, values, config);

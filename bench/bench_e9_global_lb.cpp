@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   const int cast_trials = static_cast<int>(args.get_int("cast-trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const int n = static_cast<int>(args.get_int("n", 32));
   args.finish();
   BenchManifest manifest("e9_global_lb", &args);
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
   for (int c : {16, 32}) {
     for (int k : {2, 4}) {
       const Summary s =
-          cogcast_slots("partitioned", n, c, k, cast_trials, seed + c + k, jobs, 4.0, shards);
+          cogcast_slots("partitioned", n, c, k, cast_trials, seed + c + k, jobs);
       const double lb = static_cast<double>(c + 1) / (k + 1);
       manifest.add_summary(
           "cogcast.c" + std::to_string(c) + ".k" + std::to_string(k), s);

@@ -45,8 +45,7 @@ void add_summary(RunManifest& m, const std::string& prefix, const Summary& s) {
 }
 
 Summary cogcast_summary(const std::string& pattern, int n, int c, int k,
-                        int trials, std::uint64_t seed, int jobs,
-                        int shards) {
+                        int trials, std::uint64_t seed, int jobs) {
   return summarize(sweep_trials(
       trials, seed, jobs, [&](Rng& rng) -> std::optional<double> {
         const std::uint64_t s1 = rng();
@@ -57,7 +56,6 @@ Summary cogcast_summary(const std::string& pattern, int n, int c, int k,
         config.params = {n, c, k, 4.0};
         config.seed = s2;
         config.max_slots = 64 * config.params.horizon();
-        config.net.shards = shards;
         const auto out = run_cogcast(*assignment, config);
         if (!out.completed) return std::nullopt;
         return static_cast<double>(out.slots);
@@ -78,11 +76,11 @@ RunManifest smoke_e1_cogcast(const SmokeOptions& opt) {
     add_summary(m, tag,
                 cogcast_summary("partitioned", n, c, k, trials,
                                 opt.seed + static_cast<std::uint64_t>(c),
-                                opt.jobs, opt.shards));
+                                opt.jobs));
   }
   add_summary(m, "shared-core.c8",
               cogcast_summary("shared-core", n, 8, k, trials, opt.seed + 1000,
-                              opt.jobs, opt.shards));
+                              opt.jobs));
   return m;
 }
 
@@ -111,7 +109,6 @@ RunManifest smoke_e2_cogcomp(const SmokeOptions& opt) {
       config.params.c = c;
       config.params.k = k;
       config.seed = s2;
-      config.net.shards = opt.shards;
       const auto values = make_values(n, s1 ^ 0x9e3779b97f4a7c15ULL);
       return run_cogcomp(*assignment, values, config);
     };
@@ -146,8 +143,7 @@ RunManifest smoke_e4_baseline_gap(const SmokeOptions& opt) {
   m.set_config_int("trials", trials);
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
   const Summary cogcast =
-      cogcast_summary("partitioned", n, c, k, trials, opt.seed, opt.jobs,
-                      opt.shards);
+      cogcast_summary("partitioned", n, c, k, trials, opt.seed, opt.jobs);
   const Summary rendezvous = summarize(sweep_trials(
       trials, opt.seed + 17, opt.jobs, [&](Rng& rng) -> std::optional<double> {
         const std::uint64_t s1 = rng();
@@ -158,7 +154,6 @@ RunManifest smoke_e4_baseline_gap(const SmokeOptions& opt) {
         BaselineRunConfig config;
         config.seed = s2;
         config.max_slots = 4'000'000;
-        config.net.shards = opt.shards;
         const auto out = run_rendezvous_broadcast(*assignment, config);
         if (!out.completed) return std::nullopt;
         return static_cast<double>(out.slots);
@@ -222,7 +217,6 @@ RunManifest smoke_e12_jamming(const SmokeOptions& opt) {
     config.params = {n, c, k, 4.0};
     config.seed = s2;
     config.max_slots = 256 * config.params.horizon();
-    config.net.shards = opt.shards;
     config.jammer = &jammer;
     return run_cogcast(*assignment, config);
   };
@@ -344,7 +338,6 @@ RunManifest smoke_e19_fault_recovery(const SmokeOptions& opt) {
     config.params = {n, c, k, 4.0};
     config.seed = s2;
     config.max_slots = 64 * config.params.horizon() + burst_len;
-    config.net.shards = opt.shards;
     config.fault_engine = &engine;
     return run_cogcast(*assignment, config);
   };
@@ -402,7 +395,6 @@ RunManifest smoke_trace_counters(const SmokeOptions& opt) {
     config.params = {n, c, k, 4.0};
     config.seed = opt.seed + 1;
     config.max_slots = 64 * config.params.horizon();
-    config.net.shards = opt.shards;
     const auto out = run_cogcast(*assignment, config);
     m.set_int("cogcast.completed", out.completed ? 1 : 0);
     add_trace_stats(m, "cogcast", out.stats);
@@ -416,7 +408,6 @@ RunManifest smoke_trace_counters(const SmokeOptions& opt) {
     config.params.c = c;
     config.params.k = k;
     config.seed = opt.seed + 3;
-    config.net.shards = opt.shards;
     const auto values = make_values(n, opt.seed + 4);
     const auto out = run_cogcomp(*assignment, values, config);
     m.set_int("cogcomp.completed", out.completed ? 1 : 0);
@@ -448,8 +439,6 @@ RunManifest smoke_e35_layouts(const SmokeOptions& opt) {
     config.seed = opt.seed + 1;
     config.max_slots = 64 * config.params.horizon();
     config.net.layout = layout;
-    // The AoS reference leg is the fused serial step by definition.
-    config.net.shards = layout == EngineLayout::SoA ? opt.shards : 1;
     return run_cogcast(*assignment, config);
   };
   const auto soa = run_layout(EngineLayout::SoA);
@@ -489,7 +478,6 @@ RunManifest smoke_e37_serve(const SmokeOptions& opt) {
   load.job.n = 24;
   load.job.c = 6;
   load.job.k = 2;
-  load.job.shards = opt.shards;  // sharded resolve is bit-identical
   const LoadgenReport clean = run_loadgen(load);
   load.kill_every = 3;
   load.seed = opt.seed + 1;

@@ -25,10 +25,6 @@ namespace cogradio {
 struct SmokeOptions {
   std::uint64_t seed = 1;
   int jobs = 1;
-  // Resolve-phase shard count for the SoA runs (NetworkOptions::shards).
-  // Bit-identical metrics for any value — `cograd bench --shards N` output
-  // must byte-match the committed baseline, which CI pins.
-  int shards = 1;
   // > 0 overrides each experiment's default trial count (the committed
   // baseline is generated with the defaults, i.e. trials = 0).
   int trials = 0;

@@ -40,7 +40,7 @@
 //       serve -> tools/bench/tests), and the module graph must be acyclic.
 //   R8  thread-spawn discipline: raw std::thread / std::async / .detach()
 //       anywhere but the sanctioned pool sites (src/util/sweep.cpp,
-//       src/serve/server.cpp) bypasses the worker-fanout budget.
+//       src/serve/server.cpp) escapes the pools' join and shutdown paths.
 //   R9  guarded-by annotations: a member declared with a trailing
 //       '// cograd-guarded-by(mu_)' comment may only be touched in scopes
 //       that lock mu_ (std::lock_guard/unique_lock/scoped_lock naming it)
@@ -49,7 +49,7 @@
 //   R10 RNG draws inside parallel regions: any Rng construction or draw
 //       lexically inside a ParallelSweep task body is a hard error unless
 //       the generator is the trial's own trial_rng(base_seed, t) stream —
-//       coins are spent serially in the act phase.
+//       every other coin is spent serially, outside the region.
 //   R11 CI filter coverage: every literal branch of a ctest -R regex in
 //       .github/workflows/ci.yml must match at least one registered test,
 //       so a renamed suite cannot silently drop out of a sanitizer leg.

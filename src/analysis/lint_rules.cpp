@@ -519,8 +519,8 @@ void scan_r6(FileScan& scan) {
 
 // The only files that may construct raw threads: the ParallelSweep pool
 // and the serve daemon's IO thread + worker pool. Everything else must
-// route concurrency through those pools so the worker-fanout budget
-// (util/sweep.h) keeps trials * shards * workers from oversubscribing.
+// route concurrency through those pools, which join every thread they
+// start before they return.
 void scan_r8(FileScan& scan) {
   if (scan.rel_path == "src/util/sweep.cpp" ||
       scan.rel_path == "src/serve/server.cpp")
@@ -528,10 +528,10 @@ void scan_r8(FileScan& scan) {
   const std::string message =
       "raw thread spawn outside the sanctioned pool sites (util/sweep.cpp, "
       "serve/server.cpp): route concurrency through ParallelSweep or the "
-      "serve worker pool so the worker-fanout budget stays accurate";
+      "serve worker pool, which join every thread they start";
   const std::string fixit =
       "use ParallelSweep (util/sweep.h) or suppress with the reason this "
-      "thread cannot share the fanout budget";
+      "thread is joined on every exit path";
   std::vector<std::string> thread_vectors;  // names of vector<std::thread>
   for (std::size_t l = 0; l < scan.stripped.code.size(); ++l) {
     const std::string& code = scan.stripped.code[l];
@@ -579,9 +579,9 @@ void scan_r8(FileScan& scan) {
         const std::size_t i = skip_ws(code, end);
         if (member_call && i < code.size() && code[i] == '(')
           scan.add("R8", static_cast<int>(l),
-                   "detached thread: a .detach()ed thread outlives the "
-                   "fanout budget and every shutdown path; join through a "
-                   "sanctioned pool instead",
+                   "detached thread: a .detach()ed thread escapes every "
+                   "join and shutdown path; join through a sanctioned pool "
+                   "instead",
                    fixit);
         return;
       }
@@ -690,9 +690,10 @@ void scan_r9(FileScan& scan,
 
 // --- R10: RNG draws inside parallel regions ------------------------------
 
-// Coins are spent serially in the act phase (docs/DETERMINISM.md): any Rng
-// activity lexically inside a pool task body is nondeterministic unless the
-// generator is the trial's own trial_rng(base_seed, index) stream. Pool
+// Coins are spent serially, outside parallel regions (docs/DETERMINISM.md):
+// any Rng activity lexically inside a pool task body is nondeterministic
+// unless the generator is the trial's own trial_rng(base_seed, index)
+// stream. Pool
 // task bodies are recognized as lambda arguments of `<pool>.run(...)` /
 // `<pool>->run(...)` where <pool> was declared as a ParallelSweep or has
 // "pool"/"sweep" in its name.
@@ -804,7 +805,7 @@ void scan_r10(FileScan& scan) {
         scan.add("R10", static_cast<int>(l),
                  "Rng constructed inside a pool task body without deriving "
                  "from the trial's own stream: coins must be spent "
-                 "serially in the act phase; only trial_rng(base_seed, "
+                 "serially, outside the region; only trial_rng(base_seed, "
                  "index) streams (and generators seeded from them) are "
                  "per-trial pure",
                  "draw the coins serially before the parallel region, or "
@@ -815,9 +816,8 @@ void scan_r10(FileScan& scan) {
         scan.add("R10", static_cast<int>(l),
                  "member RNG 'rng_' used inside a pool task body: worker "
                  "interleaving would reorder the coin schedule; draw coins "
-                 "serially in the act phase (docs/DETERMINISM.md)",
-                 "hoist the draws out of the parallel region into the "
-                 "serial act phase");
+                 "serially, outside the region (docs/DETERMINISM.md)",
+                 "hoist the draws out of the parallel region");
     });
     // Draws on a sanctioned stream stored into a named value sanction that
     // value as seed material: `const std::uint64_t s1 = rng();`.
@@ -849,8 +849,8 @@ void scan_r10(FileScan& scan) {
                    "RNG draw '" + recv + method +
                        "...)' inside a pool task body on a generator that "
                        "is not a per-trial trial_rng stream",
-                   "hoist the draw into the serial act phase or derive the "
-                   "generator via trial_rng");
+                   "hoist the draw out of the parallel region or derive "
+                   "the generator via trial_rng");
         at = body.find(method, at + 1);
       }
     }

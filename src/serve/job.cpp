@@ -98,11 +98,6 @@ bool apply_member(JobSpec& spec, const std::string& key, const JsonValue& v,
     }
     return true;
   }
-  if (key == "shards") {
-    if (!exact_int(v, 1, 4'096, &i)) return fail(error, "shards: bad value");
-    spec.shards = static_cast<int>(i);
-    return true;
-  }
   if (key == "op") {
     if (!v.is_string()) return fail(error, "op: expected a string");
     try {
@@ -164,10 +159,6 @@ std::optional<JobSpec> parse_job_spec(const JsonValue& value,
     fail(error, "k: must be <= c");
     return std::nullopt;
   }
-  if (spec.layout == EngineLayout::AoS && spec.shards > 1) {
-    fail(error, "shards: > 1 requires the soa layout");
-    return std::nullopt;
-  }
   return spec;
 }
 
@@ -180,7 +171,6 @@ std::string job_spec_to_json(const JobSpec& spec) {
   out += ",\"seed\":\"" + std::to_string(spec.seed) + "\"";
   out += std::string(",\"layout\":\"") +
          (spec.layout == EngineLayout::SoA ? "soa" : "aos") + "\"";
-  out += ",\"shards\":" + std::to_string(spec.shards);
   if (spec.kind == JobKind::CogComp) {
     out += ",\"op\":\"" + to_string(spec.op) + "\"";
     out += std::string(",\"mediated\":") + (spec.mediated ? "true" : "false");
@@ -212,7 +202,6 @@ JobResult run_job(const JobSpec& spec, const CheckpointPolicy& policy,
 
     NetworkOptions net;
     net.layout = spec.layout;
-    net.shards = spec.shards;
 
     // The draw order below mirrors tools/cograd.cpp's --supervise paths
     // for trials=1 exactly; reordering any seeder() call breaks the

@@ -34,7 +34,6 @@ struct JobSpec {
   std::string pattern = "shared-core";
   std::uint64_t seed = 1;
   EngineLayout layout = EngineLayout::SoA;
-  int shards = 1;
   // CogComp only.
   AggOp op = AggOp::Sum;
   bool mediated = true;

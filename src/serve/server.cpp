@@ -202,9 +202,6 @@ struct ServeServer::Impl {
   // --- worker side --------------------------------------------------------
 
   void worker_loop() {
-    // Every worker may run a session concurrently; a session's sharded
-    // engine divides the machine by this figure (util/sweep.h).
-    set_worker_fanout(worker_count);
     while (true) {
       std::shared_ptr<JobState> job;
       {

@@ -5,10 +5,7 @@
 // — it accepts, reads, frames, parses, and writes; workers never touch
 // an fd. Workers pull jobs from a shared deque and push response frames
 // into per-session outbound buffers under the server mutex, then poke a
-// self-pipe so the IO thread's poll() wakes and flushes. Each worker
-// pins set_worker_fanout(workers), so a session running a sharded
-// engine divides the machine by the pool size — sessions x shards never
-// oversubscribes, exactly like nested ParallelSweep batches.
+// self-pipe so the IO thread's poll() wakes and flushes.
 //
 // Robustness: a peer may vanish at any instant. Reads see EOF, writes
 // see EPIPE (SIGPIPE is ignored; see serve/socket.h) — both funnel into

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -61,28 +60,6 @@ class ChannelBitmaps {
     if (broadcasting) bcast_[row] |= bit;
     touched_[static_cast<std::size_t>(ch) >> 6] |=
         std::uint64_t{1} << (static_cast<unsigned>(ch) & 63u);
-  }
-
-  // add() from concurrent shard threads (the sharded collect pass of
-  // sim/network.cpp). fetch_or is commutative and associative, so the final
-  // bit set — the only thing any later pass reads — is independent of write
-  // interleaving: sharded and serial collect produce identical bitmaps.
-  // Relaxed ordering suffices; the pool barrier at the end of the collect
-  // batch publishes the words before anyone scans them.
-  void add_atomic(Channel ch, int node, bool broadcasting) {
-    const std::size_t row = static_cast<std::size_t>(ch) * words_ +
-                            (static_cast<std::size_t>(node) >> 6);
-    const std::uint64_t bit = std::uint64_t{1}
-                              << (static_cast<unsigned>(node) & 63u);
-    std::atomic_ref<std::uint64_t>(tuned_[row]).fetch_or(
-        bit, std::memory_order_relaxed);
-    if (broadcasting)
-      std::atomic_ref<std::uint64_t>(bcast_[row]).fetch_or(
-          bit, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(
-        touched_[static_cast<std::size_t>(ch) >> 6])
-        .fetch_or(std::uint64_t{1} << (static_cast<unsigned>(ch) & 63u),
-                  std::memory_order_relaxed);
   }
 
   std::uint64_t* tuned_row(Channel ch) {

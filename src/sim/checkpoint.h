@@ -20,8 +20,8 @@
 // The contract proven by the proptest resume differential and the ctest
 // resume-equivalence legs: restore(snapshot(slot s)) continued to
 // completion is bit-identical to the uninterrupted run, for every engine
-// layout, shard count, and --jobs value (docs/DETERMINISM.md, "Checkpoint
-// format and the resume-equivalence contract").
+// layout and --jobs value (docs/DETERMINISM.md, "Checkpoint format and the
+// resume-equivalence contract").
 #pragma once
 
 #include <array>

@@ -355,51 +355,6 @@ void InvariantChecker::check_slot(Slot slot,
   if (s.broadcasts != s.successes + failed_broadcasts_)
     fail(slot, "broadcasts != successes + failed broadcasts");
 
-  // --- F. Shard-delta conservation ----------------------------------------
-  // When the slot ran the sharded resolve pipeline (shards > 1 on the SoA
-  // path), the engine exposes its per-shard accounting deltas for the slot;
-  // folding them in shard order must reproduce the slot's TraceStats
-  // movement for the six resolve-phase counters exactly (max_message_words
-  // merges by max against the previous slot's high-water mark). A lost
-  // update or mis-ordered merge in the shard fold — e.g. the
-  // testonly_shard_merge_skew mutation — breaks this identity even when
-  // fading hides the damage from the delta envelope above.
-  const std::span<const ShardDelta> shard_deltas = net_->last_shard_deltas();
-  if (!shard_deltas.empty()) {
-    ShardDelta sum;
-    sum.max_message_words = prev_.max_message_words;
-    for (const ShardDelta& d : shard_deltas) {
-      sum.successes += d.successes;
-      sum.deliveries += d.deliveries;
-      sum.suppressed_deliveries += d.suppressed_deliveries;
-      sum.collision_events += d.collision_events;
-      sum.total_message_words += d.total_message_words;
-      sum.max_message_words =
-          std::max(sum.max_message_words, d.max_message_words);
-    }
-    auto conserve = [&](std::int64_t now, std::int64_t before,
-                        std::int64_t expect, const char* name) {
-      if (now - before != expect)
-        fail(slot, std::string("shard merge lost accounting: ") + name +
-                       " moved " + std::to_string(now - before) +
-                       " but the shard deltas sum to " +
-                       std::to_string(expect));
-    };
-    conserve(s.successes, prev_.successes, sum.successes, "successes");
-    conserve(s.deliveries, prev_.deliveries, sum.deliveries, "deliveries");
-    conserve(s.suppressed_deliveries, prev_.suppressed_deliveries,
-             sum.suppressed_deliveries, "suppressed_deliveries");
-    conserve(s.collision_events, prev_.collision_events, sum.collision_events,
-             "collision_events");
-    conserve(s.total_message_words, prev_.total_message_words,
-             sum.total_message_words, "total_message_words");
-    if (s.max_message_words != sum.max_message_words)
-      fail(slot, "shard merge lost accounting: max_message_words is " +
-                     std::to_string(s.max_message_words) +
-                     " but the shard-order max-fold gives " +
-                     std::to_string(sum.max_message_words));
-  }
-
   // --- E. Per-node activity ledger ---------------------------------------
   std::int64_t tap_received_total = 0;
   for (std::size_t i = 0; i < acts.size(); ++i) {

@@ -27,11 +27,7 @@
 //     mute node never transmits, rx-dead receivers get no copies (with
 //     TraceStats::suppressed_deliveries exact even under fading), blanked
 //     feedback equals SlotResult{} field by field, and every per-kind
-//     fault counter delta matches the flags on the resolved actions;
-//   * shard-delta conservation when the slot ran the sharded resolve
-//     pipeline (NetworkOptions::shards > 1): the engine's per-shard
-//     accounting deltas, folded in shard order, must reproduce the slot's
-//     TraceStats movement for the resolve-phase counters exactly.
+//     fault counter delta matches the flags on the resolved actions.
 //
 // With protocol *taps* installed (see tap()), the checker additionally
 // sees the exact SlotResult each node was handed and verifies the

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "sim/checkpoint.h"
-#include "util/sweep.h"
 
 namespace cogradio {
 
@@ -125,12 +124,6 @@ Network::Network(ChannelAssignment& assignment,
         "network: protocol count must match assignment node count");
   for (const Protocol* p : protocols_)
     if (p == nullptr) throw std::invalid_argument("network: null protocol");
-  if (options_.shards < 1)
-    throw std::invalid_argument("network: shards must be >= 1");
-  if (options_.shards > 1 && options_.layout != EngineLayout::SoA)
-    throw std::invalid_argument(
-        "network: sharded resolve (shards > 1) requires the SoA layout; the "
-        "AoS reference path is the shards == 1 serial step by definition");
   init_scratch();
 }
 
@@ -146,24 +139,7 @@ Network::Network(ChannelAssignment& assignment, BatchClient& client,
   if (options_.layout != EngineLayout::SoA)
     throw std::invalid_argument(
         "network: the batch-client interface requires the SoA layout");
-  if (options_.shards < 1)
-    throw std::invalid_argument("network: shards must be >= 1");
   init_scratch();
-}
-
-Network::~Network() = default;
-
-int Network::shard_workers() const {
-  return shard_pool_ != nullptr ? shard_pool_->jobs() : 1;
-}
-
-bool Network::soa_rx_dead(int idx) const {
-  const std::uint8_t f = soa_fault_[static_cast<std::size_t>(idx)];
-  if (!(f & faultflag::kRxDead)) return false;
-  if (options_.testonly_fault_mutation == TestonlyFaultMutation::DeafHears &&
-      (f & faultflag::kDeaf))
-    return false;  // mutation: the deaf node hears anyway
-  return true;
 }
 
 bool Network::batch_dense_slot(std::size_t active) const {
@@ -173,29 +149,6 @@ bool Network::batch_dense_slot(std::size_t active) const {
   // two passes over the active list plus the bucket array.
   return dense_ && std::min(channels, active) * bitmaps_.words() * 4 <=
                        2 * active + 2 * channels;
-}
-
-void Network::ensure_shard_pool() {
-  if (shard_pool_ != nullptr) return;
-  const auto shards = static_cast<std::size_t>(options_.shards);
-  // Threads come out of the shared sweep budget: divide the machine by the
-  // fanout already running above this network (ParallelSweep trial workers),
-  // so trials x shards never oversubscribes. The shard STRUCTURE — plan
-  // partition, delta count, merge order — always follows options_.shards;
-  // a smaller pool just runs more shards per thread (inline when 1).
-  const int budget = std::max(1, resolve_jobs(0) / worker_fanout());
-  shard_pool_ = std::make_unique<ParallelSweep>(
-      std::min(options_.shards, budget));
-  shard_deltas_.resize(shards);
-  shard_arena_.resize(shards);
-  shard_fed_.resize(shards);
-  shard_bc_.resize(shards);
-  shard_ls_.resize(shards);
-  shard_active_.resize(shards);
-  shard_idle_.resize(shards);
-  shard_bcasts_.resize(shards);
-  shard_plan_.reserve(
-      static_cast<std::size_t>(assignment_.total_channels()));
 }
 
 void Network::init_scratch() {
@@ -656,7 +609,14 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
     stats_.total_message_words += words;
     stats_.max_message_words = std::max(stats_.max_message_words, words);
   };
-  auto rx_dead = [&](int idx) { return soa_rx_dead(idx); };
+  auto rx_dead = [&](int idx) {
+    const std::uint8_t f = soa_fault_[static_cast<std::size_t>(idx)];
+    if (!(f & faultflag::kRxDead)) return false;
+    if (options_.testonly_fault_mutation == TestonlyFaultMutation::DeafHears &&
+        (f & faultflag::kDeaf))
+      return false;  // mutation: the deaf node hears anyway
+    return true;
+  };
   // Lazily source a broadcaster's message (batch mode): a babbling radio
   // transmits garbage, never the client's payload — unless it is churned
   // out too (the churn override wins; reachable only under the ChurnActs
@@ -790,406 +750,9 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
   }
 }
 
-// Resolve/deliver phase of a sharded slot. The act phase has already fixed
-// every node's (mode, channel, fault) and populated either the dense bitmap
-// rows or the flat arrays; this function
-//   1. lists the touched channels in ascending order (the plan skeleton),
-//   2. counts contenders per channel (fanned over the pool — pure popcounts
-//      on rows no other entry owns — or inline during the sparse walk),
-//   3. spends every per-slot coin SERIALLY in the canonical draw order of
-//      DETERMINISM.md (winner coin, then fade coins listeners-ascending
-//      then failed-broadcasters-ascending, channels ascending), recording
-//      outcomes in the plan,
-//   4. fans per-channel delivery out over contiguous plan shards, each
-//      accumulating a private ShardDelta, and
-//   5. merges the deltas into stats_ in shard order and replays any
-//      AllDelivered protocol feedback in that same order.
-// Every write inside a shard is either node-disjoint (a receiver is tuned
-// to exactly one channel, a channel lives in exactly one shard) or lands in
-// the shard's own scratch, and rng_ is never touched after step 3 — which
-// is why traces, stats, and fault logs are bit-identical for every shard
-// count and every worker count.
-void Network::resolve_sharded(const Slot slot, const bool dense_slot) {
-  const int shards = options_.shards;
-  shard_plan_.clear();
-  shard_fade_.clear();
-  shard_slot_ = true;
-
-  // 1+2. Plan skeleton with contender counts.
-  if (dense_slot) {
-    bitmaps_.consume_touched([&](Channel ch) {
-      ShardPlanEntry e;
-      e.ch = ch;
-      shard_plan_.push_back(e);
-    });
-    const auto entries = static_cast<int>(shard_plan_.size());
-    shard_pool_->run(shards, [&](int s) {
-      const int lo = static_cast<int>(static_cast<std::int64_t>(entries) * s /
-                                      shards);
-      const int hi = static_cast<int>(static_cast<std::int64_t>(entries) *
-                                      (s + 1) / shards);
-      for (int j = lo; j < hi; ++j) {
-        ShardPlanEntry& e = shard_plan_[static_cast<std::size_t>(j)];
-        const std::uint64_t* tuned = bitmaps_.tuned_row(e.ch);
-        const std::uint64_t* bcast = bitmaps_.bcast_row(e.ch);
-        int tc = 0;
-        int bc = 0;
-        for (std::size_t w = 0; w < bitmaps_.words(); ++w) {
-          tc += std::popcount(tuned[w]);
-          bc += std::popcount(bcast[w]);
-        }
-        e.tcount = tc;
-        e.bcount = bc;
-      }
-    });
-  } else {
-    if (batch_ != nullptr)
-      group_by_channel_soa_active();
-    else
-      group_by_channel_soa();
-    for (std::size_t begin = 0; begin < order_.size();) {
-      std::size_t end = begin;
-      const Channel ch = soa_chan_[static_cast<std::size_t>(order_[begin])];
-      while (end < order_.size() &&
-             soa_chan_[static_cast<std::size_t>(order_[end])] == ch)
-        ++end;
-      ShardPlanEntry e;
-      e.ch = ch;
-      e.order_begin = static_cast<std::int32_t>(begin);
-      e.order_end = static_cast<std::int32_t>(end);
-      e.tcount = static_cast<std::int32_t>(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        if (soa_mode_[static_cast<std::size_t>(order_[i])] == Mode::Broadcast)
-          ++e.bcount;
-      shard_plan_.push_back(e);
-      begin = end;
-    }
-  }
-
-  // 3. Serial coin loop: all randomness of the slot, in the canonical
-  //    order. Fade coins are stored one bit per LIVE receiver (no coin is
-  //    ever spent on an rx-dead receiver), exactly the coins the fused
-  //    path draws; message slots are preassigned by prefix sum so shards
-  //    can source payloads into disjoint batch_msgs_ entries.
-  std::int32_t msg_total = 0;
-  const bool fading = options_.loss_prob > 0.0;
-  for (ShardPlanEntry& e : shard_plan_) {
-    e.msg_base = msg_total;
-    switch (options_.collision) {
-      case CollisionModel::OneWinner: {
-        if (e.bcount == 0) break;
-        if (options_.emulate_backoff) {
-          const BackoffOutcome outcome =
-              decay_backoff(e.bcount, options_.backoff, rng_);
-          stats_.micro_slots += outcome.micro_slots;
-          if (!outcome.resolved) {
-            ++stats_.backoff_failures;
-            break;  // nothing delivered on this channel this slot
-          }
-          e.pick = static_cast<std::int32_t>(outcome.winner);
-        } else {
-          e.pick = static_cast<std::int32_t>(
-              rng_.below(static_cast<std::uint64_t>(e.bcount)));
-        }
-        if (batch_ != nullptr) ++msg_total;
-        if (!fading) break;
-        e.fade_off = static_cast<std::int64_t>(shard_fade_.size());
-        if (fault_engine_ == nullptr) {
-          // Every one of the tcount - 1 receivers (listeners plus failed
-          // broadcasters) is live; enumeration order does not matter for
-          // drawing since each coin is an independent chance().
-          for (std::int32_t k = 1; k < e.tcount; ++k)
-            shard_fade_.push_back(
-                rng_.chance(options_.loss_prob) ? std::uint8_t{1}
-                                                : std::uint8_t{0});
-        } else {
-          // Fault engine attached: receivers can be rx-dead, so walk them
-          // in the canonical order and draw only for the live ones.
-          auto draw = [&](int idx) {
-            if (!soa_rx_dead(idx))
-              shard_fade_.push_back(
-                  rng_.chance(options_.loss_prob) ? std::uint8_t{1}
-                                                  : std::uint8_t{0});
-          };
-          if (dense_slot) {
-            const DenseGroup group{bitmaps_.tuned_row(e.ch),
-                                   bitmaps_.bcast_row(e.ch), bitmaps_.words()};
-            const int winner = group.nth_broadcaster(e.pick);
-            group.for_each_listener(draw);
-            group.for_each_broadcaster_except(winner, draw);
-          } else {
-            broadcasters_.clear();
-            listeners_.clear();
-            for (std::int32_t i = e.order_begin; i < e.order_end; ++i) {
-              const int node = order_[static_cast<std::size_t>(i)];
-              (soa_mode_[static_cast<std::size_t>(node)] == Mode::Broadcast
-                   ? broadcasters_
-                   : listeners_)
-                  .push_back(node);
-            }
-            const SparseGroup group{broadcasters_, listeners_};
-            const int winner = group.nth_broadcaster(e.pick);
-            group.for_each_listener(draw);
-            group.for_each_broadcaster_except(winner, draw);
-          }
-        }
-        e.fade_cnt = static_cast<std::int32_t>(
-            static_cast<std::int64_t>(shard_fade_.size()) - e.fade_off);
-        break;
-      }
-      case CollisionModel::AllDelivered:
-        if (batch_ != nullptr) msg_total += e.bcount;
-        break;  // no winner coin, and AllDelivered never fades
-      case CollisionModel::CollisionLoss:
-        if (batch_ != nullptr && e.bcount == 1) ++msg_total;
-        break;  // collisions destroy everything; a lone winner never fades
-    }
-  }
-  if (batch_ != nullptr)
-    batch_msgs_.resize(static_cast<std::size_t>(msg_total));
-
-  // 4. Parallel resolve over contiguous plan shards. The partition depends
-  //    only on (plan size, shards); and because int64 merges below are
-  //    associative, even THAT never shows in results — only in last_shard_deltas().
-  const auto entries = static_cast<int>(shard_plan_.size());
-  shard_pool_->run(shards, [&](int s) {
-    ShardDelta& d = shard_deltas_[static_cast<std::size_t>(s)];
-    d = ShardDelta{};
-    shard_arena_[static_cast<std::size_t>(s)].clear();
-    shard_fed_[static_cast<std::size_t>(s)].clear();
-    const int lo =
-        static_cast<int>(static_cast<std::int64_t>(entries) * s / shards);
-    const int hi = static_cast<int>(static_cast<std::int64_t>(entries) *
-                                    (s + 1) / shards);
-    for (int j = lo; j < hi; ++j) {
-      const ShardPlanEntry& e = shard_plan_[static_cast<std::size_t>(j)];
-      if (dense_slot) {
-        const DenseGroup group{bitmaps_.tuned_row(e.ch),
-                               bitmaps_.bcast_row(e.ch), bitmaps_.words()};
-        resolve_group_sharded(slot, group, e, d, s);
-        // Restore the rows-are-zero invariant; this channel's words belong
-        // to this shard alone.
-        std::fill_n(bitmaps_.tuned_row(e.ch), bitmaps_.words(),
-                    std::uint64_t{0});
-        std::fill_n(bitmaps_.bcast_row(e.ch), bitmaps_.words(),
-                    std::uint64_t{0});
-      } else {
-        auto& bc = shard_bc_[static_cast<std::size_t>(s)];
-        auto& ls = shard_ls_[static_cast<std::size_t>(s)];
-        bc.clear();
-        ls.clear();
-        for (std::int32_t i = e.order_begin; i < e.order_end; ++i) {
-          const int node = order_[static_cast<std::size_t>(i)];
-          (soa_mode_[static_cast<std::size_t>(node)] == Mode::Broadcast ? bc
-                                                                        : ls)
-              .push_back(node);
-        }
-        const SparseGroup group{bc, ls};
-        resolve_group_sharded(slot, group, e, d, s);
-      }
-    }
-  });
-
-  // 5. Merge per-shard deltas into the slot stats, in shard order.
-  if (!options_.testonly_shard_merge_skew) {
-    for (int s = 0; s < shards; ++s) {
-      const ShardDelta& d = shard_deltas_[static_cast<std::size_t>(s)];
-      stats_.successes += d.successes;
-      stats_.deliveries += d.deliveries;
-      stats_.suppressed_deliveries += d.suppressed_deliveries;
-      stats_.collision_events += d.collision_events;
-      stats_.total_message_words += d.total_message_words;
-      stats_.max_message_words =
-          std::max(stats_.max_message_words, d.max_message_words);
-    }
-  } else {
-    // TEST-ONLY skew: reverse merge order and let the delivery total be
-    // overwritten instead of accumulated — a lost update the invariant
-    // oracle's shard-conservation rule must catch.
-    for (int s = shards - 1; s >= 0; --s) {
-      const ShardDelta& d = shard_deltas_[static_cast<std::size_t>(s)];
-      stats_.successes += d.successes;
-      stats_.deliveries = d.deliveries;
-      stats_.suppressed_deliveries += d.suppressed_deliveries;
-      stats_.collision_events += d.collision_events;
-      stats_.total_message_words += d.total_message_words;
-      stats_.max_message_words =
-          std::max(stats_.max_message_words, d.max_message_words);
-    }
-  }
-
-  // AllDelivered protocol feedback, recorded by shards, replayed serially
-  // in shard order — shard order is channel-ascending order, so the call
-  // sequence protocols observe is exactly the fused path's.
-  if (batch_ == nullptr &&
-      options_.collision == CollisionModel::AllDelivered) {
-    for (int s = 0; s < shards; ++s) {
-      const auto& arena = shard_arena_[static_cast<std::size_t>(s)];
-      for (const ShardFedRec& rec : shard_fed_[static_cast<std::size_t>(s)]) {
-        SlotResult res;
-        res.received = std::span<const Message>{
-            arena.data() + rec.start, static_cast<std::size_t>(rec.count)};
-        protocols_[static_cast<std::size_t>(rec.node)]->on_feedback(slot, res);
-        fed_[static_cast<std::size_t>(rec.node)] = 1;
-        activity_[static_cast<std::size_t>(rec.node)].received += rec.count;
-      }
-    }
-  }
-}
-
-// Per-entry delivery body run inside a shard: resolve_group_soa with every
-// coin outcome read from the plan instead of rng_ (which shard threads must
-// never touch). Kept in lockstep with resolve_group_soa — the shard
-// differential suite (tests/test_shard_diff.cpp) pins the equivalence.
-template <typename Group>
-void Network::resolve_group_sharded(const Slot slot, const Group& group,
-                                    const ShardPlanEntry& e, ShardDelta& d,
-                                    const int shard) {
-  if (e.bcount >= 2) ++d.collision_events;
-
-  auto account_success = [&](const Message& msg) {
-    ++d.successes;
-    const auto words = static_cast<std::int64_t>(wire_size_words(msg));
-    d.total_message_words += words;
-    d.max_message_words = std::max(d.max_message_words, words);
-  };
-  // Batch mode: source the broadcaster's message into its preassigned slot.
-  // Thread-safe by the BatchClient contract — source_message is a pure
-  // function of (slot, node), called at most once per pair.
-  auto batch_source = [&](int idx, std::int32_t off) {
-    const std::uint8_t f = soa_fault_[static_cast<std::size_t>(idx)];
-    Message msg = (!(f & faultflag::kChurnedOut) && (f & faultflag::kBabble))
-                      ? Message{}
-                      : batch_->source_message(slot, static_cast<NodeId>(idx));
-    msg.sender = static_cast<NodeId>(idx);
-    batch_msgs_[static_cast<std::size_t>(off)] = std::move(msg);
-  };
-
-  switch (options_.collision) {
-    case CollisionModel::OneWinner: {
-      if (e.bcount == 0 || e.pick < 0) break;  // empty, or backoff unresolved
-      const int winner = group.nth_broadcaster(static_cast<int>(e.pick));
-      const auto widx = static_cast<std::size_t>(winner);
-      soa_flags_[widx] |= slotflag::kTxSuccess;
-      if (batch_ != nullptr) {
-        batch_source(winner, e.msg_base);
-        account_success(batch_msgs_[static_cast<std::size_t>(e.msg_base)]);
-      } else {
-        account_success(messages_[widx]);
-      }
-      if (options_.testonly_duplicate_winner && e.bcount >= 2)
-        soa_flags_[static_cast<std::size_t>(
-            group.nth_broadcaster(e.pick == 0 ? 1 : 0))] |=
-            slotflag::kTxSuccess;
-      std::int64_t fade_idx = e.fade_off;
-      const bool fading = options_.loss_prob > 0.0;
-      auto deliver = [&](int idx) {
-        if (soa_rx_dead(idx)) {
-          ++d.suppressed_deliveries;
-          return;
-        }
-        // Consume the next fade bit only for live receivers — mirroring
-        // how the coin loop stored them.
-        if (fading &&
-            shard_fade_[static_cast<std::size_t>(fade_idx++)] != 0)
-          return;  // faded
-        if (batch_ != nullptr) {
-          soa_rx_off_[static_cast<std::size_t>(idx)] = e.msg_base;
-          soa_rx_cnt_[static_cast<std::size_t>(idx)] = 1;
-        } else {
-          received_[static_cast<std::size_t>(idx)] =
-              std::span<const Message>{&messages_[widx], 1};
-        }
-        ++d.deliveries;
-      };
-      group.for_each_listener(deliver);
-      // Failed broadcasters also receive the winning message (Section 2).
-      group.for_each_broadcaster_except(winner, deliver);
-      assert(!fading || fade_idx <= e.fade_off + e.fade_cnt);
-      break;
-    }
-    case CollisionModel::AllDelivered: {
-      if (e.bcount == 0) break;
-      if (batch_ != nullptr) {
-        std::int32_t off = e.msg_base;
-        group.for_each_broadcaster([&](int b) {
-          soa_flags_[static_cast<std::size_t>(b)] |= slotflag::kTxSuccess;
-          batch_source(b, off);
-          account_success(batch_msgs_[static_cast<std::size_t>(off)]);
-          ++off;
-        });
-        group.for_each_listener([&](int l) {
-          if (soa_rx_dead(l)) {
-            d.suppressed_deliveries += e.bcount;
-            return;
-          }
-          d.deliveries += e.bcount;
-          soa_rx_off_[static_cast<std::size_t>(l)] = e.msg_base;
-          soa_rx_cnt_[static_cast<std::size_t>(l)] = e.bcount;
-        });
-      } else {
-        // Protocol mode: feedback calls are deferred — shards only record
-        // who heard what (per-shard arena + fed list); resolve_sharded
-        // replays the calls serially in shard order.
-        auto& arena = shard_arena_[static_cast<std::size_t>(shard)];
-        const auto start = static_cast<std::int32_t>(arena.size());
-        group.for_each_broadcaster([&](int b) {
-          soa_flags_[static_cast<std::size_t>(b)] |= slotflag::kTxSuccess;
-          arena.push_back(messages_[static_cast<std::size_t>(b)]);
-          account_success(messages_[static_cast<std::size_t>(b)]);
-        });
-        group.for_each_listener([&](int l) {
-          if (soa_rx_dead(l)) {
-            d.suppressed_deliveries += e.bcount;
-            return;
-          }
-          d.deliveries += e.bcount;
-          shard_fed_[static_cast<std::size_t>(shard)].push_back(
-              ShardFedRec{l, start, e.bcount});
-        });
-      }
-      break;
-    }
-    case CollisionModel::CollisionLoss: {
-      if (e.bcount != 1) break;
-      const int winner = group.nth_broadcaster(0);
-      const auto widx = static_cast<std::size_t>(winner);
-      soa_flags_[widx] |= slotflag::kTxSuccess;
-      if (batch_ != nullptr) {
-        batch_source(winner, e.msg_base);
-        account_success(batch_msgs_[static_cast<std::size_t>(e.msg_base)]);
-      } else {
-        account_success(messages_[widx]);
-      }
-      group.for_each_listener([&](int l) {
-        if (soa_rx_dead(l)) {
-          ++d.suppressed_deliveries;
-          return;
-        }
-        if (batch_ != nullptr) {
-          soa_rx_off_[static_cast<std::size_t>(l)] = e.msg_base;
-          soa_rx_cnt_[static_cast<std::size_t>(l)] = 1;
-        } else {
-          received_[static_cast<std::size_t>(l)] =
-              std::span<const Message>{&messages_[widx], 1};
-        }
-        ++d.deliveries;
-      });
-      break;
-    }
-  }
-}
-
 void Network::step_soa() {
   const Slot slot = stats_.slots + 1;
   const auto n = static_cast<std::size_t>(n_);
-
-  // Two-phase pipeline switch: with shards > 1 this slot runs act (collect
-  // + all coins, serial, canonical order) then a sharded resolve/deliver.
-  const bool sharded = options_.shards > 1;
-  shard_slot_ = false;
-  shard_adds_done_ = false;
-  if (sharded) ensure_shard_pool();
 
   assignment_.begin_slot(slot);
   if (jammer_ != nullptr) jammer_->begin_slot(slot);
@@ -1218,24 +781,6 @@ void Network::step_soa() {
       std::fill(soa_rx_cnt_.begin(), soa_rx_cnt_.end(), 0);
       std::fill(soa_fault_.begin(), soa_fault_.end(), std::uint8_t{0});
       soa_fault_dirty_ = fault_engine_ != nullptr;
-    } else if (sharded && soa_active_.size() >= 4096) {
-      // Same O(active) reset, fanned over the shard pool: entries of the
-      // active list are distinct nodes, so all writes are disjoint.
-      const std::size_t total = soa_active_.size();
-      const int shards = options_.shards;
-      shard_pool_->run(shards, [&](int s) {
-        const std::size_t lo = total * static_cast<std::size_t>(s) /
-                               static_cast<std::size_t>(shards);
-        const std::size_t hi = total * (static_cast<std::size_t>(s) + 1) /
-                               static_cast<std::size_t>(shards);
-        for (std::size_t a = lo; a < hi; ++a) {
-          const auto idx = static_cast<std::size_t>(soa_active_[a]);
-          soa_mode_[idx] = Mode::Idle;
-          soa_flags_[idx] = 0;
-          soa_chan_[idx] = kNoChannel;
-          soa_rx_cnt_[idx] = 0;
-        }
-      });
     } else {
       for (const std::int32_t node : soa_active_) {
         const auto idx = static_cast<std::size_t>(node);
@@ -1260,7 +805,6 @@ void Network::step_soa() {
   //    tracks the slot's non-idle nodes so the accounting pass below is
   //    O(active); the idle tally lands in the stats in one add.
   soa_active_.clear();
-  std::int64_t idle_nodes = 0;
   // Shared per-active work for the batch fast path below: by the all-idle
   // invariant the node's flag and fault bytes are already zero and its
   // mode byte already holds the client's action, so only the channel (and
@@ -1284,87 +828,12 @@ void Network::step_soa() {
     }
     if (soa_mode_[i] == Mode::Broadcast) ++stats_.broadcasts;
   };
-  if (sharded && batch_ != nullptr && fault_engine_ == nullptr &&
-      jammer_ == nullptr && snap && n >= 4096) {
-    // Sharded batch collect: the fast word-scan below, fanned over
-    // 8-node-aligned contiguous node ranges. Safe because every per-node
-    // write (soa_chan_) is disjoint, there is no jammer or fault engine to
-    // call, and the assignment is static (flat_map_ is read-only). Each
-    // shard gathers a private active sublist plus idle/broadcast tallies;
-    // the sublists concatenate in shard order (= ascending node ranges)
-    // into the same ascending soa_active_ the serial scan builds, and the
-    // tallies fold into the stats in shard order — identical totals, since
-    // int64 addition is associative. Bitmap population rides in the second
-    // pass as commutative atomic ORs (ChannelBitmaps::add_atomic).
-    static_assert(static_cast<unsigned char>(Mode::Idle) == 2);
-    constexpr std::uint64_t kAllIdle = 0x0202020202020202ULL;
-    const auto* mode_bytes =
-        reinterpret_cast<const unsigned char*>(soa_mode_.data());
-    const int shards = options_.shards;
-    const std::size_t words8 = n / 8;
-    shard_pool_->run(shards, [&](int s) {
-      auto& active = shard_active_[static_cast<std::size_t>(s)];
-      active.clear();
-      std::int64_t idle = 0;
-      std::int64_t bcasts = 0;
-      auto collect_one = [&](std::size_t j) {
-        if (soa_mode_[j] == Mode::Idle) {
-          ++idle;
-          return;
-        }
-        active.push_back(static_cast<std::int32_t>(j));
-        const LocalLabel label = soa_label_[j];
-        assert(label >= 0 && static_cast<std::size_t>(label) < cpn);
-        soa_chan_[j] = flat_map_[j * cpn + static_cast<std::size_t>(label)];
-        if (soa_mode_[j] == Mode::Broadcast) ++bcasts;
-      };
-      const std::size_t wlo = words8 * static_cast<std::size_t>(s) /
-                              static_cast<std::size_t>(shards);
-      const std::size_t whi = words8 * (static_cast<std::size_t>(s) + 1) /
-                              static_cast<std::size_t>(shards);
-      for (std::size_t w = wlo; w < whi; ++w) {
-        std::uint64_t word;
-        std::memcpy(&word, mode_bytes + w * 8, 8);
-        if (word == kAllIdle) {
-          idle += 8;
-          continue;
-        }
-        for (std::size_t j = w * 8; j < w * 8 + 8; ++j) collect_one(j);
-      }
-      if (s == shards - 1)
-        for (std::size_t j = words8 * 8; j < n; ++j) collect_one(j);
-      shard_idle_[static_cast<std::size_t>(s)] = idle;
-      shard_bcasts_[static_cast<std::size_t>(s)] = bcasts;
-    });
-    std::size_t total_active = 0;
-    for (int s = 0; s < shards; ++s) {
-      const auto us = static_cast<std::size_t>(s);
-      total_active += shard_active_[us].size();
-      idle_nodes += shard_idle_[us];
-      stats_.broadcasts += shard_bcasts_[us];
-    }
-    stats_.idle_node_slots += idle_nodes;
-    soa_active_.resize(total_active);
-    const bool dslot = batch_dense_slot(total_active);
-    shard_pool_->run(shards, [&](int s) {
-      std::size_t off = 0;
-      for (int p = 0; p < s; ++p)
-        off += shard_active_[static_cast<std::size_t>(p)].size();
-      const auto& active = shard_active_[static_cast<std::size_t>(s)];
-      std::copy(active.begin(), active.end(), soa_active_.begin() + off);
-      if (!dslot) return;
-      for (const std::int32_t node : active) {
-        const auto j = static_cast<std::size_t>(node);
-        bitmaps_.add_atomic(soa_chan_[j], node,
-                            soa_mode_[j] == Mode::Broadcast);
-      }
-    });
-    shard_adds_done_ = dslot;
-  } else if (batch_ != nullptr && fault_engine_ == nullptr) {
+  if (batch_ != nullptr && fault_engine_ == nullptr) {
     // Batch fast collect: with no fault engine nothing can reactivate an
     // idle node, so scan the mode array a word (eight nodes) at a time
     // and drop to per-node work only where the client wrote a non-idle
     // action. A mostly-idle fleet costs ~n/8 word compares here.
+    static_assert(static_cast<unsigned char>(Mode::Idle) == 2);
     constexpr std::uint64_t kAllIdle = 0x0202020202020202ULL;
     const auto* mode_bytes =
         reinterpret_cast<const unsigned char*>(soa_mode_.data());
@@ -1372,25 +841,17 @@ void Network::step_soa() {
     for (; i + 8 <= n; i += 8) {
       std::uint64_t word;
       std::memcpy(&word, mode_bytes + i, 8);
-      if (word == kAllIdle) {
-        idle_nodes += 8;
-        continue;
-      }
-      for (std::size_t j = i; j < i + 8; ++j) {
-        if (soa_mode_[j] == Mode::Idle)
-          ++idle_nodes;
-        else
-          collect_batch_active(j);
-      }
+      if (word == kAllIdle) continue;
+      for (std::size_t j = i; j < i + 8; ++j)
+        if (soa_mode_[j] != Mode::Idle) collect_batch_active(j);
     }
-    for (; i < n; ++i) {
-      if (soa_mode_[i] == Mode::Idle)
-        ++idle_nodes;
-      else
-        collect_batch_active(i);
-    }
-    stats_.idle_node_slots += idle_nodes;
+    for (; i < n; ++i)
+      if (soa_mode_[i] != Mode::Idle) collect_batch_active(i);
+    // Every non-idle node is on the active list, so the idle tally needs
+    // no counter in the scan.
+    stats_.idle_node_slots += static_cast<std::int64_t>(n - soa_active_.size());
   } else {
+    std::int64_t idle_nodes = 0;
     for (std::size_t i = 0; i < n; ++i) {
       Mode mode;
       LocalLabel label;
@@ -1480,7 +941,7 @@ void Network::step_soa() {
   bool dense_slot = dense_;
   if (batch_ != nullptr) {
     dense_slot = batch_dense_slot(soa_active_.size());
-    if (dense_slot && !shard_adds_done_) {
+    if (dense_slot) {
       for (const std::int32_t node : soa_active_) {
         const auto i = static_cast<std::size_t>(node);
         if (soa_flags_[i] & slotflag::kJammed) continue;
@@ -1488,9 +949,7 @@ void Network::step_soa() {
       }
     }
   }
-  if (sharded) {
-    resolve_sharded(slot, dense_slot);
-  } else if (dense_slot) {
+  if (dense_slot) {
     bitmaps_.consume_touched([&](Channel ch) {
       const DenseGroup group{bitmaps_.tuned_row(ch), bitmaps_.bcast_row(ch),
                              bitmaps_.words()};
@@ -1545,37 +1004,21 @@ void Network::step_soa() {
       }
     }
     // Duty-cycle accounting over the active nodes only; idle slots are
-    // derived on read (activity()), never stored. All writes land in
-    // activity_[node] for distinct nodes and no shared counter is touched,
-    // so a sharded slot fans the pass over the pool.
-    auto account_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t a = lo; a < hi; ++a) {
-        const auto i = static_cast<std::size_t>(soa_active_[a]);
-        const std::uint8_t flags = soa_flags_[i];
-        NodeActivity& act = activity_[i];
-        if (flags & slotflag::kJammed) {
-          ++act.jammed;
-        } else if (soa_mode_[i] == Mode::Broadcast) {
-          ++act.tx;
-          if (flags & slotflag::kTxSuccess) ++act.tx_success;
-          act.received += soa_rx_cnt_[i];
-        } else {
-          ++act.listen;
-          act.received += soa_rx_cnt_[i];
-        }
+    // derived on read (activity()), never stored.
+    for (const std::int32_t node : soa_active_) {
+      const auto i = static_cast<std::size_t>(node);
+      const std::uint8_t flags = soa_flags_[i];
+      NodeActivity& act = activity_[i];
+      if (flags & slotflag::kJammed) {
+        ++act.jammed;
+      } else if (soa_mode_[i] == Mode::Broadcast) {
+        ++act.tx;
+        if (flags & slotflag::kTxSuccess) ++act.tx_success;
+        act.received += soa_rx_cnt_[i];
+      } else {
+        ++act.listen;
+        act.received += soa_rx_cnt_[i];
       }
-    };
-    if (sharded && soa_active_.size() >= 4096) {
-      const std::size_t total = soa_active_.size();
-      const int shards = options_.shards;
-      shard_pool_->run(shards, [&](int s) {
-        account_range(total * static_cast<std::size_t>(s) /
-                          static_cast<std::size_t>(shards),
-                      total * (static_cast<std::size_t>(s) + 1) /
-                          static_cast<std::size_t>(shards));
-      });
-    } else {
-      account_range(0, soa_active_.size());
     }
     BatchFeedback fb;
     fb.slot = slot;

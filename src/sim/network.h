@@ -21,7 +21,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,8 +34,6 @@
 #include "util/rng.h"
 
 namespace cogradio {
-
-class ParallelSweep;  // util/sweep.h
 
 enum class CollisionModel : std::uint8_t { OneWinner, AllDelivered, CollisionLoss };
 
@@ -134,22 +131,6 @@ struct NetworkOptions {
 
   EngineLayout layout = EngineLayout::SoA;
 
-  // Intra-trial parallelism: the number of contiguous channel-range shards
-  // the resolve/deliver phase of a slot is split into (SoA layout only; the
-  // AoS reference path is the shards == 1 serial step by definition and the
-  // constructor rejects larger values there). step() then runs as a
-  // deterministic two-phase pipeline — act (collect actions and spend every
-  // per-slot coin in the canonical draw order, exactly as the fused step)
-  // followed by a sharded resolve whose per-shard accounting deltas merge
-  // in shard order — so traces, stats, manifests, and fault logs are
-  // bit-identical for every shard count (tests/test_shard_diff.cpp,
-  // DETERMINISM.md "Two-phase act/resolve and sharded delivery"). Worker
-  // threads come out of the shared sweep budget (util/sweep.h
-  // worker_fanout), so trials x shards never oversubscribes the machine;
-  // shards may exceed the threads actually granted — the shard structure
-  // (and hence the merge order) depends only on this value.
-  int shards = 1;
-
   // Grouping strategy of the AoS reference path (the SoA layout groups via
   // channel bitmaps or its own counting sort). Kept as a differential-test
   // knob: test_network.cpp runs both and asserts bit-identical executions.
@@ -167,29 +148,6 @@ struct NetworkOptions {
   // fault flags set, so the invariant oracle's fault checks can be proven
   // live kind-by-kind (tests/test_fault_engine.cpp, WILL_FAIL cograd legs).
   TestonlyFaultMutation testonly_fault_mutation = TestonlyFaultMutation::None;
-
-  // TEST-ONLY mutation hook (never set outside tests): merge per-shard
-  // accounting deltas in reverse shard order and overwrite (instead of
-  // accumulate) the delivery total — a deliberate lost-update skew used to
-  // prove the InvariantChecker's shard-delta conservation rule is live
-  // (tests/test_invariants.cpp, WILL_FAIL cograd leg). Requires shards > 1
-  // to have any effect.
-  bool testonly_shard_merge_skew = false;
-};
-
-// One resolve shard's contribution to the slot's TraceStats, published by
-// Network::last_shard_deltas() for the invariant oracle: the merged slot
-// delta must equal the shard-order sum of these (max_message_words merges
-// by max). Only the counters the sharded resolve phase owns appear here —
-// collect/feedback-side counters (broadcasts, idle/jammed node-slots,
-// fault telemetry, micro-slots) are accounted serially in the act phase.
-struct ShardDelta {
-  std::int64_t successes = 0;
-  std::int64_t deliveries = 0;
-  std::int64_t suppressed_deliveries = 0;
-  std::int64_t collision_events = 0;
-  std::int64_t total_message_words = 0;
-  std::int64_t max_message_words = 0;
 };
 
 // Post-resolution view of one node's slot, for test oracles and observers.
@@ -273,8 +231,6 @@ class Network {
   Network(ChannelAssignment& assignment, BatchClient& client,
           NetworkOptions options = {});
 
-  ~Network();  // out of line: ParallelSweep is incomplete here
-
   void set_jammer(Jammer* jammer) { jammer_ = jammer; }
 
   // Attach an adversarial fault engine (non-owning, like the jammer). Its
@@ -306,20 +262,6 @@ class Network {
 
   bool all_done() const;
 
-  // Per-shard accounting deltas of the most recent slot, in shard order —
-  // empty when that slot ran the fused (shards == 1) path. The invariant
-  // oracle checks conservation: the slot's TraceStats delta for the fields
-  // of ShardDelta must equal the shard-order merge of these.
-  std::span<const ShardDelta> last_shard_deltas() const {
-    return shard_slot_ ? std::span<const ShardDelta>{shard_deltas_}
-                       : std::span<const ShardDelta>{};
-  }
-
-  // Worker threads actually granted to the sharded resolve phase (1 until
-  // the first sharded slot runs; bounded by the shared sweep budget). Purely
-  // informational — the shard structure follows options().shards alone.
-  int shard_workers() const;
-
   // Executes one slot.
   void step();
 
@@ -331,9 +273,9 @@ class Network {
   // Serializes the engine's complete cross-slot state at a slot boundary:
   // the slot counter + TraceStats accumulators, per-node activity, and the
   // winner/fade RNG. Everything else in the engine is per-slot scratch the
-  // next step() rebuilds (channel bitmaps, resolve plans, shard deltas).
+  // next step() rebuilds (channel bitmaps, grouping scratch).
   // restore_state targets a freshly constructed Network over the same node
-  // count; the layout/shards/grouping knobs may differ between writer and
+  // count; the layout/grouping knobs may differ between writer and
   // reader — the draw order is engine-invariant, which the proptest resume
   // differential exercises. Protocol, jammer, and fault-engine state is
   // serialized by those components, not here.
@@ -379,51 +321,8 @@ class Network {
   template <typename Group>
   void resolve_group_soa(Slot slot, const Group& group);
 
-  // --- Sharded two-phase resolve (options_.shards > 1, SoA only) ---------
-
-  // One touched channel's entry in the slot's resolve plan, filled by the
-  // serial coin loop: every RNG draw the channel needs is spent there, in
-  // the canonical order, so the parallel resolve below replays outcomes
-  // without touching rng_.
-  struct ShardPlanEntry {
-    Channel ch = kNoChannel;
-    std::int32_t bcount = 0;       // broadcasters on the channel
-    std::int32_t tcount = 0;       // tuned nodes (broadcasters + listeners)
-    std::int32_t pick = -1;        // OneWinner winner index; -1 = unresolved
-    std::int64_t fade_off = 0;     // slice of shard_fade_ for this channel
-    std::int32_t fade_cnt = 0;
-    std::int32_t msg_base = 0;     // batch mode: first batch_msgs_ slot
-    std::int32_t order_begin = 0;  // sparse grouping: [begin, end) in order_
-    std::int32_t order_end = 0;
-  };
-
-  // AllDelivered protocol mode: feedback recorded by shards, replayed
-  // serially in shard order after the merge (= exact fused call order).
-  struct ShardFedRec {
-    std::int32_t node = 0;
-    std::int32_t start = 0;  // into the shard's message arena
-    std::int32_t count = 0;
-  };
-
-  // True when a receiver's rx path is dead this slot (shared by the fused
-  // resolver's lambda, the sharded coin loop, and the shard resolvers).
-  bool soa_rx_dead(int idx) const;
   // The per-slot dense-vs-sparse grouping heuristic of the batch path.
   bool batch_dense_slot(std::size_t active) const;
-  // Lazily sizes shard scratch and spins up the worker pool from the shared
-  // sweep budget; called on the first sharded slot.
-  void ensure_shard_pool();
-  // Act-phase tail + resolve/deliver phase of a sharded slot: builds the
-  // plan, spends all coins serially, fans the per-channel resolution out
-  // over plan shards, merges deltas in shard order, then replays any
-  // recorded AllDelivered protocol feedback.
-  void resolve_sharded(Slot slot, bool dense_slot);
-  // Per-entry resolution body run inside a shard; mirrors resolve_group_soa
-  // with all coin outcomes read from the plan.
-  template <typename Group>
-  void resolve_group_sharded(Slot slot, const Group& group,
-                             const ShardPlanEntry& entry, ShardDelta& delta,
-                             int shard);
 
   // Per-slot scratch, sized once in the constructor and reused every slot
   // so that step() performs zero heap allocations in steady state (the E18
@@ -464,23 +363,6 @@ class Network {
   // one full-fill scrub slot after it detaches.
   std::vector<std::int32_t> soa_active_;
   bool soa_fault_dirty_ = false;
-
-  // Sharded-resolve state (allocated lazily on the first sharded slot).
-  std::unique_ptr<ParallelSweep> shard_pool_;
-  std::vector<ShardPlanEntry> shard_plan_;  // touched channels, ascending
-  std::vector<std::uint8_t> shard_fade_;    // fade coin outcomes, flat
-  std::vector<ShardDelta> shard_deltas_;    // one per shard
-  bool shard_slot_ = false;                 // last slot ran sharded
-  bool shard_adds_done_ = false;            // bitmap adds done by collect
-  std::vector<std::vector<Message>> shard_arena_;     // AllDelivered protocol
-  std::vector<std::vector<ShardFedRec>> shard_fed_;   // feedback to replay
-  std::vector<std::vector<int>> shard_bc_;  // sparse partition scratch
-  std::vector<std::vector<int>> shard_ls_;
-  // Sharded batch collect: per-shard active sublists + counters, merged
-  // into soa_active_ (and the stats) in shard order.
-  std::vector<std::vector<std::int32_t>> shard_active_;
-  std::vector<std::int64_t> shard_idle_;
-  std::vector<std::int64_t> shard_bcasts_;
 };
 
 }  // namespace cogradio

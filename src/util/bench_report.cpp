@@ -77,22 +77,6 @@ const std::string& git_revision() {
   return revision;
 }
 
-std::string BenchReport::to_json() const {
-  std::string out = "{\n";
-  out += "  \"name\": \"" + json_escape(name_) + "\",\n";
-  out += "  \"generated_by\": \"cogradio " + std::string(kVersionString) +
-         "\",\n";
-  out += "  \"metrics\": {";
-  metrics_.emit(out, 4);
-  out += metrics_.empty() ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
-}
-
-bool BenchReport::write(const std::string& path) const {
-  return write_file_atomic(path, to_json());
-}
-
 void RunManifest::upsert_config(const std::string& key, std::string raw) {
   for (auto& e : config_)
     if (e.key == key) {

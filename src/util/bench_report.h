@@ -1,13 +1,4 @@
-// Machine-readable benchmark reporters.
-//
-// Two layers:
-//
-// BenchReport — a flat named-metric bag, kept for simple probes:
-//
-//   BenchReport report("sim_perf");
-//   report.set("step.n1024.node_slots_per_sec", 4.1e7);
-//   report.set_int("alloc_probe.n1024.allocs_per_slot", 0);
-//   report.write("BENCH_sim.json");
+// Machine-readable benchmark reporter.
 //
 // RunManifest — the uniform per-run record every bench harness emits as
 // BENCH_<exp>.json (see bench/bench_common.h for the hook that fills it):
@@ -38,8 +29,8 @@ namespace cogradio {
 
 namespace detail {
 
-// Ordered metric store shared by BenchReport and RunManifest. Insertion
-// order is preserved so diffs between runs stay line-aligned.
+// Ordered metric store behind RunManifest's metrics and volatile sections.
+// Insertion order is preserved so diffs between runs stay line-aligned.
 struct MetricStore {
   struct Metric {
     std::string key;
@@ -75,28 +66,6 @@ const std::string& git_revision();
 // allowlists util/bench_report.cpp alone — every other timing call site
 // must go through here.
 double monotonic_seconds();
-
-class BenchReport {
- public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
-
-  // Records (or overwrites) one metric. Non-finite values are recorded
-  // but serialize as null.
-  void set(const std::string& key, double value) { metrics_.set(key, value); }
-  void set_int(const std::string& key, std::int64_t value) {
-    metrics_.set_int(key, value);
-  }
-
-  // Serializes the report as pretty-printed JSON.
-  std::string to_json() const;
-
-  // Atomically writes to_json() to `path`; returns false on I/O failure.
-  bool write(const std::string& path) const;
-
- private:
-  std::string name_;
-  detail::MetricStore metrics_;
-};
 
 class RunManifest {
  public:

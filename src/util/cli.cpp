@@ -133,16 +133,6 @@ int CliArgs::get_jobs() {
   return static_cast<int>(jobs);
 }
 
-int CliArgs::get_shards(int def) {
-  const auto shards = get_int("shards", def);
-  const std::int64_t lo = def == 0 ? 0 : 1;
-  if (shards < lo || shards > 4096)
-    die("flag --shards expects a shard count in [1, 4096]" +
-        std::string(def == 0 ? " (or 0 = default)" : "") + ", got " +
-        std::to_string(shards));
-  return static_cast<int>(shards);
-}
-
 EngineLayout CliArgs::get_engine() {
   const std::string text = get_string("engine", "soa");
   try {

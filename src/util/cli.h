@@ -50,16 +50,6 @@ class CliArgs {
   // threads. Results are bit-identical for any value (see util/sweep.h).
   int get_jobs();
 
-  // The shared --shards flag: how many contiguous channel-range shards the
-  // slot engine's resolve phase is split into (NetworkOptions::shards;
-  // SoA layout only, see sim/network.h). Defaults to `def` (1 = the fused
-  // serial step). Results are bit-identical for any value; rejects 0,
-  // negative, and absurd counts with a diagnostic instead of propagating
-  // them into the engine. Callers whose "unset" state is meaningful (e.g.
-  // `cograd check`, where 0 = use the scenario's drawn count) pass def = 0,
-  // which additionally admits an explicit --shards 0.
-  int get_shards(int def = 1);
-
   // The shared --engine flag: which slot-engine layout to run ("soa",
   // the default, or the "aos" reference path — sim/network.h). The two
   // layouts execute bit-identically, so this only selects the code path

@@ -220,15 +220,6 @@ World materialize(const Scenario& scn, ScnEngine engine,
   opt.loss_prob = scn.loss_prob;
   opt.testonly_fault_mutation = options.mutation;
   opt.layout = options.layout;
-  // Sharded resolve is SoA-only; the AoS reference leg is the fused serial
-  // step by definition. --shards overrides the drawn count; the skew
-  // mutation needs >= 2 shards to have two deltas to mis-merge.
-  opt.shards = options.shards > 0 ? options.shards : scn.shards;
-  if (options.shard_merge_skew) {
-    opt.testonly_shard_merge_skew = true;
-    opt.shards = std::max(opt.shards, 2);
-  }
-  if (opt.layout == EngineLayout::AoS) opt.shards = 1;
   switch (engine) {
     case ScnEngine::Plain:
       break;
@@ -388,7 +379,6 @@ Scenario canonicalize(Scenario s) {
     s.faults.burst_nodes = 0;
     s.faults.burst_len = 0;
   }
-  s.shards = std::clamp(s.shards, 1, 16);
   // Strictly inside the run: snap = 0 would make the resume leg a plain
   // restart and snap = slots would leave the twin nothing to replay —
   // neither exercises the contract.
@@ -425,17 +415,11 @@ Scenario generate_scenario(Rng& rng, bool with_faults) {
       s.faults.burst_len = 4 + static_cast<Slot>(rng.below(32));
     }
   }
-  // Shard count is derived from the salt instead of consuming a draw:
-  // both legacy (seed, trial) spaces — fault-free and faulted — keep their
-  // exact historical coin streams, and stripping a fault profile still
-  // recovers the fault-free scenario field for field.
-  s.shards =
-      1 + static_cast<int>((s.salt * 0x9E3779B97F4A7C15ull) >> 60);
-  // Snapshot slot for the resume differential — salt-derived for the same
-  // reason as shards: no draw is consumed, so every historical (seed,
-  // trial) scenario keeps its exact coin streams. A different multiplier
-  // decorrelates it from the shard count; canonicalize clamps it into the
-  // run.
+  // Snapshot slot for the resume differential, derived from the salt
+  // instead of consuming a draw: both legacy (seed, trial) spaces —
+  // fault-free and faulted — keep their exact historical coin streams, and
+  // stripping a fault profile still recovers the fault-free scenario field
+  // for field. canonicalize clamps it into the run.
   s.snap =
       1 + static_cast<int>((s.salt * 0xD1B54A32D192ED03ull) >> 56);
   return canonicalize(s);
@@ -463,7 +447,6 @@ std::string describe(const Scenario& s) {
       os << " burst=" << s.faults.burst_nodes << "x" << s.faults.burst_len;
     os << "]";
   }
-  if (s.shards != 1) os << " shards=" << s.shards;
   os << " snap=" << s.snap;
   os << " salt=0x" << std::hex << s.salt;
   return os.str();
@@ -610,16 +593,6 @@ std::vector<Scenario> shrink_candidates(const Scenario& s) {
         push(t);
       }
     }
-  }
-  if (s.shards > 1) {
-    // Toward the fused serial step first, then halving — a failure that
-    // survives shards = 1 is not a sharding bug at all.
-    Scenario t = s;
-    t.shards = 1;
-    push(t);
-    t = s;
-    t.shards = s.shards / 2;
-    push(t);
   }
   if (s.jammer != ScnJammer::None) {
     Scenario t = s;

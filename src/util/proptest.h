@@ -95,16 +95,10 @@ struct Scenario {
   // harness runs with faults enabled (`cograd check --faults`), so the
   // historical (seed, trial) scenario space is unchanged.
   FaultProfile faults;
-  // Resolve-phase shard count (NetworkOptions::shards). Derived from the
-  // salt rather than drawn, so historical (seed, trial) scenarios — with
-  // or without --faults — keep their exact coin streams; any value must be
-  // bit-identical to shards = 1 (the harness pins this via the layout
-  // differential, whose AoS leg always runs fused).
-  int shards = 1;
   // Snapshot slot for the resume differential: the primary world is
   // checkpointed after `snap` slots, restored into a freshly materialized
   // twin, and the twin's completed run must match the uninterrupted one
-  // bit for bit. Salt-derived like `shards` (no draw consumed), clamped to
+  // bit for bit. Derived from the salt (no draw consumed), clamped to
   // [1, slots - 1] so every scenario both snapshots mid-run and resumes
   // with work left to do.
   int snap = 1;
@@ -173,16 +167,6 @@ struct CheckOptions {
   TestonlyFaultMutation mutation = TestonlyFaultMutation::None;
   FaultInjectionCounts* injections = nullptr;
   EngineLayout layout = EngineLayout::SoA;
-  // Overrides the scenario's drawn shard count on the primary SoA run when
-  // > 0 (`cograd check --shards N`); 0 keeps the drawn value. Either way
-  // the AoS differential leg runs fused (shards = 1) — sharding is the
-  // SoA-only resolve-phase split, so the cross-layout agreement check is
-  // simultaneously a sharded-vs-fused differential.
-  int shards = 0;
-  // Plumbs NetworkOptions::testonly_shard_merge_skew into the primary run
-  // (forcing at least 2 shards so the skew has something to skew): the
-  // WILL_FAIL leg proving the oracle's shard-delta conservation rule bites.
-  bool shard_merge_skew = false;
   // Testonly: the resume differential restores the snapshot taken one slot
   // *early*, modelling a resume from the wrong slot boundary. The digest
   // compare must flag it — the WILL_FAIL leg proving the resume oracle

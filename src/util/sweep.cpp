@@ -8,25 +8,11 @@ int resolve_jobs(int jobs) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-namespace {
-// The shared worker budget (sweep.h). Thread-local: each pool thread (and
-// the caller, while it participates in a batch) carries the product of the
-// fanouts above it, so nested components can divide the machine fairly.
-thread_local int tl_worker_fanout = 1;
-}  // namespace
-
-int worker_fanout() { return tl_worker_fanout; }
-
-void set_worker_fanout(int fanout) {
-  tl_worker_fanout = fanout > 0 ? fanout : 1;
-}
-
 Rng trial_rng(std::uint64_t base_seed, std::uint64_t index) {
   return Rng(base_seed).split(index);
 }
 
-ParallelSweep::ParallelSweep(int jobs)
-    : jobs_(resolve_jobs(jobs)), base_fanout_(worker_fanout()) {
+ParallelSweep::ParallelSweep(int jobs) : jobs_(resolve_jobs(jobs)) {
   // Worker 0 is the caller, so spawn jobs_ - 1 threads.
   workers_.reserve(static_cast<std::size_t>(jobs_ - 1));
   for (int w = 1; w < jobs_; ++w)
@@ -43,9 +29,6 @@ ParallelSweep::~ParallelSweep() {
 }
 
 void ParallelSweep::worker_loop() {
-  // Bodies running on this thread sit one fanout level below the pool's
-  // constructing thread: up to jobs_ of them execute concurrently.
-  set_worker_fanout(base_fanout_ * jobs_);
   std::unique_lock lock(mutex_);
   for (;;) {
     work_cv_.wait(lock,
@@ -69,10 +52,6 @@ void ParallelSweep::run(int count, const std::function<void(int)>& body) {
     for (int i = 0; i < count; ++i) body(i);
     return;
   }
-  // While participating in the batch, the caller runs at the workers'
-  // fanout level; restored on exit so code after run() sees its own level.
-  const int caller_fanout = worker_fanout();
-  set_worker_fanout(base_fanout_ * jobs_);
   std::unique_lock lock(mutex_);
   body_ = &body;
   count_ = count;
@@ -91,8 +70,6 @@ void ParallelSweep::run(int count, const std::function<void(int)>& body) {
   body_ = nullptr;
   count_ = 0;
   next_ = 0;
-  lock.unlock();
-  set_worker_fanout(caller_fanout);
 }
 
 }  // namespace cogradio

@@ -24,18 +24,6 @@ namespace cogradio {
 // Resolves a --jobs value: <= 0 means "all hardware threads" (at least 1).
 int resolve_jobs(int jobs);
 
-// Nested-parallelism budget. worker_fanout() reports how many sweep bodies
-// may be executing concurrently at the current thread's level: 1 on a plain
-// thread, and jobs * (the constructing thread's fanout) inside a
-// ParallelSweep batch body. A component that wants to spawn its own inner
-// pool (e.g. the sharded slot resolver in sim/network.cpp) divides the
-// machine by this figure, so trials * shards never oversubscribes the
-// hardware no matter how sweeps nest. Never result-affecting: thread counts
-// only schedule work, they cannot change what the work computes.
-int worker_fanout();
-// Overrides the calling thread's fanout (ParallelSweep internals and tests).
-void set_worker_fanout(int fanout);
-
 // The private generator for trial `index` of a sweep. A fresh parent per
 // call makes the child a pure function of (base_seed, index) via Rng::split,
 // independent of how many trials ran before it or on which thread.
@@ -63,7 +51,6 @@ class ParallelSweep {
   void worker_loop();
 
   int jobs_ = 1;
-  int base_fanout_ = 1;  // worker_fanout() of the constructing thread
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable work_cv_;  // workers wait here for a new batch

@@ -1,7 +1,7 @@
 // Committed lint-violation fixture (never compiled): raw thread spawns
 // outside the sanctioned pool sites, for rule R8. Only src/util/sweep.cpp
 // and src/serve/server.cpp may construct std::thread; everything else must
-// go through ParallelSweep so the worker-fanout budget stays accurate.
+// go through ParallelSweep, which joins every thread it starts.
 #include <future>
 #include <thread>
 

@@ -5,15 +5,15 @@
 #   3. a run resumed from that snapshot (--resume) must write the
 #      identical manifest again.
 # Any divergence — stats, epochs, restarts, the aggregate — is a byte
-# difference. Driven by the cograd.resume_equivalence_* ctest legs at
-# shards 1 and 4 for both supervised scenario families (CogCast broadcast
-# on the partitioned pattern, CogComp aggregation).
+# difference. Driven by the cograd.resume_equivalence_* ctest legs for
+# both supervised scenario families (CogCast broadcast on the partitioned
+# pattern, CogComp aggregation).
 #
-# Usage: cmake -DCOGRAD=<path> -DMODE=broadcast|aggregate -DSHARDS=N
+# Usage: cmake -DCOGRAD=<path> -DMODE=broadcast|aggregate
 #              -P resume_equivalence.cmake
 
-if(NOT COGRAD OR NOT MODE OR NOT SHARDS)
-  message(FATAL_ERROR "need -DCOGRAD, -DMODE, -DSHARDS")
+if(NOT COGRAD OR NOT MODE)
+  message(FATAL_ERROR "need -DCOGRAD, -DMODE")
 endif()
 
 # Long enough runs that --checkpoint-every 32 cuts several mid-run
@@ -26,10 +26,10 @@ elseif(MODE STREQUAL "aggregate")
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")
 endif()
-list(APPEND base_args --trials 1 --supervise --seed 7 --shards ${SHARDS})
+list(APPEND base_args --trials 1 --supervise --seed 7)
 
 # Filenames carry the leg so parallel ctest workers never collide.
-set(tag ${MODE}_s${SHARDS})
+set(tag ${MODE})
 set(control resume_ctrl_${tag}.json)
 set(full resume_full_${tag}.json)
 set(resumed resume_res_${tag}.json)

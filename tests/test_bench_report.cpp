@@ -62,31 +62,42 @@ TEST(JsonParse, RejectsTrailingGarbageAndTruncation) {
   EXPECT_FALSE(parse_json("{\"a\": 1,}", &error).has_value());
 }
 
-TEST(BenchReport, ToJsonRoundTripsHostileKeys) {
-  BenchReport report("quote\"backslash\\newline\n");
-  report.set("key with \"quotes\"", 1.25);
-  report.set_int("tab\there", 7);
+TEST(RunManifest, ToJsonRoundTripsHostileKeys) {
+  RunManifest manifest("quote\"backslash\\newline\n");
+  manifest.set_config_string("flag \"q\"", "value\\with\ncontrols\x01");
+  manifest.set("key with \"quotes\"", 1.25);
+  manifest.set_int("tab\there", 7);
+  manifest.set_volatile("wall\\s", 0.5);
   std::string error;
-  const auto doc = parse_json(report.to_json(), &error);
+  const auto doc = parse_json(manifest.to_json(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(doc->find("name")->as_string(), "quote\"backslash\\newline\n");
+  EXPECT_EQ(doc->find("config")->find("flag \"q\"")->as_string(),
+            "value\\with\ncontrols\x01");
   const JsonValue* metrics = doc->find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_DOUBLE_EQ(metrics->find("key with \"quotes\"")->as_number(), 1.25);
   EXPECT_DOUBLE_EQ(metrics->find("tab\there")->as_number(), 7);
+  EXPECT_DOUBLE_EQ(doc->find("volatile")->find("wall\\s")->as_number(), 0.5);
 }
 
-TEST(BenchReport, NonFiniteValuesSerializeAsNull) {
-  BenchReport report("nonfinite");
-  report.set("nan", std::numeric_limits<double>::quiet_NaN());
-  report.set("inf", std::numeric_limits<double>::infinity());
-  report.set("ok", 2.0);
+TEST(RunManifest, NonFiniteValuesSerializeAsNull) {
+  RunManifest manifest("nonfinite");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  manifest.set_config_double("cfg_nan", nan);
+  manifest.set("nan", nan);
+  manifest.set("inf", inf);
+  manifest.set("ok", 2.0);
+  manifest.set_volatile("neg_inf", -inf);
   std::string error;
-  const auto doc = parse_json(report.to_json(), &error);
+  const auto doc = parse_json(manifest.to_json(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_TRUE(doc->find("config")->find("cfg_nan")->is_null());
   EXPECT_TRUE(doc->find("metrics")->find("nan")->is_null());
   EXPECT_TRUE(doc->find("metrics")->find("inf")->is_null());
   EXPECT_DOUBLE_EQ(doc->find("metrics")->find("ok")->as_number(), 2.0);
+  EXPECT_TRUE(doc->find("volatile")->find("neg_inf")->is_null());
 }
 
 TEST(AtomicWrite, FailedWriteLeavesNoFile) {

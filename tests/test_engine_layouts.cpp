@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -49,6 +50,11 @@ struct Family {
   bool faulted = false;
   bool dynamic = false;
 };
+
+// Print a family by name. gtest's default dump of an unprintable struct
+// would show the raw bytes of `name`, including its buffer address, and
+// so change the discovered ctest name whenever the heap layout moves.
+void PrintTo(const Family& fam, std::ostream* os) { *os << fam.name; }
 
 // One fixed randomized run of a family under the given layout. All seeds
 // are pinned, so for a fixed family the layout is the *only* difference
@@ -315,30 +321,55 @@ class ChatterClient : public BatchClient {
   ChatterTally* tally_;
 };
 
-// The batched-traffic interface must be a pure packaging change: a batch
-// run and a per-node protocol run generating identical offered load see
-// identical engine accounting and identical feedback content — with
-// jamming, fading, and the full fault kind set active.
-TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
-  const int n = 64, c = 8, k = 2;
-  const Slot slots = 96;
+// One input to the batch-vs-protocol twin below. `adversaries` attaches a
+// RandomJammer and the full fault kind set; a run without them is the only
+// one whose batch leg takes the word-scan collect.
+struct TwinInput {
+  const char* name;
+  int n, c, k;
+  Slot slots;
+  CollisionModel collision = CollisionModel::OneWinner;
+  double loss_prob = 0.0;
+  bool adversaries = false;
+};
 
-  struct Run {
-    TraceStats stats;
-    std::vector<NodeActivity> activity;
-    ChatterTally tally;
-  };
-  const auto finish = [&](Network& net, const ChatterTally& tally) {
-    Run out;
-    for (Slot s = 0; s < slots; ++s) net.step();
-    out.stats = net.stats();
-    for (NodeId u = 0; u < n; ++u) out.activity.push_back(net.activity(u));
-    out.tally = tally;
-    return out;
-  };
-  const auto make_faults = [&](std::optional<FaultEngine>& faults,
-                               Network& net) {
-    faults.emplace(n, c, Rng(55));
+struct TwinRun {
+  TraceStats stats;
+  std::vector<NodeActivity> activity;
+  ChatterTally tally;
+};
+
+// Runs `in` through the batch interface (`batch`) or per-node protocols on
+// `layout`: same assignment, seeds and offered load either way.
+TwinRun run_twin(const TwinInput& in, bool batch, EngineLayout layout) {
+  SharedCoreAssignment assignment(in.n, in.c, in.k, LabelMode::LocalRandom,
+                                  Rng(33));
+  ChatterTally tally;
+  std::optional<ChatterClient> client;
+  std::vector<std::unique_ptr<ChatterNode>> nodes;
+  NetworkOptions opt;
+  opt.layout = layout;
+  opt.seed = 77;
+  opt.collision = in.collision;
+  opt.loss_prob = in.loss_prob;
+  std::optional<Network> net;
+  if (batch) {
+    client.emplace(in.n, in.c, in.slots, &tally);
+    net.emplace(assignment, *client, opt);
+  } else {
+    std::vector<Protocol*> protocols;
+    for (NodeId u = 0; u < in.n; ++u) {
+      nodes.push_back(std::make_unique<ChatterNode>(u, in.c, &tally));
+      protocols.push_back(nodes.back().get());
+    }
+    net.emplace(assignment, std::move(protocols), opt);
+  }
+  std::optional<RandomJammer> jammer;
+  std::optional<FaultEngine> faults;
+  if (in.adversaries) {
+    jammer.emplace(in.n, assignment.total_channels(), 2, Rng(44));
+    net->set_jammer(&*jammer);
+    faults.emplace(in.n, in.c, Rng(55));
     FaultProfile profile;
     profile.deaf = 4;
     profile.mute = 4;
@@ -347,60 +378,53 @@ TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
     profile.churn = 3;
     profile.burst_nodes = 5;
     profile.burst_len = 8;
-    faults->add_random(profile, slots);
-    net.set_fault_engine(&*faults);
+    faults->add_random(profile, in.slots);
+    net->set_fault_engine(&*faults);
+  }
+  TwinRun out;
+  for (Slot s = 0; s < in.slots; ++s) net->step();
+  out.stats = net->stats();
+  for (NodeId u = 0; u < in.n; ++u) out.activity.push_back(net->activity(u));
+  out.tally = tally;
+  return out;
+}
+
+// The batched-traffic interface must be a pure packaging change: a batch
+// run and a per-node protocol run generating identical offered load see
+// identical engine accounting and identical feedback content, on either
+// layout.
+TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
+  const TwinInput inputs[] = {
+      // Jamming, fading, and the full fault kind set.
+      {.name = "adversarial", .n = 64, .c = 8, .k = 2, .slots = 96,
+       .loss_prob = 0.125, .adversaries = true},
+      // Every listener's rx view spans its channel's whole message range.
+      {.name = "all_delivered", .n = 64, .c = 8, .k = 2, .slots = 64,
+       .collision = CollisionModel::AllDelivered},
+      // No jammer and no fault engine: the batch leg's word-scan collect.
+      {.name = "clean", .n = 4500, .c = 16, .k = 3, .slots = 24,
+       .loss_prob = 0.125},
   };
+  for (const TwinInput& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const TwinRun batch = run_twin(in, /*batch=*/true, EngineLayout::SoA);
+    const TwinRun soa = run_twin(in, /*batch=*/false, EngineLayout::SoA);
+    const TwinRun aos = run_twin(in, /*batch=*/false, EngineLayout::AoS);
 
-  NetworkOptions opt;
-  opt.layout = EngineLayout::SoA;
-  opt.seed = 77;
-  opt.loss_prob = 0.125;
+    EXPECT_EQ(batch.stats, soa.stats);
+    EXPECT_EQ(batch.stats, aos.stats);
+    EXPECT_EQ(batch.activity, soa.activity);
+    EXPECT_EQ(batch.activity, aos.activity);
+    EXPECT_EQ(batch.tally, soa.tally);
+    EXPECT_EQ(batch.tally, aos.tally);
 
-  const auto run_protocol = [&](EngineLayout layout) {
-    SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(33));
-    ChatterTally tally;
-    std::vector<std::unique_ptr<ChatterNode>> nodes;
-    std::vector<Protocol*> protocols;
-    for (NodeId u = 0; u < n; ++u) {
-      nodes.push_back(std::make_unique<ChatterNode>(u, c, &tally));
-      protocols.push_back(nodes.back().get());
+    // The run did something: traffic flowed and adversaries actually bit.
+    EXPECT_GT(batch.stats.deliveries, 0);
+    if (in.adversaries) {
+      EXPECT_GT(batch.stats.jammed_node_slots, 0);
+      EXPECT_GT(batch.stats.feedback_drops, 0);
     }
-    NetworkOptions o = opt;
-    o.layout = layout;
-    Network net(assignment, std::move(protocols), o);
-    RandomJammer jammer(n, assignment.total_channels(), 2, Rng(44));
-    net.set_jammer(&jammer);
-    std::optional<FaultEngine> faults;
-    make_faults(faults, net);
-    return finish(net, tally);
-  };
-  const auto run_batch = [&] {
-    SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(33));
-    ChatterTally tally;
-    ChatterClient client(n, c, slots, &tally);
-    Network net(assignment, client, opt);
-    RandomJammer jammer(n, assignment.total_channels(), 2, Rng(44));
-    net.set_jammer(&jammer);
-    std::optional<FaultEngine> faults;
-    make_faults(faults, net);
-    return finish(net, tally);
-  };
-
-  const Run batch = run_batch();
-  const Run soa = run_protocol(EngineLayout::SoA);
-  const Run aos = run_protocol(EngineLayout::AoS);
-
-  EXPECT_EQ(batch.stats, soa.stats);
-  EXPECT_EQ(batch.stats, aos.stats);
-  EXPECT_EQ(batch.activity, soa.activity);
-  EXPECT_EQ(batch.activity, aos.activity);
-  EXPECT_EQ(batch.tally, soa.tally);
-  EXPECT_EQ(batch.tally, aos.tally);
-
-  // The run did something: traffic flowed and adversaries actually bit.
-  EXPECT_GT(batch.stats.deliveries, 0);
-  EXPECT_GT(batch.stats.jammed_node_slots, 0);
-  EXPECT_GT(batch.stats.feedback_drops, 0);
+  }
 }
 
 // The batch interface is a SoA feature: constructing one on the AoS

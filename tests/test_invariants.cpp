@@ -127,44 +127,6 @@ TEST(InvariantChecker, MutationCaughtWithoutTapsToo) {
   EXPECT_FALSE(rig.checker.ok());
 }
 
-TEST(InvariantChecker, CleanShardedRunPassesWithDeltaConservation) {
-  // Sharded resolve exposes per-shard deltas; rule F must hold on a clean
-  // run (and the deltas must actually be present — the rule is live).
-  FuzzRig rig(24, 6, 2, 9);
-  NetworkOptions opt;
-  opt.seed = 13;
-  opt.loss_prob = 0.25;
-  opt.shards = 4;
-  Network net(*rig.assignment, rig.protocols, opt);
-  rig.checker.attach(net);
-  for (int s = 0; s < 300; ++s) net.step();
-  EXPECT_TRUE(rig.checker.ok()) << rig.checker.report();
-  EXPECT_EQ(net.last_shard_deltas().size(), 4u);
-}
-
-TEST(InvariantChecker, MutationCatchesShardMergeSkew) {
-  // The skewed merge reverses shard order and drops all but one shard's
-  // delivery delta — the shard-delta conservation rule (and nothing about
-  // the per-node ledgers, which the shards still write correctly) must
-  // flag it. Plenty of channels so deliveries land in more than one shard.
-  FuzzRig rig(24, 6, 2, 44);
-  NetworkOptions opt;
-  opt.seed = 79;
-  opt.shards = 4;
-  opt.testonly_shard_merge_skew = true;
-  // Fading turns the generic deliveries-delta check into an envelope the
-  // lost update hides inside — only the conservation rule sees through it.
-  opt.loss_prob = 0.25;
-  Network net(*rig.assignment, rig.protocols, opt);
-  rig.checker.attach(net);
-  for (int s = 0; s < 100; ++s) net.step();
-  ASSERT_FALSE(rig.checker.ok())
-      << "shard-merge skew not detected: rule F is vacuous";
-  EXPECT_NE(rig.checker.first_violation().find("shard merge"),
-            std::string::npos)
-      << rig.checker.first_violation();
-}
-
 TEST(InvariantChecker, FingerprintMatchesAcrossEngines) {
   // Oblivious traffic: identical action streams on the plain and
   // backoff-emulating engines for the same seeds (winner coins differ,

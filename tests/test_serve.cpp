@@ -33,7 +33,6 @@ TEST(ServeProtocol, RequestFramesRoundTrip) {
   submit.job.k = 3;
   submit.job.pattern = "partitioned";
   submit.job.seed = 18446744073709551615ull;  // uint64 max must survive
-  submit.job.shards = 2;
   submit.job.op = AggOp::Min;
   submit.job.mediated = false;
   submit.job.deadline = 999;
@@ -371,6 +370,28 @@ TEST(ServeDaemon, MalformedFramesEarnErrorsThenHangup) {
   const auto pong = fine.next();
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->type, "pong");
+}
+
+TEST(ServeDaemon, SubmitCarryingShardsEarnsAnErrorNamingTheKey) {
+  // The retired shard-count knob is not a job key: a client still sending
+  // it gets a typed error frame, not a silently ignored field.
+  DaemonFixture daemon;
+  Client client(daemon.port);
+  ASSERT_TRUE(client.ok()) << client.error();
+  std::string frame = encode_request(make_submit(4, 9));
+  const std::string layout = "\"layout\":\"soa\"";
+  const std::size_t at = frame.find(layout);
+  ASSERT_NE(at, std::string::npos) << frame;
+  frame.insert(at + layout.size(), ",\"shards\":2");
+  ASSERT_TRUE(client.send_line(frame));
+  const auto response = client.next();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->type, "error");
+  const JsonValue* message = response->body.find("message");
+  ASSERT_NE(message, nullptr);
+  EXPECT_NE(message->as_string().find("unknown job key 'shards'"),
+            std::string::npos)
+      << message->as_string();
 }
 
 TEST(ServeDaemon, CancelAbortsAQueuedJob) {

@@ -112,66 +112,6 @@ TEST(CliDeath, IntegerUnderflowAborts) {
               "out of range");
 }
 
-TEST(Cli, ShardsFlagParsesAndDefaults) {
-  {
-    const char* argv[] = {"prog", "--shards=16"};
-    CliArgs args(2, argv);
-    EXPECT_EQ(args.get_shards(), 16);
-  }
-  {
-    const char* argv[] = {"prog"};
-    CliArgs args(1, argv);
-    EXPECT_EQ(args.get_shards(), 1);
-    EXPECT_EQ(args.get_shards(/*def=*/8), 8);
-  }
-  {
-    // def = 0 is the "unset means caller decides" form (`cograd check`
-    // resolves 0 to the scenario's drawn count) — it must admit both the
-    // default and an explicit --shards 0.
-    const char* argv[] = {"prog", "--shards=0"};
-    CliArgs args(2, argv);
-    EXPECT_EQ(args.get_shards(/*def=*/0), 0);
-  }
-}
-
-TEST(CliDeath, ShardsZeroAborts) {
-  const char* argv[] = {"prog", "--shards=0"};
-  CliArgs args(2, argv);
-  EXPECT_EXIT((void)args.get_shards(), ::testing::ExitedWithCode(2),
-              "shard count in \\[1, 4096\\], got 0");
-}
-
-TEST(CliDeath, ShardsNegativeAborts) {
-  const char* argv[] = {"prog", "--shards=-3"};
-  CliArgs args(2, argv);
-  // Negative counts are rejected even on the def = 0 (check) path.
-  EXPECT_EXIT((void)args.get_shards(/*def=*/0), ::testing::ExitedWithCode(2),
-              "got -3");
-}
-
-TEST(CliDeath, ShardsAbsurdCountAborts) {
-  const char* argv[] = {"prog", "--shards=5000"};
-  CliArgs args(2, argv);
-  EXPECT_EXIT((void)args.get_shards(), ::testing::ExitedWithCode(2),
-              "shard count in \\[1, 4096\\], got 5000");
-}
-
-TEST(CliDeath, ShardsOverflowAborts) {
-  // int64 overflow is diagnosed by the underlying get_int before the
-  // range check ever sees it.
-  const char* argv[] = {"prog", "--shards=99999999999999999999"};
-  CliArgs args(2, argv);
-  EXPECT_EXIT((void)args.get_shards(), ::testing::ExitedWithCode(2),
-              "out of range");
-}
-
-TEST(CliDeath, ShardsMalformedAborts) {
-  const char* argv[] = {"prog", "--shards=four"};
-  CliArgs args(2, argv);
-  EXPECT_EXIT((void)args.get_shards(), ::testing::ExitedWithCode(2),
-              "expects an integer");
-}
-
 TEST(Cli, Int64ExtremesParseExactly) {
   const char* argv[] = {"prog", "--hi=9223372036854775807",
                         "--lo=-9223372036854775808"};

@@ -66,8 +66,7 @@ int usage() {
       "\n"
       "commands:\n"
       "  (every single-hop command also accepts --engine soa|aos — the\n"
-      "  slot-engine layout — and --shards N — the resolve-phase shard\n"
-      "  count, SoA only; every combination replays bit-for-bit)\n"
+      "  slot-engine layout; both replay bit-for-bit)\n"
       "  broadcast  --n 32 --c 8 --k 2 [--pattern shared-core] [--trials 1]\n"
       "             [--supervise] [--deadline S] [--stall-window W]\n"
       "             [--max-restarts R]   (self-healing run supervisor)\n"
@@ -99,15 +98,13 @@ int usage() {
       "             must agree bit for bit)\n"
       "             [--faults]   (fuzz FaultEngine schedules; fails unless\n"
       "             every fault kind was exercised at least once)\n"
-      "             [--shards N]  (force the resolve-phase shard count on\n"
-      "             the primary SoA run; 0 = scenario-drawn, the default)\n"
       "             [--testonly-mutation deaf-hears|mute-transmits|\n"
       "             babble-idles|keep-dropped-feedback|churn-acts|\n"
-      "             shard-merge-skew|resume-skew]\n"
+      "             resume-skew]\n"
       "             (inject one invariant-breaking radio bug; the sweep\n"
       "             must FAIL — used by the WILL_FAIL oracle legs)\n"
       "             [--fault-log-out FILE]  (fault schedules of failures)\n"
-      "  bench      [--jobs J] [--shards N] [--trials T] [--only e1,e2,...]\n"
+      "  bench      [--jobs J] [--trials T] [--only e1,e2,...]\n"
       "             [--out BENCH_all.json] [--compare BASELINE.json]\n"
       "             [--tolerances TOL.json] [--diff-out FILE]\n"
       "             [--list] [--validate F1,F2,...]\n"
@@ -132,7 +129,7 @@ int usage() {
       "             [--kind cogcast|cogcomp] [job flags: --n --c --k\n"
       "             --pattern --seed --op --unmediated --deadline\n"
       "             --stall-window --max-restarts --max-deadline\n"
-      "             --engine --shards]\n"
+      "             --engine]\n"
       "\n"
       "common: --seed S (default 1), --pattern shared-core|partitioned|\n"
       "        pigeonhole|identity|dynamic-shared-core|dynamic-pigeonhole");
@@ -145,7 +142,6 @@ struct Common {
   std::uint64_t seed;
   int trials;
   EngineLayout layout;
-  int shards;
 };
 
 Common read_common(CliArgs& args) {
@@ -157,23 +153,14 @@ Common read_common(CliArgs& args) {
   common.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   common.trials = static_cast<int>(args.get_int("trials", 1));
   common.layout = args.get_engine();
-  common.shards = args.get_shards();
-  if (common.layout == EngineLayout::AoS && common.shards > 1) {
-    std::fprintf(stderr,
-                 "cograd: --shards > 1 requires --engine soa (the AoS "
-                 "reference path is the fused serial step)\n");
-    std::exit(2);
-  }
   return common;
 }
 
-// Single-hop engine options carrying the --engine layout and --shards
-// resolve-phase split; every combination replays bit-for-bit, so these
-// only change the execution speed.
+// Single-hop engine options carrying the --engine layout; both layouts
+// replay bit-for-bit, so this only changes the execution speed.
 NetworkOptions common_net(const Common& common) {
   NetworkOptions net;
   net.layout = common.layout;
-  net.shards = common.shards;
   return net;
 }
 
@@ -611,19 +598,12 @@ int cmd_check(CliArgs& args) {
       args.get_string("testonly-mutation", "none");
   const std::string fault_log_out = args.get_string("fault-log-out", "");
   const EngineLayout layout = args.get_engine();
-  const int shards = args.get_shards(/*def=*/0);
   const int jobs = args.get_jobs();
   args.finish();
 
   TestonlyFaultMutation mutation = TestonlyFaultMutation::None;
-  bool shard_merge_skew = false;
   bool resume_skew = false;
-  if (mutation_name == "shard-merge-skew") {
-    // Engine-level mutation, not a fault-semantics one: perturbs the
-    // per-shard delta merge (reverse order + a lost update) so the
-    // oracle's shard-delta conservation rule must flag the sweep.
-    shard_merge_skew = true;
-  } else if (mutation_name == "resume-skew") {
+  if (mutation_name == "resume-skew") {
     // Harness-level mutation: the resume differential restores the
     // snapshot taken one slot early, so the digest compare must flag
     // every trial — the WILL_FAIL leg proving the resume oracle bites.
@@ -639,8 +619,6 @@ int cmd_check(CliArgs& args) {
   options.mutation = mutation;
   options.injections = with_faults ? &injections : nullptr;
   options.layout = layout;
-  options.shards = shards;
-  options.shard_merge_skew = shard_merge_skew;
   options.resume_skew = resume_skew;
   const Property prop = [&options](const Scenario& scn) {
     return check_scenario(scn, options);
@@ -737,7 +715,6 @@ int cmd_bench(CliArgs& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int trials = static_cast<int>(args.get_int("trials", 0));
   const int jobs = args.get_jobs();
-  const int shards = args.get_shards();
   const std::string only = args.get_string("only", "");
   const std::string out_path = args.get_string("out", "BENCH_all.json");
   const std::string compare_path = args.get_string("compare", "");
@@ -784,7 +761,6 @@ int cmd_bench(CliArgs& args) {
   SmokeOptions options;
   options.seed = seed;
   options.jobs = jobs;
-  options.shards = shards;
   options.trials = trials;
 
   std::vector<std::string> selected = smoke_experiment_names();
@@ -993,7 +969,6 @@ JobSpec read_job_spec(CliArgs& args) {
   job.k = static_cast<int>(args.get_int("k", 2));
   job.pattern = args.get_string("pattern", "shared-core");
   job.layout = args.get_engine();
-  job.shards = args.get_shards();
   try {
     job.op = parse_agg_op(args.get_string("op", "sum"));
   } catch (const std::exception& e) {
