@@ -159,6 +159,13 @@ std::optional<JobSpec> parse_job_spec(const JsonValue& value,
     fail(error, "k: must be <= c");
     return std::nullopt;
   }
+  const std::int64_t labels = std::int64_t{spec.n} * spec.c;
+  if (labels > kMaxJobLabelEntries) {
+    fail(error, "n, c: label table n*c = " + std::to_string(labels) +
+                    " exceeds the cap of " +
+                    std::to_string(kMaxJobLabelEntries) + " entries");
+    return std::nullopt;
+  }
   return spec;
 }
 

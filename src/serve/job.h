@@ -45,10 +45,18 @@ struct JobSpec {
   Slot max_deadline = 0;
 };
 
+// The largest label table (n*c entries, sim/assignment.h) a job may ask
+// for: 2^24 entries, 64 MiB of channel ids. The per-key bounds alone
+// (n <= 1e6, c <= 65536) admit tables of gigabytes, so parse_job_spec
+// rejects any larger shape and one frame cannot make the daemon allocate
+// that much.
+inline constexpr std::int64_t kMaxJobLabelEntries = std::int64_t{1} << 24;
+
 // Parses the "job" object of a submit frame. Unknown keys are rejected
 // (a typo'd knob silently falling back to a default would break the
-// byte-identity contract between client and daemon). On failure returns
-// nullopt and stores a diagnostic in `error`.
+// byte-identity contract between client and daemon), and so is a shape
+// over kMaxJobLabelEntries. On failure returns nullopt and stores a
+// diagnostic in `error`.
 std::optional<JobSpec> parse_job_spec(const JsonValue& value,
                                       std::string* error);
 

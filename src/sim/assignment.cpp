@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace cogradio {
@@ -39,27 +40,56 @@ int ChannelAssignment::min_overlap_actual() const {
   return best;
 }
 
-Channel TableAssignment::global_channel(NodeId node, LocalLabel label) const {
-  assert(node >= 0 && node < n_);
-  assert(label >= 0 && label < c_);
-  return table_[static_cast<std::size_t>(node)][static_cast<std::size_t>(label)];
+int checked_total_channels(std::int64_t total, const char* who) {
+  if (total > std::numeric_limits<Channel>::max())
+    throw std::invalid_argument(
+        std::string(who) + ": channel space C = " + std::to_string(total) +
+        " exceeds the channel id range (max " +
+        std::to_string(std::numeric_limits<Channel>::max()) + ")");
+  // A negative C comes only from a shape the base constructor rejects.
+  return static_cast<int>(total);
 }
 
 namespace {
 
-// Builds a per-node table from raw channel sets, applying the label mode.
-std::vector<std::vector<Channel>> label_all(
-    std::vector<std::vector<Channel>> sets, LabelMode mode, Rng& rng) {
-  for (auto& set : sets) set = make_labeling(std::move(set), mode, rng);
-  return sets;
+// C = k + n(c-k): the Partitioned layout's universe, in 64 bits.
+std::int64_t partitioned_universe(int n, int c, int k) {
+  return std::int64_t{k} + std::int64_t{n} * (std::int64_t{c} - k);
 }
 
 }  // namespace
 
+TableAssignment::TableAssignment(int n, int c, int k, int total_channels)
+    : ChannelAssignment(n, c, k, total_channels) {
+  table_.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(c));
+}
+
+Channel TableAssignment::global_channel(NodeId node, LocalLabel label) const {
+  assert(node >= 0 && node < n_);
+  assert(label >= 0 && label < c_);
+  return table_[static_cast<std::size_t>(node) * static_cast<std::size_t>(c_) +
+                static_cast<std::size_t>(label)];
+}
+
+std::span<Channel> TableAssignment::row(NodeId node) {
+  assert(node >= 0 && node < n_);
+  return std::span<Channel>(table_).subspan(
+      static_cast<std::size_t>(node) * static_cast<std::size_t>(c_),
+      static_cast<std::size_t>(c_));
+}
+
+void TableAssignment::label_rows(LabelMode mode, Rng& rng) {
+  for (NodeId u = 0; u < n_; ++u) make_labeling(row(u), mode, rng);
+}
+
 SharedCoreAssignment::SharedCoreAssignment(int n, int c, int k,
                                            LabelMode labels, Rng rng,
                                            int total_channels, bool low_core)
-    : TableAssignment(n, c, k, total_channels == 0 ? 2 * c : total_channels) {
+    : TableAssignment(n, c, k,
+                      total_channels == 0
+                          ? checked_total_channels(2 * std::int64_t{c},
+                                                   "shared-core")
+                          : total_channels) {
   const int big_c = total_channels_;
   if (big_c < c) throw std::invalid_argument("shared-core: C < c");
   // Choose the k core channels, then per-node tails from the complement.
@@ -76,19 +106,22 @@ SharedCoreAssignment::SharedCoreAssignment(int n, int c, int k,
     for (Channel ch = 0; ch < big_c; ++ch)
       if (!in_core[static_cast<std::size_t>(ch)]) rest.push_back(ch);
   }
-  std::vector<std::vector<Channel>> sets(static_cast<std::size_t>(n));
-  for (auto& set : sets) {
-    set.assign(core.begin(), core.end());
+  // Every node's raw set first, then every node's labeling: the draw order
+  // of building all sets before labeling any.
+  for (NodeId u = 0; u < n; ++u) {
+    table_.insert(table_.end(), core.begin(), core.end());
     const auto tail = rng.sample_without_replacement(
         static_cast<std::int32_t>(rest.size()), c - k);
-    for (auto idx : tail) set.push_back(rest[static_cast<std::size_t>(idx)]);
+    for (auto idx : tail) table_.push_back(rest[static_cast<std::size_t>(idx)]);
   }
-  table_ = label_all(std::move(sets), labels, rng);
+  label_rows(labels, rng);
 }
 
 PartitionedAssignment::PartitionedAssignment(int n, int c, int k,
                                              LabelMode labels, Rng rng)
-    : TableAssignment(n, c, k, k + n * (c - k)) {
+    : TableAssignment(n, c, k,
+                      checked_total_channels(partitioned_universe(n, c, k),
+                                             "partitioned")) {
   // Random global permutation of all C channels; the first k become the
   // shared core, the remainder is cut into n private blocks of size c-k.
   std::vector<Channel> perm(static_cast<std::size_t>(total_channels_));
@@ -96,35 +129,32 @@ PartitionedAssignment::PartitionedAssignment(int n, int c, int k,
     perm[static_cast<std::size_t>(ch)] = ch;
   rng.shuffle(perm);
 
-  std::vector<std::vector<Channel>> sets(static_cast<std::size_t>(n));
+  const auto core_end = perm.begin() + k;
   for (NodeId u = 0; u < n; ++u) {
-    auto& set = sets[static_cast<std::size_t>(u)];
-    set.assign(perm.begin(), perm.begin() + k);
-    const std::size_t start =
-        static_cast<std::size_t>(k) +
-        static_cast<std::size_t>(u) * static_cast<std::size_t>(c - k);
-    set.insert(set.end(), perm.begin() + static_cast<std::ptrdiff_t>(start),
-               perm.begin() + static_cast<std::ptrdiff_t>(start + static_cast<std::size_t>(c - k)));
+    table_.insert(table_.end(), perm.begin(), core_end);
+    const auto block = core_end + static_cast<std::ptrdiff_t>(u) * (c - k);
+    table_.insert(table_.end(), block, block + (c - k));
   }
-  table_ = label_all(std::move(sets), labels, rng);
+  label_rows(labels, rng);
 }
 
 PigeonholeAssignment::PigeonholeAssignment(int n, int c, int k,
                                            LabelMode labels, Rng rng)
-    : TableAssignment(n, c, k, 2 * c - k) {
-  std::vector<std::vector<Channel>> sets(static_cast<std::size_t>(n));
-  for (auto& set : sets) set = rng.sample_without_replacement(total_channels_, c);
-  table_ = label_all(std::move(sets), labels, rng);
+    : TableAssignment(n, c, k,
+                      checked_total_channels(2 * std::int64_t{c} - k,
+                                             "pigeonhole")) {
+  for (NodeId u = 0; u < n; ++u) {
+    const auto set = rng.sample_without_replacement(total_channels_, c);
+    table_.insert(table_.end(), set.begin(), set.end());
+  }
+  label_rows(labels, rng);
 }
 
 IdentityAssignment::IdentityAssignment(int n, int c, LabelMode labels, Rng rng)
     : TableAssignment(n, c, /*k=*/c, /*total_channels=*/c) {
-  std::vector<std::vector<Channel>> sets(static_cast<std::size_t>(n));
-  for (auto& set : sets) {
-    set.resize(static_cast<std::size_t>(c));
-    for (Channel ch = 0; ch < c; ++ch) set[static_cast<std::size_t>(ch)] = ch;
-  }
-  table_ = label_all(std::move(sets), labels, rng);
+  for (NodeId u = 0; u < n; ++u)
+    for (Channel ch = 0; ch < c; ++ch) table_.push_back(ch);
+  label_rows(labels, rng);
 }
 
 DynamicAssignment::DynamicAssignment(int n, int c, int k, int total_channels,
@@ -154,8 +184,9 @@ std::unique_ptr<DynamicAssignment> DynamicAssignment::shared_core(int n, int c,
                                                   LabelMode::LocalRandom,
                                                   slot_rng);
   };
-  return std::make_unique<DynamicAssignment>(n, c, k, 2 * c, std::move(factory),
-                                             rng);
+  return std::make_unique<DynamicAssignment>(
+      n, c, k, checked_total_channels(2 * std::int64_t{c}, "shared-core"),
+      std::move(factory), rng);
 }
 
 std::unique_ptr<DynamicAssignment> DynamicAssignment::pigeonhole(int n, int c,
@@ -166,20 +197,23 @@ std::unique_ptr<DynamicAssignment> DynamicAssignment::pigeonhole(int n, int c,
                                                   LabelMode::LocalRandom,
                                                   slot_rng);
   };
-  return std::make_unique<DynamicAssignment>(n, c, k, 2 * c - k,
-                                             std::move(factory), rng);
+  return std::make_unique<DynamicAssignment>(
+      n, c, k, checked_total_channels(2 * std::int64_t{c} - k, "pigeonhole"),
+      std::move(factory), rng);
 }
 
 AdaptiveAdversaryAssignment::AdaptiveAdversaryAssignment(int n, int c, int k,
                                                          Predictor predictor,
                                                          Rng rng)
-    : ChannelAssignment(n, c, k, k + n * (c - k)),
+    : TableAssignment(n, c, k,
+                      checked_total_channels(partitioned_universe(n, c, k),
+                                             "adversary")),
       predictor_(std::move(predictor)),
-      rng_(rng),
-      table_(static_cast<std::size_t>(n)) {
+      rng_(rng) {
   if (k >= c)
     throw std::invalid_argument(
         "adversary: needs k < c (with k = c there is nowhere to dodge to)");
+  table_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(c));
   begin_slot(1);
 }
 
@@ -187,13 +221,12 @@ void AdaptiveAdversaryAssignment::begin_slot(Slot slot) {
   // Physical layout is fixed: channels 0..k-1 are the shared core; node u's
   // private block is [k + u(c-k), k + (u+1)(c-k)). Only the labeling moves.
   for (NodeId u = 0; u < n_; ++u) {
-    auto& row = table_[static_cast<std::size_t>(u)];
-    row.resize(static_cast<std::size_t>(c_));
-    std::vector<Channel> channels;
-    channels.reserve(static_cast<std::size_t>(c_));
-    for (Channel ch = 0; ch < k_; ++ch) channels.push_back(ch);
+    const std::span<Channel> channels = row(u);
+    for (Channel ch = 0; ch < k_; ++ch)
+      channels[static_cast<std::size_t>(ch)] = ch;
     const Channel priv_base = k_ + u * (c_ - k_);
-    for (Channel j = 0; j < c_ - k_; ++j) channels.push_back(priv_base + j);
+    for (Channel j = 0; j < c_ - k_; ++j)
+      channels[static_cast<std::size_t>(k_ + j)] = priv_base + j;
     rng_.shuffle(channels);
 
     const LocalLabel predicted = predictor_ ? predictor_(u, slot) : kNoChannel;
@@ -205,15 +238,7 @@ void AdaptiveAdversaryAssignment::begin_slot(Slot slot) {
       assert(it != channels.end());  // c > k guarantees a private channel
       std::swap(channels[static_cast<std::size_t>(predicted)], *it);
     }
-    row = std::move(channels);
   }
-}
-
-Channel AdaptiveAdversaryAssignment::global_channel(NodeId node,
-                                                    LocalLabel label) const {
-  assert(node >= 0 && node < n_);
-  assert(label >= 0 && label < c_);
-  return table_[static_cast<std::size_t>(node)][static_cast<std::size_t>(label)];
 }
 
 std::unique_ptr<ChannelAssignment> make_assignment(const std::string& pattern,

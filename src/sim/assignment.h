@@ -15,10 +15,20 @@
 //   DynamicAssignment   any generator re-drawn independently every slot
 //   AdaptiveAdversary   re-labels per slot to dodge a predicted choice
 //                       (Theorem 17 demonstration)
+//
+// Table format. Every table-backed assignment (the four static generators,
+// DynamicAssignment's per-slot draws, AdaptiveAdversary, and the Markov
+// spectrum of sim/spectrum.h) stores its whole label map as ONE flat
+// node-major vector of n*c channels: entry node*c + label is the physical
+// channel behind `label` at `node`. table() lends that vector to the
+// engine, which indexes it directly instead of copying it or calling
+// global_channel per node (sim/network.h).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +60,13 @@ class ChannelAssignment {
   // Preconditions: 0 <= node < n, 0 <= label < c.
   virtual Channel global_channel(NodeId node, LocalLabel label) const = 0;
 
+  // The current slot's label map in the flat node-major format (file
+  // comment): n*c entries, table()[node*c + label] ==
+  // global_channel(node, label). The span stays valid until the next
+  // begin_slot. Empty (the default) means the assignment keeps no such
+  // table, and callers must ask global_channel instead.
+  virtual std::span<const Channel> table() const { return {}; }
+
   // Diagnostics/verification: the node's full physical channel set this
   // slot, and pairwise overlap size. Not visible to protocols.
   std::vector<Channel> channel_set(NodeId node) const;
@@ -66,16 +83,31 @@ class ChannelAssignment {
   int total_channels_;
 };
 
-// Base for assignments backed by an explicit labels->channel table.
+// Validates a channel-universe size C that a generator computed in 64
+// bits from its shape (e.g. k + n(c-k)) and returns it as an int; throws
+// std::invalid_argument, naming `who`, when C exceeds Channel's range, so
+// no outside shape reaches signed overflow or a table allocation.
+int checked_total_channels(std::int64_t total, const char* who);
+
+// Base for assignments backed by an explicit labels->channel table, kept
+// in the flat node-major format and lent out through table().
 class TableAssignment : public ChannelAssignment {
  public:
   Channel global_channel(NodeId node, LocalLabel label) const override;
+  std::span<const Channel> table() const override { return table_; }
 
  protected:
-  using ChannelAssignment::ChannelAssignment;
+  // Validates the shape, then reserves (never fills) the n*c table.
+  TableAssignment(int n, int c, int k, int total_channels);
 
-  // table_[node][label] = physical channel.
-  std::vector<std::vector<Channel>> table_;
+  // `node`'s c entries of table_, which must already be sized.
+  std::span<Channel> row(NodeId node);
+  // Applies make_labeling to every row in node order: the same sort and
+  // shuffle draws as labeling each node's set on its own.
+  void label_rows(LabelMode mode, Rng& rng);
+
+  // table_[node*c + label] = physical channel.
+  std::vector<Channel> table_;
 };
 
 // --- Static generators ----------------------------------------------------
@@ -130,6 +162,8 @@ class DynamicAssignment : public ChannelAssignment {
   bool is_dynamic() const override { return true; }
   void begin_slot(Slot slot) override;
   Channel global_channel(NodeId node, LocalLabel label) const override;
+  // The current slot's draw's table; replaced by the next begin_slot.
+  std::span<const Channel> table() const override { return current_->table(); }
 
   // Convenience constructors for the common dynamic patterns.
   static std::unique_ptr<DynamicAssignment> shared_core(int n, int c, int k,
@@ -152,7 +186,8 @@ class DynamicAssignment : public ChannelAssignment {
 // the prediction is exact and broadcast never completes; against CogCast
 // the prediction is a blind guess, so a random label still lands on a
 // shared channel with probability >= k/c and broadcast goes through.
-class AdaptiveAdversaryAssignment : public ChannelAssignment {
+// Each begin_slot rewrites the table in place.
+class AdaptiveAdversaryAssignment : public TableAssignment {
  public:
   // `predictor(node, slot)` returns the label the adversary expects `node`
   // to use in `slot` (return kNoChannel to skip dodging that node).
@@ -163,12 +198,10 @@ class AdaptiveAdversaryAssignment : public ChannelAssignment {
 
   bool is_dynamic() const override { return true; }
   void begin_slot(Slot slot) override;
-  Channel global_channel(NodeId node, LocalLabel label) const override;
 
  private:
   Predictor predictor_;
   Rng rng_;
-  std::vector<std::vector<Channel>> table_;
 };
 
 // --- Named factory ----------------------------------------------------------

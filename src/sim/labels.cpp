@@ -4,11 +4,9 @@
 
 namespace cogradio {
 
-std::vector<Channel> make_labeling(std::vector<Channel> channel_set,
-                                   LabelMode mode, Rng& rng) {
-  std::sort(channel_set.begin(), channel_set.end());
-  if (mode == LabelMode::LocalRandom) rng.shuffle(channel_set);
-  return channel_set;
+void make_labeling(std::span<Channel> row, LabelMode mode, Rng& rng) {
+  std::sort(row.begin(), row.end());
+  if (mode == LabelMode::LocalRandom) rng.shuffle(row);
 }
 
 }  // namespace cogradio

@@ -8,7 +8,7 @@
 // choice with a per-node labeling produced here.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "sim/types.h"
 #include "util/rng.h"
@@ -20,11 +20,10 @@ enum class LabelMode : std::uint8_t {
   LocalRandom,  // labels are an independent random permutation per node
 };
 
-// Returns `labels_to_channel` such that labels_to_channel[label] is the
-// physical channel behind `label`, built from the node's channel set
-// according to `mode`. The set is sorted first so the Global mode is
-// deterministic regardless of generation order.
-std::vector<Channel> make_labeling(std::vector<Channel> channel_set,
-                                   LabelMode mode, Rng& rng);
+// Turns one node's channel set, in place, into its label row: afterwards
+// row[label] is the physical channel behind `label` according to `mode`.
+// The set is sorted first so the Global mode is deterministic regardless
+// of generation order; LocalRandom then draws one shuffle of the row.
+void make_labeling(std::span<Channel> row, LabelMode mode, Rng& rng);
 
 }  // namespace cogradio

@@ -151,21 +151,36 @@ bool Network::batch_dense_slot(std::size_t active) const {
                        2 * active + 2 * channels;
 }
 
+void Network::set_jammer(Jammer* jammer) {
+  jammer_ = jammer;
+  if (jammer_ != nullptr) used_channel_.resize(static_cast<std::size_t>(n_));
+}
+
+void Network::set_observer(SlotObserver observer) {
+  observer_ = std::move(observer);
+  if (observer_) resolved_.resize(static_cast<std::size_t>(n_));
+}
+
 void Network::init_scratch() {
   // Size all per-slot scratch up front; step() only ever writes into this
-  // capacity, so the steady-state hot path is allocation-free.
+  // capacity, so the steady-state hot path is allocation-free. Each array
+  // is sized only for the client, layout or attachment that reads it (the
+  // jammer's and observer's arrays are sized when they attach).
   const auto n = static_cast<std::size_t>(n_);
   const int total = assignment_.total_channels();
-  resolved_.resize(n);
-  messages_.resize(n);
-  used_channel_.resize(n);
-  received_.resize(n);
-  fed_.resize(n);
+  if (batch_ == nullptr) {
+    messages_.resize(n);
+    received_.resize(n);
+    fed_.resize(n);
+  }
   order_.reserve(n);
   broadcasters_.reserve(n);
   listeners_.reserve(n);
   channel_bucket_.resize(static_cast<std::size_t>(total) + 1);
-  if (options_.layout != EngineLayout::SoA) return;
+  if (options_.layout != EngineLayout::SoA) {
+    resolved_.resize(n);  // the AoS path resolves into it every slot
+    return;
+  }
 
   // The batch fast path restores the all-idle invariant incrementally (it
   // resets only last slot's active entries), so the arrays must start out
@@ -176,10 +191,10 @@ void Network::init_scratch() {
   soa_chan_.assign(n, kNoChannel);
   dense_ = ChannelBitmaps::affordable(total, n_);
   if (dense_) bitmaps_.resize(total, n_);
-  if (!assignment_.is_dynamic()) {
-    // Static assignment: snapshot the label -> physical-channel map once,
-    // replacing a virtual call per participating node per slot with one
-    // flat load.
+  if (!assignment_.is_dynamic() && assignment_.table().empty()) {
+    // Static assignment that lends no table: snapshot its label ->
+    // physical-channel map once, replacing a virtual call per
+    // participating node per slot with one flat load.
     const int cpn = assignment_.channels_per_node();
     flat_map_.resize(n * static_cast<std::size_t>(cpn));
     for (NodeId i = 0; i < n_; ++i)
@@ -797,7 +812,13 @@ void Network::step_soa() {
       std::fill(fed_.begin(), fed_.end(), char{0});
   }
 
-  const bool snap = !flat_map_.empty();
+  // This slot's label map in the flat node-major format: the table the
+  // assignment lends (valid until its next begin_slot), else the snapshot
+  // of a static assignment without one. Empty only for a dynamic
+  // assignment without a table, which is asked per node instead.
+  std::span<const Channel> labels = assignment_.table();
+  if (labels.empty()) labels = flat_map_;
+  const bool snap = !labels.empty();
   const auto cpn = static_cast<std::size_t>(assignment_.channels_per_node());
 
   // 1. Collect and resolve actions into the flat arrays; fault overrides
@@ -815,7 +836,7 @@ void Network::step_soa() {
     const LocalLabel label = soa_label_[i];
     assert(label >= 0 && static_cast<std::size_t>(label) < cpn);
     const Channel ch =
-        snap ? flat_map_[i * cpn + static_cast<std::size_t>(label)]
+        snap ? labels[i * cpn + static_cast<std::size_t>(label)]
              : assignment_.global_channel(static_cast<NodeId>(i), label);
     soa_chan_[i] = ch;
     if (jammer_ != nullptr) {
@@ -910,7 +931,7 @@ void Network::step_soa() {
       if (batch_ != nullptr) soa_active_.push_back(static_cast<std::int32_t>(i));
       assert(label >= 0 && static_cast<std::size_t>(label) < cpn);
       const Channel ch =
-          snap ? flat_map_[i * cpn + static_cast<std::size_t>(label)]
+          snap ? labels[i * cpn + static_cast<std::size_t>(label)]
                : assignment_.global_channel(static_cast<NodeId>(i), label);
       soa_chan_[i] = ch;
       if (jammer_ != nullptr) {

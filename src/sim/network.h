@@ -231,7 +231,10 @@ class Network {
   Network(ChannelAssignment& assignment, BatchClient& client,
           NetworkOptions options = {});
 
-  void set_jammer(Jammer* jammer) { jammer_ = jammer; }
+  // Attach an adversarial jammer (non-owning). Attaching one sizes the
+  // per-node channel history handed to Jammer::observe (step() never
+  // allocates).
+  void set_jammer(Jammer* jammer);
 
   // Attach an adversarial fault engine (non-owning, like the jammer). Its
   // begin_slot runs right after the jammer's; the resulting per-node flag
@@ -240,9 +243,10 @@ class Network {
   const FaultEngine* fault_engine() const { return fault_engine_; }
 
   // Observer invoked after each slot with the resolved actions; used by
-  // tests to validate collision-model semantics externally.
+  // tests to validate collision-model semantics externally. Attaching one
+  // sizes the ResolvedAction view it reads (step() never allocates).
   using SlotObserver = std::function<void(Slot, std::span<const ResolvedAction>)>;
-  void set_observer(SlotObserver observer) { observer_ = std::move(observer); }
+  void set_observer(SlotObserver observer);
 
   int num_nodes() const { return n_; }
   int total_channels() const { return assignment_.total_channels(); }
@@ -324,18 +328,22 @@ class Network {
   // The per-slot dense-vs-sparse grouping heuristic of the batch path.
   bool batch_dense_slot(std::size_t active) const;
 
-  // Per-slot scratch, sized once in the constructor and reused every slot
-  // so that step() performs zero heap allocations in steady state (the E18
-  // and E35 allocation probes enforce this).
-  std::vector<ResolvedAction> resolved_;
-  std::vector<Message> messages_;   // broadcast message per node (by index);
-                                    // only broadcaster entries are live — stale
-                                    // slots are never read, so no per-slot reset
+  // Per-slot scratch, sized once (in the constructor, or by the setter
+  // that attaches its reader) and reused every slot so that step()
+  // performs zero heap allocations in steady state (the E18 and E35
+  // allocation probes enforce this). Per-node arrays are sized only for
+  // their readers: a 2^20-node BatchClient fleet allocates none of
+  // resolved_, messages_, received_, fed_ or used_channel_.
+  std::vector<ResolvedAction> resolved_;  // AoS layout, or an observer
+  // Per-node protocols only: the broadcast message per node (by index;
+  // only broadcaster entries are live — stale slots are never read, so no
+  // per-slot reset), the delivery views, and the in-loop feedback marks.
+  std::vector<Message> messages_;
+  std::vector<std::span<const Message>> received_;
+  std::vector<char> fed_;
   std::vector<int> order_;          // participating node indices, grouped by channel
   std::vector<Channel> used_channel_;  // per node, for jammer observe();
-                                       // filled only while a jammer is attached
-  std::vector<std::span<const Message>> received_;  // per-node delivery view
-  std::vector<char> fed_;           // feedback already delivered in-loop
+                                       // sized and filled only with a jammer
   std::vector<Message> group_messages_;  // AllDelivered per-group scratch
   std::vector<int> broadcasters_;   // per-group partition scratch
   std::vector<int> listeners_;
@@ -348,8 +356,11 @@ class Network {
   std::vector<std::uint8_t> soa_flags_;  // slotflag bits
   std::vector<std::uint8_t> soa_fault_;  // faultflag bits
   std::vector<Channel> soa_chan_;        // physical channel (kNoChannel idle)
-  std::vector<Channel> flat_map_;  // static-assignment snapshot, node-major:
-                                   // flat_map_[i*cpn + label] == global_channel
+  // Label snapshot, in the assignment's flat node-major format, taken only
+  // for a static assignment whose table() is empty (a forwarding wrapper,
+  // say); a table-backed assignment's own table is read in place each
+  // slot, and a dynamic one without a table is asked per node.
+  std::vector<Channel> flat_map_;
   // Batch-client state (sized only for the BatchClient constructor).
   std::vector<LocalLabel> soa_label_;
   std::vector<std::int32_t> soa_rx_off_;  // into batch_msgs_

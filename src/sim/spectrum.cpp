@@ -13,17 +13,19 @@ int total_channels_for(int n, int k, const SpectrumParams& spectrum) {
   // neighbouring bands overlap (realistic) but the universe stays linear
   // in n.
   const int stride = std::max(1, spectrum.band / 2);
-  return k + stride * (n - 1) + spectrum.band;
+  return checked_total_channels(std::int64_t{k} +
+                                    std::int64_t{stride} * (n - std::int64_t{1}) +
+                                    spectrum.band,
+                                "spectrum");
 }
 }  // namespace
 
 MarkovSpectrumAssignment::MarkovSpectrumAssignment(int n, int c, int k,
                                                    SpectrumParams spectrum,
                                                    Rng rng)
-    : ChannelAssignment(n, c, k, total_channels_for(n, k, spectrum)),
+    : TableAssignment(n, c, k, total_channels_for(n, k, spectrum)),
       spectrum_(spectrum),
       rng_(rng),
-      table_(static_cast<std::size_t>(n)),
       fallbacks_(static_cast<std::size_t>(n), 0) {
   if (spectrum.band < c - k)
     throw std::invalid_argument("spectrum: band must be >= c - k");
@@ -34,6 +36,9 @@ MarkovSpectrumAssignment::MarkovSpectrumAssignment(int n, int c, int k,
   const double pi_busy = stationary_busy();
   busy_.resize(static_cast<std::size_t>(total_channels_ - k_));
   for (auto&& state : busy_) state = rng_.chance(pi_busy);
+  // No channel is kept from before the first build: kNoChannel < k.
+  table_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(c),
+                kNoChannel);
   rebuild_tables();
 }
 
@@ -82,7 +87,7 @@ void MarkovSpectrumAssignment::rebuild_tables() {
     keep.clear();
     free_picks.clear();
     busy_picks.clear();
-    auto& row = table_[static_cast<std::size_t>(u)];
+    const std::span<Channel> row = this->row(u);
 
     // Secondary users are sticky: keep previously selected channels while
     // their primary stays away (this is what gives availability its
@@ -104,30 +109,22 @@ void MarkovSpectrumAssignment::rebuild_tables() {
     rng_.shuffle(free_picks);
     rng_.shuffle(busy_picks);
 
-    row.clear();
-    row.reserve(static_cast<std::size_t>(c_));
-    for (Channel ch = 0; ch < k_; ++ch) row.push_back(ch);  // reserved
-    row.insert(row.end(), keep.begin(), keep.end());
+    auto out = row.begin();
+    for (Channel ch = 0; ch < k_; ++ch) *out++ = ch;  // reserved
+    out = std::copy(keep.begin(), keep.end(), out);
     int fallback = 0;
     for (int j = static_cast<int>(keep.size()); j < c_ - k_; ++j) {
       const auto idx = static_cast<std::size_t>(j) - keep.size();
       if (idx < free_picks.size()) {
-        row.push_back(free_picks[idx]);
+        *out++ = free_picks[idx];
       } else {
-        row.push_back(busy_picks[idx - free_picks.size()]);
+        *out++ = busy_picks[idx - free_picks.size()];
         ++fallback;
       }
     }
     fallbacks_[static_cast<std::size_t>(u)] = fallback;
     rng_.shuffle(row);  // local labels are arbitrary (Section 2)
   }
-}
-
-Channel MarkovSpectrumAssignment::global_channel(NodeId node,
-                                                 LocalLabel label) const {
-  assert(node >= 0 && node < n_);
-  assert(label >= 0 && label < c_);
-  return table_[static_cast<std::size_t>(node)][static_cast<std::size_t>(label)];
 }
 
 }  // namespace cogradio

@@ -34,14 +34,15 @@ struct SpectrumParams {
   double p_busy_to_free = 0.3;  // per-slot primary-user departure
 };
 
-class MarkovSpectrumAssignment : public ChannelAssignment {
+// The label table (sim/assignment.h's flat format) is rebuilt in place
+// each slot that the chain advances.
+class MarkovSpectrumAssignment : public TableAssignment {
  public:
   MarkovSpectrumAssignment(int n, int c, int k, SpectrumParams spectrum,
                            Rng rng);
 
   bool is_dynamic() const override { return true; }
   void begin_slot(Slot slot) override;
-  Channel global_channel(NodeId node, LocalLabel label) const override;
 
   // Diagnostics: stationary busy probability of the Markov chain and the
   // busy fraction actually observed this slot.
@@ -58,8 +59,7 @@ class MarkovSpectrumAssignment : public ChannelAssignment {
   Rng rng_;
   Slot last_slot_ = 0;
   std::vector<bool> busy_;  // per non-reserved channel (global index >= k)
-  std::vector<std::vector<Channel>> table_;   // node x label -> channel
-  std::vector<int> fallbacks_;                // per node, this slot
+  std::vector<int> fallbacks_;  // per node, this slot
 };
 
 }  // namespace cogradio

@@ -53,9 +53,9 @@ class Rng {
   // values are statistically independent of each other and of the parent.
   Rng split(std::uint64_t stream) noexcept;
 
-  // In-place Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
+  // In-place Fisher-Yates shuffle of a vector or a span.
+  template <typename Range>
+  void shuffle(Range&& v) noexcept {
     for (std::size_t i = v.size(); i > 1; --i) {
       const std::size_t j = static_cast<std::size_t>(below(i));
       using std::swap;

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -207,6 +210,155 @@ TEST(Adversary, RequiresRoomToDodge) {
                std::invalid_argument);
 }
 
+// --- Golden label tables ---------------------------------------------------
+//
+// Each generator's full label table at one small fixed shape (n=4, c=5,
+// k=2) and seed, pinned entry for entry, so that a change to how tables
+// are stored cannot move any generator's RNG draws unnoticed. Each check
+// also holds table() and global_channel to each other.
+
+constexpr int kGoldenN = 4, kGoldenC = 5, kGoldenK = 2;
+constexpr std::uint64_t kGoldenSeed = 2015;
+
+// `want` lists node 0's c channels by label, then node 1's, and so on.
+void expect_table(const ChannelAssignment& a, const std::vector<Channel>& want) {
+  const int c = a.channels_per_node();
+  const std::span<const Channel> table = a.table();
+  ASSERT_EQ(table.size(), want.size());
+  ASSERT_EQ(want.size(), static_cast<std::size_t>(a.num_nodes()) * c);
+  for (NodeId u = 0; u < a.num_nodes(); ++u)
+    for (LocalLabel l = 0; l < c; ++l) {
+      const auto at = static_cast<std::size_t>(u * c + l);
+      EXPECT_EQ(table[at], want[at]) << "node " << u << " label " << l;
+      EXPECT_EQ(a.global_channel(u, l), want[at]) << "node " << u << " label " << l;
+    }
+}
+
+struct GoldenTable {
+  const char* name;
+  std::vector<Channel> table;
+};
+
+TEST(GoldenTable, StaticPatternsInBothLabelModes) {
+  const GoldenTable golden[] = {
+      {"shared-core/global",
+       {2, 4, 6, 7, 8,
+        1, 2, 5, 6, 8,
+        0, 2, 5, 6, 8,
+        5, 6, 7, 8, 9}},
+      {"partitioned/global",
+       {1, 5, 9, 11, 13,
+        0, 6, 8, 9, 11,
+        2, 3, 4, 9, 11,
+        7, 9, 10, 11, 12}},
+      {"pigeonhole/global",
+       {1, 4, 5, 6, 7,
+        1, 2, 3, 5, 6,
+        1, 2, 5, 6, 7,
+        0, 1, 5, 6, 7}},
+      {"identity/global",
+       {0, 1, 2, 3, 4,
+        0, 1, 2, 3, 4,
+        0, 1, 2, 3, 4,
+        0, 1, 2, 3, 4}},
+      {"shared-core/local",
+       {8, 4, 7, 2, 6,
+        6, 1, 5, 2, 8,
+        0, 6, 8, 5, 2,
+        5, 9, 7, 6, 8}},
+      {"partitioned/local",
+       {5, 11, 1, 9, 13,
+        0, 8, 6, 11, 9,
+        3, 9, 4, 11, 2,
+        7, 10, 9, 12, 11}},
+      {"pigeonhole/local",
+       {5, 4, 6, 1, 7,
+        2, 1, 6, 5, 3,
+        7, 1, 2, 5, 6,
+        5, 1, 0, 7, 6}},
+      {"identity/local",
+       {1, 0, 3, 2, 4,
+        4, 3, 0, 1, 2,
+        4, 1, 0, 2, 3,
+        2, 0, 1, 4, 3}},
+  };
+  for (const GoldenTable& g : golden) {
+    SCOPED_TRACE(g.name);
+    const std::string name = g.name;
+    const auto slash = name.find('/');
+    const LabelMode mode = name.substr(slash + 1) == "global"
+                               ? LabelMode::Global
+                               : LabelMode::LocalRandom;
+    const auto a = make_assignment(name.substr(0, slash), kGoldenN, kGoldenC,
+                                   kGoldenK, mode, Rng(kGoldenSeed));
+    expect_table(*a, g.table);
+  }
+}
+
+TEST(GoldenTable, DynamicPatternsAtSlots0To2) {
+  const GoldenTable golden[] = {
+      {"dynamic-shared-core@0",
+       {9, 6, 1, 5, 0,
+        6, 0, 5, 2, 3,
+        6, 0, 5, 9, 3,
+        6, 0, 1, 5, 4}},
+      {"dynamic-shared-core@1",
+       {2, 9, 1, 0, 8,
+        2, 1, 6, 4, 7,
+        1, 9, 3, 2, 8,
+        0, 9, 2, 1, 6}},
+      {"dynamic-shared-core@2",
+       {1, 9, 8, 5, 6,
+        7, 9, 0, 8, 1,
+        0, 1, 7, 6, 8,
+        1, 2, 7, 5, 8}},
+      {"dynamic-pigeonhole@0",
+       {2, 7, 5, 0, 4,
+        1, 4, 5, 2, 7,
+        5, 1, 4, 0, 3,
+        2, 3, 5, 0, 4}},
+      {"dynamic-pigeonhole@1",
+       {3, 0, 2, 1, 7,
+        5, 2, 4, 7, 6,
+        0, 1, 5, 7, 6,
+        4, 6, 1, 2, 7}},
+      {"dynamic-pigeonhole@2",
+       {7, 1, 5, 6, 0,
+        0, 1, 7, 2, 6,
+        2, 4, 0, 6, 5,
+        3, 4, 7, 2, 1}},
+  };
+  for (const GoldenTable& g : golden) {
+    SCOPED_TRACE(g.name);
+    const std::string name = g.name;
+    const auto at = name.find('@');
+    const auto a = make_assignment(name.substr(0, at), kGoldenN, kGoldenC,
+                                   kGoldenK, LabelMode::LocalRandom,
+                                   Rng(kGoldenSeed));
+    a->begin_slot(std::stoi(name.substr(at + 1)));
+    expect_table(*a, g.table);
+  }
+}
+
+TEST(GoldenTable, AdversaryAtSlots1And2) {
+  AdaptiveAdversaryAssignment a(
+      kGoldenN, kGoldenC, kGoldenK,
+      [](NodeId u, Slot slot) {
+        return static_cast<LocalLabel>((u + slot) % kGoldenC);
+      },
+      Rng(kGoldenSeed));
+  // The constructor draws slot 1.
+  expect_table(a, {1, 3, 0, 2, 4,
+                   0, 6, 7, 1, 5,
+                   8, 1, 0, 10, 9,
+                   12, 0, 1, 13, 11});
+  a.begin_slot(2);
+  expect_table(a, {1, 3, 4, 2, 0,
+                   0, 1, 6, 5, 7,
+                   1, 0, 8, 9, 10,
+                   13, 0, 1, 11, 12});
+}
+
 TEST(Factory, UnknownPatternThrows) {
   EXPECT_THROW(make_assignment("nope", 4, 4, 2, LabelMode::Global, Rng(14)),
                std::invalid_argument);
@@ -230,6 +382,32 @@ TEST(Assignment, ParameterValidation) {
                std::invalid_argument);
   EXPECT_THROW(SharedCoreAssignment(4, 4, 5, LabelMode::Global, Rng(1)),
                std::invalid_argument);
+}
+
+// Shapes every key of a serve job admits, whose channel space
+// C = k + n(c-k) = 2,999,800,002 leaves the channel id range: each
+// generator must reject them as a channel-space error, before building
+// its permutation or its n*c table.
+TEST(Assignment, RejectsChannelSpaceOverflow) {
+  const auto expect_overflow = [](auto&& build, const char* who) {
+    try {
+      build();
+      FAIL() << who << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(who) +
+                                           ": channel space C = 2999800002"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_overflow(
+      [] {
+        PartitionedAssignment(100'000, 30'000, 2, LabelMode::Global, Rng(1));
+      },
+      "partitioned");
+  expect_overflow(
+      [] { AdaptiveAdversaryAssignment(100'000, 30'000, 2, nullptr, Rng(1)); },
+      "adversary");
 }
 
 TEST(StaticPatternNames, StableList) {

@@ -9,7 +9,8 @@
 // jamming, the full FaultEngine kind set, a dynamic assignment, and the
 // sparse grouping fallback (channel universe too large for dense bitmaps).
 // A separate suite pins the BatchClient interface against a per-node
-// protocol twin generating the same traffic.
+// protocol twin generating the same traffic, and both against the same
+// runs over a forwarding assignment that lends the engine no label table.
 #include "sim/network.h"
 
 #include <gtest/gtest.h>
@@ -321,9 +322,31 @@ class ChatterClient : public BatchClient {
   ChatterTally* tally_;
 };
 
+// Forwards every call to an inner assignment but lends no table(), so
+// the engine reads the label map the other two ways: from its own
+// construction-time snapshot (static inner) or one global_channel call
+// per acting node (dynamic inner).
+class ForwardingAssignment : public ChannelAssignment {
+ public:
+  explicit ForwardingAssignment(ChannelAssignment& inner)
+      : ChannelAssignment(inner.num_nodes(), inner.channels_per_node(),
+                          inner.min_overlap(), inner.total_channels()),
+        inner_(inner) {}
+
+  bool is_dynamic() const override { return inner_.is_dynamic(); }
+  void begin_slot(Slot slot) override { inner_.begin_slot(slot); }
+  Channel global_channel(NodeId node, LocalLabel label) const override {
+    return inner_.global_channel(node, label);
+  }
+
+ private:
+  ChannelAssignment& inner_;
+};
+
 // One input to the batch-vs-protocol twin below. `adversaries` attaches a
 // RandomJammer and the full fault kind set; a run without them is the only
-// one whose batch leg takes the word-scan collect.
+// one whose batch leg takes the word-scan collect. `dynamic` re-draws the
+// shared-core assignment every slot.
 struct TwinInput {
   const char* name;
   int n, c, k;
@@ -331,19 +354,31 @@ struct TwinInput {
   CollisionModel collision = CollisionModel::OneWinner;
   double loss_prob = 0.0;
   bool adversaries = false;
+  bool dynamic = false;
 };
 
 struct TwinRun {
   TraceStats stats;
   std::vector<NodeActivity> activity;
   ChatterTally tally;
+  std::vector<ResolvedAction> actions;  // observer stream, when observed
 };
 
 // Runs `in` through the batch interface (`batch`) or per-node protocols on
-// `layout`: same assignment, seeds and offered load either way.
-TwinRun run_twin(const TwinInput& in, bool batch, EngineLayout layout) {
-  SharedCoreAssignment assignment(in.n, in.c, in.k, LabelMode::LocalRandom,
-                                  Rng(33));
+// `layout`: same assignment, seeds and offered load either way. With
+// `lend_table` false the engine sees the assignment only through a
+// ForwardingAssignment; `observe` records the observer stream.
+TwinRun run_twin(const TwinInput& in, bool batch, EngineLayout layout,
+                 bool lend_table = true, bool observe = false) {
+  std::unique_ptr<ChannelAssignment> table;
+  if (in.dynamic)
+    table = DynamicAssignment::shared_core(in.n, in.c, in.k, Rng(33));
+  else
+    table = std::make_unique<SharedCoreAssignment>(
+        in.n, in.c, in.k, LabelMode::LocalRandom, Rng(33));
+  std::optional<ForwardingAssignment> forwarding;
+  ChannelAssignment& assignment =
+      lend_table ? *table : forwarding.emplace(*table);
   ChatterTally tally;
   std::optional<ChatterClient> client;
   std::vector<std::unique_ptr<ChatterNode>> nodes;
@@ -382,6 +417,10 @@ TwinRun run_twin(const TwinInput& in, bool batch, EngineLayout layout) {
     net->set_fault_engine(&*faults);
   }
   TwinRun out;
+  if (observe)
+    net->set_observer([&](Slot, std::span<const ResolvedAction> actions) {
+      out.actions.insert(out.actions.end(), actions.begin(), actions.end());
+    });
   for (Slot s = 0; s < in.slots; ++s) net->step();
   out.stats = net->stats();
   for (NodeId u = 0; u < in.n; ++u) out.activity.push_back(net->activity(u));
@@ -404,6 +443,9 @@ TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
       // No jammer and no fault engine: the batch leg's word-scan collect.
       {.name = "clean", .n = 4500, .c = 16, .k = 3, .slots = 24,
        .loss_prob = 0.125},
+      // A fresh label table every slot, re-read after each begin_slot.
+      {.name = "dynamic", .n = 64, .c = 8, .k = 2, .slots = 48,
+       .loss_prob = 0.125, .adversaries = true, .dynamic = true},
   };
   for (const TwinInput& in : inputs) {
     SCOPED_TRACE(in.name);
@@ -424,6 +466,30 @@ TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
       EXPECT_GT(batch.stats.jammed_node_slots, 0);
       EXPECT_GT(batch.stats.feedback_drops, 0);
     }
+
+    // Borrowed table vs none: the same SoA runs, observed, over the
+    // assignment itself and over a forwarding wrapper that lends no table
+    // (snapshot path when static, per-node calls when dynamic).
+    std::vector<ResolvedAction> streams[2];  // [batch_leg]
+    for (const bool batch_leg : {true, false}) {
+      SCOPED_TRACE(batch_leg ? "batch client" : "per-node protocols");
+      const TwinRun lent = run_twin(in, batch_leg, EngineLayout::SoA,
+                                    /*lend_table=*/true, /*observe=*/true);
+      const TwinRun forwarded = run_twin(in, batch_leg, EngineLayout::SoA,
+                                         /*lend_table=*/false, /*observe=*/true);
+      EXPECT_EQ(lent.stats, forwarded.stats);
+      EXPECT_EQ(lent.activity, forwarded.activity);
+      EXPECT_EQ(lent.tally, forwarded.tally);
+      EXPECT_EQ(lent.actions, forwarded.actions);
+      EXPECT_EQ(lent.actions.size(),
+                static_cast<std::size_t>(in.n) * static_cast<std::size_t>(in.slots));
+      // Attaching the observer changes nothing it observes.
+      EXPECT_EQ(lent.stats, batch.stats);
+      EXPECT_EQ(lent.activity, batch.activity);
+      streams[batch_leg] = lent.actions;
+    }
+    // Both clients resolve every node-slot identically.
+    EXPECT_EQ(streams[0], streams[1]);
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/runtime.h"
@@ -92,6 +94,54 @@ TEST(Spectrum, ReEnteringSameSlotIsStable) {
   EXPECT_EQ(a.channel_set(2), before);
 }
 
+// The Markov model's full label table at a fixed small shape and seed,
+// pinned entry for entry at a few slots (slot 0 is the constructor's
+// build; slots 3 and 4 are skipped, so slot 5 advances the chain three
+// times), with table() and global_channel held to each other.
+TEST(Spectrum, GoldenLabelTables) {
+  const int n = 4, c = 5, k = 2;
+  SpectrumParams spectrum = params(6, 0.3, 0.3);
+  MarkovSpectrumAssignment a(n, c, k, spectrum, Rng(2015));
+  const struct {
+    Slot slot;
+    std::vector<Channel> table;  // node 0's labels, then node 1's, ...
+  } golden[] = {
+      {0,
+       {1, 2, 0, 4, 3,
+        0, 5, 9, 10, 1,
+        9, 13, 1, 0, 11,
+        16, 0, 13, 11, 1}},
+      {1,
+       {0, 3, 1, 2, 6,
+        0, 9, 1, 6, 10,
+        9, 1, 11, 13, 0,
+        13, 1, 16, 11, 0}},
+      {2,
+       {0, 7, 2, 4, 1,
+        9, 0, 1, 10, 7,
+        10, 0, 1, 13, 9,
+        16, 0, 1, 13, 11}},
+      {5,
+       {1, 5, 2, 4, 0,
+        5, 1, 7, 6, 0,
+        11, 0, 13, 8, 1,
+        11, 14, 13, 0, 1}},
+  };
+  for (const auto& g : golden) {
+    SCOPED_TRACE("slot " + std::to_string(g.slot));
+    a.begin_slot(g.slot);
+    const std::span<const Channel> table = a.table();
+    ASSERT_EQ(table.size(), g.table.size());
+    for (NodeId u = 0; u < n; ++u)
+      for (LocalLabel l = 0; l < c; ++l) {
+        const auto at = static_cast<std::size_t>(u * c + l);
+        EXPECT_EQ(table[at], g.table[at]) << "node " << u << " label " << l;
+        EXPECT_EQ(a.global_channel(u, l), g.table[at])
+            << "node " << u << " label " << l;
+      }
+  }
+}
+
 TEST(Spectrum, ParameterValidation) {
   EXPECT_THROW(MarkovSpectrumAssignment(4, 8, 2, params(3), Rng(1)),
                std::invalid_argument);  // band < c - k
@@ -99,6 +149,19 @@ TEST(Spectrum, ParameterValidation) {
                std::invalid_argument);
   EXPECT_THROW(MarkovSpectrumAssignment(4, 8, 2, params(8, 0.1, 0.0), Rng(1)),
                std::invalid_argument);
+}
+
+// C = k + stride(n-1) + band leaves the channel id range (stride = 30000,
+// n = 100000): rejected as a channel-space error before any table exists.
+TEST(Spectrum, RejectsChannelSpaceOverflow) {
+  try {
+    MarkovSpectrumAssignment a(100'000, 8, 2, params(60'000), Rng(1));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("spectrum: channel space C = "),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Spectrum, CogCastCompletesUnderPrimaryUserDynamics) {
