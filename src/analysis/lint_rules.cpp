@@ -43,7 +43,7 @@ bool scalar_type_token(const std::string& token) {
       "long",     "unsigned",    "signed",         "float",
       "double",   "size_t",      "ptrdiff_t",      "NodeId",
       "Channel",  "LocalLabel",  "Slot",           "Mode",
-      "MessageType", "CollisionModel", "GroupingStrategy", "AggOp",
+      "MessageType", "CollisionModel", "AggOp",
   };
   return kScalars.count(token) > 0 || ends_with(token, "_t");
 }

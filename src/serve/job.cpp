@@ -89,15 +89,6 @@ bool apply_member(JobSpec& spec, const std::string& key, const JsonValue& v,
       return fail(error, "seed: expected a decimal string or small integer");
     return true;
   }
-  if (key == "layout") {
-    if (!v.is_string()) return fail(error, "layout: expected a string");
-    try {
-      spec.layout = parse_engine_layout(v.as_string());
-    } catch (const std::exception& e) {
-      return fail(error, e.what());
-    }
-    return true;
-  }
   if (key == "op") {
     if (!v.is_string()) return fail(error, "op: expected a string");
     try {
@@ -176,8 +167,6 @@ std::string job_spec_to_json(const JobSpec& spec) {
   out += ",\"k\":" + std::to_string(spec.k);
   out += ",\"pattern\":\"" + json_escape(spec.pattern) + "\"";
   out += ",\"seed\":\"" + std::to_string(spec.seed) + "\"";
-  out += std::string(",\"layout\":\"") +
-         (spec.layout == EngineLayout::SoA ? "soa" : "aos") + "\"";
   if (spec.kind == JobKind::CogComp) {
     out += ",\"op\":\"" + to_string(spec.op) + "\"";
     out += std::string(",\"mediated\":") + (spec.mediated ? "true" : "false");
@@ -207,16 +196,12 @@ JobResult run_job(const JobSpec& spec, const CheckpointPolicy& policy,
     supervisor.max_restarts = spec.max_restarts;
     supervisor.max_deadline = spec.max_deadline;
 
-    NetworkOptions net;
-    net.layout = spec.layout;
-
     // The draw order below mirrors tools/cograd.cpp's --supervise paths
     // for trials=1 exactly; reordering any seeder() call breaks the
     // byte-identity contract with the batch CLI.
     if (spec.kind == JobKind::CogCast) {
       CogCastRunConfig config;
       config.params = {spec.n, spec.c, spec.k, 4.0};
-      config.net = net;
       if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
         supervisor.deadline = 8 * config.params.horizon();
       Rng seeder(spec.seed);
@@ -238,7 +223,6 @@ JobResult run_job(const JobSpec& spec, const CheckpointPolicy& policy,
       CogCompRunConfig config;
       config.params = {spec.n, spec.c, spec.k, 4.0};
       config.params.mediated = spec.mediated;
-      config.net = net;
       config.op = spec.op;
       if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
         supervisor.deadline = config.params.max_slots() + 16;

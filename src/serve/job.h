@@ -33,7 +33,6 @@ struct JobSpec {
   int k = 2;
   std::string pattern = "shared-core";
   std::uint64_t seed = 1;
-  EngineLayout layout = EngineLayout::SoA;
   // CogComp only.
   AggOp op = AggOp::Sum;
   bool mediated = true;

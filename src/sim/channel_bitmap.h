@@ -57,7 +57,7 @@ class ChannelBitmaps {
     const std::uint64_t bit = std::uint64_t{1}
                               << (static_cast<unsigned>(node) & 63u);
     tuned_[row] |= bit;
-    if (broadcasting) bcast_[row] |= bit;
+    bcast_[row] |= broadcasting ? bit : 0;  // branch-free: traffic is random
     touched_[static_cast<std::size_t>(ch) >> 6] |=
         std::uint64_t{1} << (static_cast<unsigned>(ch) & 63u);
   }

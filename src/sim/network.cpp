@@ -10,17 +10,6 @@
 
 namespace cogradio {
 
-const char* engine_layout_name(EngineLayout layout) {
-  return layout == EngineLayout::SoA ? "soa" : "aos";
-}
-
-EngineLayout parse_engine_layout(const std::string& text) {
-  if (text == "soa") return EngineLayout::SoA;
-  if (text == "aos") return EngineLayout::AoS;
-  throw std::invalid_argument("unknown engine layout '" + text +
-                              "' (expected aos or soa)");
-}
-
 namespace {
 
 // Dense group view over one channel's bitmap rows: node ids are bit
@@ -109,23 +98,79 @@ struct SparseGroup {
 
 }  // namespace
 
+// Per-node protocols as a BatchClient: begin_slot asks every node for its
+// action and stages each broadcaster's message until the engine sources
+// it; end_slot rebuilds each node's SlotResult from the batch arrays.
+// Both passes run in ascending node order.
+class Network::ProtocolClient final : public BatchClient {
+ public:
+  explicit ProtocolClient(std::vector<Protocol*> protocols)
+      : protocols_(std::move(protocols)), staged_(protocols_.size()) {}
+
+  const std::vector<Protocol*>& protocols() const { return protocols_; }
+
+  void begin_slot(Slot slot, std::span<Mode> mode,
+                  std::span<LocalLabel> label) override {
+    for (std::size_t i = 0; i < protocols_.size(); ++i) {
+      Action action = protocols_[i]->on_slot(slot);
+      mode[i] = action.mode;
+      label[i] = action.channel;
+      if (action.mode == Mode::Broadcast) staged_[i] = std::move(action.msg);
+    }
+  }
+
+  Message source_message(Slot, NodeId node) override {
+    return std::move(staged_[static_cast<std::size_t>(node)]);
+  }
+
+  void end_slot(const BatchFeedback& fb) override {
+    for (std::size_t i = 0; i < protocols_.size(); ++i) {
+      const std::uint8_t flags = fb.flags[i];
+      SlotResult res;
+      if (!(flags & slotflag::kFeedbackBlank)) {
+        res.jammed = (flags & slotflag::kJammed) != 0;
+        res.tx_attempted = fb.mode[i] == Mode::Broadcast && !res.jammed;
+        res.tx_success = (flags & slotflag::kTxSuccess) != 0;
+        // rx_offset is meaningful only for a node that heard something.
+        const auto count = static_cast<std::size_t>(fb.rx_count[i]);
+        const auto offset =
+            count > 0 ? static_cast<std::size_t>(fb.rx_offset[i]) : 0;
+        res.received = {fb.messages.data() + offset, count};
+      }
+      protocols_[i]->on_feedback(fb.slot, res);
+    }
+  }
+
+  bool done() const override {
+    return std::all_of(protocols_.begin(), protocols_.end(),
+                       [](const Protocol* p) { return p->done(); });
+  }
+
+ private:
+  std::vector<Protocol*> protocols_;
+  std::vector<Message> staged_;  // by node; only broadcasters' are live
+};
+
 Network::Network(ChannelAssignment& assignment,
                  std::vector<Protocol*> protocols, NetworkOptions options)
     : assignment_(assignment),
-      protocols_(std::move(protocols)),
       options_(options),
       rng_(options.seed),
       n_(assignment.num_nodes()),
       activity_(static_cast<std::size_t>(assignment.num_nodes())) {
-  if (protocols_.empty())
+  if (protocols.empty())
     throw std::invalid_argument("network: need at least one protocol");
-  if (static_cast<int>(protocols_.size()) != n_)
+  if (static_cast<int>(protocols.size()) != n_)
     throw std::invalid_argument(
         "network: protocol count must match assignment node count");
-  for (const Protocol* p : protocols_)
+  for (const Protocol* p : protocols)
     if (p == nullptr) throw std::invalid_argument("network: null protocol");
+  protocols_ = std::make_unique<ProtocolClient>(std::move(protocols));
+  batch_ = protocols_.get();
   init_scratch();
 }
+
+Network::~Network() = default;
 
 Network::Network(ChannelAssignment& assignment, BatchClient& client,
                  NetworkOptions options)
@@ -168,23 +213,23 @@ void Network::init_scratch() {
   // jammer's and observer's arrays are sized when they attach).
   const auto n = static_cast<std::size_t>(n_);
   const int total = assignment_.total_channels();
-  if (batch_ == nullptr) {
-    messages_.resize(n);
-    received_.resize(n);
-    fed_.resize(n);
-  }
   order_.reserve(n);
   broadcasters_.reserve(n);
   listeners_.reserve(n);
   channel_bucket_.resize(static_cast<std::size_t>(total) + 1);
+  // At most one message lands per OneWinner/CollisionLoss channel and one
+  // per broadcaster under AllDelivered, so n entries always suffice.
+  batch_msgs_.reserve(n);
   if (options_.layout != EngineLayout::SoA) {
     resolved_.resize(n);  // the AoS path resolves into it every slot
+    messages_.resize(n);
+    received_.resize(n);
     return;
   }
 
-  // The batch fast path restores the all-idle invariant incrementally (it
-  // resets only last slot's active entries), so the arrays must start out
-  // in the idle state rather than merely sized.
+  // The SoA path restores the all-idle invariant incrementally (it resets
+  // only last slot's active entries), so the arrays must start out in the
+  // idle state rather than merely sized.
   soa_mode_.assign(n, Mode::Idle);
   soa_flags_.assign(n, std::uint8_t{0});
   soa_fault_.assign(n, std::uint8_t{0});
@@ -203,37 +248,16 @@ void Network::init_scratch() {
                   static_cast<std::size_t>(label)] =
             assignment_.global_channel(i, label);
   }
-  if (batch_ != nullptr) {
-    soa_label_.resize(n);
-    soa_rx_off_.resize(n);
-    soa_rx_cnt_.resize(n);
-    // At most one message lands per OneWinner/CollisionLoss channel and one
-    // per broadcaster under AllDelivered, so n entries always suffice.
-    batch_msgs_.reserve(n);
-    soa_active_.reserve(n);
-  }
+  soa_label_.resize(n);
+  soa_rx_off_.resize(n);
+  soa_rx_cnt_.resize(n);
+  soa_active_.reserve(n);
 }
 
-bool Network::all_done() const {
-  if (batch_ != nullptr) return batch_->done();
-  return std::all_of(protocols_.begin(), protocols_.end(),
-                     [](const Protocol* p) { return p->done(); });
-}
+bool Network::all_done() const { return batch_->done(); }
 
 void Network::group_by_channel() {
-  const auto n = protocols_.size();
-  order_.clear();
-  if (options_.grouping == GroupingStrategy::ComparisonSort) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const ResolvedAction& r = resolved_[i];
-      if (r.mode != Mode::Idle && !r.jammed) order_.push_back(static_cast<int>(i));
-    }
-    std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
-      return resolved_[static_cast<std::size_t>(a)].channel <
-             resolved_[static_cast<std::size_t>(b)].channel;
-    });
-    return;
-  }
+  const auto n = static_cast<std::size_t>(n_);
   // Counting sort keyed by physical channel: histogram, exclusive prefix
   // sums, then a stable scatter in node-index order. O(n + C) with C small.
   std::fill(channel_bucket_.begin(), channel_bucket_.end(), 0);
@@ -263,12 +287,12 @@ void Network::group_by_channel() {
 }
 
 void Network::group_by_channel_soa_active() {
-  // Counting sort over the batch active list instead of the full fleet:
+  // Counting sort over the active list instead of the full fleet:
   // soa_active_ is ascending, so the stable scatter still emits ascending
   // node ids inside each channel group and the resolution order (hence
-  // the RNG draw order) is identical to every other grouping path. Cost
-  // is O(active + C), which is what lets a mostly-idle slot finish in
-  // time proportional to the nodes that actually acted.
+  // the RNG draw order) is identical to the dense rows and the AoS
+  // reference. Cost is O(active + C), which is what lets a mostly-idle
+  // slot finish in time proportional to the nodes that actually acted.
   std::fill(channel_bucket_.begin(), channel_bucket_.end(), 0);
   std::size_t participants = 0;
   for (const std::int32_t node : soa_active_) {
@@ -294,37 +318,6 @@ void Network::group_by_channel_soa_active() {
   }
 }
 
-void Network::group_by_channel_soa() {
-  // The counting sort of group_by_channel(), reading the flat arrays: same
-  // histogram / exclusive-prefix / stable-scatter discipline, so groups
-  // come out in ascending channel order with ascending node ids inside.
-  const auto n = static_cast<std::size_t>(n_);
-  std::fill(channel_bucket_.begin(), channel_bucket_.end(), 0);
-  std::size_t participants = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (soa_mode_[i] == Mode::Idle || (soa_flags_[i] & slotflag::kJammed))
-      continue;
-    assert(soa_chan_[i] >= 0 &&
-           static_cast<std::size_t>(soa_chan_[i]) + 1 < channel_bucket_.size());
-    ++channel_bucket_[static_cast<std::size_t>(soa_chan_[i])];
-    ++participants;
-  }
-  order_.resize(participants);
-  int offset = 0;
-  for (int& bucket : channel_bucket_) {
-    const int count = bucket;
-    bucket = offset;
-    offset += count;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (soa_mode_[i] == Mode::Idle || (soa_flags_[i] & slotflag::kJammed))
-      continue;
-    order_[static_cast<std::size_t>(
-        channel_bucket_[static_cast<std::size_t>(soa_chan_[i])]++)] =
-        static_cast<int>(i);
-  }
-}
-
 void Network::step() {
   if (options_.layout == EngineLayout::SoA)
     step_soa();
@@ -334,7 +327,8 @@ void Network::step() {
 
 void Network::step_aos() {
   const Slot slot = stats_.slots + 1;
-  const auto n = protocols_.size();
+  const std::vector<Protocol*>& protocols = protocols_->protocols();
+  const auto n = protocols.size();
 
   assignment_.begin_slot(slot);
   if (jammer_ != nullptr) jammer_->begin_slot(slot);
@@ -348,13 +342,13 @@ void Network::step_aos() {
   if (jammer_ != nullptr)
     std::fill(used_channel_.begin(), used_channel_.end(), kNoChannel);
   std::fill(received_.begin(), received_.end(), std::span<const Message>{});
-  std::fill(fed_.begin(), fed_.end(), char{0});
+  batch_msgs_.clear();
 
   // 1. Collect and resolve actions. The fault stage may override what the
   //    protocol asked for — its clock always advances (on_slot is always
   //    called), but a faulted radio need not obey the returned action.
   for (std::size_t i = 0; i < n; ++i) {
-    Action action = protocols_[i]->on_slot(slot);
+    Action action = protocols[i]->on_slot(slot);
     ResolvedAction& r = resolved_[i];
     r.node = static_cast<NodeId>(i);
     if (fault_engine_ != nullptr) {
@@ -509,16 +503,17 @@ void Network::step_aos() {
       }
       case CollisionModel::AllDelivered: {
         if (broadcasters_.empty()) break;
-        group_messages_.clear();
+        // The group's messages, in broadcaster order, move to the slot's
+        // arena (reserved to n, so every listener's view stays valid).
+        const std::size_t start = batch_msgs_.size();
         for (int b : broadcasters_) {
-          resolved_[static_cast<std::size_t>(b)].tx_success = true;
-          group_messages_.push_back(messages_[static_cast<std::size_t>(b)]);
-          account_success(messages_[static_cast<std::size_t>(b)]);
+          const auto idx = static_cast<std::size_t>(b);
+          resolved_[idx].tx_success = true;
+          account_success(messages_[idx]);
+          batch_msgs_.push_back(std::move(messages_[idx]));
         }
-        const std::span<const Message> all{group_messages_};
-        // Deliver inside the group loop: group_messages_ is reused next group.
-        // Rx-dead listeners are skipped here (every copy suppressed) and fall
-        // through to the fault-aware feedback loop below with nothing heard.
+        const std::span<const Message> all{batch_msgs_.data() + start,
+                                           broadcasters_.size()};
         for (int l : listeners_) {
           const auto idx = static_cast<std::size_t>(l);
           if (rx_dead(idx)) {
@@ -527,12 +522,7 @@ void Network::step_aos() {
             continue;
           }
           stats_.deliveries += static_cast<std::int64_t>(all.size());
-          SlotResult res;
-          res.received = all;
-          protocols_[idx]->on_feedback(slot, res);
-          fed_[idx] = 1;
-          // Accounted here because received_[] stays empty for these nodes.
-          activity_[idx].received += static_cast<std::int64_t>(all.size());
+          received_[idx] = all;
         }
         break;
       }
@@ -558,19 +548,18 @@ void Network::step_aos() {
     begin = end;
   }
 
-  // 4. Feedback. (AllDelivered listeners were already fed inside the loop.)
-  //    A node whose feedback is blanked (churned out, babbling, or feedback
-  //    dropped) gets a default SlotResult — indistinguishable from a
-  //    powered-off radio's slot. A deaf node keeps its real tx-side fields;
-  //    only its receive view is empty (suppressed above).
+  // 4. Feedback, in ascending node order. A node whose feedback is
+  //    blanked (churned out, babbling, or feedback dropped) gets a default
+  //    SlotResult — indistinguishable from a powered-off radio's slot. A
+  //    deaf node keeps its real tx-side fields; only its receive view is
+  //    empty (suppressed above).
   for (std::size_t i = 0; i < n; ++i) {
-    if (fed_[i]) continue;
     const ResolvedAction& r = resolved_[i];
     if ((r.fault & faultflag::kBlankFeedback) != 0 &&
         options_.testonly_fault_mutation !=
             TestonlyFaultMutation::KeepDroppedFeedback) {
       ++stats_.feedback_drops;
-      protocols_[i]->on_feedback(slot, SlotResult{});
+      protocols[i]->on_feedback(slot, SlotResult{});
       continue;
     }
     SlotResult res;
@@ -578,7 +567,7 @@ void Network::step_aos() {
     res.tx_attempted = r.mode == Mode::Broadcast && !r.jammed;
     res.tx_success = r.tx_success;
     res.received = received_[i];
-    protocols_[i]->on_feedback(slot, res);
+    protocols[i]->on_feedback(slot, res);
   }
 
   // 5. Per-node duty-cycle accounting (idle is derived on read, see
@@ -618,12 +607,6 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
   const int bcount = group.bcount();
   if (bcount >= 2) ++stats_.collision_events;
 
-  auto account_success = [&](const Message& msg) {
-    ++stats_.successes;
-    const auto words = static_cast<std::int64_t>(wire_size_words(msg));
-    stats_.total_message_words += words;
-    stats_.max_message_words = std::max(stats_.max_message_words, words);
-  };
   auto rx_dead = [&](int idx) {
     const std::uint8_t f = soa_fault_[static_cast<std::size_t>(idx)];
     if (!(f & faultflag::kRxDead)) return false;
@@ -632,18 +615,34 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
       return false;  // mutation: the deaf node hears anyway
     return true;
   };
-  // Lazily source a broadcaster's message (batch mode): a babbling radio
-  // transmits garbage, never the client's payload — unless it is churned
-  // out too (the churn override wins; reachable only under the ChurnActs
-  // mutation, where the client's own action stands).
-  auto batch_source = [&](int idx) {
+  // Sources a successful broadcaster's message into the slot's arena and
+  // accounts it. A babbling radio transmits garbage, never the client's
+  // payload — unless it is churned out too (the churn override wins;
+  // reachable only under the ChurnActs mutation, where the client's own
+  // action stands).
+  auto source = [&](int idx) {
     const std::uint8_t f = soa_fault_[static_cast<std::size_t>(idx)];
     Message msg = (!(f & faultflag::kChurnedOut) && (f & faultflag::kBabble))
                       ? Message{}
                       : batch_->source_message(slot, static_cast<NodeId>(idx));
     msg.sender = static_cast<NodeId>(idx);
+    ++stats_.successes;
+    const auto words = static_cast<std::int64_t>(wire_size_words(msg));
+    stats_.total_message_words += words;
+    stats_.max_message_words = std::max(stats_.max_message_words, words);
     batch_msgs_.push_back(std::move(msg));
     return static_cast<std::int32_t>(batch_msgs_.size()) - 1;
+  };
+  // Outcome marks, each booked in the node's activity ledger as it lands.
+  auto mark_success = [&](int idx) {
+    soa_flags_[static_cast<std::size_t>(idx)] |= slotflag::kTxSuccess;
+    ++activity_[static_cast<std::size_t>(idx)].tx_success;
+  };
+  auto deliver_to = [&](int idx, std::int32_t offset, std::int32_t count) {
+    soa_rx_off_[static_cast<std::size_t>(idx)] = offset;
+    soa_rx_cnt_[static_cast<std::size_t>(idx)] = count;
+    activity_[static_cast<std::size_t>(idx)].received += count;
+    stats_.deliveries += count;
   };
 
   switch (options_.collision) {
@@ -663,18 +662,10 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
         pick = rng_.below(static_cast<std::uint64_t>(bcount));
       }
       const int winner = group.nth_broadcaster(static_cast<int>(pick));
-      const auto widx = static_cast<std::size_t>(winner);
-      soa_flags_[widx] |= slotflag::kTxSuccess;
-      std::int32_t woff = -1;
-      if (batch_ != nullptr) {
-        woff = batch_source(winner);
-        account_success(batch_msgs_[static_cast<std::size_t>(woff)]);
-      } else {
-        account_success(messages_[widx]);
-      }
+      mark_success(winner);
+      const std::int32_t woff = source(winner);
       if (options_.testonly_duplicate_winner && bcount >= 2)
-        soa_flags_[static_cast<std::size_t>(
-            group.nth_broadcaster(pick == 0 ? 1 : 0))] |= slotflag::kTxSuccess;
+        mark_success(group.nth_broadcaster(pick == 0 ? 1 : 0));
       auto deliver = [&](int idx) {
         if (rx_dead(idx)) {
           ++stats_.suppressed_deliveries;
@@ -682,14 +673,7 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
         }
         if (options_.loss_prob > 0.0 && rng_.chance(options_.loss_prob))
           return;  // faded
-        if (batch_ != nullptr) {
-          soa_rx_off_[static_cast<std::size_t>(idx)] = woff;
-          soa_rx_cnt_[static_cast<std::size_t>(idx)] = 1;
-        } else {
-          received_[static_cast<std::size_t>(idx)] =
-              std::span<const Message>{&messages_[widx], 1};
-        }
-        ++stats_.deliveries;
+        deliver_to(idx, woff, 1);
       };
       group.for_each_listener(deliver);
       // Failed broadcasters also receive the winning message (Section 2).
@@ -699,66 +683,30 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
     case CollisionModel::AllDelivered: {
       if (bcount == 0) break;
       const auto start = static_cast<std::int32_t>(batch_msgs_.size());
-      if (batch_ != nullptr) {
-        group.for_each_broadcaster([&](int b) {
-          soa_flags_[static_cast<std::size_t>(b)] |= slotflag::kTxSuccess;
-          account_success(
-              batch_msgs_[static_cast<std::size_t>(batch_source(b))]);
-        });
-      } else {
-        group_messages_.clear();
-        group.for_each_broadcaster([&](int b) {
-          soa_flags_[static_cast<std::size_t>(b)] |= slotflag::kTxSuccess;
-          group_messages_.push_back(messages_[static_cast<std::size_t>(b)]);
-          account_success(messages_[static_cast<std::size_t>(b)]);
-        });
-      }
+      group.for_each_broadcaster([&](int b) {
+        mark_success(b);
+        source(b);
+      });
       group.for_each_listener([&](int l) {
-        const auto idx = static_cast<std::size_t>(l);
         if (rx_dead(l)) {
           stats_.suppressed_deliveries += bcount;
           return;
         }
-        stats_.deliveries += bcount;
-        if (batch_ != nullptr) {
-          soa_rx_off_[idx] = start;
-          soa_rx_cnt_[idx] = bcount;
-          // activity_.received accounted in the fused end-of-slot loop.
-        } else {
-          SlotResult res;
-          res.received = std::span<const Message>{group_messages_};
-          protocols_[idx]->on_feedback(slot, res);
-          fed_[idx] = 1;
-          activity_[idx].received += bcount;
-        }
+        deliver_to(l, start, bcount);
       });
       break;
     }
     case CollisionModel::CollisionLoss: {
       if (bcount != 1) break;
       const int winner = group.nth_broadcaster(0);
-      const auto widx = static_cast<std::size_t>(winner);
-      soa_flags_[widx] |= slotflag::kTxSuccess;
-      std::int32_t woff = -1;
-      if (batch_ != nullptr) {
-        woff = batch_source(winner);
-        account_success(batch_msgs_[static_cast<std::size_t>(woff)]);
-      } else {
-        account_success(messages_[widx]);
-      }
+      mark_success(winner);
+      const std::int32_t woff = source(winner);
       group.for_each_listener([&](int l) {
-        const auto idx = static_cast<std::size_t>(l);
         if (rx_dead(l)) {
           ++stats_.suppressed_deliveries;
           return;
         }
-        if (batch_ != nullptr) {
-          soa_rx_off_[idx] = woff;
-          soa_rx_cnt_[idx] = 1;
-        } else {
-          received_[idx] = std::span<const Message>{&messages_[widx], 1};
-        }
-        ++stats_.deliveries;
+        deliver_to(l, woff, 1);
       });
       break;
     }
@@ -773,44 +721,36 @@ void Network::step_soa() {
   if (jammer_ != nullptr) jammer_->begin_slot(slot);
   if (fault_engine_ != nullptr) fault_engine_->begin_slot(slot);
 
-  // Per-slot resets, each gated to the features that read it: the
-  // used_channel_ fill exists only for the jammer handoff, the rx views
-  // only for their mode, fed_ only for AllDelivered's in-loop feedback.
+  // Per-slot resets. The used_channel_ fill exists only for the jammer
+  // handoff. The mode span arrives Idle-initialized (BatchClient
+  // contract): a client over a mostly-idle fleet only touches its active
+  // nodes, which is where the batched interface earns its O(active) slot
+  // cost. With no fault engine in play, only last slot's active nodes ever
+  // left the idle state, so resetting exactly those entries restores the
+  // all-idle invariant in O(active) work. A fault engine can mark any node
+  // (blank feedback hits idle nodes too), so while one is attached -- and
+  // for one scrub slot after a mid-run detach -- the reset falls back to
+  // full fills.
   if (jammer_ != nullptr)
     std::fill(used_channel_.begin(), used_channel_.end(), kNoChannel);
-  if (batch_ != nullptr) {
-    batch_msgs_.clear();
-    // The mode span arrives Idle-initialized (BatchClient contract): a
-    // client over a mostly-idle fleet only touches its active nodes, which
-    // is where the batched interface earns its O(active) slot cost. With
-    // no fault engine in play, only last slot's active nodes ever left
-    // the idle state, so resetting exactly those entries restores the
-    // all-idle invariant in O(active) work. A fault engine can mark any
-    // node (blank feedback hits idle nodes too), so while one is attached
-    // -- and for one scrub slot after a mid-run detach -- the reset falls
-    // back to full fills.
-    if (fault_engine_ != nullptr || soa_fault_dirty_) {
-      std::fill(soa_mode_.begin(), soa_mode_.end(), Mode::Idle);
-      std::fill(soa_flags_.begin(), soa_flags_.end(), std::uint8_t{0});
-      std::fill(soa_chan_.begin(), soa_chan_.end(), kNoChannel);
-      std::fill(soa_rx_cnt_.begin(), soa_rx_cnt_.end(), 0);
-      std::fill(soa_fault_.begin(), soa_fault_.end(), std::uint8_t{0});
-      soa_fault_dirty_ = fault_engine_ != nullptr;
-    } else {
-      for (const std::int32_t node : soa_active_) {
-        const auto idx = static_cast<std::size_t>(node);
-        soa_mode_[idx] = Mode::Idle;
-        soa_flags_[idx] = 0;
-        soa_chan_[idx] = kNoChannel;
-        soa_rx_cnt_[idx] = 0;
-      }
-    }
-    batch_->begin_slot(slot, soa_mode_, soa_label_);
+  batch_msgs_.clear();
+  if (fault_engine_ != nullptr || soa_fault_dirty_) {
+    std::fill(soa_mode_.begin(), soa_mode_.end(), Mode::Idle);
+    std::fill(soa_flags_.begin(), soa_flags_.end(), std::uint8_t{0});
+    std::fill(soa_chan_.begin(), soa_chan_.end(), kNoChannel);
+    std::fill(soa_rx_cnt_.begin(), soa_rx_cnt_.end(), 0);
+    std::fill(soa_fault_.begin(), soa_fault_.end(), std::uint8_t{0});
+    soa_fault_dirty_ = fault_engine_ != nullptr;
   } else {
-    std::fill(received_.begin(), received_.end(), std::span<const Message>{});
-    if (options_.collision == CollisionModel::AllDelivered)
-      std::fill(fed_.begin(), fed_.end(), char{0});
+    for (const std::int32_t node : soa_active_) {
+      const auto idx = static_cast<std::size_t>(node);
+      soa_mode_[idx] = Mode::Idle;
+      soa_flags_[idx] = 0;
+      soa_chan_[idx] = kNoChannel;
+      soa_rx_cnt_[idx] = 0;
+    }
   }
+  batch_->begin_slot(slot, soa_mode_, soa_label_);
 
   // This slot's label map in the flat node-major format: the table the
   // assignment lends (valid until its next begin_slot), else the snapshot
@@ -821,17 +761,27 @@ void Network::step_soa() {
   const bool snap = !labels.empty();
   const auto cpn = static_cast<std::size_t>(assignment_.channels_per_node());
 
-  // 1. Collect and resolve actions into the flat arrays; fault overrides
-  //    and their accounting are byte-for-byte the AoS rules. Batch mode
-  //    tracks the slot's non-idle nodes so the accounting pass below is
-  //    O(active); the idle tally lands in the stats in one add.
+  // The slot's grouping, dense bitmap rows or a counting sort of the
+  // active list: the rows cost word scans proportional to touched-channels
+  // * words no matter how few nodes act, so a sparse slot counting-sorts
+  // instead. It is picked before collect, from the previous slot's active
+  // count, so collect can fill the rows as it goes; activity rarely jumps
+  // between consecutive slots, and a wrong guess costs time, never results
+  // (both groupings emit the same channel-ascending, node-ascending
+  // stream, so the RNG draw order is the same).
+  const bool dense_slot = batch_dense_slot(soa_active_.size());
+
+  // 1. Collect the client's actions into the flat arrays, listing the
+  //    slot's non-idle nodes so every later pass is O(active); the idle
+  //    tally lands in the stats in one add. Per active node: by the
+  //    all-idle invariant its flag byte is clear (or holds only the
+  //    blank-feedback mark) and its mode byte holds the final action, so
+  //    only the channel, the jam verdict and (on a dense slot) its bitmap
+  //    bits need storing. The node's duty-cycle ledger is booked here
+  //    (jammed, tx or listen) and in resolve_group_soa (tx_success,
+  //    received); idle slots are derived on read, see activity().
   soa_active_.clear();
-  // Shared per-active work for the batch fast path below: by the all-idle
-  // invariant the node's flag and fault bytes are already zero and its
-  // mode byte already holds the client's action, so only the channel (and
-  // jam verdict) need storing. Push-then-jam-check matches the shared
-  // loop: jammed nodes stay on the active list for the accounting pass.
-  auto collect_batch_active = [&](std::size_t i) {
+  auto collect_active = [&](std::size_t i) {
     soa_active_.push_back(static_cast<std::int32_t>(i));
     const LocalLabel label = soa_label_[i];
     assert(label >= 0 && static_cast<std::size_t>(label) < cpn);
@@ -839,21 +789,27 @@ void Network::step_soa() {
         snap ? labels[i * cpn + static_cast<std::size_t>(label)]
              : assignment_.global_channel(static_cast<NodeId>(i), label);
     soa_chan_[i] = ch;
+    NodeActivity& act = activity_[i];
     if (jammer_ != nullptr) {
       used_channel_[i] = ch;
       if (jammer_->is_jammed(static_cast<NodeId>(i), ch)) {
-        soa_flags_[i] = slotflag::kJammed;
+        soa_flags_[i] |= slotflag::kJammed;
         ++stats_.jammed_node_slots;
+        ++act.jammed;
         return;
       }
     }
-    if (soa_mode_[i] == Mode::Broadcast) ++stats_.broadcasts;
+    const bool tx = soa_mode_[i] == Mode::Broadcast;
+    stats_.broadcasts += tx;
+    act.tx += tx;
+    act.listen += !tx;
+    if (dense_slot) bitmaps_.add(ch, static_cast<int>(i), tx);
   };
-  if (batch_ != nullptr && fault_engine_ == nullptr) {
-    // Batch fast collect: with no fault engine nothing can reactivate an
-    // idle node, so scan the mode array a word (eight nodes) at a time
-    // and drop to per-node work only where the client wrote a non-idle
-    // action. A mostly-idle fleet costs ~n/8 word compares here.
+  if (fault_engine_ == nullptr) {
+    // With no fault engine nothing can reactivate an idle node, so scan
+    // the mode array a word (eight nodes) at a time and drop to per-node
+    // work only where the client wrote a non-idle action. A mostly-idle
+    // fleet costs ~n/8 word compares here.
     static_assert(static_cast<unsigned char>(Mode::Idle) == 2);
     constexpr std::uint64_t kAllIdle = 0x0202020202020202ULL;
     const auto* mode_bytes =
@@ -864,112 +820,59 @@ void Network::step_soa() {
       std::memcpy(&word, mode_bytes + i, 8);
       if (word == kAllIdle) continue;
       for (std::size_t j = i; j < i + 8; ++j)
-        if (soa_mode_[j] != Mode::Idle) collect_batch_active(j);
+        if (soa_mode_[j] != Mode::Idle) collect_active(j);
     }
     for (; i < n; ++i)
-      if (soa_mode_[i] != Mode::Idle) collect_batch_active(i);
-    // Every non-idle node is on the active list, so the idle tally needs
-    // no counter in the scan.
-    stats_.idle_node_slots += static_cast<std::int64_t>(n - soa_active_.size());
+      if (soa_mode_[i] != Mode::Idle) collect_active(i);
   } else {
-    std::int64_t idle_nodes = 0;
+    // Fault overrides and their accounting, byte-for-byte the AoS rules.
+    // A fault can act on any node (a babbling radio transmits whatever its
+    // client asked for, and blank feedback is charged to idle nodes too),
+    // so this pass visits all of them.
+    const TestonlyFaultMutation mut = options_.testonly_fault_mutation;
     for (std::size_t i = 0; i < n; ++i) {
-      Mode mode;
-      LocalLabel label;
-      if (batch_ != nullptr) {
-        mode = soa_mode_[i];
-        label = soa_label_[i];
-      } else {
-        Action action = protocols_[i]->on_slot(slot);
-        mode = action.mode;
-        label = action.channel;
-        // Stage the payload before fault overrides: only entries of final
-        // unjammed broadcasters are ever read, so stale stores are harmless.
-        if (mode == Mode::Broadcast) messages_[i] = std::move(action.msg);
-      }
-      std::uint8_t fault = 0;
-      if (fault_engine_ != nullptr) {
-        std::uint8_t f = fault_engine_->flags(static_cast<NodeId>(i));
-        if (f != 0) {
-          ++stats_.fault_node_slots;
-          if (f & faultflag::kChurnedOut) ++stats_.churned_node_slots;
-          if (f & faultflag::kDeaf) ++stats_.deaf_node_slots;
-          if (f & faultflag::kMute) ++stats_.mute_node_slots;
-          if (f & faultflag::kBabble) ++stats_.babble_node_slots;
-          if (f & faultflag::kFeedbackDrop) ++stats_.feedback_drop_node_slots;
-          const TestonlyFaultMutation mut = options_.testonly_fault_mutation;
-          if (f & faultflag::kChurnedOut) {
-            if (mut != TestonlyFaultMutation::ChurnActs) mode = Mode::Idle;
-          } else if (f & faultflag::kBabble) {
-            if (mut != TestonlyFaultMutation::BabbleIdles) {
-              mode = Mode::Broadcast;
-              label = fault_engine_->babble_label(static_cast<NodeId>(i));
-              if (batch_ == nullptr) messages_[i] = Message{};
-              // Batch mode substitutes the garbage payload lazily in
-              // batch_source(), keyed off the same fault bits.
-            } else {
-              mode = Mode::Idle;
-            }
-          } else if ((f & faultflag::kMute) && mode == Mode::Broadcast) {
-            if (mut != TestonlyFaultMutation::MuteTransmits) {
-              mode = Mode::Listen;
-              f |= faultflag::kDemoted;
-              ++stats_.mute_demotions;
-            }
+      std::uint8_t f = fault_engine_->flags(static_cast<NodeId>(i));
+      if (f != 0) {
+        ++stats_.fault_node_slots;
+        if (f & faultflag::kChurnedOut) ++stats_.churned_node_slots;
+        if (f & faultflag::kDeaf) ++stats_.deaf_node_slots;
+        if (f & faultflag::kMute) ++stats_.mute_node_slots;
+        if (f & faultflag::kBabble) ++stats_.babble_node_slots;
+        if (f & faultflag::kFeedbackDrop) ++stats_.feedback_drop_node_slots;
+        Mode& mode = soa_mode_[i];
+        if (f & faultflag::kChurnedOut) {
+          if (mut != TestonlyFaultMutation::ChurnActs) mode = Mode::Idle;
+        } else if (f & faultflag::kBabble) {
+          // The garbage payload is substituted when the broadcast is
+          // sourced (resolve_group_soa), keyed off the same fault bits.
+          if (mut != TestonlyFaultMutation::BabbleIdles) {
+            mode = Mode::Broadcast;
+            soa_label_[i] = fault_engine_->babble_label(static_cast<NodeId>(i));
+          } else {
+            mode = Mode::Idle;
           }
-          fault = f;
+        } else if ((f & faultflag::kMute) && mode == Mode::Broadcast) {
+          if (mut != TestonlyFaultMutation::MuteTransmits) {
+            mode = Mode::Listen;
+            f |= faultflag::kDemoted;
+            ++stats_.mute_demotions;
+          }
+        }
+        soa_fault_[i] = f;
+        // The node will see an empty SlotResult; the client contract says
+        // to ignore its other flag bits and rx view.
+        if ((f & faultflag::kBlankFeedback) != 0 &&
+            mut != TestonlyFaultMutation::KeepDroppedFeedback) {
+          ++stats_.feedback_drops;
+          soa_flags_[i] = slotflag::kFeedbackBlank;
         }
       }
-      soa_mode_[i] = mode;
-      soa_fault_[i] = fault;
-      soa_flags_[i] = 0;
-      if (mode == Mode::Idle) {
-        ++idle_nodes;
-        soa_chan_[i] = kNoChannel;
-        continue;
-      }
-      if (batch_ != nullptr) soa_active_.push_back(static_cast<std::int32_t>(i));
-      assert(label >= 0 && static_cast<std::size_t>(label) < cpn);
-      const Channel ch =
-          snap ? labels[i * cpn + static_cast<std::size_t>(label)]
-               : assignment_.global_channel(static_cast<NodeId>(i), label);
-      soa_chan_[i] = ch;
-      if (jammer_ != nullptr) {
-        used_channel_[i] = ch;
-        if (jammer_->is_jammed(static_cast<NodeId>(i), ch)) {
-          soa_flags_[i] = slotflag::kJammed;
-          ++stats_.jammed_node_slots;
-          continue;
-        }
-      }
-      const bool broadcasting = mode == Mode::Broadcast;
-      if (broadcasting) {
-        if (batch_ == nullptr) messages_[i].sender = static_cast<NodeId>(i);
-        ++stats_.broadcasts;
-      }
-      if (dense_ && batch_ == nullptr)
-        bitmaps_.add(ch, static_cast<int>(i), broadcasting);
+      if (soa_mode_[i] != Mode::Idle) collect_active(i);
     }
-    stats_.idle_node_slots += idle_nodes;
   }
+  stats_.idle_node_slots += static_cast<std::int64_t>(n - soa_active_.size());
 
-  // 2+3. Group and resolve, channel by channel in ascending order. Batch
-  //      mode picks its grouping per slot: the dense rows cost word scans
-  //      proportional to touched-channels * words no matter how few nodes
-  //      act, so a sparse slot counting-sorts the active list instead.
-  //      Either grouping emits the same channel-ascending, node-ascending
-  //      stream, so the choice is invisible to results and draw order.
-  bool dense_slot = dense_;
-  if (batch_ != nullptr) {
-    dense_slot = batch_dense_slot(soa_active_.size());
-    if (dense_slot) {
-      for (const std::int32_t node : soa_active_) {
-        const auto i = static_cast<std::size_t>(node);
-        if (soa_flags_[i] & slotflag::kJammed) continue;
-        bitmaps_.add(soa_chan_[i], node, soa_mode_[i] == Mode::Broadcast);
-      }
-    }
-  }
+  // 2+3. Group and resolve, channel by channel in ascending order.
   if (dense_slot) {
     bitmaps_.consume_touched([&](Channel ch) {
       const DenseGroup group{bitmaps_.tuned_row(ch), bitmaps_.bcast_row(ch),
@@ -981,10 +884,7 @@ void Network::step_soa() {
       std::fill_n(bitmaps_.bcast_row(ch), bitmaps_.words(), std::uint64_t{0});
     });
   } else {
-    if (batch_ != nullptr)
-      group_by_channel_soa_active();
-    else
-      group_by_channel_soa();
+    group_by_channel_soa_active();
     for (std::size_t begin = 0; begin < order_.size();) {
       std::size_t end = begin;
       const Channel ch = soa_chan_[static_cast<std::size_t>(order_[begin])];
@@ -1004,89 +904,18 @@ void Network::step_soa() {
     }
   }
 
-  // 4+5. Feedback and duty-cycle accounting, fused into one pass (the AoS
-  //      path runs them as two loops; no protocol can observe the
-  //      difference — activity_ is engine-internal until the slot ends).
-  const TestonlyFaultMutation mut = options_.testonly_fault_mutation;
-  if (batch_ != nullptr) {
-    if (fault_engine_ != nullptr) {
-      // Blank-feedback masking touches any node with the fault bit, idle
-      // included (the drop is charged either way), so this pass scans all
-      // nodes — but only when a fault engine is attached at all.
-      for (std::size_t i = 0; i < n; ++i) {
-        if ((soa_fault_[i] & faultflag::kBlankFeedback) != 0 &&
-            mut != TestonlyFaultMutation::KeepDroppedFeedback) {
-          ++stats_.feedback_drops;
-          soa_flags_[i] |= slotflag::kFeedbackBlank;
-          // Blank nodes never hold an rx view (their rx path is dead), so
-          // flags is the only field to mask; the client contract says a
-          // kFeedbackBlank node saw an empty SlotResult.
-        }
-      }
-    }
-    // Duty-cycle accounting over the active nodes only; idle slots are
-    // derived on read (activity()), never stored.
-    for (const std::int32_t node : soa_active_) {
-      const auto i = static_cast<std::size_t>(node);
-      const std::uint8_t flags = soa_flags_[i];
-      NodeActivity& act = activity_[i];
-      if (flags & slotflag::kJammed) {
-        ++act.jammed;
-      } else if (soa_mode_[i] == Mode::Broadcast) {
-        ++act.tx;
-        if (flags & slotflag::kTxSuccess) ++act.tx_success;
-        act.received += soa_rx_cnt_[i];
-      } else {
-        ++act.listen;
-        act.received += soa_rx_cnt_[i];
-      }
-    }
-    BatchFeedback fb;
-    fb.slot = slot;
-    fb.mode = soa_mode_;
-    fb.flags = soa_flags_;
-    fb.fault = soa_fault_;
-    fb.rx_offset = soa_rx_off_;
-    fb.rx_count = soa_rx_cnt_;
-    fb.messages = batch_msgs_;
-    batch_->end_slot(fb);
-  } else {
-    const bool all_delivered =
-        options_.collision == CollisionModel::AllDelivered;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Mode mode = soa_mode_[i];
-      const std::uint8_t flags = soa_flags_[i];
-      if (!(all_delivered && fed_[i])) {
-        if ((soa_fault_[i] & faultflag::kBlankFeedback) != 0 &&
-            mut != TestonlyFaultMutation::KeepDroppedFeedback) {
-          ++stats_.feedback_drops;
-          protocols_[i]->on_feedback(slot, SlotResult{});
-        } else {
-          SlotResult res;
-          res.jammed = (flags & slotflag::kJammed) != 0;
-          res.tx_attempted =
-              mode == Mode::Broadcast && !(flags & slotflag::kJammed);
-          res.tx_success = (flags & slotflag::kTxSuccess) != 0;
-          res.received = received_[i];
-          protocols_[i]->on_feedback(slot, res);
-        }
-      }
-      if (mode == Mode::Idle) continue;  // idle is derived on read
-      NodeActivity& act = activity_[i];
-      if (flags & slotflag::kJammed) {
-        ++act.jammed;
-      } else if (mode == Mode::Broadcast) {
-        ++act.tx;
-        if (flags & slotflag::kTxSuccess) ++act.tx_success;
-        act.received += static_cast<std::int64_t>(received_[i].size());
-      } else {
-        ++act.listen;
-        act.received += static_cast<std::int64_t>(received_[i].size());
-      }
-    }
-  }
+  // 4. The client's feedback.
+  BatchFeedback fb;
+  fb.slot = slot;
+  fb.mode = soa_mode_;
+  fb.flags = soa_flags_;
+  fb.fault = soa_fault_;
+  fb.rx_offset = soa_rx_off_;
+  fb.rx_count = soa_rx_cnt_;
+  fb.messages = batch_msgs_;
+  batch_->end_slot(fb);
 
-  // 6. History to the jammer, observer, bookkeeping. The ResolvedAction
+  // 5. History to the jammer, observer, bookkeeping. The ResolvedAction
   //    view is materialized from the flat arrays only when someone looks.
   if (jammer_ != nullptr) jammer_->observe(slot, used_channel_);
   stats_.slots = slot;

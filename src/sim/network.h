@@ -21,8 +21,8 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "sim/assignment.h"
@@ -41,33 +41,20 @@ enum class CollisionModel : std::uint8_t { OneWinner, AllDelivered, CollisionLos
 //   SoA  default — structure-of-arrays hot path: parallel flat arrays for
 //        mode/flags/fault/channel, per-channel uint64_t bitmaps
 //        (sim/channel_bitmap.h) of tuned and broadcasting nodes when the
-//        channel space is small enough (counting-sort grouping otherwise),
-//        and winner/fade coins drawn batched per contended channel.
+//        channel space is small enough and the slot busy enough
+//        (counting-sort grouping of the active nodes otherwise), and
+//        winner/fade coins drawn batched per contended channel.
 //   AoS  the original per-node ResolvedAction walk, kept as the reference
-//        path. Differential-tested bit-identical against SoA — same coin
-//        stream, same callbacks, same accounting — across every collision
-//        model, jamming, fading, backoff emulation, and fault kind
-//        (tests/test_engine_layouts.cpp, util/proptest.cpp), mirroring the
-//        CountingSort vs ComparisonSort discipline.
+//        the SoA path is checked against, and selected only through
+//        NetworkOptions::layout (tests, the proptest differential, the
+//        bench smoke and E35). Differential-tested bit-identical against
+//        SoA — same coin stream, same callbacks in the same order, same
+//        accounting — across every collision model, jamming, fading,
+//        backoff emulation, and fault kind (tests/test_engine_layouts.cpp,
+//        util/proptest.cpp).
 // The RNG draw-order contract both layouts honor is documented in
 // DETERMINISM.md ("Engine layouts and the batched draw order").
 enum class EngineLayout : std::uint8_t { SoA, AoS };
-
-// "soa" / "aos".
-const char* engine_layout_name(EngineLayout layout);
-// Parses "soa"/"aos" (the --engine CLI flag); throws std::invalid_argument
-// on anything else.
-EngineLayout parse_engine_layout(const std::string& text);
-
-// How step() groups participating nodes by physical channel.
-//   CountingSort    default — stable two-pass bucket sort keyed by channel;
-//                   O(n + C) per slot with no comparator indirection.
-//   ComparisonSort  the reference path: std::stable_sort on channel. Kept
-//                   for differential testing (test_network.cpp runs both
-//                   and asserts bit-identical executions).
-// Both are stable by node index within a channel, so the two paths resolve
-// collisions identically for the same seed.
-enum class GroupingStrategy : std::uint8_t { CountingSort, ComparisonSort };
 
 // TEST-ONLY fault-rule violations, one per FaultKind (see NetworkOptions).
 //   DeafHears           deliveries to a deaf node are NOT suppressed;
@@ -131,11 +118,6 @@ struct NetworkOptions {
 
   EngineLayout layout = EngineLayout::SoA;
 
-  // Grouping strategy of the AoS reference path (the SoA layout groups via
-  // channel bitmaps or its own counting sort). Kept as a differential-test
-  // knob: test_network.cpp runs both and asserts bit-identical executions.
-  GroupingStrategy grouping = GroupingStrategy::CountingSort;
-
   // TEST-ONLY mutation hook (never set outside tests): when true, a
   // contended OneWinner channel marks a second broadcaster successful
   // without accounting it — a deliberate model violation used by the
@@ -176,8 +158,10 @@ inline constexpr std::uint8_t kFeedbackBlank = 4;
 
 // End-of-slot view handed to a BatchClient: parallel per-node arrays
 // (indexed by NodeId) instead of n SlotResult callbacks. rx_count[i]
-// messages for node i start at messages[rx_offset[i]]; spans are only
-// valid for the duration of the end_slot() call.
+// messages for node i start at messages[rx_offset[i]]; rx_offset[i] is
+// meaningful only when rx_count[i] > 0 (it is never reset, so a node that
+// heard nothing may hold a stale offset). Spans are only valid for the
+// duration of the end_slot() call.
 struct BatchFeedback {
   Slot slot = 0;
   std::span<const Mode> mode;           // as resolved (fault overrides applied)
@@ -188,13 +172,16 @@ struct BatchFeedback {
   std::span<const Message> messages;
 };
 
-// Batched traffic interface of the SoA layout: one virtual call collects
-// every node's action and one returns every node's feedback, replacing
-// the 2n virtual Protocol calls per slot that dominate stepping at scale
-// (bench E35 measures the difference). The engine still runs assignment,
-// jamming, faults, collision resolution, fading, and accounting exactly
-// as for per-node protocols — E35 cross-checks TraceStats between a batch
-// run and a per-node twin every run.
+// The SoA layout's one client interface: one virtual call collects every
+// node's action and one returns every node's feedback. Per-node Protocols
+// ride it too, through an adapter the Network owns (network.cpp) that
+// calls on_slot/on_feedback for each node in ascending node order; a
+// native batch client skips those 2n virtual calls per slot, which is
+// what dominates stepping at scale (bench E35 measures the difference).
+// Either way the engine runs assignment, jamming, faults, collision
+// resolution, fading, and accounting through the same code — E35
+// cross-checks TraceStats between a batch run and a per-node twin every
+// run.
 class BatchClient {
  public:
   virtual ~BatchClient() = default;
@@ -222,7 +209,9 @@ class Network {
  public:
   // `protocols[i]` is node i; non-owning — callers keep protocols alive for
   // the lifetime of the network (the runtime helpers in core/runtime.h own
-  // them for you).
+  // them for you). Each slot calls every on_slot in ascending node order,
+  // then every on_feedback in ascending node order, on either layout and
+  // under every collision model.
   Network(ChannelAssignment& assignment, std::vector<Protocol*> protocols,
           NetworkOptions options = {});
 
@@ -230,6 +219,8 @@ class Network {
   // layout — the AoS reference path is per-node by construction.
   Network(ChannelAssignment& assignment, BatchClient& client,
           NetworkOptions options = {});
+
+  ~Network();
 
   // Attach an adversarial jammer (non-owning). Attaching one sizes the
   // per-node channel history handed to Jammer::observe (step() never
@@ -256,8 +247,8 @@ class Network {
   // Per-node duty-cycle counters. `idle` is derived on read, not stored:
   // every slot consumes exactly one of {idle, jammed, tx, listen} per node,
   // so idle = slots - (tx + listen + jammed). Storing the other three lets
-  // the SoA batch path skip idle nodes' accounting entirely, which is what
-  // makes mostly-idle million-node slots O(active) instead of O(n).
+  // the SoA path skip idle nodes' accounting entirely, which is what makes
+  // mostly-idle million-node slots O(active) instead of O(n).
   NodeActivity activity(NodeId node) const {
     NodeActivity a = activity_[static_cast<std::size_t>(node)];
     a.idle = stats_.slots - (a.tx + a.listen + a.jammed);
@@ -279,20 +270,24 @@ class Network {
   // winner/fade RNG. Everything else in the engine is per-slot scratch the
   // next step() rebuilds (channel bitmaps, grouping scratch).
   // restore_state targets a freshly constructed Network over the same node
-  // count; the layout/grouping knobs may differ between writer and
-  // reader — the draw order is engine-invariant, which the proptest resume
-  // differential exercises. Protocol, jammer, and fault-engine state is
-  // serialized by those components, not here.
+  // count; the layout may differ between writer and reader — the draw
+  // order is engine-invariant, which the proptest resume differential
+  // exercises. Protocol, jammer, and fault-engine state is serialized by
+  // those components, not here.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);
 
  private:
+  // Per-node protocols wrapped as a BatchClient (network.cpp). It owns
+  // the protocol list, which the AoS reference walks directly.
+  class ProtocolClient;
+
   ChannelAssignment& assignment_;
-  std::vector<Protocol*> protocols_;
+  std::unique_ptr<ProtocolClient> protocols_;  // null for a batch client
   NetworkOptions options_;
   Rng rng_;
   int n_ = 0;
-  BatchClient* batch_ = nullptr;
+  BatchClient* batch_ = nullptr;  // the caller's client, or *protocols_
   Jammer* jammer_ = nullptr;
   FaultEngine* fault_engine_ = nullptr;
   SlotObserver observer_;
@@ -309,12 +304,10 @@ class Network {
   void step_aos();
   void step_soa();
 
-  // Groups the participating nodes of `resolved_` into `order_` (stable by
-  // node index within each physical channel) using options_.grouping.
+  // AoS: counting-sorts the participating nodes of `resolved_` into
+  // `order_` (stable by node index within each physical channel).
   void group_by_channel();
-  // SoA counting-sort fallback: same grouping, reading the flat arrays.
-  void group_by_channel_soa();
-  // Batch-mode counting sort over soa_active_ only: O(active + C), used
+  // SoA: the same counting sort over soa_active_ only, O(active + C), used
   // when a slot is too sparse for the dense bitmap rows to pay off.
   void group_by_channel_soa_active();
 
@@ -325,7 +318,8 @@ class Network {
   template <typename Group>
   void resolve_group_soa(Slot slot, const Group& group);
 
-  // The per-slot dense-vs-sparse grouping heuristic of the batch path.
+  // The per-slot dense-vs-sparse grouping heuristic of the SoA path, for
+  // a slot expected to have `active` non-idle nodes.
   bool batch_dense_slot(std::size_t active) const;
 
   // Per-slot scratch, sized once (in the constructor, or by the setter
@@ -333,18 +327,16 @@ class Network {
   // performs zero heap allocations in steady state (the E18 and E35
   // allocation probes enforce this). Per-node arrays are sized only for
   // their readers: a 2^20-node BatchClient fleet allocates none of
-  // resolved_, messages_, received_, fed_ or used_channel_.
+  // resolved_, messages_, received_ or used_channel_.
   std::vector<ResolvedAction> resolved_;  // AoS layout, or an observer
-  // Per-node protocols only: the broadcast message per node (by index;
-  // only broadcaster entries are live — stale slots are never read, so no
-  // per-slot reset), the delivery views, and the in-loop feedback marks.
+  // AoS only: the broadcast message per node (by index; only broadcaster
+  // entries are live — stale slots are never read, so no per-slot reset)
+  // and the delivery views.
   std::vector<Message> messages_;
   std::vector<std::span<const Message>> received_;
-  std::vector<char> fed_;
   std::vector<int> order_;          // participating node indices, grouped by channel
   std::vector<Channel> used_channel_;  // per node, for jammer observe();
                                        // sized and filled only with a jammer
-  std::vector<Message> group_messages_;  // AllDelivered per-group scratch
   std::vector<int> broadcasters_;   // per-group partition scratch
   std::vector<int> listeners_;
   std::vector<int> channel_bucket_;  // counting-sort histogram / offsets
@@ -361,14 +353,17 @@ class Network {
   // say); a table-backed assignment's own table is read in place each
   // slot, and a dynamic one without a table is asked per node.
   std::vector<Channel> flat_map_;
-  // Batch-client state (sized only for the BatchClient constructor).
   std::vector<LocalLabel> soa_label_;
   std::vector<std::int32_t> soa_rx_off_;  // into batch_msgs_
   std::vector<std::int32_t> soa_rx_cnt_;
-  std::vector<Message> batch_msgs_;  // messages delivered this slot
-  // Batch mode: non-idle nodes this slot (ascending). The accounting pass
-  // iterates it, and the next slot's reset uses it to restore the all-idle
-  // invariant in O(active) work instead of Theta(n) fills. The dirty bit
+  // Messages delivered this slot, on either layout (AoS moves only its
+  // AllDelivered messages here); reserved to n, so views into it stay
+  // valid for the whole slot.
+  std::vector<Message> batch_msgs_;
+  // Non-idle nodes this slot (ascending). The sparse grouping sorts it;
+  // the next slot picks its grouping from its size and resets exactly its
+  // entries, restoring the all-idle invariant in O(active) work instead
+  // of Theta(n) fills. The dirty bit
   // is true while the per-node arrays may hold stale bytes written outside
   // the active list (a fault engine can blank-flag idle nodes), forcing
   // one full-fill scrub slot after it detaches.

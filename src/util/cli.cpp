@@ -3,11 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 #include <string_view>
-
-// cograd-lint: allow(R7) --engine parsing needs the EngineLayout enum; cli.h itself only forward-declares it
-#include "sim/network.h"
 
 namespace cogradio {
 
@@ -131,15 +127,6 @@ int CliArgs::get_jobs() {
   if (jobs < 0 || jobs > 1 << 20)
     die("flag --jobs expects a count >= 0 (0 = all cores)");
   return static_cast<int>(jobs);
-}
-
-EngineLayout CliArgs::get_engine() {
-  const std::string text = get_string("engine", "soa");
-  try {
-    return parse_engine_layout(text);
-  } catch (const std::invalid_argument&) {
-    die("flag --engine expects 'aos' or 'soa', got '" + text + "'");
-  }
 }
 
 void CliArgs::finish() const {

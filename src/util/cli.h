@@ -19,8 +19,6 @@
 
 namespace cogradio {
 
-enum class EngineLayout : std::uint8_t;  // sim/network.h
-
 class CliArgs {
  public:
   // One resolved flag: how a get_* call answered, after defaulting.
@@ -49,12 +47,6 @@ class CliArgs {
   // ParallelSweep sweeps. Defaults to 1 (sequential); 0 = all hardware
   // threads. Results are bit-identical for any value (see util/sweep.h).
   int get_jobs();
-
-  // The shared --engine flag: which slot-engine layout to run ("soa",
-  // the default, or the "aos" reference path — sim/network.h). The two
-  // layouts execute bit-identically, so this only selects the code path
-  // being measured or differentially pinned. Errors out on other values.
-  EngineLayout get_engine();
 
   // Exits with a diagnostic if any provided flag was never queried —
   // catches typos like --trails instead of --trials.

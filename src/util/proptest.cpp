@@ -193,10 +193,10 @@ struct World {
 };
 
 // Materializes the scenario with `engine` (which may override scn.engine
-// for the differential check). Every coin — assignment, protocols, jammer,
+// for the differential check) on the slot-engine `layout`. Every coin — assignment, protocols, jammer,
 // faults, winner draws — is a fixed stream of scn.salt, so the same
 // scenario materializes bit-identically every time.
-World materialize(const Scenario& scn, ScnEngine engine,
+World materialize(const Scenario& scn, ScnEngine engine, EngineLayout layout,
                   const CheckOptions& options, bool with_checker) {
   Rng root(scn.salt);
   Rng assign_rng = root.split(1);
@@ -219,7 +219,7 @@ World materialize(const Scenario& scn, ScnEngine engine,
   opt.seed = net_seed;
   opt.loss_prob = scn.loss_prob;
   opt.testonly_fault_mutation = options.mutation;
-  opt.layout = options.layout;
+  opt.layout = layout;
   switch (engine) {
     case ScnEngine::Plain:
       break;
@@ -254,9 +254,10 @@ World materialize(const Scenario& scn, ScnEngine engine,
 }
 
 // Runs the scenario to scn.slots under the oracle.
-RunOutcome run_once(const Scenario& scn, ScnEngine engine,
+RunOutcome run_once(const Scenario& scn, ScnEngine engine, EngineLayout layout,
                     const CheckOptions& options) {
-  World world = materialize(scn, engine, options, /*with_checker=*/true);
+  World world =
+      materialize(scn, engine, layout, options, /*with_checker=*/true);
   for (int s = 0; s < scn.slots; ++s) world.net->step();
 
   RunOutcome out;
@@ -295,7 +296,7 @@ void restore_world(World& world, CheckpointReader& r) {
 // then replays a shifted coin stream and the digest compare must bite.
 std::uint64_t run_resumed(const Scenario& scn, const CheckOptions& options,
                           bool skew) {
-  World original = materialize(scn, scn.engine, options,
+  World original = materialize(scn, scn.engine, EngineLayout::SoA, options,
                                /*with_checker=*/false);
   std::string early;  // state after snap - 1 slots, used by the skew leg
   for (int s = 0; s < scn.snap; ++s) {
@@ -309,7 +310,8 @@ std::uint64_t run_resumed(const Scenario& scn, const CheckOptions& options,
   CheckpointWriter w;
   save_world(original, w);
 
-  World twin = materialize(scn, scn.engine, options, /*with_checker=*/false);
+  World twin = materialize(scn, scn.engine, EngineLayout::SoA, options,
+                           /*with_checker=*/false);
   CheckpointReader r(skew ? early : w.bytes());
   restore_world(twin, r);
   for (int s = scn.snap; s < scn.slots; ++s) twin.net->step();
@@ -458,7 +460,8 @@ std::string check_scenario(const Scenario& raw) {
 
 std::string check_scenario(const Scenario& raw, const CheckOptions& options) {
   const Scenario scn = canonicalize(raw);
-  const RunOutcome primary = run_once(scn, scn.engine, options);
+  const RunOutcome primary =
+      run_once(scn, scn.engine, EngineLayout::SoA, options);
   if (!primary.violation.empty())
     return primary.violation + " [" + name_of(scn.engine) + " engine]";
 
@@ -470,16 +473,11 @@ std::string check_scenario(const Scenario& raw, const CheckOptions& options) {
   {
     CheckOptions other = options;
     other.injections = nullptr;  // counted once, on the primary run
-    other.layout = options.layout == EngineLayout::SoA ? EngineLayout::AoS
-                                                       : EngineLayout::SoA;
-    const RunOutcome alt = run_once(scn, scn.engine, other);
-    if (!alt.violation.empty())
-      return alt.violation + " [" +
-             std::string(engine_layout_name(other.layout)) + " layout]";
+    const RunOutcome alt = run_once(scn, scn.engine, EngineLayout::AoS, other);
+    if (!alt.violation.empty()) return alt.violation + " [aos layout]";
     if (alt.fingerprint != primary.fingerprint ||
         alt.digest != primary.digest)
-      return std::string("SoA and AoS engine layouts diverged (") +
-             engine_layout_name(options.layout) + " was primary)";
+      return "SoA and AoS engine layouts diverged (soa was primary)";
   }
 
   // Differential engine agreement: oblivious traffic must produce the
@@ -496,7 +494,8 @@ std::string check_scenario(const Scenario& raw, const CheckOptions& options) {
     // Same mutation, but injections are counted once (primary run only).
     CheckOptions alt_options = options;
     alt_options.injections = nullptr;
-    const RunOutcome alt = run_once(scn, other, alt_options);
+    const RunOutcome alt =
+        run_once(scn, other, EngineLayout::SoA, alt_options);
     if (!alt.violation.empty())
       return alt.violation + " [" + std::string(name_of(other)) + " engine]";
     if (alt.fingerprint != primary.fingerprint)

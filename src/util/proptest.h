@@ -41,7 +41,7 @@
 
 // cograd-lint: allow(R7) Scenario embeds FaultPlan/JammingPlan value types
 #include "sim/fault_engine.h"
-// cograd-lint: allow(R7) Scenario carries an EngineLayout for the sim under test
+// cograd-lint: allow(R7) CheckOptions carries a TestonlyFaultMutation for the sim under test
 #include "sim/network.h"
 // cograd-lint: allow(R7) property callbacks receive protocol Outcome records
 #include "sim/protocol.h"
@@ -159,14 +159,12 @@ struct FaultInjectionCounts {
 // Knobs for check_scenario beyond the scenario itself. `mutation` plumbs a
 // testonly invariant-breaking radio into the network so WILL_FAIL legs can
 // prove the oracle actually polices each fault rule; `injections`, when
-// set, accumulates the primary run's per-kind injection totals. `layout`
-// pins the primary run's engine layout (`cograd check --engine`); the
-// differential re-run always uses the other layout, so both are exercised
-// on every scenario regardless of the pin.
+// set, accumulates the primary run's per-kind injection totals. The
+// primary run is always on the SoA engine; the layout differential re-runs
+// every scenario on the AoS reference.
 struct CheckOptions {
   TestonlyFaultMutation mutation = TestonlyFaultMutation::None;
   FaultInjectionCounts* injections = nullptr;
-  EngineLayout layout = EngineLayout::SoA;
   // Testonly: the resume differential restores the snapshot taken one slot
   // *early*, modelling a resume from the wrong slot boundary. The digest
   // compare must flag it — the WILL_FAIL leg proving the resume oracle

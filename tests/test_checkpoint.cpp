@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "serve/journal.h"
 #include "util/proptest.h"
@@ -279,8 +280,9 @@ TEST(JobJournal, InteriorCorruptionThrows) {
 }
 
 TEST(JobJournal, RetiredShardsKeyIsRejected) {
-  // No migration: a submitted record whose job spec still carries the
-  // retired shard-count knob fails recovery through the unknown-key path.
+  // No migration: a submitted record whose job spec still carries a
+  // retired knob (the shard count, or the engine layout) fails recovery
+  // through the unknown-key path.
   const std::string path = "journal_shards_test.log";
   std::remove(path.c_str());
   {
@@ -296,19 +298,25 @@ TEST(JobJournal, RetiredShardsKeyIsRejected) {
   spill(path, journal_line(body));
   ASSERT_EQ(read_journal(path).jobs.size(), 1u);
 
-  const std::string layout = "\"layout\":\"soa\"";
-  const std::size_t at = body.find(layout);
+  const std::string anchor = "\"pattern\":\"shared-core\"";
+  const std::size_t at = body.find(anchor);
   ASSERT_NE(at, std::string::npos) << body;
-  body.insert(at + layout.size(), ",\"shards\":1");
-  spill(path, journal_line(body));
-  try {
-    read_journal(path);
-    ADD_FAILURE() << "a journal carrying the retired key was accepted";
-  } catch (const CheckpointError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad job spec: unknown job key 'shards'"),
-              std::string::npos)
-        << what;
+  for (const auto& [key, member] :
+       {std::pair<std::string, std::string>{"shards", "\"shards\":1"},
+        {"layout", "\"layout\":\"soa\""}}) {
+    SCOPED_TRACE(key);
+    std::string retired = body;
+    retired.insert(at + anchor.size(), "," + member);
+    spill(path, journal_line(retired));
+    try {
+      read_journal(path);
+      ADD_FAILURE() << "a journal carrying the retired key was accepted";
+    } catch (const CheckpointError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad job spec: unknown job key '" + key + "'"),
+                std::string::npos)
+          << what;
+    }
   }
   std::remove(path.c_str());
 }

@@ -345,7 +345,7 @@ class ForwardingAssignment : public ChannelAssignment {
 
 // One input to the batch-vs-protocol twin below. `adversaries` attaches a
 // RandomJammer and the full fault kind set; a run without them is the only
-// one whose batch leg takes the word-scan collect. `dynamic` re-draws the
+// one whose SoA legs take the word-scan collect. `dynamic` re-draws the
 // shared-core assignment every slot.
 struct TwinInput {
   const char* name;
@@ -440,7 +440,7 @@ TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
       // Every listener's rx view spans its channel's whole message range.
       {.name = "all_delivered", .n = 64, .c = 8, .k = 2, .slots = 64,
        .collision = CollisionModel::AllDelivered},
-      // No jammer and no fault engine: the batch leg's word-scan collect.
+      // No jammer and no fault engine: the SoA legs' word-scan collect.
       {.name = "clean", .n = 4500, .c = 16, .k = 3, .slots = 24,
        .loss_prob = 0.125},
       // A fresh label table every slot, re-read after each begin_slot.

@@ -287,18 +287,23 @@ TEST(Network, FadingDropsDeliveriesIndependently) {
   EXPECT_TRUE(rig.node(1).feedback_[0].received.empty());
 }
 
-// Differential test for the two grouping paths: the counting sort that
-// step() uses by default must reproduce the reference std::stable_sort
-// execution bit for bit — same winners, same deliveries, same per-node
-// accounting — under every collision model.
-TEST(Network, GroupingStrategiesBitIdentical) {
+// Layout differential through run() with a protocol that reacts to
+// feedback: a CogCast node that hears the message changes what it does
+// next, so any SlotResult the SoA path builds differently from the AoS
+// reference (a lost delivery, a wrong tx flag, a stale rx view) changes
+// the run. Under every collision model the two layouts must agree on the
+// stopping slot, the observer stream, TraceStats, per-node activity, and
+// each node's informed slot and parent.
+TEST(Network, CogCastRunBitIdenticalAcrossLayouts) {
   struct RunTrace {
     std::vector<ResolvedAction> actions;
     TraceStats stats;
     std::vector<NodeActivity> activity;
+    std::vector<Slot> informed_slot;
+    std::vector<NodeId> parent;
     Slot done_at = 0;
   };
-  const auto run_once = [](GroupingStrategy grouping, CollisionModel model) {
+  const auto run_once = [](EngineLayout layout, CollisionModel model) {
     const int n = 48, c = 8, k = 2;
     SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(21));
     Message payload;
@@ -314,11 +319,7 @@ TEST(Network, GroupingStrategiesBitIdentical) {
       protocols.push_back(nodes.back().get());
     }
     NetworkOptions opt;
-    // Pin the AoS reference path: grouping strategies are an AoS knob (the
-    // SoA layout groups via channel bitmaps; tests/test_engine_layouts.cpp
-    // covers that differential).
-    opt.layout = EngineLayout::AoS;
-    opt.grouping = grouping;
+    opt.layout = layout;
     opt.collision = model;
     opt.seed = 23;
     Network net(assignment, protocols, opt);
@@ -330,6 +331,10 @@ TEST(Network, GroupingStrategiesBitIdentical) {
     trace.done_at = net.run(5000);
     trace.stats = net.stats();
     for (NodeId u = 0; u < n; ++u) trace.activity.push_back(net.activity(u));
+    for (const auto& node : nodes) {
+      trace.informed_slot.push_back(node->informed_slot());
+      trace.parent.push_back(node->parent());
+    }
     return trace;
   };
 
@@ -337,40 +342,81 @@ TEST(Network, GroupingStrategiesBitIdentical) {
        {CollisionModel::OneWinner, CollisionModel::AllDelivered,
         CollisionModel::CollisionLoss}) {
     SCOPED_TRACE(static_cast<int>(model));
-    const RunTrace counting = run_once(GroupingStrategy::CountingSort, model);
-    const RunTrace comparison =
-        run_once(GroupingStrategy::ComparisonSort, model);
+    const RunTrace soa = run_once(EngineLayout::SoA, model);
+    const RunTrace aos = run_once(EngineLayout::AoS, model);
 
-    EXPECT_EQ(counting.done_at, comparison.done_at);
-    EXPECT_EQ(counting.stats.slots, comparison.stats.slots);
-    EXPECT_EQ(counting.stats.broadcasts, comparison.stats.broadcasts);
-    EXPECT_EQ(counting.stats.successes, comparison.stats.successes);
-    EXPECT_EQ(counting.stats.deliveries, comparison.stats.deliveries);
-    EXPECT_EQ(counting.stats.collision_events,
-              comparison.stats.collision_events);
-    EXPECT_EQ(counting.stats.idle_node_slots, comparison.stats.idle_node_slots);
-    EXPECT_EQ(counting.stats.total_message_words,
-              comparison.stats.total_message_words);
+    EXPECT_EQ(soa.done_at, aos.done_at);
+    EXPECT_EQ(soa.stats, aos.stats);
+    EXPECT_EQ(soa.activity, aos.activity);
+    EXPECT_EQ(soa.informed_slot, aos.informed_slot);
+    EXPECT_EQ(soa.parent, aos.parent);
+    ASSERT_EQ(soa.actions.size(), aos.actions.size());
+    for (std::size_t i = 0; i < soa.actions.size(); ++i)
+      ASSERT_EQ(soa.actions[i], aos.actions[i]) << "action " << i;
+    // The broadcast spread beyond the source, so feedback steered the run.
+    EXPECT_GT(soa.stats.deliveries, 0);
+  }
+}
 
-    ASSERT_EQ(counting.activity.size(), comparison.activity.size());
-    for (std::size_t u = 0; u < counting.activity.size(); ++u) {
-      const NodeActivity& a = counting.activity[u];
-      const NodeActivity& b = comparison.activity[u];
-      EXPECT_EQ(a.tx, b.tx) << "node " << u;
-      EXPECT_EQ(a.tx_success, b.tx_success) << "node " << u;
-      EXPECT_EQ(a.listen, b.listen) << "node " << u;
-      EXPECT_EQ(a.received, b.received) << "node " << u;
-      EXPECT_EQ(a.idle, b.idle) << "node " << u;
-    }
+// Offers random traffic and appends its id to a log every node shares,
+// once per on_feedback call.
+class FeedbackLogNode : public Protocol {
+ public:
+  FeedbackLogNode(NodeId id, int c, Rng rng, std::vector<NodeId>* log)
+      : id_(id), c_(c), rng_(rng), log_(log) {}
 
-    ASSERT_EQ(counting.actions.size(), comparison.actions.size());
-    for (std::size_t i = 0; i < counting.actions.size(); ++i) {
-      const ResolvedAction& a = counting.actions[i];
-      const ResolvedAction& b = comparison.actions[i];
-      EXPECT_EQ(a.node, b.node) << "action " << i;
-      EXPECT_EQ(a.mode, b.mode) << "action " << i;
-      EXPECT_EQ(a.channel, b.channel) << "action " << i;
-      EXPECT_EQ(a.tx_success, b.tx_success) << "action " << i;
+  Action on_slot(Slot) override {
+    const auto label = static_cast<LocalLabel>(
+        rng_.below(static_cast<std::uint64_t>(c_)));
+    return rng_.chance(0.5) ? Action::broadcast(label, data_msg(id_))
+                            : Action::listen(label);
+  }
+  void on_feedback(Slot, const SlotResult&) override { log_->push_back(id_); }
+  bool done() const override { return false; }
+
+ private:
+  NodeId id_;
+  int c_;
+  Rng rng_;
+  std::vector<NodeId>* log_;
+};
+
+// The feedback-order contract (DETERMINISM.md): every slot calls
+// on_feedback once per node in ascending node order, under every
+// collision model and on both layouts — AllDelivered listeners included.
+TEST(Network, FeedbackRunsInAscendingNodeOrder) {
+  const int n = 24, c = 4, k = 2;
+  std::vector<NodeId> ascending;
+  for (NodeId u = 0; u < n; ++u) ascending.push_back(u);
+  for (const CollisionModel model :
+       {CollisionModel::OneWinner, CollisionModel::AllDelivered,
+        CollisionModel::CollisionLoss}) {
+    for (const EngineLayout layout : {EngineLayout::SoA, EngineLayout::AoS}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "model " << static_cast<int>(model) << ", "
+                   << (layout == EngineLayout::SoA ? "soa" : "aos"));
+      SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
+                                      Rng(61));
+      std::vector<NodeId> log;
+      Rng seeder(62);
+      std::vector<std::unique_ptr<FeedbackLogNode>> nodes;
+      std::vector<Protocol*> protocols;
+      for (NodeId u = 0; u < n; ++u) {
+        nodes.push_back(std::make_unique<FeedbackLogNode>(
+            u, c, seeder.split(static_cast<std::uint64_t>(u)), &log));
+        protocols.push_back(nodes.back().get());
+      }
+      NetworkOptions opt;
+      opt.layout = layout;
+      opt.collision = model;
+      opt.seed = 63;
+      Network net(assignment, protocols, opt);
+      for (Slot slot = 1; slot <= 16; ++slot) {
+        log.clear();
+        net.step();
+        ASSERT_EQ(log, ascending) << "slot " << slot;
+      }
+      EXPECT_GT(net.stats().deliveries, 0);
     }
   }
 }

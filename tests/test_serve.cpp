@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/loadgen.h"
@@ -420,25 +421,32 @@ TEST(ServeDaemon, MalformedFramesEarnErrorsThenHangup) {
 }
 
 TEST(ServeDaemon, SubmitCarryingShardsEarnsAnErrorNamingTheKey) {
-  // The retired shard-count knob is not a job key: a client still sending
-  // it gets a typed error frame, not a silently ignored field.
+  // Retired knobs (the shard count, the engine layout) are not job keys:
+  // a client still sending one gets a typed error frame, not a silently
+  // ignored field.
   DaemonFixture daemon;
   Client client(daemon.port);
   ASSERT_TRUE(client.ok()) << client.error();
-  std::string frame = encode_request(make_submit(4, 9));
-  const std::string layout = "\"layout\":\"soa\"";
-  const std::size_t at = frame.find(layout);
+  const std::string frame = encode_request(make_submit(4, 9));
+  const std::string anchor = "\"pattern\":\"shared-core\"";
+  const std::size_t at = frame.find(anchor);
   ASSERT_NE(at, std::string::npos) << frame;
-  frame.insert(at + layout.size(), ",\"shards\":2");
-  ASSERT_TRUE(client.send_line(frame));
-  const auto response = client.next();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->type, "error");
-  const JsonValue* message = response->body.find("message");
-  ASSERT_NE(message, nullptr);
-  EXPECT_NE(message->as_string().find("unknown job key 'shards'"),
-            std::string::npos)
-      << message->as_string();
+  for (const auto& [key, member] :
+       {std::pair<std::string, std::string>{"shards", "\"shards\":2"},
+        {"layout", "\"layout\":\"soa\""}}) {
+    SCOPED_TRACE(key);
+    std::string retired = frame;
+    retired.insert(at + anchor.size(), "," + member);
+    ASSERT_TRUE(client.send_line(retired));
+    const auto response = client.next();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->type, "error");
+    const JsonValue* message = response->body.find("message");
+    ASSERT_NE(message, nullptr);
+    EXPECT_NE(message->as_string().find("unknown job key '" + key + "'"),
+              std::string::npos)
+        << message->as_string();
+  }
 }
 
 TEST(ServeDaemon, CancelAbortsAQueuedJob) {

@@ -65,8 +65,6 @@ int usage() {
       "usage: cograd <command> [--flags]\n"
       "\n"
       "commands:\n"
-      "  (every single-hop command also accepts --engine soa|aos — the\n"
-      "  slot-engine layout; both replay bit-for-bit)\n"
       "  broadcast  --n 32 --c 8 --k 2 [--pattern shared-core] [--trials 1]\n"
       "             [--supervise] [--deadline S] [--stall-window W]\n"
       "             [--max-restarts R]   (self-healing run supervisor)\n"
@@ -92,10 +90,9 @@ int usage() {
       "             [--trials 200]\n"
       "  record     --n 16 --c 6 --k 2   (dumps 'slot node mode channel ...')\n"
       "  check      [--trials 64] [--jobs J] [--trial T] [--repro-out FILE]\n"
-      "             [--shrink-budget 256]   (slot-invariant property sweep)\n"
-      "             [--engine soa|aos]  (layout of the primary run; every\n"
-      "             scenario also re-runs under the other layout and both\n"
-      "             must agree bit for bit)\n"
+      "             [--shrink-budget 256]   (slot-invariant property sweep;\n"
+      "             every scenario also re-runs on the AoS reference\n"
+      "             engine and both must agree bit for bit)\n"
       "             [--faults]   (fuzz FaultEngine schedules; fails unless\n"
       "             every fault kind was exercised at least once)\n"
       "             [--testonly-mutation deaf-hears|mute-transmits|\n"
@@ -128,8 +125,7 @@ int usage() {
       "             [--shutdown]   (send a shutdown frame afterwards)\n"
       "             [--kind cogcast|cogcomp] [job flags: --n --c --k\n"
       "             --pattern --seed --op --unmediated --deadline\n"
-      "             --stall-window --max-restarts --max-deadline\n"
-      "             --engine]\n"
+      "             --stall-window --max-restarts --max-deadline]\n"
       "\n"
       "common: --seed S (default 1), --pattern shared-core|partitioned|\n"
       "        pigeonhole|identity|dynamic-shared-core|dynamic-pigeonhole");
@@ -141,7 +137,6 @@ struct Common {
   std::string pattern;
   std::uint64_t seed;
   int trials;
-  EngineLayout layout;
 };
 
 Common read_common(CliArgs& args) {
@@ -152,16 +147,7 @@ Common read_common(CliArgs& args) {
   common.pattern = args.get_string("pattern", "shared-core");
   common.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   common.trials = static_cast<int>(args.get_int("trials", 1));
-  common.layout = args.get_engine();
   return common;
-}
-
-// Single-hop engine options carrying the --engine layout; both layouts
-// replay bit-for-bit, so this only changes the execution speed.
-NetworkOptions common_net(const Common& common) {
-  NetworkOptions net;
-  net.layout = common.layout;
-  return net;
 }
 
 // Self-healing supervision flags shared by broadcast and aggregate. A
@@ -278,7 +264,6 @@ int cmd_broadcast(CliArgs& args) {
   if (supervise) {
     CogCastRunConfig config;
     config.params = {common.n, common.c, common.k, 4.0};
-    config.net = common_net(common);
     if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
       supervisor.deadline = 8 * config.params.horizon();
     Rng seeder(common.seed);
@@ -319,7 +304,6 @@ int cmd_broadcast(CliArgs& args) {
                                       Rng(seeder()));
     CogCastRunConfig config;
     config.params = {common.n, common.c, common.k, 4.0};
-    config.net = common_net(common);
     config.seed = seeder();
     const auto out = run_cogcast(*assignment, config);
     if (!out.completed) {
@@ -359,7 +343,6 @@ int cmd_aggregate(CliArgs& args) {
     CogCompRunConfig config;
     config.params = {common.n, common.c, common.k, 4.0};
     config.params.mediated = !unmediated;
-    config.net = common_net(common);
     config.op = op;
     if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
       supervisor.deadline = config.params.max_slots() + 16;
@@ -407,7 +390,6 @@ int cmd_aggregate(CliArgs& args) {
     CogCompRunConfig config;
     config.params = {common.n, common.c, common.k, 4.0};
     config.params.mediated = !unmediated;
-    config.net = common_net(common);
     config.seed = seeder();
     config.op = op;
     const auto values = make_values(common.n, seeder());
@@ -447,7 +429,7 @@ int cmd_consensus(CliArgs& args) {
         seeder.split(static_cast<std::uint64_t>(u))));
     protocols.push_back(nodes.back().get());
   }
-  Network network(*assignment, protocols, common_net(common));
+  Network network(*assignment, protocols);
   const Slot slots = network.run(params.max_slots());
   bool agree = true;
   for (const auto& node : nodes)
@@ -467,7 +449,6 @@ int cmd_gossip(CliArgs& args) {
   const auto values = make_values(common.n, common.seed);
   GossipConfig config;
   config.seed = common.seed + 1;
-  config.net = common_net(common);
   const auto out = run_gossip(*assignment, values, config);
   std::printf("gossip: %s in %lld slots (n=%d rumors everywhere)\n",
               out.completed ? "complete" : "INCOMPLETE",
@@ -479,12 +460,6 @@ int cmd_multihop(CliArgs& args) {
   const Common common = read_common(args);
   const std::string shape = args.get_string("topology", "grid");
   args.finish();
-  // The graph engine has a single implementation; the shared --engine flag
-  // parses but cannot change anything here — say so instead of ignoring.
-  if (common.layout != EngineLayout::SoA)
-    std::fprintf(stderr,
-                 "note: multihop runs on MultihopNetwork; --engine has no "
-                 "effect\n");
   Topology topo = shape == "line"   ? Topology::line(common.n)
                   : shape == "ring" ? Topology::ring(common.n)
                   : shape == "grid"
@@ -556,7 +531,7 @@ int cmd_record(CliArgs& args) {
         seeder.split(static_cast<std::uint64_t>(u))));
     protocols.push_back(nodes.back().get());
   }
-  Network network(assignment, protocols, common_net(common));
+  Network network(assignment, protocols);
   recorder.attach(network);
   network.run(100'000);
   std::fputs(recorder.serialize().c_str(), stdout);
@@ -597,7 +572,6 @@ int cmd_check(CliArgs& args) {
   const std::string mutation_name =
       args.get_string("testonly-mutation", "none");
   const std::string fault_log_out = args.get_string("fault-log-out", "");
-  const EngineLayout layout = args.get_engine();
   const int jobs = args.get_jobs();
   args.finish();
 
@@ -618,7 +592,6 @@ int cmd_check(CliArgs& args) {
   CheckOptions options;
   options.mutation = mutation;
   options.injections = with_faults ? &injections : nullptr;
-  options.layout = layout;
   options.resume_skew = resume_skew;
   const Property prop = [&options](const Scenario& scn) {
     return check_scenario(scn, options);
@@ -968,7 +941,6 @@ JobSpec read_job_spec(CliArgs& args) {
   job.c = static_cast<int>(args.get_int("c", 6));
   job.k = static_cast<int>(args.get_int("k", 2));
   job.pattern = args.get_string("pattern", "shared-core");
-  job.layout = args.get_engine();
   try {
     job.op = parse_agg_op(args.get_string("op", "sum"));
   } catch (const std::exception& e) {
