@@ -16,12 +16,12 @@ namespace lintdetail {
 namespace {
 
 const char* const kSerializationHeaders[] = {
-    "sim/types.h",          "sim/trace.h",        "sim/message.h",
-    "sim/protocol.h",       "sim/network.h",      "sim/backoff.h",
-    "sim/recorder.h",       "sim/fault_engine.h", "sim/channel_bitmap.h",
-    "sim/agg_payload.h",    "util/bench_report.h", "serve/job.h",
-    "serve/protocol.h",     "serve/server.h",     "serve/loadgen.h",
-    "sim/checkpoint.h",     "serve/journal.h",    "serve/crashtest.h",
+    "sim/types.h",          "sim/trace.h",         "sim/message.h",
+    "sim/protocol.h",       "sim/network.h",       "sim/backoff.h",
+    "sim/recorder.h",       "sim/fault_engine.h",  "sim/agg_payload.h",
+    "util/bench_report.h",  "serve/job.h",         "serve/protocol.h",
+    "serve/server.h",       "serve/loadgen.h",     "sim/checkpoint.h",
+    "serve/journal.h",      "serve/crashtest.h",
 };
 
 bool in_r5_scope(const std::string& rel_path) {

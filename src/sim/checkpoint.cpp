@@ -255,26 +255,6 @@ TraceStats load_trace_stats(CheckpointReader& r) {
   return stats;
 }
 
-void save_node_activity(CheckpointWriter& w, const NodeActivity& activity) {
-  w.i64(activity.tx);
-  w.i64(activity.tx_success);
-  w.i64(activity.listen);
-  w.i64(activity.received);
-  w.i64(activity.idle);
-  w.i64(activity.jammed);
-}
-
-NodeActivity load_node_activity(CheckpointReader& r) {
-  NodeActivity a;
-  a.tx = r.i64();
-  a.tx_success = r.i64();
-  a.listen = r.i64();
-  a.received = r.i64();
-  a.idle = r.i64();
-  a.jammed = r.i64();
-  return a;
-}
-
 void save_message(CheckpointWriter& w, const Message& msg) {
   w.u8(static_cast<std::uint8_t>(msg.type));
   w.i64(msg.sender);

@@ -127,9 +127,6 @@ std::string load_checkpoint_file(const std::string& path);
 void save_trace_stats(CheckpointWriter& w, const TraceStats& stats);
 TraceStats load_trace_stats(CheckpointReader& r);
 
-void save_node_activity(CheckpointWriter& w, const NodeActivity& activity);
-NodeActivity load_node_activity(CheckpointReader& r);
-
 void save_message(CheckpointWriter& w, const Message& msg);
 Message load_message(CheckpointReader& r);
 

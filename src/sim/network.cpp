@@ -12,89 +12,33 @@ namespace cogradio {
 
 namespace {
 
-// Dense group view over one channel's bitmap rows: node ids are bit
-// positions, so every enumeration below is ascending by construction —
-// the same stable order the sparse view (and the AoS reference) produce.
-struct DenseGroup {
-  const std::uint64_t* tuned;
-  const std::uint64_t* bcast;
-  std::size_t words;
+// How many nodes ahead of the one being worked on the SoA gather and
+// resolve walks request their lines; the gather's label-table stage runs
+// this far ahead, its first stage twice as far.
+constexpr std::size_t kPrefetchAhead = 16;
+// The walks prefetch only from this many nodes up. A node's SoA state and
+// label row take ~120 B at c = 16, so below ~2^14 nodes they stay cache
+// resident and the requests only cost instructions: paper_sweep's shapes
+// (n <= 512) ran ~10% slower with them.
+constexpr int kPrefetchMinNodes = 1 << 14;
 
-  int bcount() const {
-    int count = 0;
-    for (std::size_t w = 0; w < words; ++w) count += std::popcount(bcast[w]);
-    return count;
-  }
+// Requests the cache line(s) of `record` ahead of its use. Always inlined:
+// GCC deems an out-of-line function holding only prefetches free of side
+// effects and deletes its calls.
+template <typename T>
+[[gnu::always_inline]] inline void prefetch_record(const T& record) {
+  const auto* first = reinterpret_cast<const char*>(&record);
+  __builtin_prefetch(first, 1);
+  __builtin_prefetch(first + sizeof(T) - 1, 1);
+}
 
-  // The k-th broadcaster in ascending node order: prefix-popcount walk to
-  // the right word, then k bit-clears within it.
-  int nth_broadcaster(int k) const {
-    for (std::size_t w = 0; w < words; ++w) {
-      const int pc = std::popcount(bcast[w]);
-      if (k < pc) {
-        std::uint64_t word = bcast[w];
-        while (k-- > 0) word &= word - 1;
-        return static_cast<int>(w * 64) + std::countr_zero(word);
-      }
-      k -= pc;
-    }
-    assert(false && "nth_broadcaster out of range");
-    return -1;
-  }
-
-  template <typename Fn>
-  void for_each_broadcaster(Fn&& fn) const {
-    scan(bcast, nullptr, fn);
-  }
-  template <typename Fn>
-  void for_each_listener(Fn&& fn) const {
-    scan(tuned, bcast, fn);  // tuned & ~bcast
-  }
-  template <typename Fn>
-  void for_each_broadcaster_except(int skip, Fn&& fn) const {
-    scan(bcast, nullptr, [&](int idx) {
-      if (idx != skip) fn(idx);
-    });
-  }
-
- private:
-  template <typename Fn>
-  void scan(const std::uint64_t* rows, const std::uint64_t* minus,
-            Fn&& fn) const {
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t word = minus != nullptr ? rows[w] & ~minus[w] : rows[w];
-      while (word != 0) {
-        fn(static_cast<int>(w * 64) + std::countr_zero(word));
-        word &= word - 1;
-      }
-    }
-  }
-};
-
-// Sparse group view over the counting-sort partition scratch; both lists
-// are already ascending by node id (stable scatter).
-struct SparseGroup {
-  const std::vector<int>& broadcasters;
-  const std::vector<int>& listeners;
-
-  int bcount() const { return static_cast<int>(broadcasters.size()); }
-  int nth_broadcaster(int k) const {
-    return broadcasters[static_cast<std::size_t>(k)];
-  }
-  template <typename Fn>
-  void for_each_broadcaster(Fn&& fn) const {
-    for (int b : broadcasters) fn(b);
-  }
-  template <typename Fn>
-  void for_each_listener(Fn&& fn) const {
-    for (int l : listeners) fn(l);
-  }
-  template <typename Fn>
-  void for_each_broadcaster_except(int skip, Fn&& fn) const {
-    for (int b : broadcasters)
-      if (b != skip) fn(b);
-  }
-};
+// Calls fn(index) for every set bit of `words`, in ascending order.
+template <typename Fn>
+void for_each_set_bit(std::span<const std::uint64_t> words, Fn&& fn) {
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::uint64_t word = words[w]; word != 0; word &= word - 1)
+      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+}
 
 }  // namespace
 
@@ -187,15 +131,6 @@ Network::Network(ChannelAssignment& assignment, BatchClient& client,
   init_scratch();
 }
 
-bool Network::batch_dense_slot(std::size_t active) const {
-  const std::size_t channels = channel_bucket_.size() - 1;
-  // Rough op counts: the bitmap pass scans and clears up to
-  // min(channels, active) rows of words() words; the counting sort runs
-  // two passes over the active list plus the bucket array.
-  return dense_ && std::min(channels, active) * bitmaps_.words() * 4 <=
-                       2 * active + 2 * channels;
-}
-
 void Network::set_jammer(Jammer* jammer) {
   jammer_ = jammer;
   if (jammer_ != nullptr) used_channel_.resize(static_cast<std::size_t>(n_));
@@ -212,11 +147,8 @@ void Network::init_scratch() {
   // is sized only for the client, layout or attachment that reads it (the
   // jammer's and observer's arrays are sized when they attach).
   const auto n = static_cast<std::size_t>(n_);
-  const int total = assignment_.total_channels();
-  order_.reserve(n);
-  broadcasters_.reserve(n);
-  listeners_.reserve(n);
-  channel_bucket_.resize(static_cast<std::size_t>(total) + 1);
+  const auto total = static_cast<std::size_t>(assignment_.total_channels());
+  channel_bucket_.resize(total + 1);
   // At most one message lands per OneWinner/CollisionLoss channel and one
   // per broadcaster under AllDelivered, so n entries always suffice.
   batch_msgs_.reserve(n);
@@ -224,6 +156,9 @@ void Network::init_scratch() {
     resolved_.resize(n);  // the AoS path resolves into it every slot
     messages_.resize(n);
     received_.resize(n);
+    order_.reserve(n);
+    broadcasters_.reserve(n);
+    listeners_.reserve(n);
     return;
   }
 
@@ -233,9 +168,6 @@ void Network::init_scratch() {
   soa_mode_.assign(n, Mode::Idle);
   soa_flags_.assign(n, std::uint8_t{0});
   soa_fault_.assign(n, std::uint8_t{0});
-  soa_chan_.assign(n, kNoChannel);
-  dense_ = ChannelBitmaps::affordable(total, n_);
-  if (dense_) bitmaps_.resize(total, n_);
   if (!assignment_.is_dynamic() && assignment_.table().empty()) {
     // Static assignment that lends no table: snapshot its label ->
     // physical-channel map once, replacing a virtual call per
@@ -252,6 +184,9 @@ void Network::init_scratch() {
   soa_rx_off_.resize(n);
   soa_rx_cnt_.resize(n);
   soa_active_.reserve(n);
+  soa_key_.reserve(n);
+  order_.reserve(n + 1);  // the channel runs, the jammed run, one trash entry
+  touched_.resize((total + 63) / 64);
 }
 
 bool Network::all_done() const { return batch_->done(); }
@@ -286,36 +221,44 @@ void Network::group_by_channel() {
   }
 }
 
-void Network::group_by_channel_soa_active() {
-  // Counting sort over the active list instead of the full fleet:
-  // soa_active_ is ascending, so the stable scatter still emits ascending
-  // node ids inside each channel group and the resolution order (hence
-  // the RNG draw order) is identical to the dense rows and the AoS
-  // reference. Cost is O(active + C), which is what lets a mostly-idle
-  // slot finish in time proportional to the nodes that actually acted.
-  std::fill(channel_bucket_.begin(), channel_bucket_.end(), 0);
-  std::size_t participants = 0;
-  for (const std::int32_t node : soa_active_) {
-    const auto i = static_cast<std::size_t>(node);
-    if (soa_flags_[i] & slotflag::kJammed) continue;
-    assert(soa_chan_[i] >= 0 &&
-           static_cast<std::size_t>(soa_chan_[i]) + 1 < channel_bucket_.size());
-    ++channel_bucket_[static_cast<std::size_t>(soa_chan_[i])];
-    ++participants;
-  }
-  order_.resize(participants);
+void Network::group_by_key_soa() {
+  // The gather has already counted every key into its channel's bucket
+  // (the jammed ones into bucket C, past the last channel) and marked each
+  // channel in touched_. Only touched channels are visited from here on,
+  // so a slot costs O(active + C/64) however large the channel space.
+  int* const bucket = channel_bucket_.data();
   int offset = 0;
-  for (int& bucket : channel_bucket_) {
-    const int count = bucket;
-    bucket = offset;
+  for_each_set_bit(touched_, [&](std::size_t ch) {
+    const int count = bucket[ch];
+    bucket[ch] = offset;
     offset += count;
+  });
+  const std::size_t jammed_bucket = channel_bucket_.size() - 1;
+  const int jammed = bucket[jammed_bucket];
+  bucket[jammed_bucket] = offset;
+  // Scatter broadcasters (role 0), then listeners (role 1). soa_active_ is
+  // ascending, so each stable pass emits ascending node ids and the
+  // resolution order (hence the RNG draw order) matches the AoS reference.
+  // A key of the other role is written to a trash entry past the jammed
+  // run instead of branching: roles are random, so a branch would miss
+  // half the time. Broadcasters are stored bit-flipped (~node < 0), which
+  // lets the resolve walk find where each run's broadcasters end.
+  const auto trash = static_cast<std::size_t>(offset + jammed);
+  order_.resize(trash + 1);
+  const std::int32_t* const active = soa_active_.data();
+  for (const std::uint32_t role : {0u, 1u}) {
+    const std::int32_t flip = role == 0 ? -1 : 0;
+    for (std::size_t a = 0; a < soa_key_.size(); ++a) {
+      const std::uint32_t key = soa_key_[a];
+      const std::size_t take = 1u ^ ((key ^ role) & 1u);  // role matches
+      int& cursor = bucket[key >> 1];
+      const auto at = static_cast<std::size_t>(cursor);
+      order_[trash ^ ((trash ^ at) & (0 - take))] = active[a] ^ flip;
+      cursor = static_cast<int>(at + take);
+    }
   }
-  for (const std::int32_t node : soa_active_) {
-    const auto i = static_cast<std::size_t>(node);
-    if (soa_flags_[i] & slotflag::kJammed) continue;
-    order_[static_cast<std::size_t>(
-        channel_bucket_[static_cast<std::size_t>(soa_chan_[i])]++)] = node;
-  }
+  bucket[jammed_bucket] = 0;
+  order_.resize(static_cast<std::size_t>(offset));  // the channel runs
 }
 
 void Network::step() {
@@ -575,7 +518,7 @@ void Network::step_aos() {
   for (std::size_t i = 0; i < n; ++i) {
     const ResolvedAction& r = resolved_[i];
     if (r.mode == Mode::Idle) continue;
-    NodeActivity& act = activity_[i];
+    Activity& act = activity_[i];
     if (r.jammed) {
       ++act.jammed;
     } else if (r.mode == Mode::Broadcast) {
@@ -594,20 +537,25 @@ void Network::step_aos() {
   if (observer_) observer_(slot, resolved_);
 }
 
-// The shared SoA per-channel resolution core. Coin discipline (identical
-// to step_aos, enumerated in DETERMINISM.md): per contended OneWinner
-// channel the winner coin (or the emulated-backoff draws) comes first,
-// then one fade coin per live receiver — listeners in ascending node
-// order, then failed broadcasters in ascending node order; no coin is
-// spent on rx-dead receivers or when loss_prob is zero. Channels resolve
-// in ascending physical order, so the whole draw sequence is a function
-// of the slot's action set alone, never of the grouping mechanism.
-template <typename Group>
-void Network::resolve_group_soa(const Slot slot, const Group& group) {
-  const int bcount = group.bcount();
+// The SoA per-channel resolution core. Coin discipline (identical to
+// step_aos, enumerated in DETERMINISM.md): per contended OneWinner channel
+// the winner coin (or the emulated-backoff draws) comes first, then one
+// fade coin per live receiver — listeners in ascending node order, then
+// failed broadcasters in ascending node order; no coin is spent on rx-dead
+// receivers or when loss_prob is zero. Channels resolve in ascending
+// physical order, so the whole draw sequence is a function of the slot's
+// action set alone.
+void Network::resolve_group_soa(const Slot slot,
+                                const std::span<const int> broadcasters,
+                                const std::span<const int> listeners) {
+  const auto bcount = static_cast<std::int32_t>(broadcasters.size());
   if (bcount >= 2) ++stats_.collision_events;
 
+  // soa_fault_ is all zero without a fault engine (the scrub slot after a
+  // detach included), so only an attached one makes its bytes worth a load.
+  const bool faults = fault_engine_ != nullptr;
   auto rx_dead = [&](int idx) {
+    if (!faults) return false;
     const std::uint8_t f = soa_fault_[static_cast<std::size_t>(idx)];
     if (!(f & faultflag::kRxDead)) return false;
     if (options_.testonly_fault_mutation == TestonlyFaultMutation::DeafHears &&
@@ -621,7 +569,7 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
   // reachable only under the ChurnActs mutation, where the client's own
   // action stands).
   auto source = [&](int idx) {
-    const std::uint8_t f = soa_fault_[static_cast<std::size_t>(idx)];
+    const std::uint8_t f = faults ? soa_fault_[static_cast<std::size_t>(idx)] : 0;
     Message msg = (!(f & faultflag::kChurnedOut) && (f & faultflag::kBabble))
                       ? Message{}
                       : batch_->source_message(slot, static_cast<NodeId>(idx));
@@ -644,6 +592,24 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
     activity_[static_cast<std::size_t>(idx)].received += count;
     stats_.deliveries += count;
   };
+  // Visits `nodes` (a run of order_) in order, warming the receive-side
+  // lines of the node kPrefetchAhead entries further along order_; runs
+  // not yet resolved still hold their broadcasters bit-flipped.
+  const bool prefetch = n_ >= kPrefetchMinNodes;
+  auto each = [&](std::span<const int> nodes, auto&& fn) {
+    for (const int& node : nodes) {
+      const auto ahead =
+          static_cast<std::size_t>(&node - order_.data()) + kPrefetchAhead;
+      if (prefetch && ahead < order_.size()) {
+        const int entry = order_[ahead];
+        const auto i = static_cast<std::size_t>(entry < 0 ? ~entry : entry);
+        __builtin_prefetch(&soa_rx_off_[i], 1);
+        __builtin_prefetch(&soa_rx_cnt_[i], 1);
+        prefetch_record(activity_[i]);
+      }
+      fn(node);
+    }
+  };
 
   switch (options_.collision) {
     case CollisionModel::OneWinner: {
@@ -661,11 +627,11 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
       } else {
         pick = rng_.below(static_cast<std::uint64_t>(bcount));
       }
-      const int winner = group.nth_broadcaster(static_cast<int>(pick));
+      const int winner = broadcasters[pick];
       mark_success(winner);
       const std::int32_t woff = source(winner);
       if (options_.testonly_duplicate_winner && bcount >= 2)
-        mark_success(group.nth_broadcaster(pick == 0 ? 1 : 0));
+        mark_success(broadcasters[pick == 0 ? 1 : 0]);
       auto deliver = [&](int idx) {
         if (rx_dead(idx)) {
           ++stats_.suppressed_deliveries;
@@ -675,19 +641,21 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
           return;  // faded
         deliver_to(idx, woff, 1);
       };
-      group.for_each_listener(deliver);
+      each(listeners, deliver);
       // Failed broadcasters also receive the winning message (Section 2).
-      group.for_each_broadcaster_except(winner, deliver);
+      each(broadcasters, [&](int b) {
+        if (b != winner) deliver(b);
+      });
       break;
     }
     case CollisionModel::AllDelivered: {
       if (bcount == 0) break;
       const auto start = static_cast<std::int32_t>(batch_msgs_.size());
-      group.for_each_broadcaster([&](int b) {
+      each(broadcasters, [&](int b) {
         mark_success(b);
         source(b);
       });
-      group.for_each_listener([&](int l) {
+      each(listeners, [&](int l) {
         if (rx_dead(l)) {
           stats_.suppressed_deliveries += bcount;
           return;
@@ -698,10 +666,10 @@ void Network::resolve_group_soa(const Slot slot, const Group& group) {
     }
     case CollisionModel::CollisionLoss: {
       if (bcount != 1) break;
-      const int winner = group.nth_broadcaster(0);
+      const int winner = broadcasters.front();
       mark_success(winner);
       const std::int32_t woff = source(winner);
-      group.for_each_listener([&](int l) {
+      each(listeners, [&](int l) {
         if (rx_dead(l)) {
           ++stats_.suppressed_deliveries;
           return;
@@ -737,7 +705,6 @@ void Network::step_soa() {
   if (fault_engine_ != nullptr || soa_fault_dirty_) {
     std::fill(soa_mode_.begin(), soa_mode_.end(), Mode::Idle);
     std::fill(soa_flags_.begin(), soa_flags_.end(), std::uint8_t{0});
-    std::fill(soa_chan_.begin(), soa_chan_.end(), kNoChannel);
     std::fill(soa_rx_cnt_.begin(), soa_rx_cnt_.end(), 0);
     std::fill(soa_fault_.begin(), soa_fault_.end(), std::uint8_t{0});
     soa_fault_dirty_ = fault_engine_ != nullptr;
@@ -746,7 +713,6 @@ void Network::step_soa() {
       const auto idx = static_cast<std::size_t>(node);
       soa_mode_[idx] = Mode::Idle;
       soa_flags_[idx] = 0;
-      soa_chan_[idx] = kNoChannel;
       soa_rx_cnt_[idx] = 0;
     }
   }
@@ -760,70 +726,41 @@ void Network::step_soa() {
   if (labels.empty()) labels = flat_map_;
   const bool snap = !labels.empty();
   const auto cpn = static_cast<std::size_t>(assignment_.channels_per_node());
-
-  // The slot's grouping, dense bitmap rows or a counting sort of the
-  // active list: the rows cost word scans proportional to touched-channels
-  // * words no matter how few nodes act, so a sparse slot counting-sorts
-  // instead. It is picked before collect, from the previous slot's active
-  // count, so collect can fill the rows as it goes; activity rarely jumps
-  // between consecutive slots, and a wrong guess costs time, never results
-  // (both groupings emit the same channel-ascending, node-ascending
-  // stream, so the RNG draw order is the same).
-  const bool dense_slot = batch_dense_slot(soa_active_.size());
-
-  // 1. Collect the client's actions into the flat arrays, listing the
-  //    slot's non-idle nodes so every later pass is O(active); the idle
-  //    tally lands in the stats in one add. Per active node: by the
-  //    all-idle invariant its flag byte is clear (or holds only the
-  //    blank-feedback mark) and its mode byte holds the final action, so
-  //    only the channel, the jam verdict and (on a dense slot) its bitmap
-  //    bits need storing. The node's duty-cycle ledger is booked here
-  //    (jammed, tx or listen) and in resolve_group_soa (tx_success,
-  //    received); idle slots are derived on read, see activity().
-  soa_active_.clear();
-  auto collect_active = [&](std::size_t i) {
-    soa_active_.push_back(static_cast<std::int32_t>(i));
-    const LocalLabel label = soa_label_[i];
+  auto channel_of = [&](std::size_t i, LocalLabel label) {
     assert(label >= 0 && static_cast<std::size_t>(label) < cpn);
-    const Channel ch =
-        snap ? labels[i * cpn + static_cast<std::size_t>(label)]
-             : assignment_.global_channel(static_cast<NodeId>(i), label);
-    soa_chan_[i] = ch;
-    NodeActivity& act = activity_[i];
-    if (jammer_ != nullptr) {
-      used_channel_[i] = ch;
-      if (jammer_->is_jammed(static_cast<NodeId>(i), ch)) {
-        soa_flags_[i] |= slotflag::kJammed;
-        ++stats_.jammed_node_slots;
-        ++act.jammed;
-        return;
-      }
-    }
-    const bool tx = soa_mode_[i] == Mode::Broadcast;
-    stats_.broadcasts += tx;
-    act.tx += tx;
-    act.listen += !tx;
-    if (dense_slot) bitmaps_.add(ch, static_cast<int>(i), tx);
+    return snap ? labels[i * cpn + static_cast<std::size_t>(label)]
+                : assignment_.global_channel(static_cast<NodeId>(i), label);
   };
+
+  // 1. Scan: list the slot's non-idle nodes, ascending, so every later
+  //    pass is O(active); the idle tally lands in the stats in one add.
+  soa_active_.clear();
   if (fault_engine_ == nullptr) {
     // With no fault engine nothing can reactivate an idle node, so scan
     // the mode array a word (eight nodes) at a time and drop to per-node
     // work only where the client wrote a non-idle action. A mostly-idle
     // fleet costs ~n/8 word compares here.
     static_assert(static_cast<unsigned char>(Mode::Idle) == 2);
+    static_assert(std::endian::native == std::endian::little);
     constexpr std::uint64_t kAllIdle = 0x0202020202020202ULL;
+    constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
     const auto* mode_bytes =
         reinterpret_cast<const unsigned char*>(soa_mode_.data());
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
       std::uint64_t word;
       std::memcpy(&word, mode_bytes + i, 8);
-      if (word == kAllIdle) continue;
-      for (std::size_t j = i; j < i + 8; ++j)
-        if (soa_mode_[j] != Mode::Idle) collect_active(j);
+      const std::uint64_t diff = word ^ kAllIdle;
+      if (diff == 0) continue;
+      // The high bit of each byte that differs from Idle, one per node.
+      for (std::uint64_t hits = (((diff & kLow7) + kLow7) | diff) & ~kLow7;
+           hits != 0; hits &= hits - 1)
+        soa_active_.push_back(static_cast<std::int32_t>(
+            i + static_cast<std::size_t>(std::countr_zero(hits)) / 8));
     }
     for (; i < n; ++i)
-      if (soa_mode_[i] != Mode::Idle) collect_active(i);
+      if (soa_mode_[i] != Mode::Idle)
+        soa_active_.push_back(static_cast<std::int32_t>(i));
   } else {
     // Fault overrides and their accounting, byte-for-byte the AoS rules.
     // A fault can act on any node (a babbling radio transmits whatever its
@@ -867,42 +804,86 @@ void Network::step_soa() {
           soa_flags_[i] = slotflag::kFeedbackBlank;
         }
       }
-      if (soa_mode_[i] != Mode::Idle) collect_active(i);
+      if (soa_mode_[i] != Mode::Idle)
+        soa_active_.push_back(static_cast<std::int32_t>(i));
     }
   }
-  stats_.idle_node_slots += static_cast<std::int64_t>(n - soa_active_.size());
+  const std::size_t active = soa_active_.size();
+  stats_.idle_node_slots += static_cast<std::int64_t>(n - active);
 
-  // 2+3. Group and resolve, channel by channel in ascending order.
-  if (dense_slot) {
-    bitmaps_.consume_touched([&](Channel ch) {
-      const DenseGroup group{bitmaps_.tuned_row(ch), bitmaps_.bcast_row(ch),
-                             bitmaps_.words()};
-      resolve_group_soa(slot, group);
-      // Restore the rows-are-zero invariant for the next slot; the words
-      // are cache-hot from the scans above.
-      std::fill_n(bitmaps_.tuned_row(ch), bitmaps_.words(), std::uint64_t{0});
-      std::fill_n(bitmaps_.bcast_row(ch), bitmaps_.words(), std::uint64_t{0});
-    });
-  } else {
-    group_by_channel_soa_active();
-    for (std::size_t begin = 0; begin < order_.size();) {
-      std::size_t end = begin;
-      const Channel ch = soa_chan_[static_cast<std::size_t>(order_[begin])];
-      while (end < order_.size() &&
-             soa_chan_[static_cast<std::size_t>(order_[end])] == ch)
-        ++end;
-      broadcasters_.clear();
-      listeners_.clear();
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto idx = static_cast<std::size_t>(order_[i]);
-        (soa_mode_[idx] == Mode::Broadcast ? broadcasters_ : listeners_)
-            .push_back(order_[i]);
-      }
-      const SparseGroup group{broadcasters_, listeners_};
-      resolve_group_soa(slot, group);
-      begin = end;
+  // 2. Gather: book each active node, write its grouping key and count
+  //    the key into its channel's bucket, where the work overlaps the
+  //    misses (group_by_key_soa finishes the sort). By the all-idle
+  //    invariant the node's flag byte is clear (or holds only the
+  //    blank-feedback mark) and its mode byte holds the final action, so
+  //    only a jam verdict is stored per node. The duty-cycle ledger is
+  //    booked here (jammed, tx or listen) and in resolve_group_soa
+  //    (tx_success, received); idle slots are derived on read, see
+  //    activity(). At fleet scale the active nodes are too sparse for the
+  //    hardware prefetcher, so each node's lines are requested ahead: its
+  //    label and mode first, then the label-table entry they select and
+  //    its ledger record.
+  const std::uint32_t jammed_key =
+      (static_cast<std::uint32_t>(channel_bucket_.size() - 1) << 1) | 1u;
+  std::int64_t broadcasts = 0;
+  const bool prefetch = n_ >= kPrefetchMinNodes;
+  soa_key_.resize(active);
+  for (std::size_t a = 0; a < active; ++a) {
+    if (prefetch && a + 2 * kPrefetchAhead < active) {
+      const auto j = static_cast<std::size_t>(soa_active_[a + 2 * kPrefetchAhead]);
+      __builtin_prefetch(&soa_label_[j]);
+      __builtin_prefetch(&soa_mode_[j]);
     }
+    if (prefetch && a + kPrefetchAhead < active) {
+      const auto j = static_cast<std::size_t>(soa_active_[a + kPrefetchAhead]);
+      if (snap)
+        __builtin_prefetch(labels.data() + j * cpn +
+                           static_cast<std::size_t>(soa_label_[j]));
+      prefetch_record(activity_[j]);
+    }
+    const auto i = static_cast<std::size_t>(soa_active_[a]);
+    const Channel ch = channel_of(i, soa_label_[i]);
+    Activity& act = activity_[i];
+    if (jammer_ != nullptr) {
+      used_channel_[i] = ch;
+      if (jammer_->is_jammed(static_cast<NodeId>(i), ch)) {
+        soa_flags_[i] |= slotflag::kJammed;
+        ++stats_.jammed_node_slots;
+        ++act.jammed;
+        soa_key_[a] = jammed_key;
+        ++channel_bucket_[jammed_key >> 1];
+        continue;
+      }
+    }
+    const bool tx = soa_mode_[i] == Mode::Broadcast;
+    broadcasts += tx;
+    act.tx += tx;
+    act.listen += !tx;
+    const auto c = static_cast<std::uint32_t>(ch);
+    soa_key_[a] = (c << 1) | (tx ? 0u : 1u);
+    if (channel_bucket_[c]++ == 0)
+      touched_[c >> 6] |= std::uint64_t{1} << (c & 63u);
   }
+  stats_.broadcasts += broadcasts;
+
+  // 3. Group, then resolve channel by channel in ascending order. Each
+  //    run of order_ ends at its bucket; its leading bit-flipped entries
+  //    are its broadcasters, restored as the walk finds them. The walk
+  //    returns every bucket and touched bit it visits to zero.
+  group_by_key_soa();
+  const std::span<const int> runs(order_);
+  std::size_t start = 0;
+  for_each_set_bit(touched_, [&](std::size_t ch) {
+    touched_[ch >> 6] = 0;  // the walk already holds this word's bits
+    const auto end = static_cast<std::size_t>(channel_bucket_[ch]);
+    channel_bucket_[ch] = 0;
+    std::size_t split = start;
+    for (; split < end && order_[split] < 0; ++split)
+      order_[split] = ~order_[split];
+    resolve_group_soa(slot, runs.subspan(start, split - start),
+                      runs.subspan(split, end - split));
+    start = end;
+  });
 
   // 4. The client's feedback.
   BatchFeedback fb;
@@ -916,7 +897,9 @@ void Network::step_soa() {
   batch_->end_slot(fb);
 
   // 5. History to the jammer, observer, bookkeeping. The ResolvedAction
-  //    view is materialized from the flat arrays only when someone looks.
+  //    view is materialized from the flat arrays only when someone looks;
+  //    a non-idle node's channel comes from its label through the same
+  //    map the gather read.
   if (jammer_ != nullptr) jammer_->observe(slot, used_channel_);
   stats_.slots = slot;
   if (observer_) {
@@ -924,7 +907,8 @@ void Network::step_soa() {
       ResolvedAction& r = resolved_[i];
       r.node = static_cast<NodeId>(i);
       r.mode = soa_mode_[i];
-      r.channel = soa_chan_[i];
+      r.channel =
+          r.mode == Mode::Idle ? kNoChannel : channel_of(i, soa_label_[i]);
       r.jammed = (soa_flags_[i] & slotflag::kJammed) != 0;
       r.tx_success = (soa_flags_[i] & slotflag::kTxSuccess) != 0;
       r.fault = soa_fault_[i];
@@ -942,7 +926,14 @@ void Network::save_state(CheckpointWriter& w) const {
   w.section("netw");
   w.u32(static_cast<std::uint32_t>(n_));
   save_trace_stats(w, stats_);
-  for (const NodeActivity& a : activity_) save_node_activity(w, a);
+  for (const Activity& a : activity_) {
+    w.i64(a.tx);
+    w.i64(a.tx_success);
+    w.i64(a.listen);
+    w.i64(a.received);
+    w.i64(0);  // idle, derived on read
+    w.i64(a.jammed);
+  }
   w.rng(rng_);
 }
 
@@ -954,7 +945,17 @@ void Network::restore_state(CheckpointReader& r) {
                           std::to_string(n) + " node(s), this network has " +
                           std::to_string(n_));
   stats_ = load_trace_stats(r);
-  for (NodeActivity& a : activity_) a = load_node_activity(r);
+  for (Activity& a : activity_) {
+    a.tx = r.i64();
+    a.tx_success = r.i64();
+    a.listen = r.i64();
+    a.received = r.i64();
+    if (r.i64() != 0)
+      throw CheckpointError(
+          "checkpoint rejected: a stored idle count is not 0 (idle is "
+          "derived from the slot count)");
+    a.jammed = r.i64();
+  }
   r.rng(rng_);
 }
 

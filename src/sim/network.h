@@ -27,7 +27,6 @@
 
 #include "sim/assignment.h"
 #include "sim/backoff.h"
-#include "sim/channel_bitmap.h"
 #include "sim/fault_engine.h"
 #include "sim/protocol.h"
 #include "sim/trace.h"
@@ -39,11 +38,12 @@ enum class CollisionModel : std::uint8_t { OneWinner, AllDelivered, CollisionLos
 
 // Which slot-engine implementation step() runs.
 //   SoA  default — structure-of-arrays hot path: parallel flat arrays for
-//        mode/flags/fault/channel, per-channel uint64_t bitmaps
-//        (sim/channel_bitmap.h) of tuned and broadcasting nodes when the
-//        channel space is small enough and the slot busy enough
-//        (counting-sort grouping of the active nodes otherwise), and
-//        winner/fade coins drawn batched per contended channel.
+//        mode/label/flags/fault, the slot's non-idle nodes listed once,
+//        and every pass after the client's begin_slot run over that list:
+//        a gather that books each node and writes its (channel, role)
+//        key, one counting sort of the keys whose per-slot cost is
+//        O(active + C/64), and winner/fade coins drawn batched per
+//        contended channel.
 //   AoS  the original per-node ResolvedAction walk, kept as the reference
 //        the SoA path is checked against, and selected only through
 //        NetworkOptions::layout (tests, the proptest differential, the
@@ -246,13 +246,19 @@ class Network {
   const TraceStats& stats() const { return stats_; }
   // Per-node duty-cycle counters. `idle` is derived on read, not stored:
   // every slot consumes exactly one of {idle, jammed, tx, listen} per node,
-  // so idle = slots - (tx + listen + jammed). Storing the other three lets
-  // the SoA path skip idle nodes' accounting entirely, which is what makes
-  // mostly-idle million-node slots O(active) instead of O(n).
+  // so idle = slots - (tx + listen + jammed). Storing only the other
+  // counters lets the SoA path skip idle nodes' accounting entirely, which
+  // is what makes mostly-idle million-node slots O(active) instead of O(n).
   NodeActivity activity(NodeId node) const {
-    NodeActivity a = activity_[static_cast<std::size_t>(node)];
-    a.idle = stats_.slots - (a.tx + a.listen + a.jammed);
-    return a;
+    const Activity& a = activity_[static_cast<std::size_t>(node)];
+    NodeActivity out;
+    out.tx = a.tx;
+    out.tx_success = a.tx_success;
+    out.listen = a.listen;
+    out.received = a.received;
+    out.jammed = a.jammed;
+    out.idle = stats_.slots - (a.tx + a.listen + a.jammed);
+    return out;
   }
 
   bool all_done() const;
@@ -268,7 +274,10 @@ class Network {
   // Serializes the engine's complete cross-slot state at a slot boundary:
   // the slot counter + TraceStats accumulators, per-node activity, and the
   // winner/fade RNG. Everything else in the engine is per-slot scratch the
-  // next step() rebuilds (channel bitmaps, grouping scratch).
+  // next step() rebuilds (grouping keys, buckets, the active list). Each
+  // node's record keeps NodeActivity's six fields; its idle entry is
+  // always 0 (idle is derived on read), and restore_state rejects any
+  // other value.
   // restore_state targets a freshly constructed Network over the same node
   // count; the layout may differ between writer and reader — the draw
   // order is engine-invariant, which the proptest resume differential
@@ -282,6 +291,16 @@ class Network {
   // the protocol list, which the AoS reference walks directly.
   class ProtocolClient;
 
+  // A node's accumulated duty-cycle counters: NodeActivity without the
+  // idle count, which activity() derives.
+  struct Activity {
+    std::int64_t tx = 0;
+    std::int64_t tx_success = 0;
+    std::int64_t listen = 0;
+    std::int64_t received = 0;
+    std::int64_t jammed = 0;
+  };
+
   ChannelAssignment& assignment_;
   std::unique_ptr<ProtocolClient> protocols_;  // null for a batch client
   NetworkOptions options_;
@@ -292,7 +311,7 @@ class Network {
   FaultEngine* fault_engine_ = nullptr;
   SlotObserver observer_;
   TraceStats stats_;
-  std::vector<NodeActivity> activity_;
+  std::vector<Activity> activity_;
 
   // Sizes all per-slot scratch for the configured layout; called once from
   // either constructor.
@@ -307,47 +326,46 @@ class Network {
   // AoS: counting-sorts the participating nodes of `resolved_` into
   // `order_` (stable by node index within each physical channel).
   void group_by_channel();
-  // SoA: the same counting sort over soa_active_ only, O(active + C), used
-  // when a slot is too sparse for the dense bitmap rows to pay off.
-  void group_by_channel_soa_active();
+  // SoA: finishes the counting sort the gather began, placing the
+  // unjammed active nodes into `order_` by soa_key_: each touched
+  // channel's run holds its broadcasters, then its listeners, both
+  // ascending. Each touched channel's bucket is left at its run's end for
+  // the resolve walk.
+  void group_by_key_soa();
 
-  // Shared SoA per-channel resolution core: `Group` is either the dense
-  // bitmap-row view or the sparse index-list view (network.cpp); both
-  // enumerate nodes in ascending id order, so the coin logic lives in one
-  // place and is provably identical across the two SoA groupings.
-  template <typename Group>
-  void resolve_group_soa(Slot slot, const Group& group);
-
-  // The per-slot dense-vs-sparse grouping heuristic of the SoA path, for
-  // a slot expected to have `active` non-idle nodes.
-  bool batch_dense_slot(std::size_t active) const;
+  // SoA per-channel resolution: one channel's broadcasters and listeners,
+  // each a run of order_ in ascending node order.
+  void resolve_group_soa(Slot slot, std::span<const int> broadcasters,
+                         std::span<const int> listeners);
 
   // Per-slot scratch, sized once (in the constructor, or by the setter
   // that attaches its reader) and reused every slot so that step()
   // performs zero heap allocations in steady state (the E18 and E35
   // allocation probes enforce this). Per-node arrays are sized only for
   // their readers: a 2^20-node BatchClient fleet allocates none of
-  // resolved_, messages_, received_ or used_channel_.
+  // resolved_, messages_, received_, used_channel_, broadcasters_ or
+  // listeners_.
   std::vector<ResolvedAction> resolved_;  // AoS layout, or an observer
   // AoS only: the broadcast message per node (by index; only broadcaster
-  // entries are live — stale slots are never read, so no per-slot reset)
-  // and the delivery views.
+  // entries are live — stale slots are never read, so no per-slot reset),
+  // the delivery views, and the per-group partition.
   std::vector<Message> messages_;
   std::vector<std::span<const Message>> received_;
+  std::vector<int> broadcasters_;
+  std::vector<int> listeners_;
   std::vector<int> order_;          // participating node indices, grouped by channel
   std::vector<Channel> used_channel_;  // per node, for jammer observe();
                                        // sized and filled only with a jammer
-  std::vector<int> broadcasters_;   // per-group partition scratch
-  std::vector<int> listeners_;
-  std::vector<int> channel_bucket_;  // counting-sort histogram / offsets
+  // Counting-sort histogram / offsets, C+1 entries; the SoA path counts
+  // its jammed nodes in the last one. It keeps them all zero between
+  // slots, resetting only the ones it touched.
+  std::vector<int> channel_bucket_;
 
   // SoA layout state (sized only when options_.layout == SoA).
-  bool dense_ = false;        // bitmap grouping affordable for this (C, n)
-  ChannelBitmaps bitmaps_;    // dense per-channel tuned/broadcast rows
   std::vector<Mode> soa_mode_;
   std::vector<std::uint8_t> soa_flags_;  // slotflag bits
-  std::vector<std::uint8_t> soa_fault_;  // faultflag bits
-  std::vector<Channel> soa_chan_;        // physical channel (kNoChannel idle)
+  std::vector<std::uint8_t> soa_fault_;  // faultflag bits; all 0 without
+                                         // a fault engine
   // Label snapshot, in the assignment's flat node-major format, taken only
   // for a static assignment whose table() is empty (a forwarding wrapper,
   // say); a table-backed assignment's own table is read in place each
@@ -360,15 +378,22 @@ class Network {
   // AllDelivered messages here); reserved to n, so views into it stay
   // valid for the whole slot.
   std::vector<Message> batch_msgs_;
-  // Non-idle nodes this slot (ascending). The sparse grouping sorts it;
-  // the next slot picks its grouping from its size and resets exactly its
+  // Non-idle nodes this slot (ascending). Every pass after the client's
+  // begin_slot runs over it, and the next slot resets exactly its
   // entries, restoring the all-idle invariant in O(active) work instead
-  // of Theta(n) fills. The dirty bit
-  // is true while the per-node arrays may hold stale bytes written outside
-  // the active list (a fault engine can blank-flag idle nodes), forcing
-  // one full-fill scrub slot after it detaches.
+  // of Theta(n) fills. The dirty bit is true while the per-node arrays may
+  // hold stale bytes written outside the active list (a fault engine can
+  // blank-flag idle nodes), forcing one full-fill scrub slot after it
+  // detaches.
   std::vector<std::int32_t> soa_active_;
   bool soa_fault_dirty_ = false;
+  // Grouping key of soa_active_[a], written by the gather:
+  // (channel << 1) | listens, where a node the jammer cut off takes
+  // channel C, one past the last.
+  std::vector<std::uint32_t> soa_key_;
+  // One bit per physical channel: the channels this slot's keys touched.
+  // All-zero between slots, like the buckets it indexes.
+  std::vector<std::uint64_t> touched_;
 };
 
 }  // namespace cogradio

@@ -12,10 +12,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "serve/journal.h"
+#include "sim/assignment.h"
+#include "sim/network.h"
 #include "util/proptest.h"
 
 namespace cogradio {
@@ -145,6 +149,57 @@ TEST(CheckpointFile, SaveLoadRoundTripsAndMissingFileThrows) {
   EXPECT_EQ(load_checkpoint_file(path), payload);
   std::remove(path.c_str());
   EXPECT_THROW(load_checkpoint_file(path), CheckpointError);
+}
+
+// --- the network section ---------------------------------------------------
+
+// Three nodes of random traffic over a fixed assignment.
+struct SmallNetwork {
+  IdentityAssignment assignment{3, 2, LabelMode::Global, Rng(1)};
+  std::vector<std::unique_ptr<RandomTrafficNode>> nodes;
+  std::unique_ptr<Network> net;
+
+  SmallNetwork() {
+    std::vector<Protocol*> protocols;
+    for (NodeId u = 0; u < 3; ++u) {
+      nodes.push_back(std::make_unique<RandomTrafficNode>(2, Rng(10 + u)));
+      protocols.push_back(nodes.back().get());
+    }
+    net = std::make_unique<Network>(assignment, std::move(protocols));
+  }
+};
+
+// The engine stores no idle counts (idle is derived from the slot count on
+// read), so each node's checkpointed idle entry is written as 0, and a
+// snapshot carrying any other value was not written by this engine.
+TEST(CheckpointNetwork, NonZeroStoredIdleIsRejected) {
+  SmallNetwork written;
+  for (int s = 0; s < 40; ++s) written.net->step();
+  const NodeActivity saved = written.net->activity(0);
+  ASSERT_GT(saved.idle, 0);
+  CheckpointWriter w;
+  written.net->save_state(w);
+  const std::string payload = w.bytes();
+
+  const auto restore = [](const std::string& bytes) {
+    SmallNetwork fresh;
+    CheckpointReader r(open_checkpoint(seal_checkpoint(bytes)));
+    fresh.net->restore_state(r);
+    return fresh.net->activity(0);
+  };
+  EXPECT_EQ(restore(payload), saved);
+
+  // Node 0's record follows the section tag, the node count and the
+  // TraceStats: tx, tx_success, listen, received, idle, jammed.
+  CheckpointWriter prefix;
+  prefix.section("netw");
+  prefix.u32(3);
+  save_trace_stats(prefix, written.net->stats());
+  const std::size_t idle_at = prefix.bytes().size() + 4 * 8;
+  ASSERT_EQ(payload.substr(idle_at, 8), std::string(8, '\0'));
+  std::string forged = payload;
+  forged[idle_at] = 1;
+  EXPECT_THROW(restore(forged), CheckpointError);
 }
 
 // --- resume equivalence through the property harness ----------------------

@@ -6,8 +6,8 @@
 // "Engine layouts and the batched draw order").
 //
 // The families cover all three collision models, backoff emulation, fading,
-// jamming, the full FaultEngine kind set, a dynamic assignment, and the
-// sparse grouping fallback (channel universe too large for dense bitmaps).
+// jamming, the full FaultEngine kind set, a dynamic assignment, and a
+// channel universe far larger than the set of nodes acting in a slot.
 // A separate suite pins the BatchClient interface against a per-node
 // protocol twin generating the same traffic, and both against the same
 // runs over a forwarding assignment that lends the engine no label table.
@@ -163,14 +163,13 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-// The sparse grouping fallback: a Partitioned universe with C = k + n(c-k)
-// physical channels blows past the dense-bitmap affordability bound
-// (ChannelBitmaps::affordable), so the SoA path must fall back to the
-// counting-sort grouping — and still match the reference exactly.
+// A Partitioned universe: C = k + n(c-k) physical channels, so most
+// channels go untouched in any slot and the SoA grouping's touched map
+// spans dozens of words — and the result must still match the reference
+// exactly.
 TEST(EngineLayoutSparse, PartitionedUniverseMatchesAcrossLayouts) {
   const int n = 300, c = 16, k = 2;
   const Slot slots = 48;
-  ASSERT_FALSE(ChannelBitmaps::affordable(k + n * (c - k), n));
 
   const auto run_once = [&](EngineLayout layout) {
     PartitionedAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(7));
@@ -346,7 +345,8 @@ class ForwardingAssignment : public ChannelAssignment {
 // One input to the batch-vs-protocol twin below. `adversaries` attaches a
 // RandomJammer and the full fault kind set; a run without them is the only
 // one whose SoA legs take the word-scan collect. `dynamic` re-draws the
-// shared-core assignment every slot.
+// shared-core assignment every slot; `partitioned` swaps it for a
+// Partitioned one, whose channel space grows with n.
 struct TwinInput {
   const char* name;
   int n, c, k;
@@ -355,6 +355,7 @@ struct TwinInput {
   double loss_prob = 0.0;
   bool adversaries = false;
   bool dynamic = false;
+  bool partitioned = false;
 };
 
 struct TwinRun {
@@ -373,6 +374,9 @@ TwinRun run_twin(const TwinInput& in, bool batch, EngineLayout layout,
   std::unique_ptr<ChannelAssignment> table;
   if (in.dynamic)
     table = DynamicAssignment::shared_core(in.n, in.c, in.k, Rng(33));
+  else if (in.partitioned)
+    table = std::make_unique<PartitionedAssignment>(
+        in.n, in.c, in.k, LabelMode::LocalRandom, Rng(33));
   else
     table = std::make_unique<SharedCoreAssignment>(
         in.n, in.c, in.k, LabelMode::LocalRandom, Rng(33));
@@ -430,8 +434,9 @@ TwinRun run_twin(const TwinInput& in, bool batch, EngineLayout layout,
 
 // The batched-traffic interface must be a pure packaging change: a batch
 // run and a per-node protocol run generating identical offered load see
-// identical engine accounting and identical feedback content, on either
-// layout.
+// identical engine accounting, feedback content and observer stream, on
+// either layout. The observed AoS run checks the SoA path's grouping and
+// the channel its observer derives from each label against the reference.
 TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
   const TwinInput inputs[] = {
       // Jamming, fading, and the full fault kind set.
@@ -446,12 +451,20 @@ TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
       // A fresh label table every slot, re-read after each begin_slot.
       {.name = "dynamic", .n = 64, .c = 8, .k = 2, .slots = 48,
        .loss_prob = 0.125, .adversaries = true, .dynamic = true},
+      // C = 2c = 80 channels: the touched-channel map spans two words.
+      {.name = "two_touched_words", .n = 96, .c = 40, .k = 3, .slots = 48,
+       .loss_prob = 0.125},
+      // C = k + n(c-k) = 1202 channels, far more than the ~180 nodes
+      // acting per slot: most channels go untouched.
+      {.name = "partitioned", .n = 200, .c = 8, .k = 2, .slots = 32,
+       .loss_prob = 0.125, .adversaries = true, .partitioned = true},
   };
   for (const TwinInput& in : inputs) {
     SCOPED_TRACE(in.name);
     const TwinRun batch = run_twin(in, /*batch=*/true, EngineLayout::SoA);
     const TwinRun soa = run_twin(in, /*batch=*/false, EngineLayout::SoA);
-    const TwinRun aos = run_twin(in, /*batch=*/false, EngineLayout::AoS);
+    const TwinRun aos = run_twin(in, /*batch=*/false, EngineLayout::AoS,
+                                 /*lend_table=*/true, /*observe=*/true);
 
     EXPECT_EQ(batch.stats, soa.stats);
     EXPECT_EQ(batch.stats, aos.stats);
@@ -488,8 +501,10 @@ TEST(EngineLayoutBatch, BatchClientMatchesProtocolTwin) {
       EXPECT_EQ(lent.activity, batch.activity);
       streams[batch_leg] = lent.actions;
     }
-    // Both clients resolve every node-slot identically.
+    // Both clients resolve every node-slot identically, and as the
+    // reference does.
     EXPECT_EQ(streams[0], streams[1]);
+    EXPECT_EQ(aos.actions, streams[0]);
   }
 }
 
