@@ -34,6 +34,7 @@
 
 #include "sim/labels.h"
 #include "sim/types.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 
 namespace cogradio {
@@ -106,8 +107,10 @@ class TableAssignment : public ChannelAssignment {
   // shuffle draws as labeling each node's set on its own.
   void label_rows(LabelMode mode, Rng& rng);
 
-  // table_[node*c + label] = physical channel.
-  std::vector<Channel> table_;
+  // table_[node*c + label] = physical channel. On huge pages
+  // (util/huge_pages.h): the engine reads one scattered entry per active
+  // node per slot.
+  HugePageVector<Channel> table_;
 };
 
 // --- Static generators ----------------------------------------------------

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
+#include "sim/active_scan.h"
 #include "sim/checkpoint.h"
 
 namespace cogradio {
@@ -736,31 +736,10 @@ void Network::step_soa() {
   //    pass is O(active); the idle tally lands in the stats in one add.
   soa_active_.clear();
   if (fault_engine_ == nullptr) {
-    // With no fault engine nothing can reactivate an idle node, so scan
-    // the mode array a word (eight nodes) at a time and drop to per-node
-    // work only where the client wrote a non-idle action. A mostly-idle
-    // fleet costs ~n/8 word compares here.
-    static_assert(static_cast<unsigned char>(Mode::Idle) == 2);
-    static_assert(std::endian::native == std::endian::little);
-    constexpr std::uint64_t kAllIdle = 0x0202020202020202ULL;
-    constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
-    const auto* mode_bytes =
-        reinterpret_cast<const unsigned char*>(soa_mode_.data());
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      std::uint64_t word;
-      std::memcpy(&word, mode_bytes + i, 8);
-      const std::uint64_t diff = word ^ kAllIdle;
-      if (diff == 0) continue;
-      // The high bit of each byte that differs from Idle, one per node.
-      for (std::uint64_t hits = (((diff & kLow7) + kLow7) | diff) & ~kLow7;
-           hits != 0; hits &= hits - 1)
-        soa_active_.push_back(static_cast<std::int32_t>(
-            i + static_cast<std::size_t>(std::countr_zero(hits)) / 8));
-    }
-    for (; i < n; ++i)
-      if (soa_mode_[i] != Mode::Idle)
-        soa_active_.push_back(static_cast<std::int32_t>(i));
+    // With no fault engine nothing can reactivate an idle node, so the
+    // scan reads only the mode bytes, 64 nodes per block test where SSE2
+    // is available (sim/active_scan.h).
+    scan_active(soa_mode_, soa_active_);
   } else {
     // Fault overrides and their accounting, byte-for-byte the AoS rules.
     // A fault can act on any node (a babbling radio transmits whatever its

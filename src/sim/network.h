@@ -30,6 +30,7 @@
 #include "sim/fault_engine.h"
 #include "sim/protocol.h"
 #include "sim/trace.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 
 namespace cogradio {
@@ -311,7 +312,10 @@ class Network {
   FaultEngine* fault_engine_ = nullptr;
   SlotObserver observer_;
   TraceStats stats_;
-  std::vector<Activity> activity_;
+  // On huge pages (util/huge_pages.h), like every per-node array the
+  // engine fills end to end: at fleet scale these are the arrays each
+  // active node's lines are scattered over.
+  HugePageVector<Activity> activity_;
 
   // Sizes all per-slot scratch for the configured layout; called once from
   // either constructor.
@@ -370,10 +374,10 @@ class Network {
   // for a static assignment whose table() is empty (a forwarding wrapper,
   // say); a table-backed assignment's own table is read in place each
   // slot, and a dynamic one without a table is asked per node.
-  std::vector<Channel> flat_map_;
-  std::vector<LocalLabel> soa_label_;
-  std::vector<std::int32_t> soa_rx_off_;  // into batch_msgs_
-  std::vector<std::int32_t> soa_rx_cnt_;
+  HugePageVector<Channel> flat_map_;
+  HugePageVector<LocalLabel> soa_label_;
+  HugePageVector<std::int32_t> soa_rx_off_;  // into batch_msgs_
+  HugePageVector<std::int32_t> soa_rx_cnt_;
   // Messages delivered this slot, on either layout (AoS moves only its
   // AllDelivered messages here); reserved to n, so views into it stay
   // valid for the whole slot.
