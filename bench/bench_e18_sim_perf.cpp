@@ -9,20 +9,19 @@
 // results in BENCH_e18_sim_perf.json (a RunManifest, util/bench_report.h;
 // throughput rates and timings go in the volatile section, the allocation
 // count and sweep-determinism verdict are deterministic metrics):
-//   * allocation probe — a global operator new/delete counter verifies
-//     that Network::step() performs ZERO heap allocations in steady state
-//     (after the first warm-up slots sized the member scratch buffers);
+//   * allocation probe — a global operator new/delete counter
+//     (alloc_count.h, shared with E35) verifies that Network::step()
+//     performs ZERO heap allocations in steady state (after the first
+//     warm-up slots sized the member scratch buffers);
 //   * ParallelSweep scaling — the same Monte-Carlo workload at --jobs 1
 //     and --jobs hardware_concurrency must produce bit-identical medians,
 //     and the wall-clock ratio measures the pool's scaling headroom.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <thread>
 
+#include "alloc_count.h"
 #include "core/cogcast.h"
 #include "core/runtime.h"
 #include "sim/assignment.h"
@@ -30,38 +29,6 @@
 #include "sim/network.h"
 #include "util/bench_report.h"
 #include "util/sweep.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter. Replacing the global operator new/delete pairs
-// is the one portable way to observe every heap allocation the slot engine
-// makes, including those inside standard containers.
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t) {
-  return counted_alloc(size);
-}
-void* operator new[](std::size_t size, std::align_val_t) {
-  return counted_alloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-// ---------------------------------------------------------------------------
 
 namespace cogradio {
 namespace {
@@ -175,12 +142,11 @@ void run_step_probes(RunManifest& report) {
     const int warmup = n > 4096 ? 128 : 512;
     const int window = n > 4096 ? 256 : 2048;
     for (int s = 0; s < warmup; ++s) fx.network->step();
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = bench::allocation_count();
     const double start = monotonic_seconds();
     for (int s = 0; s < window; ++s) fx.network->step();
     const double elapsed = monotonic_seconds() - start;
-    const std::uint64_t allocs =
-        g_allocs.load(std::memory_order_relaxed) - before;
+    const std::uint64_t allocs = bench::allocation_count() - before;
     const double rate = static_cast<double>(n) * window / elapsed;
     if (n == 1024) rate_1024 = rate;
     if (n == 65536) rate_65536 = rate;

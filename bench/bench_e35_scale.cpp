@@ -1,27 +1,26 @@
-// E35 — million-node slot-engine scaling (EngineLayout tentpole).
+// E35 — million-node slot-engine scaling.
 //
-// Not a paper claim but the enabler of large-n sweeps: the structure-of-
-// arrays hot path (sim/network.cpp, EngineLayout::SoA) plus the BatchClient
-// traffic interface must push the slot engine far past the per-node
-// reference layout. The workload is a duty-cycled fleet (one of
-// kDutyPeriod node residue classes awake per slot, ~1% activity) — the
-// mostly-idle regime large deployments actually sit in, and the one where
-// the layouts separate: AoS pays a virtual call per node per slot while
-// the batch path is O(active). This harness pins that down three ways:
+// Not a paper claim but the enabler of large-n sweeps: the slot engine
+// (sim/network.cpp) plus the BatchClient traffic interface must keep a
+// mostly idle fleet's slot cost O(active). The workload is a duty-cycled
+// fleet (one of kDutyPeriod node residue classes awake per slot, ~1%
+// activity) — the mostly-idle regime large deployments actually sit in,
+// where per-node protocols still pay a virtual call per node per slot
+// while the batch path is O(active). This harness pins that down three
+// ways:
 //
-//   * equivalence — one fixed workload stepped under AoS-protocol,
-//     SoA-protocol, and SoA-batch must finish with byte-identical
-//     TraceStats (deterministic equiv.* metrics, always 1);
-//   * throughput — node-slots/sec of the three legs at --n, each the
-//     median of kThroughputRepeats runs in rotating leg order, with the
-//     SoA/AoS and batch/AoS ratios recorded as *deterministic* speedup
-//     metrics so the regression gate can trip on a hot-path cliff (the
-//     committed baseline pins batch_vs_aos >= 5x; per-leg rates stay
-//     volatile);
+//   * equivalence — one fixed workload stepped with per-node protocols
+//     and with a batch client must finish with TraceStats byte-identical
+//     to one run of the reference engine (sim/reference_network.h) over
+//     the same slots (deterministic equiv.* metrics, always 1);
+//   * throughput — node-slots/sec of the two legs at --n, each the median
+//     of kThroughputRepeats runs in alternating leg order (volatile; the
+//     engine's throughput is measured and bounded by perfbench);
 //   * scale — a doubling sweep of the batch leg up to --sweep-max
 //     (default 2^20 nodes) whose per-n rates should stay near-flat, and a
 //     steady-state allocation probe at --alloc-n (default 10^5) that must
-//     report ZERO heap allocations for both traffic interfaces.
+//     report ZERO heap allocations for both traffic interfaces (the
+//     counter is alloc_count.h's, shared with E18).
 //
 // With --compare BASELINE [--tolerances FILE] the run self-gates: its
 // manifest is diffed against the committed baseline via the same
@@ -30,58 +29,25 @@
 // reduced --slots; the n values never change, so metric names and the
 // deterministic section stay comparable).
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "bench_common.h"
 #include "sim/assignment.h"
 #include "sim/network.h"
+#include "sim/reference_network.h"
 #include "util/bench_gate.h"
 #include "util/bench_report.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same technique as E18): replacing the global
-// operator new/delete pairs observes every heap allocation the engine
-// makes, including those inside standard containers.
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t) {
-  return counted_alloc(size);
-}
-void* operator new[](std::size_t size, std::align_val_t) {
-  return counted_alloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-// ---------------------------------------------------------------------------
 
 namespace cogradio {
 namespace {
@@ -95,8 +61,8 @@ constexpr int kThroughputRepeats = 5;
 // residue classes is awake, so ~1% of the fleet acts per slot. This is the
 // regime the batch interface is built for — epochs of a large deployment
 // where most radios are waiting out their phase — and it is where the
-// layouts separate: the AoS reference still pays a virtual call per node
-// per slot, while the SoA batch path does O(active) work.
+// interfaces separate: per-node protocols still cost a virtual call per
+// node per slot, while the batch path does O(active) work.
 constexpr int kDutyPeriod = 100;
 
 inline std::uint64_t chatter_mix(std::uint64_t x) {
@@ -115,7 +81,7 @@ inline int chatter_phase(Slot slot) {
 
 // Deterministic feedback-oblivious traffic shared by the per-node protocol
 // and the batch client: a pure hash of (slot, node) decides mode, label and
-// payload, so all three legs offer byte-identical load and their final
+// payload, so every leg offers byte-identical load and their final
 // TraceStats must agree exactly (the equiv.* metrics).
 struct ChatterDecision {
   Mode mode = Mode::Idle;
@@ -211,17 +177,18 @@ struct LegResult {
   TraceStats stats;
 };
 
-NetworkOptions leg_options(EngineLayout layout) {
+NetworkOptions leg_options() {
   NetworkOptions opt;
-  opt.layout = layout;
   opt.seed = 35;
   opt.loss_prob = 0.125;  // keeps the fade-coin path on the measured track
   return opt;
 }
 
-// One per-node-protocol leg: fixed topology, warmup (sizes the scratch),
-// timed window.
-LegResult run_protocol_leg(EngineLayout layout, int n, int warmup, int slots) {
+// One per-node-protocol leg on `Engine`: fixed topology, warmup (sizes the
+// scratch), timed window. The reference engine's run is only read for its
+// TraceStats.
+template <typename Engine>
+LegResult run_protocol_leg(int n, int warmup, int slots) {
   SharedCoreAssignment assignment(n, kChannelsPerNode, kOverlap,
                                   LabelMode::LocalRandom, Rng(1));
   std::vector<std::unique_ptr<ChatterNode>> nodes;
@@ -232,7 +199,7 @@ LegResult run_protocol_leg(EngineLayout layout, int n, int warmup, int slots) {
     nodes.push_back(std::make_unique<ChatterNode>(u));
     protocols.push_back(nodes.back().get());
   }
-  Network net(assignment, std::move(protocols), leg_options(layout));
+  Engine net(assignment, std::move(protocols), leg_options());
   for (int s = 0; s < warmup; ++s) net.step();
   const double start = monotonic_seconds();
   for (int s = 0; s < slots; ++s) net.step();
@@ -243,12 +210,12 @@ LegResult run_protocol_leg(EngineLayout layout, int n, int warmup, int slots) {
   return out;
 }
 
-// The SoA batch-client leg over the identical topology and traffic.
+// The batch-client leg over the identical topology and traffic.
 LegResult run_batch_leg(int n, int warmup, int slots) {
   SharedCoreAssignment assignment(n, kChannelsPerNode, kOverlap,
                                   LabelMode::LocalRandom, Rng(1));
   ChatterClient client(n);
-  Network net(assignment, client, leg_options(EngineLayout::SoA));
+  Network net(assignment, client, leg_options());
   for (int s = 0; s < warmup; ++s) net.step();
   const double start = monotonic_seconds();
   for (int s = 0; s < slots; ++s) net.step();
@@ -263,9 +230,9 @@ LegResult run_batch_leg(int n, int warmup, int slots) {
 template <typename StepFn>
 std::uint64_t count_window_allocs(StepFn&& step, int warmup, int window) {
   for (int s = 0; s < warmup; ++s) step();
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = bench::allocation_count();
   for (int s = 0; s < window; ++s) step();
-  return g_allocs.load(std::memory_order_relaxed) - before;
+  return bench::allocation_count() - before;
 }
 
 std::optional<std::string> read_file(const std::string& path) {
@@ -333,18 +300,23 @@ int run(CliArgs& args) {
   const std::string tolerances_path = args.get_string("tolerances", "");
   args.finish();
 
-  std::printf("E35: slot-engine layout scaling (n=%d, c=%d, k=%d)\n\n", n,
+  std::printf("E35: slot-engine scaling (n=%d, c=%d, k=%d)\n\n", n,
               kChannelsPerNode, kOverlap);
   bench::BenchManifest manifest("e35_scale", &args);
 
   // --- Throughput + equivalence at the headline n ------------------------
-  // Each leg runs kThroughputRepeats times, the three legs in an order that
-  // rotates every repeat, and its rate is the median of its runs: one slow
-  // window on a shared host then moves neither speedup ratio. Equivalence
-  // must hold on every repeat.
-  enum Leg { kAos, kSoa, kBatch, kLegs };
+  // One reference run over the legs' warmup + slots gives the TraceStats
+  // every leg must reproduce. Each leg runs kThroughputRepeats times, the
+  // two legs in an order that alternates every repeat, and its rate is the
+  // median of its runs. Equivalence must hold on every repeat.
+  TraceStats reference;
+  {
+    auto t = manifest.phase("reference");
+    reference = run_protocol_leg<ReferenceNetwork>(n, warmup, slots).stats;
+  }
+  enum Leg { kProtocol, kBatch, kLegs };
   std::vector<double> rates[kLegs];
-  bool soa_matches = true;
+  bool protocol_matches = true;
   bool batch_matches = true;
   {
     auto t = manifest.phase("throughput");
@@ -353,41 +325,29 @@ int run(CliArgs& args) {
       for (int j = 0; j < kLegs; ++j) {
         const int leg = (r + j) % kLegs;
         legs[leg] = leg == kBatch ? run_batch_leg(n, warmup, slots)
-                                  : run_protocol_leg(leg == kAos
-                                                         ? EngineLayout::AoS
-                                                         : EngineLayout::SoA,
-                                                     n, warmup, slots);
+                                  : run_protocol_leg<Network>(n, warmup, slots);
       }
       for (int leg = 0; leg < kLegs; ++leg)
         rates[leg].push_back(legs[leg].node_slots_per_sec);
-      soa_matches = soa_matches && legs[kSoa].stats == legs[kAos].stats;
-      batch_matches = batch_matches && legs[kBatch].stats == legs[kAos].stats;
+      protocol_matches = protocol_matches && legs[kProtocol].stats == reference;
+      batch_matches = batch_matches && legs[kBatch].stats == reference;
     }
   }
-  const double aos_rate = percentile(rates[kAos], 0.5);
-  const double soa_rate = percentile(rates[kSoa], 0.5);
+  const double protocol_rate = percentile(rates[kProtocol], 0.5);
   const double batch_rate = percentile(rates[kBatch], 0.5);
-  const double soa_vs_aos = soa_rate / aos_rate;
-  const double batch_vs_aos = batch_rate / aos_rate;
   std::printf("throughput (%d slots after %d warmup, median of %d runs):\n",
               slots, warmup, kThroughputRepeats);
-  std::printf("  %-14s  %18s  %8s\n", "leg", "node-slots/sec", "speedup");
-  std::printf("  %-14s  %18.3e  %8s\n", "aos-protocol", aos_rate, "1.00x");
-  std::printf("  %-14s  %18.3e  %7.2fx\n", "soa-protocol", soa_rate,
-              soa_vs_aos);
-  std::printf("  %-14s  %18.3e  %7.2fx\n", "soa-batch", batch_rate,
-              batch_vs_aos);
-  manifest.manifest().set_volatile("aos.node_slots_per_sec", aos_rate);
-  manifest.manifest().set_volatile("soa.node_slots_per_sec", soa_rate);
+  std::printf("  %-14s  %18s\n", "leg", "node-slots/sec");
+  std::printf("  %-14s  %18.3e\n", "protocol", protocol_rate);
+  std::printf("  %-14s  %18.3e\n", "batch", batch_rate);
+  manifest.manifest().set_volatile("soa.node_slots_per_sec", protocol_rate);
   manifest.manifest().set_volatile("batch.node_slots_per_sec", batch_rate);
-  // Deterministic ratios: machine-relative, gated with a generous
-  // tolerance purely as a hot-path-cliff tripwire.
-  manifest.set("speedup.soa_vs_aos", soa_vs_aos);
-  manifest.set("speedup.batch_vs_aos", batch_vs_aos);
 
-  std::printf("\nequivalence: soa-protocol %s aos, soa-batch %s aos\n",
-              soa_matches ? "==" : "!=", batch_matches ? "==" : "!=");
-  manifest.set_int("equiv.soa_protocol_matches_aos", soa_matches ? 1 : 0);
+  // The equiv.* names predate the reference engine, when it was a layout
+  // of Network; they stay so the committed baseline still pins them.
+  std::printf("\nequivalence: protocol %s reference, batch %s reference\n",
+              protocol_matches ? "==" : "!=", batch_matches ? "==" : "!=");
+  manifest.set_int("equiv.soa_protocol_matches_aos", protocol_matches ? 1 : 0);
   manifest.set_int("equiv.soa_batch_matches_aos", batch_matches ? 1 : 0);
 
   // --- Scaling sweep (batch leg) ----------------------------------------
@@ -419,7 +379,7 @@ int run(CliArgs& args) {
     std::uint64_t batch_allocs = 0;
     {
       ChatterClient client(alloc_n);
-      Network net(assignment, client, leg_options(EngineLayout::SoA));
+      Network net(assignment, client, leg_options());
       batch_allocs = count_window_allocs([&] { net.step(); }, 64, 256);
     }
     std::uint64_t protocol_allocs = 0;
@@ -430,8 +390,7 @@ int run(CliArgs& args) {
         nodes.push_back(std::make_unique<ChatterNode>(u));
         protocols.push_back(nodes.back().get());
       }
-      Network net(assignment, std::move(protocols),
-                  leg_options(EngineLayout::SoA));
+      Network net(assignment, std::move(protocols), leg_options());
       protocol_allocs = count_window_allocs([&] { net.step(); }, 64, 256);
     }
     std::printf("\nsteady-state allocs at n=%d (256 slots): batch %llu, "

@@ -80,9 +80,8 @@ struct GossipOutcome {
 struct GossipConfig {
   std::uint64_t seed = 1;
   Slot max_slots = 1'000'000;
-  // Engine knobs (EngineLayout, collision model, ...). The run's RNG seed
-  // is still derived from `seed` above, so configs differing only in
-  // layout replay bit-for-bit.
+  // Engine knobs (collision model, fading, ...). The run's RNG seed is
+  // still derived from `seed` above.
   NetworkOptions net{};
 };
 

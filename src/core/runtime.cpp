@@ -6,11 +6,16 @@
 #include "baselines/hopping_together.h"
 #include "baselines/rendezvous_aggregation.h"
 #include "baselines/rendezvous_broadcast.h"
+#include "sim/reference_network.h"
 
 namespace cogradio {
 
-BroadcastOutcome run_cogcast(ChannelAssignment& assignment,
-                             const CogCastRunConfig& config) {
+namespace {
+
+// run_cogcast on Network or on the reference engine.
+template <typename Engine>
+BroadcastOutcome run_cogcast_on(ChannelAssignment& assignment,
+                                const CogCastRunConfig& config) {
   const CogCastParams& p = config.params;
   if (assignment.num_nodes() != p.n ||
       assignment.channels_per_node() != p.c)
@@ -41,7 +46,7 @@ BroadcastOutcome run_cogcast(ChannelAssignment& assignment,
 
   NetworkOptions net = config.net;
   net.seed = seeder.split(0xFEEDu)();
-  Network network(assignment, std::move(protocols), net);
+  Engine network(assignment, std::move(protocols), net);
   if (config.jammer != nullptr) network.set_jammer(config.jammer);
   if (config.fault_engine != nullptr)
     network.set_fault_engine(config.fault_engine);
@@ -61,6 +66,18 @@ BroadcastOutcome run_cogcast(ChannelAssignment& assignment,
     out.parent.push_back(node->parent());
   }
   return out;
+}
+
+}  // namespace
+
+BroadcastOutcome run_cogcast(ChannelAssignment& assignment,
+                             const CogCastRunConfig& config) {
+  return run_cogcast_on<Network>(assignment, config);
+}
+
+BroadcastOutcome run_cogcast_reference(ChannelAssignment& assignment,
+                                       const CogCastRunConfig& config) {
+  return run_cogcast_on<ReferenceNetwork>(assignment, config);
 }
 
 bool valid_distribution_tree(NodeId source, std::span<const Slot> informed_slot,

@@ -38,9 +38,8 @@ struct CogCastRunConfig {
   // When true, nodes stop at params.horizon() (the terminating variant);
   // when false they run long-lived until everyone is informed or the cap.
   bool bounded = false;
-  // Engine knobs, including the EngineLayout (sim/network.h): every runner
-  // executes identically under either layout, so runs differing only in
-  // `net.layout` replay bit-for-bit (tests/test_engine_layouts.cpp).
+  // Engine knobs (sim/network.h): collision model, fading, backoff
+  // emulation. The run's RNG seed is derived from `seed` above.
   NetworkOptions net{};
   Jammer* jammer = nullptr;
   // Optional adversarial fault schedule (sim/fault_engine.h); windows must
@@ -52,6 +51,11 @@ struct CogCastRunConfig {
 // distribution tree. The message disseminated is a Data payload.
 BroadcastOutcome run_cogcast(ChannelAssignment& assignment,
                              const CogCastRunConfig& config);
+
+// The same run on the reference engine (sim/reference_network.h), for
+// differentials: its outcome must equal run_cogcast's field for field.
+BroadcastOutcome run_cogcast_reference(ChannelAssignment& assignment,
+                                       const CogCastRunConfig& config);
 
 // Validates the distribution tree of a completed broadcast: exactly one
 // root (the source), every other node has a parent that was informed
@@ -100,10 +104,8 @@ struct BaselineRunConfig {
   NodeId source = 0;
   Slot max_slots = 1'000'000;
   AggOp op = AggOp::Sum;  // aggregation baseline only
-  // Engine knobs (EngineLayout, collision model, fading, ...) flow through
-  // every runner the same way; the run's RNG seed is still derived from
-  // `seed` above, so two configs differing only in layout replay the same
-  // execution bit-for-bit.
+  // Engine knobs (collision model, fading, ...) flow through every runner
+  // the same way; the run's RNG seed is still derived from `seed` above.
   NetworkOptions net{};
 };
 

@@ -19,9 +19,9 @@
 // excluded by construction because snapshots are taken at slot boundaries.
 // The contract proven by the proptest resume differential and the ctest
 // resume-equivalence legs: restore(snapshot(slot s)) continued to
-// completion is bit-identical to the uninterrupted run, for every engine
-// layout and --jobs value (docs/DETERMINISM.md, "Checkpoint format and the
-// resume-equivalence contract").
+// completion is bit-identical to the uninterrupted run, for every --jobs
+// value (docs/DETERMINISM.md, "Checkpoint format and the resume-equivalence
+// contract").
 #pragma once
 
 #include <array>

@@ -18,6 +18,18 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 }
 }  // namespace
 
+void ActionFingerprint::fold(Slot slot, std::span<const ResolvedAction> acts) {
+  for (const ResolvedAction& a : acts) {
+    fnv_mix(h_, static_cast<std::uint64_t>(slot));
+    fnv_mix(h_, static_cast<std::uint64_t>(a.node));
+    fnv_mix(h_, static_cast<std::uint64_t>(a.mode));
+    fnv_mix(h_,
+            static_cast<std::uint64_t>(static_cast<std::int64_t>(a.channel)));
+    fnv_mix(h_, a.jammed ? 1 : 0);
+    fnv_mix(h_, a.fault);
+  }
+}
+
 // Forwards everything to the wrapped protocol while recording the
 // SlotResult the network delivered, for the checker's delivery oracle.
 class InvariantChecker::Tap : public Protocol {
@@ -101,6 +113,7 @@ void InvariantChecker::check_slot(Slot slot,
       opt.collision == CollisionModel::OneWinner && opt.loss_prob > 0.0;
 
   // --- A. Structural per-action checks + fingerprint --------------------
+  action_fp_.fold(slot, acts);
   int n_broadcast = 0, n_listen = 0, n_idle = 0, n_jammed = 0, n_success = 0;
   std::int64_t n_fault = 0, n_churn = 0, n_deaf = 0, n_mute = 0, n_babble = 0,
                n_fbdrop = 0, n_demoted = 0, n_blanked = 0;
@@ -108,13 +121,6 @@ void InvariantChecker::check_slot(Slot slot,
     const ResolvedAction& a = acts[i];
     if (a.node != static_cast<NodeId>(i))
       fail(slot, "resolved action out of node order");
-    fnv_mix(action_fp_, static_cast<std::uint64_t>(slot));
-    fnv_mix(action_fp_, static_cast<std::uint64_t>(a.node));
-    fnv_mix(action_fp_, static_cast<std::uint64_t>(a.mode));
-    fnv_mix(action_fp_, static_cast<std::uint64_t>(
-                            static_cast<std::int64_t>(a.channel)));
-    fnv_mix(action_fp_, a.jammed ? 1 : 0);
-    fnv_mix(action_fp_, a.fault);
 
     // Fault-flag semantics (sim/fault_engine.h): the engine's precedence
     // rules and the network's forced actions, re-derived from flags alone.

@@ -53,6 +53,18 @@
 
 namespace cogradio {
 
+// FNV-1a fold of (slot, node, mode, channel, jammed, fault flags) over a
+// stream of resolved actions: the checker's, or that of a run observed
+// without one (the reference leg of util/proptest.h).
+class ActionFingerprint {
+ public:
+  void fold(Slot slot, std::span<const ResolvedAction> acts);
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
 class InvariantChecker {
  public:
   InvariantChecker();
@@ -89,7 +101,7 @@ class InvariantChecker {
   // excluded on purpose: oblivious traffic must produce the same
   // fingerprint on the plain and backoff-emulating engines for the same
   // seeds (fault schedules are engine-independent, so the flags fold in).
-  std::uint64_t action_fingerprint() const { return action_fp_; }
+  std::uint64_t action_fingerprint() const { return action_fp_.value(); }
 
  private:
   class Tap;
@@ -104,7 +116,7 @@ class InvariantChecker {
   Slot slots_checked_ = 0;
   std::string first_violation_;
   std::vector<std::string> messages_;  // capped detail for report()
-  std::uint64_t action_fp_ = 0xcbf29ce484222325ULL;
+  ActionFingerprint action_fp_;
 
   TraceStats prev_;                         // last slot's stats snapshot
   std::vector<NodeActivity> prev_activity_; // last slot's activity snapshot

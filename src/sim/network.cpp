@@ -12,14 +12,14 @@ namespace cogradio {
 
 namespace {
 
-// How many nodes ahead of the one being worked on the SoA gather and
+// How many nodes ahead of the one being worked on the gather and
 // resolve walks request their lines; the gather's label-table stage runs
 // this far ahead, its first stage twice as far.
 constexpr std::size_t kPrefetchAhead = 16;
-// The walks prefetch only from this many nodes up. A node's SoA state and
-// label row take ~120 B at c = 16, so below ~2^14 nodes they stay cache
-// resident and the requests only cost instructions: paper_sweep's shapes
-// (n <= 512) ran ~10% slower with them.
+// The walks prefetch only from this many nodes up. A node's per-field
+// state and label row take ~120 B at c = 16, so below ~2^14 nodes they
+// stay cache resident and the requests only cost instructions:
+// paper_sweep's shapes (n <= 512) ran ~10% slower with them.
 constexpr int kPrefetchMinNodes = 1 << 14;
 
 // Requests the cache line(s) of `record` ahead of its use. Always inlined:
@@ -50,8 +50,6 @@ class Network::ProtocolClient final : public BatchClient {
  public:
   explicit ProtocolClient(std::vector<Protocol*> protocols)
       : protocols_(std::move(protocols)), staged_(protocols_.size()) {}
-
-  const std::vector<Protocol*>& protocols() const { return protocols_; }
 
   void begin_slot(Slot slot, std::span<Mode> mode,
                   std::span<LocalLabel> label) override {
@@ -125,9 +123,6 @@ Network::Network(ChannelAssignment& assignment, BatchClient& client,
       batch_(&client),
       activity_(static_cast<std::size_t>(assignment.num_nodes())) {
   if (n_ <= 0) throw std::invalid_argument("network: need at least one node");
-  if (options_.layout != EngineLayout::SoA)
-    throw std::invalid_argument(
-        "network: the batch-client interface requires the SoA layout");
   init_scratch();
 }
 
@@ -143,28 +138,18 @@ void Network::set_observer(SlotObserver observer) {
 
 void Network::init_scratch() {
   // Size all per-slot scratch up front; step() only ever writes into this
-  // capacity, so the steady-state hot path is allocation-free. Each array
-  // is sized only for the client, layout or attachment that reads it (the
-  // jammer's and observer's arrays are sized when they attach).
+  // capacity, so the steady-state hot path is allocation-free. The
+  // jammer's and observer's arrays are sized when they attach.
   const auto n = static_cast<std::size_t>(n_);
   const auto total = static_cast<std::size_t>(assignment_.total_channels());
   channel_bucket_.resize(total + 1);
   // At most one message lands per OneWinner/CollisionLoss channel and one
   // per broadcaster under AllDelivered, so n entries always suffice.
   batch_msgs_.reserve(n);
-  if (options_.layout != EngineLayout::SoA) {
-    resolved_.resize(n);  // the AoS path resolves into it every slot
-    messages_.resize(n);
-    received_.resize(n);
-    order_.reserve(n);
-    broadcasters_.reserve(n);
-    listeners_.reserve(n);
-    return;
-  }
 
-  // The SoA path restores the all-idle invariant incrementally (it resets
-  // only last slot's active entries), so the arrays must start out in the
-  // idle state rather than merely sized.
+  // step() restores the all-idle invariant incrementally (it resets only
+  // last slot's active entries), so the arrays must start out in the idle
+  // state rather than merely sized.
   soa_mode_.assign(n, Mode::Idle);
   soa_flags_.assign(n, std::uint8_t{0});
   soa_fault_.assign(n, std::uint8_t{0});
@@ -191,37 +176,7 @@ void Network::init_scratch() {
 
 bool Network::all_done() const { return batch_->done(); }
 
-void Network::group_by_channel() {
-  const auto n = static_cast<std::size_t>(n_);
-  // Counting sort keyed by physical channel: histogram, exclusive prefix
-  // sums, then a stable scatter in node-index order. O(n + C) with C small.
-  std::fill(channel_bucket_.begin(), channel_bucket_.end(), 0);
-  std::size_t participants = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const ResolvedAction& r = resolved_[i];
-    if (r.mode == Mode::Idle || r.jammed) continue;
-    assert(r.channel >= 0 &&
-           static_cast<std::size_t>(r.channel) + 1 < channel_bucket_.size());
-    ++channel_bucket_[static_cast<std::size_t>(r.channel)];
-    ++participants;
-  }
-  order_.resize(participants);
-  int offset = 0;
-  for (int& bucket : channel_bucket_) {
-    const int count = bucket;
-    bucket = offset;
-    offset += count;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const ResolvedAction& r = resolved_[i];
-    if (r.mode == Mode::Idle || r.jammed) continue;
-    order_[static_cast<std::size_t>(
-        channel_bucket_[static_cast<std::size_t>(r.channel)]++)] =
-        static_cast<int>(i);
-  }
-}
-
-void Network::group_by_key_soa() {
+void Network::group_by_key() {
   // The gather has already counted every key into its channel's bucket
   // (the jammed ones into bucket C, past the last channel) and marked each
   // channel in touched_. Only touched channels are visited from here on,
@@ -238,7 +193,7 @@ void Network::group_by_key_soa() {
   bucket[jammed_bucket] = offset;
   // Scatter broadcasters (role 0), then listeners (role 1). soa_active_ is
   // ascending, so each stable pass emits ascending node ids and the
-  // resolution order (hence the RNG draw order) matches the AoS reference.
+  // resolution order (hence the RNG draw order) matches the reference.
   // A key of the other role is written to a trash entry past the jammed
   // run instead of branching: roles are random, so a branch would miss
   // half the time. Broadcasters are stored bit-flipped (~node < 0), which
@@ -261,293 +216,17 @@ void Network::group_by_key_soa() {
   order_.resize(static_cast<std::size_t>(offset));  // the channel runs
 }
 
-void Network::step() {
-  if (options_.layout == EngineLayout::SoA)
-    step_soa();
-  else
-    step_aos();
-}
-
-void Network::step_aos() {
-  const Slot slot = stats_.slots + 1;
-  const std::vector<Protocol*>& protocols = protocols_->protocols();
-  const auto n = protocols.size();
-
-  assignment_.begin_slot(slot);
-  if (jammer_ != nullptr) jammer_->begin_slot(slot);
-  if (fault_engine_ != nullptr) fault_engine_->begin_slot(slot);
-
-  // Reset per-slot scratch in place. messages_ is skipped on purpose: only
-  // broadcaster entries are read, and those are overwritten below.
-  // used_channel_ exists solely for the jammer's observe() handoff, so the
-  // no-jammer case skips both the fill and the per-node stores.
-  std::fill(resolved_.begin(), resolved_.end(), ResolvedAction{});
-  if (jammer_ != nullptr)
-    std::fill(used_channel_.begin(), used_channel_.end(), kNoChannel);
-  std::fill(received_.begin(), received_.end(), std::span<const Message>{});
-  batch_msgs_.clear();
-
-  // 1. Collect and resolve actions. The fault stage may override what the
-  //    protocol asked for — its clock always advances (on_slot is always
-  //    called), but a faulted radio need not obey the returned action.
-  for (std::size_t i = 0; i < n; ++i) {
-    Action action = protocols[i]->on_slot(slot);
-    ResolvedAction& r = resolved_[i];
-    r.node = static_cast<NodeId>(i);
-    if (fault_engine_ != nullptr) {
-      std::uint8_t f = fault_engine_->flags(static_cast<NodeId>(i));
-      if (f != 0) {
-        ++stats_.fault_node_slots;
-        if (f & faultflag::kChurnedOut) ++stats_.churned_node_slots;
-        if (f & faultflag::kDeaf) ++stats_.deaf_node_slots;
-        if (f & faultflag::kMute) ++stats_.mute_node_slots;
-        if (f & faultflag::kBabble) ++stats_.babble_node_slots;
-        if (f & faultflag::kFeedbackDrop) ++stats_.feedback_drop_node_slots;
-        const TestonlyFaultMutation mut = options_.testonly_fault_mutation;
-        if (f & faultflag::kChurnedOut) {
-          // Off radio: no action, whatever the protocol asked for.
-          if (mut != TestonlyFaultMutation::ChurnActs) action = Action::idle();
-        } else if (f & faultflag::kBabble) {
-          // Stuck transmitter: garbage on the stuck label, every slot. The
-          // garbage contends under the collision model like any broadcast.
-          if (mut != TestonlyFaultMutation::BabbleIdles)
-            action = Action::broadcast(
-                fault_engine_->babble_label(static_cast<NodeId>(i)),
-                Message{});
-          else
-            action = Action::idle();
-        } else if ((f & faultflag::kMute) && action.mode == Mode::Broadcast) {
-          // Dead transmitter: the radio stays tuned to the label the
-          // protocol picked but can only listen there.
-          if (mut != TestonlyFaultMutation::MuteTransmits) {
-            action.mode = Mode::Listen;
-            f |= faultflag::kDemoted;
-            ++stats_.mute_demotions;
-          }
-        }
-        r.fault = f;
-      }
-    }
-    r.mode = action.mode;
-    if (action.mode == Mode::Idle) {
-      ++stats_.idle_node_slots;
-      continue;
-    }
-    assert(action.channel >= 0 &&
-           action.channel < assignment_.channels_per_node());
-    const Channel ch =
-        assignment_.global_channel(static_cast<NodeId>(i), action.channel);
-    r.channel = ch;
-    if (jammer_ != nullptr) {
-      used_channel_[i] = ch;
-      if (jammer_->is_jammed(static_cast<NodeId>(i), ch)) {
-        r.jammed = true;
-        ++stats_.jammed_node_slots;
-        continue;
-      }
-    }
-    if (action.mode == Mode::Broadcast) {
-      messages_[i] = std::move(action.msg);
-      messages_[i].sender = static_cast<NodeId>(i);
-      ++stats_.broadcasts;
-    }
-  }
-
-  // 2. Group participating nodes by physical channel.
-  group_by_channel();
-
-  auto account_success = [&](const Message& msg) {
-    ++stats_.successes;
-    const auto words = static_cast<std::int64_t>(wire_size_words(msg));
-    stats_.total_message_words += words;
-    stats_.max_message_words = std::max(stats_.max_message_words, words);
-  };
-
-  // A receiver whose rx path is dead (churned, deaf, babbling, or with its
-  // feedback dropped) gets no copies. Suppression is decided BEFORE the
-  // fade coin — no coin is spent on a dead receiver — so the oracle can
-  // re-derive TraceStats::suppressed_deliveries exactly even under fading.
-  auto rx_dead = [&](std::size_t idx) {
-    const std::uint8_t f = resolved_[idx].fault;
-    if (!(f & faultflag::kRxDead)) return false;
-    if (options_.testonly_fault_mutation == TestonlyFaultMutation::DeafHears &&
-        (f & faultflag::kDeaf))
-      return false;  // mutation: the deaf node hears anyway
-    return true;
-  };
-
-  // 3. Apply the collision model per channel group.
-  for (std::size_t begin = 0; begin < order_.size();) {
-    std::size_t end = begin;
-    const Channel ch = resolved_[static_cast<std::size_t>(order_[begin])].channel;
-    while (end < order_.size() &&
-           resolved_[static_cast<std::size_t>(order_[end])].channel == ch)
-      ++end;
-
-    // Partition the group into broadcasters and listeners.
-    broadcasters_.clear();
-    listeners_.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto idx = static_cast<std::size_t>(order_[i]);
-      (resolved_[idx].mode == Mode::Broadcast ? broadcasters_ : listeners_)
-          .push_back(order_[i]);
-    }
-    if (broadcasters_.size() >= 2) ++stats_.collision_events;
-
-    switch (options_.collision) {
-      case CollisionModel::OneWinner: {
-        if (broadcasters_.empty()) break;
-        std::size_t pick = 0;
-        if (options_.emulate_backoff) {
-          const BackoffOutcome outcome = decay_backoff(
-              static_cast<int>(broadcasters_.size()), options_.backoff, rng_);
-          stats_.micro_slots += outcome.micro_slots;
-          if (!outcome.resolved) {
-            ++stats_.backoff_failures;
-            break;  // nothing delivered on this channel this slot
-          }
-          pick = static_cast<std::size_t>(outcome.winner);
-        } else {
-          pick = rng_.below(broadcasters_.size());
-        }
-        const auto winner = static_cast<std::size_t>(broadcasters_[pick]);
-        resolved_[winner].tx_success = true;
-        account_success(messages_[winner]);
-        if (options_.testonly_duplicate_winner && broadcasters_.size() >= 2)
-          resolved_[static_cast<std::size_t>(broadcasters_[pick == 0 ? 1 : 0])]
-              .tx_success = true;
-        const std::span<const Message> win{&messages_[winner], 1};
-        auto faded = [&] {
-          return options_.loss_prob > 0.0 && rng_.chance(options_.loss_prob);
-        };
-        for (int l : listeners_) {
-          const auto idx = static_cast<std::size_t>(l);
-          if (rx_dead(idx)) {
-            ++stats_.suppressed_deliveries;
-            continue;
-          }
-          if (faded()) continue;
-          received_[idx] = win;
-          ++stats_.deliveries;
-        }
-        // Failed broadcasters also receive the winning message (Section 2).
-        for (int b : broadcasters_)
-          if (static_cast<std::size_t>(b) != winner) {
-            const auto idx = static_cast<std::size_t>(b);
-            if (rx_dead(idx)) {
-              ++stats_.suppressed_deliveries;
-              continue;
-            }
-            if (faded()) continue;
-            received_[idx] = win;
-            ++stats_.deliveries;
-          }
-        break;
-      }
-      case CollisionModel::AllDelivered: {
-        if (broadcasters_.empty()) break;
-        // The group's messages, in broadcaster order, move to the slot's
-        // arena (reserved to n, so every listener's view stays valid).
-        const std::size_t start = batch_msgs_.size();
-        for (int b : broadcasters_) {
-          const auto idx = static_cast<std::size_t>(b);
-          resolved_[idx].tx_success = true;
-          account_success(messages_[idx]);
-          batch_msgs_.push_back(std::move(messages_[idx]));
-        }
-        const std::span<const Message> all{batch_msgs_.data() + start,
-                                           broadcasters_.size()};
-        for (int l : listeners_) {
-          const auto idx = static_cast<std::size_t>(l);
-          if (rx_dead(idx)) {
-            stats_.suppressed_deliveries +=
-                static_cast<std::int64_t>(all.size());
-            continue;
-          }
-          stats_.deliveries += static_cast<std::int64_t>(all.size());
-          received_[idx] = all;
-        }
-        break;
-      }
-      case CollisionModel::CollisionLoss: {
-        if (broadcasters_.size() == 1) {
-          const auto winner = static_cast<std::size_t>(broadcasters_.front());
-          resolved_[winner].tx_success = true;
-          account_success(messages_[winner]);
-          const std::span<const Message> win{&messages_[winner], 1};
-          for (int l : listeners_) {
-            const auto idx = static_cast<std::size_t>(l);
-            if (rx_dead(idx)) {
-              ++stats_.suppressed_deliveries;
-              continue;
-            }
-            received_[idx] = win;
-            ++stats_.deliveries;
-          }
-        }
-        break;
-      }
-    }
-    begin = end;
-  }
-
-  // 4. Feedback, in ascending node order. A node whose feedback is
-  //    blanked (churned out, babbling, or feedback dropped) gets a default
-  //    SlotResult — indistinguishable from a powered-off radio's slot. A
-  //    deaf node keeps its real tx-side fields; only its receive view is
-  //    empty (suppressed above).
-  for (std::size_t i = 0; i < n; ++i) {
-    const ResolvedAction& r = resolved_[i];
-    if ((r.fault & faultflag::kBlankFeedback) != 0 &&
-        options_.testonly_fault_mutation !=
-            TestonlyFaultMutation::KeepDroppedFeedback) {
-      ++stats_.feedback_drops;
-      protocols[i]->on_feedback(slot, SlotResult{});
-      continue;
-    }
-    SlotResult res;
-    res.jammed = r.jammed;
-    res.tx_attempted = r.mode == Mode::Broadcast && !r.jammed;
-    res.tx_success = r.tx_success;
-    res.received = received_[i];
-    protocols[i]->on_feedback(slot, res);
-  }
-
-  // 5. Per-node duty-cycle accounting (idle is derived on read, see
-  //    activity()).
-  for (std::size_t i = 0; i < n; ++i) {
-    const ResolvedAction& r = resolved_[i];
-    if (r.mode == Mode::Idle) continue;
-    Activity& act = activity_[i];
-    if (r.jammed) {
-      ++act.jammed;
-    } else if (r.mode == Mode::Broadcast) {
-      ++act.tx;
-      if (r.tx_success) ++act.tx_success;
-      if (!received_[i].empty()) act.received += static_cast<std::int64_t>(received_[i].size());
-    } else {
-      ++act.listen;
-      act.received += static_cast<std::int64_t>(received_[i].size());
-    }
-  }
-
-  // 6. History to the jammer, observer, bookkeeping.
-  if (jammer_ != nullptr) jammer_->observe(slot, used_channel_);
-  stats_.slots = slot;
-  if (observer_) observer_(slot, resolved_);
-}
-
-// The SoA per-channel resolution core. Coin discipline (identical to
-// step_aos, enumerated in DETERMINISM.md): per contended OneWinner channel
+// The per-channel resolution core. Coin discipline (the reference's,
+// enumerated in DETERMINISM.md): per OneWinner channel with a broadcaster
 // the winner coin (or the emulated-backoff draws) comes first, then one
 // fade coin per live receiver — listeners in ascending node order, then
 // failed broadcasters in ascending node order; no coin is spent on rx-dead
 // receivers or when loss_prob is zero. Channels resolve in ascending
 // physical order, so the whole draw sequence is a function of the slot's
 // action set alone.
-void Network::resolve_group_soa(const Slot slot,
-                                const std::span<const int> broadcasters,
-                                const std::span<const int> listeners) {
+void Network::resolve_group(const Slot slot,
+                            const std::span<const int> broadcasters,
+                            const std::span<const int> listeners) {
   const auto bcount = static_cast<std::int32_t>(broadcasters.size());
   if (bcount >= 2) ++stats_.collision_events;
 
@@ -681,7 +360,7 @@ void Network::resolve_group_soa(const Slot slot,
   }
 }
 
-void Network::step_soa() {
+void Network::step() {
   const Slot slot = stats_.slots + 1;
   const auto n = static_cast<std::size_t>(n_);
 
@@ -741,7 +420,7 @@ void Network::step_soa() {
     // is available (sim/active_scan.h).
     scan_active(soa_mode_, soa_active_);
   } else {
-    // Fault overrides and their accounting, byte-for-byte the AoS rules.
+    // Fault overrides and their accounting, the reference's rules.
     // A fault can act on any node (a babbling radio transmits whatever its
     // client asked for, and blank feedback is charged to idle nodes too),
     // so this pass visits all of them.
@@ -760,7 +439,7 @@ void Network::step_soa() {
           if (mut != TestonlyFaultMutation::ChurnActs) mode = Mode::Idle;
         } else if (f & faultflag::kBabble) {
           // The garbage payload is substituted when the broadcast is
-          // sourced (resolve_group_soa), keyed off the same fault bits.
+          // sourced (resolve_group), keyed off the same fault bits.
           if (mut != TestonlyFaultMutation::BabbleIdles) {
             mode = Mode::Broadcast;
             soa_label_[i] = fault_engine_->babble_label(static_cast<NodeId>(i));
@@ -792,11 +471,11 @@ void Network::step_soa() {
 
   // 2. Gather: book each active node, write its grouping key and count
   //    the key into its channel's bucket, where the work overlaps the
-  //    misses (group_by_key_soa finishes the sort). By the all-idle
+  //    misses (group_by_key finishes the sort). By the all-idle
   //    invariant the node's flag byte is clear (or holds only the
   //    blank-feedback mark) and its mode byte holds the final action, so
   //    only a jam verdict is stored per node. The duty-cycle ledger is
-  //    booked here (jammed, tx or listen) and in resolve_group_soa
+  //    booked here (jammed, tx or listen) and in resolve_group
   //    (tx_success, received); idle slots are derived on read, see
   //    activity(). At fleet scale the active nodes are too sparse for the
   //    hardware prefetcher, so each node's lines are requested ahead: its
@@ -849,7 +528,7 @@ void Network::step_soa() {
   //    run of order_ ends at its bucket; its leading bit-flipped entries
   //    are its broadcasters, restored as the walk finds them. The walk
   //    returns every bucket and touched bit it visits to zero.
-  group_by_key_soa();
+  group_by_key();
   const std::span<const int> runs(order_);
   std::size_t start = 0;
   for_each_set_bit(touched_, [&](std::size_t ch) {
@@ -859,8 +538,8 @@ void Network::step_soa() {
     std::size_t split = start;
     for (; split < end && order_[split] < 0; ++split)
       order_[split] = ~order_[split];
-    resolve_group_soa(slot, runs.subspan(start, split - start),
-                      runs.subspan(split, end - split));
+    resolve_group(slot, runs.subspan(start, split - start),
+                  runs.subspan(split, end - split));
     start = end;
   });
 
@@ -924,6 +603,7 @@ void Network::restore_state(CheckpointReader& r) {
                           std::to_string(n) + " node(s), this network has " +
                           std::to_string(n_));
   stats_ = load_trace_stats(r);
+  const Slot slots = stats_.slots;
   for (Activity& a : activity_) {
     a.tx = r.i64();
     a.tx_success = r.i64();
@@ -934,6 +614,16 @@ void Network::restore_state(CheckpointReader& r) {
           "checkpoint rejected: a stored idle count is not 0 (idle is "
           "derived from the slot count)");
     a.jammed = r.i64();
+    // activity() derives idle = slots - (tx + listen + jammed), so each
+    // bound below keeps every derived count non-negative, too.
+    const bool possible =
+        a.tx >= 0 && a.tx_success >= 0 && a.listen >= 0 && a.received >= 0 &&
+        a.jammed >= 0 && a.tx_success <= a.tx && a.tx <= slots &&
+        a.listen <= slots - a.tx && a.jammed <= slots - a.tx - a.listen;
+    if (!possible)
+      throw CheckpointError(
+          "checkpoint rejected: an activity record holds a negative count, "
+          "more wins than broadcasts, or more active slots than slots");
   }
   r.rng(rng_);
 }

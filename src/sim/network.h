@@ -18,6 +18,14 @@
 //   CollisionLoss the raw radio — two or more concurrent broadcasts destroy
 //                 each other (no collision detection). The backoff substrate
 //                 (sim/backoff.h) rebuilds OneWinner on top of this.
+//
+// The engine keeps per-field node arrays, lists the slot's non-idle nodes
+// once, and runs every pass after the client's begin_slot over that list:
+// a gather that writes each node's (channel, role) key, one counting sort
+// of the keys at O(active + C/64) per slot, and the coins per channel.
+// sim/reference_network.h writes the same model out plainly, and the two
+// are diffed bit for bit; DETERMINISM.md ("The slot engine, its reference,
+// and the draw order") documents the draw order both honor.
 #pragma once
 
 #include <functional>
@@ -36,26 +44,6 @@
 namespace cogradio {
 
 enum class CollisionModel : std::uint8_t { OneWinner, AllDelivered, CollisionLoss };
-
-// Which slot-engine implementation step() runs.
-//   SoA  default — structure-of-arrays hot path: parallel flat arrays for
-//        mode/label/flags/fault, the slot's non-idle nodes listed once,
-//        and every pass after the client's begin_slot run over that list:
-//        a gather that books each node and writes its (channel, role)
-//        key, one counting sort of the keys whose per-slot cost is
-//        O(active + C/64), and winner/fade coins drawn batched per
-//        contended channel.
-//   AoS  the original per-node ResolvedAction walk, kept as the reference
-//        the SoA path is checked against, and selected only through
-//        NetworkOptions::layout (tests, the proptest differential, the
-//        bench smoke and E35). Differential-tested bit-identical against
-//        SoA — same coin stream, same callbacks in the same order, same
-//        accounting — across every collision model, jamming, fading,
-//        backoff emulation, and fault kind (tests/test_engine_layouts.cpp,
-//        util/proptest.cpp).
-// The RNG draw-order contract both layouts honor is documented in
-// DETERMINISM.md ("Engine layouts and the batched draw order").
-enum class EngineLayout : std::uint8_t { SoA, AoS };
 
 // TEST-ONLY fault-rule violations, one per FaultKind (see NetworkOptions).
 //   DeafHears           deliveries to a deaf node are NOT suppressed;
@@ -117,8 +105,6 @@ struct NetworkOptions {
   // incompleteness rather than a silently wrong aggregate).
   double loss_prob = 0.0;
 
-  EngineLayout layout = EngineLayout::SoA;
-
   // TEST-ONLY mutation hook (never set outside tests): when true, a
   // contended OneWinner channel marks a second broadcaster successful
   // without accounting it — a deliberate model violation used by the
@@ -142,11 +128,11 @@ struct ResolvedAction {
   bool tx_success = false;
   std::uint8_t fault = 0;  // faultflag bits active on this node this slot
 
-  // Element-wise stream equality, for the engine-layout differential tests.
+  // Element-wise stream equality, for the reference differential tests.
   bool operator==(const ResolvedAction&) const = default;
 };
 
-// Per-node per-slot flag bits of the SoA layout, exposed to batch clients
+// Per-node per-slot flag bits of the engine, exposed to batch clients
 // through BatchFeedback::flags.
 namespace slotflag {
 inline constexpr std::uint8_t kJammed = 1;     // cut off by the jammer
@@ -173,16 +159,15 @@ struct BatchFeedback {
   std::span<const Message> messages;
 };
 
-// The SoA layout's one client interface: one virtual call collects every
+// The engine's one client interface: one virtual call collects every
 // node's action and one returns every node's feedback. Per-node Protocols
 // ride it too, through an adapter the Network owns (network.cpp) that
 // calls on_slot/on_feedback for each node in ascending node order; a
 // native batch client skips those 2n virtual calls per slot, which is
-// what dominates stepping at scale (bench E35 measures the difference).
-// Either way the engine runs assignment, jamming, faults, collision
-// resolution, fading, and accounting through the same code — E35
-// cross-checks TraceStats between a batch run and a per-node twin every
-// run.
+// what dominates stepping at scale. Either way the engine runs
+// assignment, jamming, faults, collision resolution, fading, and
+// accounting through the same code — E35 checks a batch run and a
+// per-node twin against the reference's TraceStats every run.
 class BatchClient {
  public:
   virtual ~BatchClient() = default;
@@ -211,13 +196,12 @@ class Network {
   // `protocols[i]` is node i; non-owning — callers keep protocols alive for
   // the lifetime of the network (the runtime helpers in core/runtime.h own
   // them for you). Each slot calls every on_slot in ascending node order,
-  // then every on_feedback in ascending node order, on either layout and
-  // under every collision model.
+  // then every on_feedback in ascending node order, under every collision
+  // model.
   Network(ChannelAssignment& assignment, std::vector<Protocol*> protocols,
           NetworkOptions options = {});
 
-  // Batched-traffic variant (non-owning, like protocols). Requires the SoA
-  // layout — the AoS reference path is per-node by construction.
+  // Batched-traffic variant (non-owning, like protocols).
   Network(ChannelAssignment& assignment, BatchClient& client,
           NetworkOptions options = {});
 
@@ -248,7 +232,7 @@ class Network {
   // Per-node duty-cycle counters. `idle` is derived on read, not stored:
   // every slot consumes exactly one of {idle, jammed, tx, listen} per node,
   // so idle = slots - (tx + listen + jammed). Storing only the other
-  // counters lets the SoA path skip idle nodes' accounting entirely, which
+  // counters lets step() skip idle nodes' accounting entirely, which
   // is what makes mostly-idle million-node slots O(active) instead of O(n).
   NodeActivity activity(NodeId node) const {
     const Activity& a = activity_[static_cast<std::size_t>(node)];
@@ -280,16 +264,15 @@ class Network {
   // always 0 (idle is derived on read), and restore_state rejects any
   // other value.
   // restore_state targets a freshly constructed Network over the same node
-  // count; the layout may differ between writer and reader — the draw
-  // order is engine-invariant, which the proptest resume differential
-  // exercises. Protocol, jammer, and fault-engine state is serialized by
-  // those components, not here.
+  // count, and rejects an activity record no run can produce: a negative
+  // counter, more wins than broadcasts, or more active slots than slots.
+  // Protocol, jammer, and fault-engine state is serialized by those
+  // components, not here.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);
 
  private:
-  // Per-node protocols wrapped as a BatchClient (network.cpp). It owns
-  // the protocol list, which the AoS reference walks directly.
+  // Per-node protocols wrapped as a BatchClient (network.cpp).
   class ProtocolClient;
 
   // A node's accumulated duty-cycle counters: NodeActivity without the
@@ -317,55 +300,37 @@ class Network {
   // active node's lines are scattered over.
   HugePageVector<Activity> activity_;
 
-  // Sizes all per-slot scratch for the configured layout; called once from
-  // either constructor.
+  // Sizes all per-slot scratch; called once from either constructor.
   void init_scratch();
 
-  // The two step() implementations, dispatched on options_.layout. Both
-  // produce bit-identical executions: same RNG draw sequence, same
-  // protocol/jammer/observer call order, same TraceStats/NodeActivity.
-  void step_aos();
-  void step_soa();
+  // Finishes the counting sort the gather began, placing the unjammed
+  // active nodes into `order_` by soa_key_: each touched channel's run
+  // holds its broadcasters, then its listeners, both ascending. Each
+  // touched channel's bucket is left at its run's end for the resolve
+  // walk.
+  void group_by_key();
 
-  // AoS: counting-sorts the participating nodes of `resolved_` into
-  // `order_` (stable by node index within each physical channel).
-  void group_by_channel();
-  // SoA: finishes the counting sort the gather began, placing the
-  // unjammed active nodes into `order_` by soa_key_: each touched
-  // channel's run holds its broadcasters, then its listeners, both
-  // ascending. Each touched channel's bucket is left at its run's end for
-  // the resolve walk.
-  void group_by_key_soa();
-
-  // SoA per-channel resolution: one channel's broadcasters and listeners,
+  // Per-channel resolution: one channel's broadcasters and listeners,
   // each a run of order_ in ascending node order.
-  void resolve_group_soa(Slot slot, std::span<const int> broadcasters,
-                         std::span<const int> listeners);
+  void resolve_group(Slot slot, std::span<const int> broadcasters,
+                     std::span<const int> listeners);
 
   // Per-slot scratch, sized once (in the constructor, or by the setter
   // that attaches its reader) and reused every slot so that step()
   // performs zero heap allocations in steady state (the E18 and E35
   // allocation probes enforce this). Per-node arrays are sized only for
-  // their readers: a 2^20-node BatchClient fleet allocates none of
-  // resolved_, messages_, received_, used_channel_, broadcasters_ or
-  // listeners_.
-  std::vector<ResolvedAction> resolved_;  // AoS layout, or an observer
-  // AoS only: the broadcast message per node (by index; only broadcaster
-  // entries are live — stale slots are never read, so no per-slot reset),
-  // the delivery views, and the per-group partition.
-  std::vector<Message> messages_;
-  std::vector<std::span<const Message>> received_;
-  std::vector<int> broadcasters_;
-  std::vector<int> listeners_;
+  // their readers: a 2^20-node BatchClient fleet allocates neither
+  // resolved_ nor used_channel_.
+  std::vector<ResolvedAction> resolved_;  // only with an observer
   std::vector<int> order_;          // participating node indices, grouped by channel
   std::vector<Channel> used_channel_;  // per node, for jammer observe();
                                        // sized and filled only with a jammer
-  // Counting-sort histogram / offsets, C+1 entries; the SoA path counts
-  // its jammed nodes in the last one. It keeps them all zero between
+  // Counting-sort histogram / offsets, C+1 entries; the gather counts the
+  // jammed nodes in the last one. step() keeps them all zero between
   // slots, resetting only the ones it touched.
   std::vector<int> channel_bucket_;
 
-  // SoA layout state (sized only when options_.layout == SoA).
+  // The per-field node state.
   std::vector<Mode> soa_mode_;
   std::vector<std::uint8_t> soa_flags_;  // slotflag bits
   std::vector<std::uint8_t> soa_fault_;  // faultflag bits; all 0 without
@@ -378,8 +343,7 @@ class Network {
   HugePageVector<LocalLabel> soa_label_;
   HugePageVector<std::int32_t> soa_rx_off_;  // into batch_msgs_
   HugePageVector<std::int32_t> soa_rx_cnt_;
-  // Messages delivered this slot, on either layout (AoS moves only its
-  // AllDelivered messages here); reserved to n, so views into it stay
+  // Messages delivered this slot; reserved to n, so views into it stay
   // valid for the whole slot.
   std::vector<Message> batch_msgs_;
   // Non-idle nodes this slot (ascending). Every pass after the client's

@@ -37,8 +37,8 @@ struct TraceStats {
   std::int64_t feedback_drops = 0;         // SlotResults blanked at delivery
   std::int64_t suppressed_deliveries = 0;  // copies dropped at dead receivers
 
-  // Field-wise equality, for the engine-layout differential tests (the SoA
-  // and AoS paths must agree on every counter, bit for bit).
+  // Field-wise equality, for the reference differential tests (the engine
+  // and sim/reference_network.h must agree on every counter, bit for bit).
   bool operator==(const TraceStats&) const = default;
 };
 

@@ -25,6 +25,8 @@
 #include "sim/jamming.h"
 // cograd-lint: allow(R7) trials construct the Network engine they execute on
 #include "sim/network.h"
+// cograd-lint: allow(R7) every trial is diffed against the reference engine
+#include "sim/reference_network.h"
 #include "util/sweep.h"
 
 namespace cogradio {
@@ -132,8 +134,8 @@ struct RunOutcome {
   std::uint64_t fingerprint = 0;
   // Order-sensitive hash of TraceStats and every NodeActivity. The action
   // fingerprint deliberately ignores winner identity (so plain and backoff
-  // engines can agree); the digest does not, which is what the SoA-vs-AoS
-  // layout differential needs — a diverging winner draw changes
+  // engines can agree); the digest does not, which is what the reference
+  // differential needs — a diverging winner draw changes
   // tx_success/deliveries and therefore this hash.
   std::uint64_t digest = 0;
 };
@@ -144,7 +146,10 @@ std::uint64_t mix64(std::uint64_t h, std::int64_t v) {
   return h;
 }
 
-std::uint64_t accounting_digest(const Network& net) {
+// Either engine: Network derives each node's idle count, the reference
+// counts it.
+template <typename Engine>
+std::uint64_t accounting_digest(const Engine& net) {
   const TraceStats& s = net.stats();
   std::uint64_t h = 0x517cc1b727220a95ull;
   for (const std::int64_t v :
@@ -175,9 +180,10 @@ FaultEngine build_fault_engine(const Scenario& scn) {
 }
 
 // A fully materialized scenario: every component run_once (and the resume
-// differential) steps, owned together so the twin world of a resume leg is
-// built by the exact same code path — and therefore from the exact same
-// coin streams — as the original.
+// and reference differentials) steps, owned together so the twin world of
+// a resume leg is built by the exact same code path — and therefore from
+// the exact same coin streams — as the original.
+template <typename Engine>
 struct World {
   std::unique_ptr<ChannelAssignment> assignment;
   std::unique_ptr<Jammer> jammer;
@@ -189,15 +195,18 @@ struct World {
   // snapshot) but pre-tap (the checker's taps are observation, not state).
   std::vector<Protocol*> wrapped;
   std::vector<Protocol*> protocols;  // what the network actually drives
-  std::unique_ptr<Network> net;
+  std::unique_ptr<Engine> net;
 };
 
-// Materializes the scenario with `engine` (which may override scn.engine
-// for the differential check) on the slot-engine `layout`. Every coin — assignment, protocols, jammer,
-// faults, winner draws — is a fixed stream of scn.salt, so the same
-// scenario materializes bit-identically every time.
-World materialize(const Scenario& scn, ScnEngine engine, EngineLayout layout,
-                  const CheckOptions& options, bool with_checker) {
+// Materializes the scenario on a Network or the reference, with `engine`
+// (which may override scn.engine for the differential check). Every coin
+// — assignment, protocols, jammer, faults, winner draws — is a fixed
+// stream of scn.salt, so the same scenario materializes bit-identically
+// every time. With `with_checker` every protocol is tapped; the caller
+// attaches the checker.
+template <typename Engine = Network>
+World<Engine> materialize(const Scenario& scn, ScnEngine engine,
+                          const CheckOptions& options, bool with_checker) {
   Rng root(scn.salt);
   Rng assign_rng = root.split(1);
   Rng proto_seeder = root.split(2);
@@ -205,7 +214,7 @@ World materialize(const Scenario& scn, ScnEngine engine, EngineLayout layout,
   Rng fault_rng = root.split(4);
   const std::uint64_t net_seed = root.split(5)();
 
-  World world;
+  World<Engine> world;
   world.assignment = build_assignment(scn, assign_rng);
   world.jammer =
       build_jammer(scn, world.assignment->total_channels(), jam_rng);
@@ -219,7 +228,6 @@ World materialize(const Scenario& scn, ScnEngine engine, EngineLayout layout,
   opt.seed = net_seed;
   opt.loss_prob = scn.loss_prob;
   opt.testonly_fault_mutation = options.mutation;
-  opt.layout = layout;
   switch (engine) {
     case ScnEngine::Plain:
       break;
@@ -245,19 +253,19 @@ World materialize(const Scenario& scn, ScnEngine engine, EngineLayout layout,
                                   : world.wrapped.back());
   }
 
-  world.net = std::make_unique<Network>(*world.assignment, world.protocols,
-                                        opt);
+  world.net = std::make_unique<Engine>(*world.assignment, world.protocols,
+                                       opt);
   if (world.jammer) world.net->set_jammer(world.jammer.get());
   if (scn.faults.any()) world.net->set_fault_engine(world.fault_engine.get());
-  if (world.checker) world.checker->attach(*world.net);
   return world;
 }
 
 // Runs the scenario to scn.slots under the oracle.
-RunOutcome run_once(const Scenario& scn, ScnEngine engine, EngineLayout layout,
+RunOutcome run_once(const Scenario& scn, ScnEngine engine,
                     const CheckOptions& options) {
-  World world =
-      materialize(scn, engine, layout, options, /*with_checker=*/true);
+  World<Network> world =
+      materialize(scn, engine, options, /*with_checker=*/true);
+  world.checker->attach(*world.net);
   for (int s = 0; s < scn.slots; ++s) world.net->step();
 
   RunOutcome out;
@@ -269,18 +277,31 @@ RunOutcome run_once(const Scenario& scn, ScnEngine engine, EngineLayout layout,
   return out;
 }
 
+// The reference leg: the scenario, untapped, on the reference engine,
+// reduced to the fingerprint and digest the primary run reports.
+RunOutcome run_reference(const Scenario& scn) {
+  World<ReferenceNetwork> world = materialize<ReferenceNetwork>(
+      scn, scn.engine, CheckOptions{}, /*with_checker=*/false);
+  ActionFingerprint fingerprint;
+  world.net->set_observer([&](Slot slot, std::span<const ResolvedAction> acts) {
+    fingerprint.fold(slot, acts);
+  });
+  for (int s = 0; s < scn.slots; ++s) world.net->step();
+  return {"", fingerprint.value(), accounting_digest(*world.net)};
+}
+
 // Snapshot/restore composition of the resume differential: network
 // accounting + engine RNG, jammer, fault-engine runtime state, then every
 // plan-wrapped node. Fixed order on both sides; CheckpointReader's section
 // tags turn any drift into a named diagnostic.
-void save_world(const World& world, CheckpointWriter& w) {
+void save_world(const World<Network>& world, CheckpointWriter& w) {
   world.net->save_state(w);
   if (world.jammer) world.jammer->save_state(w);
   world.fault_engine->save_state(w);
   for (const Protocol* p : world.wrapped) p->save_state(w);
 }
 
-void restore_world(World& world, CheckpointReader& r) {
+void restore_world(World<Network>& world, CheckpointReader& r) {
   world.net->restore_state(r);
   if (world.jammer) world.jammer->restore_state(r);
   world.fault_engine->restore_state(r);
@@ -296,8 +317,8 @@ void restore_world(World& world, CheckpointReader& r) {
 // then replays a shifted coin stream and the digest compare must bite.
 std::uint64_t run_resumed(const Scenario& scn, const CheckOptions& options,
                           bool skew) {
-  World original = materialize(scn, scn.engine, EngineLayout::SoA, options,
-                               /*with_checker=*/false);
+  World<Network> original =
+      materialize(scn, scn.engine, options, /*with_checker=*/false);
   std::string early;  // state after snap - 1 slots, used by the skew leg
   for (int s = 0; s < scn.snap; ++s) {
     if (skew && s == scn.snap - 1) {
@@ -310,8 +331,8 @@ std::uint64_t run_resumed(const Scenario& scn, const CheckOptions& options,
   CheckpointWriter w;
   save_world(original, w);
 
-  World twin = materialize(scn, scn.engine, EngineLayout::SoA, options,
-                           /*with_checker=*/false);
+  World<Network> twin =
+      materialize(scn, scn.engine, options, /*with_checker=*/false);
   CheckpointReader r(skew ? early : w.bytes());
   restore_world(twin, r);
   for (int s = scn.snap; s < scn.slots; ++s) twin.net->step();
@@ -460,24 +481,22 @@ std::string check_scenario(const Scenario& raw) {
 
 std::string check_scenario(const Scenario& raw, const CheckOptions& options) {
   const Scenario scn = canonicalize(raw);
-  const RunOutcome primary =
-      run_once(scn, scn.engine, EngineLayout::SoA, options);
+  const RunOutcome primary = run_once(scn, scn.engine, options);
   if (!primary.violation.empty())
     return primary.violation + " [" + name_of(scn.engine) + " engine]";
 
-  // Layout differential: the SoA hot path must reproduce the AoS reference
-  // bit for bit on EVERY scenario — same action stream AND the same
-  // stats/activity accounting. The fingerprint deliberately ignores winner
-  // identity, so the digest (which hashes tx_success/deliveries per node)
-  // is what catches a diverging winner or fade draw.
-  {
-    CheckOptions other = options;
-    other.injections = nullptr;  // counted once, on the primary run
-    const RunOutcome alt = run_once(scn, scn.engine, EngineLayout::AoS, other);
-    if (!alt.violation.empty()) return alt.violation + " [aos layout]";
-    if (alt.fingerprint != primary.fingerprint ||
-        alt.digest != primary.digest)
-      return "SoA and AoS engine layouts diverged (soa was primary)";
+  // Reference differential: the engine must reproduce the plainly written
+  // model (sim/reference_network.h) bit for bit on EVERY scenario — same
+  // action stream AND the same stats/activity accounting, the reference's
+  // counted idle against the engine's derived one. The fingerprint
+  // deliberately ignores winner identity, so the digest (which hashes
+  // tx_success/deliveries per node) is what catches a diverging winner or
+  // fade draw. The reference models no testonly mutation, so a mutated run
+  // skips this leg and is left to the invariant checker.
+  if (options.mutation == TestonlyFaultMutation::None) {
+    const RunOutcome ref = run_reference(scn);
+    if (ref.fingerprint != primary.fingerprint || ref.digest != primary.digest)
+      return "the engine diverged from the reference engine";
   }
 
   // Differential engine agreement: oblivious traffic must produce the
@@ -494,8 +513,7 @@ std::string check_scenario(const Scenario& raw, const CheckOptions& options) {
     // Same mutation, but injections are counted once (primary run only).
     CheckOptions alt_options = options;
     alt_options.injections = nullptr;
-    const RunOutcome alt =
-        run_once(scn, other, EngineLayout::SoA, alt_options);
+    const RunOutcome alt = run_once(scn, other, alt_options);
     if (!alt.violation.empty())
       return alt.violation + " [" + std::string(name_of(other)) + " engine]";
     if (alt.fingerprint != primary.fingerprint)

@@ -9,11 +9,13 @@
 //
 // The default property, check_scenario, materializes the scenario, runs
 // it under sim/invariants.h's InvariantChecker (with every protocol
-// tapped), and — for oblivious random traffic on the paper's model —
-// additionally runs the *differential* engine check: the plain one-winner
-// engine and the backoff-emulating engine must produce bit-identical
-// action streams for the same seeds, because oblivious nodes never see
-// the coin flips that differ between the two contention resolvers.
+// tapped), re-runs it on the reference engine (sim/reference_network.h),
+// which must agree on the action stream and every counter, and — for
+// oblivious random traffic on the paper's model — additionally runs the
+// *differential* engine check: the plain one-winner engine and the
+// backoff-emulating engine must produce bit-identical action streams for
+// the same seeds, because oblivious nodes never see the coin flips that
+// differ between the two contention resolvers.
 //
 // Every scenario additionally runs the *resume differential*: a second
 // materialization of the same world is checkpointed at the salt-derived
@@ -160,8 +162,8 @@ struct FaultInjectionCounts {
 // testonly invariant-breaking radio into the network so WILL_FAIL legs can
 // prove the oracle actually polices each fault rule; `injections`, when
 // set, accumulates the primary run's per-kind injection totals. The
-// primary run is always on the SoA engine; the layout differential re-runs
-// every scenario on the AoS reference.
+// primary run is on Network; the reference differential re-runs every
+// unmutated scenario on the reference engine.
 struct CheckOptions {
   TestonlyFaultMutation mutation = TestonlyFaultMutation::None;
   FaultInjectionCounts* injections = nullptr;
@@ -173,8 +175,8 @@ struct CheckOptions {
 };
 
 // The model audit: run under the InvariantChecker (all protocols tapped),
-// plus the plain-vs-backoff differential agreement check for oblivious
-// traffic. Returns "" or the first violation.
+// plus the reference, plain-vs-backoff and resume differentials. Returns
+// "" or the first violation.
 std::string check_scenario(const Scenario& scn);
 std::string check_scenario(const Scenario& scn, const CheckOptions& options);
 

@@ -202,6 +202,39 @@ TEST(CheckpointNetwork, NonZeroStoredIdleIsRejected) {
   EXPECT_THROW(restore(forged), CheckpointError);
 }
 
+// Nor does any run produce a negative counter, more wins than broadcasts,
+// or more active slots than slots (from which activity() would derive a
+// negative idle count), so a re-sealed snapshot carrying one is rejected.
+TEST(CheckpointNetwork, ImpossibleActivityRecordIsRejected) {
+  SmallNetwork written;
+  for (int s = 0; s < 40; ++s) written.net->step();
+  const NodeActivity saved = written.net->activity(0);
+  CheckpointWriter w;
+  written.net->save_state(w);
+  const std::string payload = w.bytes();
+  CheckpointWriter prefix;
+  prefix.section("netw");
+  prefix.u32(3);
+  save_trace_stats(prefix, written.net->stats());
+
+  // Sets node 0's `field` (tx, tx_success, listen, received, idle, jammed)
+  // to `value`, re-seals the payload and restores it into a fresh network.
+  const auto restore_forged = [&](int field, std::int64_t value) {
+    CheckpointWriter counter;
+    counter.i64(value);
+    std::string forged = payload;
+    forged.replace(prefix.bytes().size() + 8 * static_cast<std::size_t>(field),
+                   8, counter.bytes());
+    SmallNetwork fresh;
+    CheckpointReader r(open_checkpoint(seal_checkpoint(forged)));
+    fresh.net->restore_state(r);
+  };
+  EXPECT_NO_THROW(restore_forged(0, saved.tx));  // the record as written
+  EXPECT_THROW(restore_forged(3, -1), CheckpointError);  // received < 0
+  EXPECT_THROW(restore_forged(1, saved.tx + 1), CheckpointError);
+  EXPECT_THROW(restore_forged(0, 1000), CheckpointError);  // 1000 tx > 40 slots
+}
+
 // --- resume equivalence through the property harness ----------------------
 
 Scenario resume_scenario() {

@@ -1,18 +1,24 @@
 // Integration tests for the network engine's collision-model semantics
 // (Section 2). Scripted protocols pin nodes to fixed channels/roles so each
-// delivery rule can be checked in isolation.
+// delivery rule can be checked in isolation. The statistical checks of the
+// model's coins, and the differentials that steer a run by its feedback,
+// run on both Network and the reference engine: a bias the two shared
+// would pass every differential.
 #include "sim/network.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/cogcast.h"
 #include "sim/assignment.h"
+#include "sim/reference_network.h"
 
 namespace cogradio {
 namespace {
@@ -59,11 +65,12 @@ Message data_msg(std::int64_t a) {
   return m;
 }
 
-struct Rig {
+template <typename Engine>
+struct EngineRig {
   // All nodes share channels 0..c-1 with identity labels, so local label ==
   // physical channel and scripts are easy to read.
-  Rig(int n, int c, std::vector<std::vector<Action>> scripts,
-      NetworkOptions options = {})
+  EngineRig(int n, int c, std::vector<std::vector<Action>> scripts,
+            NetworkOptions options = {})
       : assignment(n, c, LabelMode::Global, Rng(1)) {
     for (auto& s : scripts) nodes.push_back(std::make_unique<ScriptedNode>(std::move(s)));
     std::vector<Protocol*> protocols;
@@ -75,8 +82,10 @@ struct Rig {
 
   IdentityAssignment assignment;
   std::vector<std::unique_ptr<ScriptedNode>> nodes;
-  std::optional<Network> network;
+  std::optional<Engine> network;
 };
+
+using Rig = EngineRig<Network>;
 
 TEST(Network, SoleBroadcasterAlwaysSucceeds) {
   Rig rig(2, 2,
@@ -135,21 +144,67 @@ TEST(Network, FailedBroadcastersReceiveTheWinningMessage) {
   EXPECT_TRUE(winner.received.empty());
 }
 
-TEST(Network, WinnerIsRoughlyUniform) {
+// Three broadcasters contend once per seed; each must win about a third
+// of 3000 runs (sigma ~26).
+template <typename Engine>
+void expect_uniform_winner() {
   int wins[3] = {0, 0, 0};
   for (int trial = 0; trial < 3000; ++trial) {
     NetworkOptions opt;
     opt.seed = static_cast<std::uint64_t>(trial) + 1;
-    Rig rig(3, 1,
-            {{Action::broadcast(0, data_msg(0))},
-             {Action::broadcast(0, data_msg(1))},
-             {Action::broadcast(0, data_msg(2))}},
-            opt);
+    EngineRig<Engine> rig(3, 1,
+                          {{Action::broadcast(0, data_msg(0))},
+                           {Action::broadcast(0, data_msg(1))},
+                           {Action::broadcast(0, data_msg(2))}},
+                          opt);
     rig.network->step();
     for (int i = 0; i < 3; ++i)
       if (rig.node(i).feedback_[0].tx_success) ++wins[i];
   }
   for (int w : wins) EXPECT_NEAR(w, 1000, 120);
+}
+
+TEST(Network, WinnerIsRoughlyUniform) { expect_uniform_winner<Network>(); }
+
+TEST(ReferenceNetwork, WinnerIsRoughlyUniform) {
+  expect_uniform_winner<ReferenceNetwork>();
+}
+
+// Fading loses each copy independently with probability loss_prob. Two
+// broadcasters and seven listeners share one channel for 4000 slots of one
+// fixed-seed run, so 32000 copies are sent: seven to the listeners and one
+// to the failed broadcaster each slot. The measured loss rate must lie
+// within 5 sigma of loss_prob.
+template <typename Engine>
+void expect_loss_rate(double loss_prob) {
+  SCOPED_TRACE(loss_prob);
+  const int n = 9, slots = 4000;
+  std::vector<std::vector<Action>> scripts;
+  for (int i = 0; i < n; ++i)
+    scripts.emplace_back(slots, i < 2 ? Action::broadcast(0, data_msg(i))
+                                      : Action::listen(0));
+  NetworkOptions opt;
+  opt.seed = 29;
+  opt.loss_prob = loss_prob;
+  EngineRig<Engine> rig(n, 1, std::move(scripts), opt);
+  for (int s = 0; s < slots; ++s) rig.network->step();
+  std::int64_t delivered = 0;
+  for (int i = 0; i < n; ++i)
+    for (const ScriptedNode::Feedback& f : rig.node(i).feedback_)
+      delivered += static_cast<std::int64_t>(f.received.size());
+  EXPECT_EQ(rig.network->stats().deliveries, delivered);
+  const double sent = static_cast<double>(slots) * (n - 1);
+  const double loss = 1.0 - static_cast<double>(delivered) / sent;
+  const double sigma = std::sqrt(loss_prob * (1.0 - loss_prob) / sent);
+  EXPECT_NEAR(loss, loss_prob, 5.0 * sigma);
+}
+
+TEST(Network, FadingLosesCopiesAtLossProb) {
+  for (const double p : {0.125, 0.5}) expect_loss_rate<Network>(p);
+}
+
+TEST(ReferenceNetwork, FadingLosesCopiesAtLossProb) {
+  for (const double p : {0.125, 0.5}) expect_loss_rate<ReferenceNetwork>(p);
 }
 
 TEST(Network, IdleNodesGetEmptyFeedback) {
@@ -287,11 +342,11 @@ TEST(Network, FadingDropsDeliveriesIndependently) {
   EXPECT_TRUE(rig.node(1).feedback_[0].received.empty());
 }
 
-// Layout differential through run() with a protocol that reacts to
+// Reference differential through run() with a protocol that reacts to
 // feedback: a CogCast node that hears the message changes what it does
-// next, so any SlotResult the SoA path builds differently from the AoS
+// next, so any SlotResult the engine builds differently from the
 // reference (a lost delivery, a wrong tx flag, a stale rx view) changes
-// the run. Under every collision model the two layouts must agree on the
+// the run. Under every collision model the two engines must agree on the
 // stopping slot, the observer stream, TraceStats, per-node activity, and
 // each node's informed slot and parent.
 TEST(Network, CogCastRunBitIdenticalAcrossLayouts) {
@@ -303,7 +358,8 @@ TEST(Network, CogCastRunBitIdenticalAcrossLayouts) {
     std::vector<NodeId> parent;
     Slot done_at = 0;
   };
-  const auto run_once = [](EngineLayout layout, CollisionModel model) {
+  const auto run_once = [](auto engine, CollisionModel model) {
+    using Engine = typename decltype(engine)::type;
     const int n = 48, c = 8, k = 2;
     SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(21));
     Message payload;
@@ -319,10 +375,9 @@ TEST(Network, CogCastRunBitIdenticalAcrossLayouts) {
       protocols.push_back(nodes.back().get());
     }
     NetworkOptions opt;
-    opt.layout = layout;
     opt.collision = model;
     opt.seed = 23;
-    Network net(assignment, protocols, opt);
+    Engine net(assignment, protocols, opt);
     RunTrace trace;
     net.set_observer([&](Slot, std::span<const ResolvedAction> actions) {
       trace.actions.insert(trace.actions.end(), actions.begin(),
@@ -342,19 +397,20 @@ TEST(Network, CogCastRunBitIdenticalAcrossLayouts) {
        {CollisionModel::OneWinner, CollisionModel::AllDelivered,
         CollisionModel::CollisionLoss}) {
     SCOPED_TRACE(static_cast<int>(model));
-    const RunTrace soa = run_once(EngineLayout::SoA, model);
-    const RunTrace aos = run_once(EngineLayout::AoS, model);
+    const RunTrace net = run_once(std::type_identity<Network>{}, model);
+    const RunTrace ref =
+        run_once(std::type_identity<ReferenceNetwork>{}, model);
 
-    EXPECT_EQ(soa.done_at, aos.done_at);
-    EXPECT_EQ(soa.stats, aos.stats);
-    EXPECT_EQ(soa.activity, aos.activity);
-    EXPECT_EQ(soa.informed_slot, aos.informed_slot);
-    EXPECT_EQ(soa.parent, aos.parent);
-    ASSERT_EQ(soa.actions.size(), aos.actions.size());
-    for (std::size_t i = 0; i < soa.actions.size(); ++i)
-      ASSERT_EQ(soa.actions[i], aos.actions[i]) << "action " << i;
+    EXPECT_EQ(net.done_at, ref.done_at);
+    EXPECT_EQ(net.stats, ref.stats);
+    EXPECT_EQ(net.activity, ref.activity);
+    EXPECT_EQ(net.informed_slot, ref.informed_slot);
+    EXPECT_EQ(net.parent, ref.parent);
+    ASSERT_EQ(net.actions.size(), ref.actions.size());
+    for (std::size_t i = 0; i < net.actions.size(); ++i)
+      ASSERT_EQ(net.actions[i], ref.actions[i]) << "action " << i;
     // The broadcast spread beyond the source, so feedback steered the run.
-    EXPECT_GT(soa.stats.deliveries, 0);
+    EXPECT_GT(net.stats.deliveries, 0);
   }
 }
 
@@ -383,40 +439,45 @@ class FeedbackLogNode : public Protocol {
 
 // The feedback-order contract (DETERMINISM.md): every slot calls
 // on_feedback once per node in ascending node order, under every
-// collision model and on both layouts — AllDelivered listeners included.
+// collision model and on both engines — AllDelivered listeners included.
 TEST(Network, FeedbackRunsInAscendingNodeOrder) {
   const int n = 24, c = 4, k = 2;
   std::vector<NodeId> ascending;
   for (NodeId u = 0; u < n; ++u) ascending.push_back(u);
+  const auto check = [&](auto engine, CollisionModel model) {
+    using Engine = typename decltype(engine)::type;
+    SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(61));
+    std::vector<NodeId> log;
+    Rng seeder(62);
+    std::vector<std::unique_ptr<FeedbackLogNode>> nodes;
+    std::vector<Protocol*> protocols;
+    for (NodeId u = 0; u < n; ++u) {
+      nodes.push_back(std::make_unique<FeedbackLogNode>(
+          u, c, seeder.split(static_cast<std::uint64_t>(u)), &log));
+      protocols.push_back(nodes.back().get());
+    }
+    NetworkOptions opt;
+    opt.collision = model;
+    opt.seed = 63;
+    Engine net(assignment, protocols, opt);
+    for (Slot slot = 1; slot <= 16; ++slot) {
+      log.clear();
+      net.step();
+      ASSERT_EQ(log, ascending) << "slot " << slot;
+    }
+    EXPECT_GT(net.stats().deliveries, 0);
+  };
   for (const CollisionModel model :
        {CollisionModel::OneWinner, CollisionModel::AllDelivered,
         CollisionModel::CollisionLoss}) {
-    for (const EngineLayout layout : {EngineLayout::SoA, EngineLayout::AoS}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "model " << static_cast<int>(model) << ", "
-                   << (layout == EngineLayout::SoA ? "soa" : "aos"));
-      SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
-                                      Rng(61));
-      std::vector<NodeId> log;
-      Rng seeder(62);
-      std::vector<std::unique_ptr<FeedbackLogNode>> nodes;
-      std::vector<Protocol*> protocols;
-      for (NodeId u = 0; u < n; ++u) {
-        nodes.push_back(std::make_unique<FeedbackLogNode>(
-            u, c, seeder.split(static_cast<std::uint64_t>(u)), &log));
-        protocols.push_back(nodes.back().get());
-      }
-      NetworkOptions opt;
-      opt.layout = layout;
-      opt.collision = model;
-      opt.seed = 63;
-      Network net(assignment, protocols, opt);
-      for (Slot slot = 1; slot <= 16; ++slot) {
-        log.clear();
-        net.step();
-        ASSERT_EQ(log, ascending) << "slot " << slot;
-      }
-      EXPECT_GT(net.stats().deliveries, 0);
+    SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(model));
+    {
+      SCOPED_TRACE("network");
+      check(std::type_identity<Network>{}, model);
+    }
+    {
+      SCOPED_TRACE("reference");
+      check(std::type_identity<ReferenceNetwork>{}, model);
     }
   }
 }
@@ -442,21 +503,21 @@ class RecordingJammer : public Jammer {
   Channel jam_channel_;
 };
 
-// The per-slot used_channel_ fill is skipped entirely when no jammer is
-// attached; with one attached, both engine layouts must hand observe() the
-// exact physical channel per node (kNoChannel when idle) and apply jam
-// cutoffs identically.
+// The engine skips its per-slot used_channel_ fill entirely when no
+// jammer is attached; with one attached, it and the reference must hand
+// observe() the exact physical channel per node (kNoChannel when idle) and
+// apply jam cutoffs identically.
 TEST(Network, JammerObserveHandoffIdenticalAcrossLayouts) {
   struct JamRun {
     std::vector<std::vector<Channel>> observed;
     std::vector<ScriptedNode::Feedback> fb0, fb1, fb2;
     TraceStats stats;
   };
-  const auto run_once = [](EngineLayout layout) {
+  const auto run_once = [](auto engine) {
+    using Engine = typename decltype(engine)::type;
     NetworkOptions opt;
-    opt.layout = layout;
     opt.seed = 47;
-    Rig rig(3, 3,
+    EngineRig<Engine> rig(3, 3,
             {{Action::broadcast(0, data_msg(1)), Action::listen(1)},
              {Action::listen(0), Action::idle()},
              {Action::idle(), Action::broadcast(1, data_msg(2))}},
@@ -470,12 +531,12 @@ TEST(Network, JammerObserveHandoffIdenticalAcrossLayouts) {
                   rig.network->stats()};
   };
 
-  const JamRun soa = run_once(EngineLayout::SoA);
-  const JamRun aos = run_once(EngineLayout::AoS);
+  const JamRun net = run_once(std::type_identity<Network>{});
+  const JamRun ref = run_once(std::type_identity<ReferenceNetwork>{});
 
-  // Content check (both layouts): observe() sees physical channels, with
+  // Content check (both engines): observe() sees physical channels, with
   // kNoChannel for idle nodes, and the jammed listener is cut off.
-  for (const JamRun* run : {&soa, &aos}) {
+  for (const JamRun* run : {&net, &ref}) {
     ASSERT_EQ(run->observed.size(), 2u);
     EXPECT_EQ(run->observed[0], (std::vector<Channel>{0, 0, kNoChannel}));
     EXPECT_EQ(run->observed[1], (std::vector<Channel>{1, kNoChannel, 1}));
@@ -487,13 +548,13 @@ TEST(Network, JammerObserveHandoffIdenticalAcrossLayouts) {
     EXPECT_EQ(run->stats.jammed_node_slots, 1);
   }
 
-  // Layout differential: the jammer-attached path must be bit-identical.
-  EXPECT_EQ(soa.observed, aos.observed);
-  EXPECT_EQ(soa.stats, aos.stats);
+  // Reference differential: the jammer-attached path must be bit-identical.
+  EXPECT_EQ(net.observed, ref.observed);
+  EXPECT_EQ(net.stats, ref.stats);
   for (std::size_t s = 0; s < 2; ++s) {
     for (const auto& pair :
-         {std::pair{&soa.fb0, &aos.fb0}, std::pair{&soa.fb1, &aos.fb1},
-          std::pair{&soa.fb2, &aos.fb2}}) {
+         {std::pair{&net.fb0, &ref.fb0}, std::pair{&net.fb1, &ref.fb1},
+          std::pair{&net.fb2, &ref.fb2}}) {
       const ScriptedNode::Feedback& a = (*pair.first)[s];
       const ScriptedNode::Feedback& b = (*pair.second)[s];
       EXPECT_EQ(a.jammed, b.jammed) << "slot " << s;

@@ -91,7 +91,7 @@ int usage() {
       "  record     --n 16 --c 6 --k 2   (dumps 'slot node mode channel ...')\n"
       "  check      [--trials 64] [--jobs J] [--trial T] [--repro-out FILE]\n"
       "             [--shrink-budget 256]   (slot-invariant property sweep;\n"
-      "             every scenario also re-runs on the AoS reference\n"
+      "             every scenario also re-runs on the reference\n"
       "             engine and both must agree bit for bit)\n"
       "             [--faults]   (fuzz FaultEngine schedules; fails unless\n"
       "             every fault kind was exercised at least once)\n"
