@@ -46,17 +46,13 @@ namespace cogradio::bench {
 // The resolved CliArgs flags become the manifest's config section (--jobs
 // is routed to the volatile section: it never affects results — see
 // util/sweep.h — and the merged BENCH_all.json must be invariant under it).
-// Wall-clock and phase() timings are volatile too. Harnesses without
-// CliArgs (E18's google-benchmark main) pass nullptr and fill config
-// explicitly.
+// Wall-clock time is volatile too.
 class BenchManifest {
  public:
-  explicit BenchManifest(std::string experiment, CliArgs* args = nullptr)
+  BenchManifest(std::string experiment, CliArgs* args)
       : manifest_(std::move(experiment)),
         args_(args),
         start_(monotonic_seconds()) {}
-
-  RunManifest& manifest() { return manifest_; }
 
   void set(const std::string& key, double value) { manifest_.set(key, value); }
   void set_int(const std::string& key, std::int64_t value) {
@@ -75,58 +71,27 @@ class BenchManifest {
     cogradio::add_trace_stats(manifest_, prefix, stats);
   }
 
-  // Scoped wall-clock timer for a harness section; records the volatile
-  // metric phase.<name>.seconds when the returned guard dies. Timing goes
-  // through monotonic_seconds() — the lint R1 contract keeps raw clock
-  // calls confined to util/bench_report.cpp.
-  class PhaseTimer {
-   public:
-    PhaseTimer(BenchManifest& owner, std::string name)
-        : owner_(owner),
-          name_(std::move(name)),
-          start_(monotonic_seconds()) {}
-    ~PhaseTimer() {
-      owner_.manifest_.set_volatile("phase." + name_ + ".seconds",
-                                    monotonic_seconds() - start_);
-    }
-    PhaseTimer(const PhaseTimer&) = delete;
-    PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-   private:
-    BenchManifest& owner_;
-    std::string name_;
-    double start_;
-  };
-
-  [[nodiscard]] PhaseTimer phase(std::string name) {
-    return PhaseTimer(*this, std::move(name));
-  }
-
   // Captures config + volatile timing and writes BENCH_<exp>.json.
   bool write() {
-    if (args_ != nullptr) {
-      for (const auto& flag : args_->resolved()) {
-        if (flag.name == "jobs") {
-          manifest_.set_volatile_int(flag.name,
-                                     std::atoll(flag.value.c_str()));
-          continue;
-        }
-        switch (flag.kind) {
-          case CliArgs::ResolvedFlag::Kind::Int:
-            manifest_.set_config_int(flag.name,
-                                     std::atoll(flag.value.c_str()));
-            break;
-          case CliArgs::ResolvedFlag::Kind::Double:
-            manifest_.set_config_double(flag.name,
-                                        std::atof(flag.value.c_str()));
-            break;
-          case CliArgs::ResolvedFlag::Kind::Bool:
-            manifest_.set_config_bool(flag.name, flag.value == "true");
-            break;
-          case CliArgs::ResolvedFlag::Kind::String:
-            manifest_.set_config_string(flag.name, flag.value);
-            break;
-        }
+    for (const auto& flag : args_->resolved()) {
+      if (flag.name == "jobs") {
+        manifest_.set_volatile_int(flag.name, std::atoll(flag.value.c_str()));
+        continue;
+      }
+      switch (flag.kind) {
+        case CliArgs::ResolvedFlag::Kind::Int:
+          manifest_.set_config_int(flag.name, std::atoll(flag.value.c_str()));
+          break;
+        case CliArgs::ResolvedFlag::Kind::Double:
+          manifest_.set_config_double(flag.name,
+                                      std::atof(flag.value.c_str()));
+          break;
+        case CliArgs::ResolvedFlag::Kind::Bool:
+          manifest_.set_config_bool(flag.name, flag.value == "true");
+          break;
+        case CliArgs::ResolvedFlag::Kind::String:
+          manifest_.set_config_string(flag.name, flag.value);
+          break;
       }
     }
     manifest_.set_volatile("wall_clock_seconds",

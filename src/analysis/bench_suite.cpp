@@ -17,9 +17,9 @@
 // cograd-lint: allow(R7) E7/E17 benchmark the hitting-game referee directly
 #include "lowerbounds/hitting_game.h"
 #include "sim/assignment.h"
-// cograd-lint: allow(R7) E37 saturates the serve daemon with its loadgen
+// cograd-lint: allow(R7) smoke_e37_serve drives the serve daemon with its loadgen
 #include "serve/loadgen.h"
-// cograd-lint: allow(R7) E37 boots an in-process ServeServer to measure
+// cograd-lint: allow(R7) smoke_e37_serve boots an in-process ServeServer
 #include "serve/server.h"
 #include "sim/backoff.h"
 #include "sim/fault_engine.h"
@@ -456,13 +456,14 @@ RunManifest smoke_e35_layouts(const SmokeOptions& opt) {
   return m;
 }
 
-// The serve daemon's bench-gate arm (E37 holds the full-size harness): an
-// in-process daemon driven through a clean loadgen wave and a
-// disconnect-injection wave. Every recorded metric is a deterministic 0/1
-// flag — byte-identity of every surviving session against a local
-// run_job, and the exact-accounting invariant accepted == completed +
-// shed_on_disconnect + aborted + failed. Counts, rates and latencies are
-// machine-dependent and stay out of the manifest entirely.
+// The serve daemon's bench-gate arm (the ServeLoadgen tests add a
+// starved daemon and a clean wave after the churn): an in-process daemon
+// driven through a clean loadgen wave and a disconnect-injection wave.
+// Every recorded metric is a deterministic 0/1 flag — byte-identity of
+// every surviving session against a local run_job, and the
+// exact-accounting invariant accepted == completed + shed_on_disconnect +
+// aborted + failed. Counts, rates and latencies are machine-dependent and
+// stay out of the manifest entirely.
 RunManifest smoke_e37_serve(const SmokeOptions& opt) {
   RunManifest m("smoke_e37_serve");
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
@@ -470,7 +471,7 @@ RunManifest smoke_e37_serve(const SmokeOptions& opt) {
   options.tcp_port = 0;  // ephemeral loopback port
   options.workers = 2;
   ServeServer server(options);
-  // cograd-lint: allow(R8) E37 hosts the daemon IO loop beside the loadgen being measured
+  // cograd-lint: allow(R8) smoke_e37_serve hosts the daemon IO loop beside the loadgen it checks
   std::thread io([&server] { server.run(); });
   LoadgenOptions load;
   load.tcp_port = server.tcp_port();

@@ -147,7 +147,6 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
     if (record.verify_failed) ++report.verify_failures;
   }
   report.latency = summarize(latencies);
-  if (!latencies.empty()) report.latency_p99 = percentile(latencies, 0.99);
   report.ok = report.completed + report.shed + report.killed ==
                   report.sessions &&
               report.verify_failures == 0 && report.protocol_errors == 0 &&

@@ -7,9 +7,10 @@
 // final `done` frame BYTE-FOR-BYTE against a local run_job of the same
 // spec — the determinism contract made executable. With kill_every > 0
 // every k-th session hangs up right after its job is accepted, which is
-// the disconnect-injection mode the daemon must survive (E37's churn
-// phase and the CI smoke leg). Latency is sampled with
-// monotonic_seconds and belongs in volatile manifest sections only.
+// the disconnect-injection mode the daemon must survive (the churn waves
+// of the ServeLoadgen tests and `cograd bench`'s smoke_e37_serve, and the
+// CI smoke leg). Latency is sampled with monotonic_seconds, printed and
+// never gated.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,6 @@ struct LoadgenReport {
   int protocol_errors = 0;  // error frames or malformed responses
   int transport_errors = 0; // connect/send/read failures
   Summary latency;          // seconds per completed session (volatile!)
-  double latency_p99 = 0;   // tail percentile E37 tracks (volatile!)
   double elapsed_seconds = 0;  // whole-run wall time (volatile!)
   // Every session accounted for exactly once and nothing went wrong.
   bool ok = false;

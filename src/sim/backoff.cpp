@@ -31,24 +31,22 @@ BackoffOutcome decay_backoff(int num_contenders, const BackoffParams& params,
     return out;
   }
 
-  // Simulate micro-slots literally. `active` holds contenders that have not
-  // yet heard a successful broadcast. In each micro-slot an active node
+  // Simulate micro-slots literally. In each micro-slot every contender
   // broadcasts with probability 2^-(j mod L); a node that listens while
   // exactly one other broadcasts hears it and aborts, so resolution happens
-  // at the first lone broadcast.
-  std::vector<int> active(static_cast<std::size_t>(num_contenders));
-  for (int i = 0; i < num_contenders; ++i) active[static_cast<std::size_t>(i)] = i;
-
-  std::vector<int> talkers;
+  // at the first lone broadcast. Until then no contender has heard
+  // anything, so all of them stay in: each draws its coin, in index order,
+  // and only the talker count and the first talker matter. Nothing is
+  // allocated, since Network::step calls this per contended channel.
   for (Slot t = 0; t < params.budget; ++t) {
     const int phase_pos = static_cast<int>(t % params.phase_length);
     const double p = std::ldexp(1.0, -phase_pos);  // 2^-phase_pos
-    talkers.clear();
-    for (int node : active)
-      if (rng.chance(p)) talkers.push_back(node);
-    if (talkers.size() == 1) {
+    int talkers = 0, first = 0;
+    for (int node = 0; node < num_contenders; ++node)
+      if (rng.chance(p) && talkers++ == 0) first = node;
+    if (talkers == 1) {
       out.resolved = true;
-      out.winner = talkers.front();
+      out.winner = first;
       out.micro_slots = t + 1;
       return out;
     }

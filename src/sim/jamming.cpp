@@ -47,9 +47,10 @@ RandomJammer::RandomJammer(int num_nodes, int num_channels, int budget,
 
 void RandomJammer::begin_slot(Slot /*slot*/) {
   clear_jams();
-  for (NodeId u = 0; u < num_nodes_; ++u)
-    for (Channel ch : rng_.sample_without_replacement(num_channels_, budget_))
-      jam(u, ch);
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    rng_.sample_without_replacement(num_channels_, budget_, draw_);
+    for (Channel ch : draw_) jam(u, ch);
+  }
 }
 
 void RandomJammer::save_state(CheckpointWriter& w) const {

@@ -60,6 +60,7 @@ class RandomJammer : public BudgetedJammer {
 
  private:
   Rng rng_;
+  std::vector<Channel> draw_;  // one node's draw, reused every node-slot
 };
 
 // Jams a sliding window of `budget` consecutive channels, the same window

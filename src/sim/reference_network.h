@@ -1,7 +1,7 @@
 // The slot model of Section 2 written out to be read against the paper and
 // docs/DETERMINISM.md, not to be fast: the reference the engine in
 // sim/network.h is diffed against, bit for bit (the differential tests,
-// `cograd check`, the smoke_e35_layouts bench smoke and E35). One slot:
+// `cograd check` and the smoke_e35_layouts bench smoke). One slot:
 //   1. the assignment advances; the jammer and the fault engine fix this
 //      slot's jam sets and fault flags from history alone;
 //   2. every node picks an action, in node order, and a fault may override

@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <cassert>
+#include <numeric>
 
 namespace cogradio {
 
@@ -83,18 +84,23 @@ Rng Rng::split(std::uint64_t stream) noexcept {
 
 std::vector<std::int32_t> Rng::sample_without_replacement(
     std::int32_t universe, std::int32_t count) {
+  std::vector<std::int32_t> out;
+  sample_without_replacement(universe, count, out);
+  return out;
+}
+
+void Rng::sample_without_replacement(std::int32_t universe, std::int32_t count,
+                                     std::vector<std::int32_t>& out) {
   assert(count >= 0 && count <= universe);
-  std::vector<std::int32_t> pool(static_cast<std::size_t>(universe));
-  for (std::int32_t i = 0; i < universe; ++i)
-    pool[static_cast<std::size_t>(i)] = i;
+  out.resize(static_cast<std::size_t>(universe));
+  std::iota(out.begin(), out.end(), 0);
   // Partial Fisher-Yates: after `count` swaps, the prefix is the sample.
   for (std::int32_t i = 0; i < count; ++i) {
     const auto j =
         i + static_cast<std::int32_t>(below(static_cast<std::uint64_t>(universe - i)));
-    std::swap(pool[static_cast<std::size_t>(i)], pool[static_cast<std::size_t>(j)]);
+    std::swap(out[static_cast<std::size_t>(i)], out[static_cast<std::size_t>(j)]);
   }
-  pool.resize(static_cast<std::size_t>(count));
-  return pool;
+  out.resize(static_cast<std::size_t>(count));
 }
 
 }  // namespace cogradio

@@ -67,6 +67,10 @@ class Rng {
   // Fisher-Yates on an index vector. Precondition: count <= universe.
   std::vector<std::int32_t> sample_without_replacement(std::int32_t universe,
                                                        std::int32_t count);
+  // The same draws into a buffer the caller owns: `out` ends holding the
+  // sample and keeps its capacity, so reusing it allocates only once.
+  void sample_without_replacement(std::int32_t universe, std::int32_t count,
+                                  std::vector<std::int32_t>& out);
 
   // The raw 4x64-bit engine state, for the checkpoint/restore layer
   // (sim/checkpoint.h). `restore` expects a state captured by `save`; the

@@ -44,7 +44,7 @@ std::vector<Mode> make_modes(std::size_t n, Density density, Rng& rng) {
     bool active = false;
     switch (density) {
       case Density::AllIdle: break;
-      // E35's duty cycle: one residue class of period 100 is awake.
+      // duty_fleet's duty cycle: one residue class of period 100 is awake.
       case Density::DutyResidue: active = i % 100 == 37; break;
       case Density::Half: active = rng.chance(0.5); break;
       case Density::AllActive: active = true; break;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -144,30 +145,43 @@ TEST(Network, FailedBroadcastersReceiveTheWinningMessage) {
   EXPECT_TRUE(winner.received.empty());
 }
 
-// Three broadcasters contend once per seed; each must win about a third
-// of 3000 runs (sigma ~26).
+// `contenders` broadcasters contend once per seed over 3000 seeds, the
+// winner drawn by the uniform coin or by emulated decay backoff; each
+// contender's wins must lie within 5 sigma of an equal share.
 template <typename Engine>
-void expect_uniform_winner() {
-  int wins[3] = {0, 0, 0};
-  for (int trial = 0; trial < 3000; ++trial) {
+void expect_uniform_winner(int contenders, bool backoff) {
+  SCOPED_TRACE(std::to_string(contenders) +
+               (backoff ? " contenders, backoff" : " contenders, coin"));
+  constexpr int kTrials = 3000;
+  std::vector<int> wins(static_cast<std::size_t>(contenders), 0);
+  for (int trial = 0; trial < kTrials; ++trial) {
     NetworkOptions opt;
     opt.seed = static_cast<std::uint64_t>(trial) + 1;
-    EngineRig<Engine> rig(3, 1,
-                          {{Action::broadcast(0, data_msg(0))},
-                           {Action::broadcast(0, data_msg(1))},
-                           {Action::broadcast(0, data_msg(2))}},
-                          opt);
+    opt.emulate_backoff = backoff;
+    std::vector<std::vector<Action>> scripts;
+    for (int i = 0; i < contenders; ++i)
+      scripts.push_back({Action::broadcast(0, data_msg(i))});
+    EngineRig<Engine> rig(contenders, 1, std::move(scripts), opt);
     rig.network->step();
-    for (int i = 0; i < 3; ++i)
-      if (rig.node(i).feedback_[0].tx_success) ++wins[i];
+    for (int i = 0; i < contenders; ++i)
+      if (rig.node(i).feedback_[0].tx_success) ++wins[static_cast<std::size_t>(i)];
   }
-  for (int w : wins) EXPECT_NEAR(w, 1000, 120);
+  const double share = 1.0 / contenders;
+  const double sigma = std::sqrt(kTrials * share * (1.0 - share));
+  for (const int w : wins) EXPECT_NEAR(w, kTrials * share, 5.0 * sigma);
 }
 
-TEST(Network, WinnerIsRoughlyUniform) { expect_uniform_winner<Network>(); }
+template <typename Engine>
+void expect_uniform_winners() {
+  for (const int contenders : {3, 8})
+    for (const bool backoff : {false, true})
+      expect_uniform_winner<Engine>(contenders, backoff);
+}
+
+TEST(Network, WinnerIsRoughlyUniform) { expect_uniform_winners<Network>(); }
 
 TEST(ReferenceNetwork, WinnerIsRoughlyUniform) {
-  expect_uniform_winner<ReferenceNetwork>();
+  expect_uniform_winners<ReferenceNetwork>();
 }
 
 // Fading loses each copy independently with probability loss_prob. Two

@@ -26,6 +26,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "chatter.h"
 #include "sim/assignment.h"
 #include "sim/fault_engine.h"
 #include "sim/jamming.h"
@@ -205,126 +206,6 @@ TEST(ReferenceSparse, PartitionedUniverseMatchesReference) {
 
 // --- Batch-client twin --------------------------------------------------
 
-// Deterministic feedback-oblivious traffic shared by the per-node protocol
-// and the batch client: a pure hash of (slot, node) decides mode, label,
-// and payload, so both interfaces generate byte-identical offered load.
-struct ChatterDecision {
-  Mode mode = Mode::Idle;
-  LocalLabel label = 0;
-};
-
-ChatterDecision chatter(Slot slot, NodeId node, int c) {
-  std::uint64_t h = static_cast<std::uint64_t>(slot) * 0x9E3779B97F4A7C15ull +
-                    static_cast<std::uint64_t>(node) * 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 29;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 32;
-  ChatterDecision d;
-  const std::uint64_t roll = h % 10;
-  if (roll == 0) return d;  // idle
-  d.mode = roll < 5 ? Mode::Broadcast : Mode::Listen;
-  d.label = static_cast<LocalLabel>((h >> 8) % static_cast<std::uint64_t>(c));
-  return d;
-}
-
-Message chatter_msg(Slot slot, NodeId node) {
-  Message m;
-  m.type = MessageType::Data;
-  m.a = slot * 1000 + node;
-  return m;
-}
-
-// What each traffic side accumulates from feedback; must agree exactly
-// between the per-node and batch runs.
-struct ChatterTally {
-  std::int64_t tx_success = 0;
-  std::int64_t jammed = 0;
-  std::int64_t received = 0;
-  std::int64_t received_payload_sum = 0;
-
-  bool operator==(const ChatterTally&) const = default;
-};
-
-class ChatterNode : public Protocol {
- public:
-  ChatterNode(NodeId id, int c, ChatterTally* tally)
-      : id_(id), c_(c), tally_(tally) {}
-
-  Action on_slot(Slot slot) override {
-    const ChatterDecision d = chatter(slot, id_, c_);
-    switch (d.mode) {
-      case Mode::Broadcast:
-        return Action::broadcast(d.label, chatter_msg(slot, id_));
-      case Mode::Listen:
-        return Action::listen(d.label);
-      case Mode::Idle:
-        break;
-    }
-    return Action::idle();
-  }
-
-  void on_feedback(Slot, const SlotResult& result) override {
-    if (result.jammed) ++tally_->jammed;
-    if (result.tx_success) ++tally_->tx_success;
-    tally_->received += static_cast<std::int64_t>(result.received.size());
-    for (const Message& m : result.received) tally_->received_payload_sum += m.a;
-  }
-
-  bool done() const override { return false; }
-
- private:
-  NodeId id_;
-  int c_;
-  ChatterTally* tally_;
-};
-
-class ChatterClient : public BatchClient {
- public:
-  ChatterClient(int n, int c, Slot slots, ChatterTally* tally)
-      : n_(n), c_(c), slots_(slots), tally_(tally) {}
-
-  void begin_slot(Slot slot, std::span<Mode> mode,
-                  std::span<LocalLabel> label) override {
-    for (NodeId u = 0; u < n_; ++u) {
-      const ChatterDecision d = chatter(slot, u, c_);
-      mode[static_cast<std::size_t>(u)] = d.mode;
-      label[static_cast<std::size_t>(u)] = d.label;
-    }
-  }
-
-  Message source_message(Slot slot, NodeId node) override {
-    return chatter_msg(slot, node);
-  }
-
-  void end_slot(const BatchFeedback& fb) override {
-    for (NodeId u = 0; u < n_; ++u) {
-      const auto i = static_cast<std::size_t>(u);
-      const std::uint8_t f = fb.flags[i];
-      // A blanked node saw an empty SlotResult: ignore its other bits and
-      // its rx view, exactly as the per-node path delivers it.
-      if (f & slotflag::kFeedbackBlank) continue;
-      if (f & slotflag::kJammed) ++tally_->jammed;
-      if (f & slotflag::kTxSuccess) ++tally_->tx_success;
-      const std::int32_t count = fb.rx_count[i];
-      tally_->received += count;
-      for (std::int32_t m = 0; m < count; ++m) {
-        tally_->received_payload_sum +=
-            fb.messages[static_cast<std::size_t>(fb.rx_offset[i] + m)].a;
-      }
-    }
-    last_slot_ = fb.slot;
-  }
-
-  bool done() const override { return last_slot_ >= slots_; }
-
- private:
-  int n_;
-  int c_;
-  Slot slots_;
-  Slot last_slot_ = 0;
-  ChatterTally* tally_;
-};
-
 // Forwards every call to an inner assignment but lends no table(), so
 // the engine reads the label map the other two ways: from its own
 // construction-time snapshot (static inner) or one global_channel call
@@ -350,7 +231,8 @@ class ForwardingAssignment : public ChannelAssignment {
 // RandomJammer and the full fault kind set; a run without them is the only
 // one whose engine legs take the word-scan collect. `dynamic` re-draws the
 // shared-core assignment every slot; `partitioned` swaps it for a
-// Partitioned one, whose channel space grows with n.
+// Partitioned one, whose channel space grows with n. `duty` is the
+// chatter's duty period.
 struct TwinInput {
   const char* name;
   int n, c, k;
@@ -360,6 +242,7 @@ struct TwinInput {
   bool adversaries = false;
   bool dynamic = false;
   bool partitioned = false;
+  int duty = 1;
 };
 
 struct TwinRun {
@@ -391,11 +274,12 @@ TwinRun run_twin(const TwinInput& in, TwinLeg leg, bool lend_table = true,
   ChannelAssignment& assignment =
       lend_table ? *table : forwarding.emplace(*table);
   ChatterTally tally;
-  ChatterClient client(in.n, in.c, in.slots, &tally);
+  const Chatter traffic{.c = in.c, .duty = in.duty};
+  ChatterClient client(in.n, traffic, in.slots, &tally);
   std::vector<std::unique_ptr<ChatterNode>> nodes;
   std::vector<Protocol*> protocols;
   for (NodeId u = 0; u < in.n; ++u) {
-    nodes.push_back(std::make_unique<ChatterNode>(u, in.c, &tally));
+    nodes.push_back(std::make_unique<ChatterNode>(u, traffic, &tally));
     protocols.push_back(nodes.back().get());
   }
   NetworkOptions opt;
@@ -469,6 +353,11 @@ TEST(ReferenceBatch, BatchClientMatchesProtocolTwin) {
       // acting per slot: most channels go untouched.
       {.name = "partitioned", .n = 200, .c = 8, .k = 2, .slots = 32,
        .loss_prob = 0.125, .adversaries = true, .partitioned = true},
+      // A 1%-duty fleet at the engine's prefetch threshold (2^14 nodes,
+      // kPrefetchMinNodes in network.cpp): the prefetching gather and
+      // resolve walks, on the mostly idle load perfbench's duty_fleet runs.
+      {.name = "duty_fleet", .n = 1 << 14, .c = 16, .k = 4, .slots = 32,
+       .loss_prob = 0.125, .duty = 100},
   };
   for (const TwinInput& in : inputs) {
     SCOPED_TRACE(in.name);
@@ -489,6 +378,12 @@ TEST(ReferenceBatch, BatchClientMatchesProtocolTwin) {
     if (in.adversaries) {
       EXPECT_GT(batch.stats.jammed_node_slots, 0);
       EXPECT_GT(batch.stats.feedback_drops, 0);
+    }
+    // A duty-cycled fleet stays mostly idle: at most 2% of its node-slots act.
+    if (in.duty > 1) {
+      std::int64_t acting = 0;
+      for (const NodeActivity& a : batch.activity) acting += in.slots - a.idle;
+      EXPECT_LE(acting * 50, std::int64_t{in.n} * in.slots);
     }
 
     // Borrowed table vs none: the same engine runs, observed, over the

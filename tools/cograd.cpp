@@ -110,7 +110,8 @@ int usage() {
       "             [--update-baseline] [--diff OLD.json] [--jobs J]\n"
       "             (determinism + concurrency/layering source linter:\n"
       "             rules R1-R12, see docs/LINT.md; --diff fails only on\n"
-      "             findings not present in OLD.json)\n"
+      "             findings not present in OLD.json, and writes no\n"
+      "             manifest unless --json is given)\n"
       "  serve      [--socket PATH] [--port P] [--workers W]\n"
       "             [--max-queue Q] [--max-sessions S] [--smoke N]\n"
       "             (line-JSON job daemon; --smoke N runs an in-process\n"
@@ -823,13 +824,16 @@ int cmd_bench(CliArgs& args) {
 // --baseline. With --update-baseline the current active findings become
 // the new baseline (accepted pre-existing sites that should not block CI).
 // --diff OLD.json gates on regressions only: findings already present in
-// OLD.json (schema 1 or 2) are tolerated, new active findings fail.
-// --jobs N scans files in parallel; output is byte-identical for any N.
+// OLD.json (schema 1 or 2) are tolerated, new active findings fail. It
+// writes a manifest only when --json names one, so it never overwrites
+// the reference it reads. --jobs N scans files in parallel; output is
+// byte-identical for any N.
 int cmd_lint(CliArgs& args) {
   const std::string tree = args.get_string("tree", ".");
-  const std::string json_path = args.get_string("json", "LINT.json");
-  const std::string baseline_path = args.get_string("baseline", "");
   const std::string diff_path = args.get_string("diff", "");
+  const std::string json_path =
+      args.get_string("json", diff_path.empty() ? "LINT.json" : "");
+  const std::string baseline_path = args.get_string("baseline", "");
   const bool update_baseline = args.get_flag("update-baseline");
   const int jobs = static_cast<int>(args.get_int("jobs", 1));
   args.finish();
