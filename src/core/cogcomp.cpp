@@ -13,36 +13,43 @@ Message init_message() {
   m.type = MessageType::Init;
   return m;
 }
+
+// The shape check, run before any member derives a phase end from the
+// shape (a zero k would divide by zero in the horizon).
+const CogCompParams& checked(const CogCompParams& params) {
+  if (params.n < 1 || params.c < 1 || params.k < 1)
+    throw std::invalid_argument("cogcomp: invalid parameters");
+  return params;
+}
 }  // namespace
 
 CogCompNode::CogCompNode(NodeId id, const CogCompParams& params,
                          bool is_source, Value value, Aggregator aggregator,
                          Rng rng)
     : id_(id),
-      params_(params),
+      params_(checked(params)),
       n_(params.n),
+      phase1_end_(params.phase1_end()),
+      phase2_end_(params.phase2_end()),
+      phase3_end_(params.phase3_end()),
       is_source_(is_source),
       value_(value),
       aggregator_(aggregator),
       cast_(id, params.c, is_source, init_message(), rng.split(1),
-            /*horizon=*/params.phase1_end(), /*record_history=*/true),
-      rng_phase4_(rng.split(2)) {
-  if (params.n < 1 || params.c < 1 || params.k < 1)
-    throw std::invalid_argument("cogcomp: invalid parameters");
-}
+            /*horizon=*/phase1_end_, /*record_history=*/true),
+      rng_phase4_(rng.split(2)) {}
 
 int CogCompNode::step_offset(Slot slot) const {
-  return static_cast<int>((slot - params_.phase3_end() - 1) %
-                          params_.step_slots());
+  return static_cast<int>((slot - phase3_end_ - 1) % params_.step_slots());
 }
 
 Action CogCompNode::on_slot(Slot slot) {
-  if (slot <= params_.phase1_end()) return cast_.on_slot(slot);
-  if (slot <= params_.phase2_end()) {
+  if (slot <= phase1_end_) return cast_.on_slot(slot);
+  if (slot <= phase2_end_) {
     if (!phase2_started_) begin_phase2();
     return phase2_action();
   }
-  if (slot <= params_.phase3_end()) {
+  if (slot <= phase3_end_) {
     if (!phase3_started_) begin_phase3();
     return phase3_action(slot);
   }
@@ -51,15 +58,15 @@ Action CogCompNode::on_slot(Slot slot) {
 }
 
 void CogCompNode::on_feedback(Slot slot, const SlotResult& result) {
-  if (slot <= params_.phase1_end()) {
+  if (slot <= phase1_end_) {
     cast_.on_feedback(slot, result);
     return;
   }
-  if (slot <= params_.phase2_end()) {
+  if (slot <= phase2_end_) {
     phase2_feedback(result);
     return;
   }
-  if (slot <= params_.phase3_end()) {
+  if (slot <= phase3_end_) {
     phase3_feedback(slot, result);
     return;
   }
@@ -129,8 +136,8 @@ Action CogCompNode::phase3_action(Slot slot) {
   if (done_) return Action::idle();
   if (!is_source_ && !cast_.informed()) return Action::idle();
 
-  const Slot i = slot - params_.phase2_end();       // 1-based phase-3 index
-  const Slot j = params_.phase1_end() - i + 1;       // mirrored phase-1 slot
+  const Slot i = slot - phase2_end_;   // 1-based phase-3 index
+  const Slot j = phase1_end_ - i + 1;  // mirrored phase-1 slot
   const auto& record =
       cast_.history().at(static_cast<std::size_t>(j - 1));
   phase3_label_ = record.label;
@@ -153,8 +160,8 @@ Action CogCompNode::phase3_action(Slot slot) {
 
 void CogCompNode::phase3_feedback(Slot slot, const SlotResult& result) {
   if (!phase3_listening_) return;
-  const Slot i = slot - params_.phase2_end();
-  const Slot j = params_.phase1_end() - i + 1;
+  const Slot i = slot - phase2_end_;
+  const Slot j = phase1_end_ - i + 1;
   for (const Message& m : result.received) {
     if (m.type != MessageType::ClusterSize) continue;
     assert(m.r == j);

@@ -156,6 +156,11 @@ class CogCompNode : public Protocol {
   NodeId id_;
   CogCompParams params_;
   int n_;
+  // The phase ends, which (n, c, k, gamma) fix through Theorem 4's
+  // horizon: worked out once here, read by every callback.
+  Slot phase1_end_;
+  Slot phase2_end_;
+  Slot phase3_end_;
   bool is_source_;
   Value value_;
   Aggregator aggregator_;

@@ -23,6 +23,7 @@ CogConsensusNode::CogConsensusNode(NodeId id, const ConsensusParams& params,
                                    ConsensusRule rule, Rng rng)
     : id_(id),
       params_(params),
+      aggregation_end_(params.aggregation_end()),
       is_source_(is_source),
       rule_(std::move(rule)),
       cast_rng_(rng.split(2)),
@@ -30,8 +31,7 @@ CogConsensusNode::CogConsensusNode(NodeId id, const ConsensusParams& params,
             rng.split(1)) {}
 
 Action CogConsensusNode::on_slot(Slot slot) {
-  const Slot boundary = params_.aggregation_end();
-  if (slot <= boundary) return comp_.on_slot(slot);
+  if (slot <= aggregation_end_) return comp_.on_slot(slot);
 
   if (!cast_.has_value()) {
     // Phase-B kickoff: the source fixes the decision from its aggregate;
@@ -46,16 +46,15 @@ Action CogConsensusNode::on_slot(Slot slot) {
     cast_.emplace(id_, params_.c, is_source_, payload, cast_rng_,
                   /*horizon=*/params_.cast().horizon());
   }
-  return cast_->on_slot(slot - boundary);
+  return cast_->on_slot(slot - aggregation_end_);
 }
 
 void CogConsensusNode::on_feedback(Slot slot, const SlotResult& result) {
-  const Slot boundary = params_.aggregation_end();
-  if (slot <= boundary) {
+  if (slot <= aggregation_end_) {
     comp_.on_feedback(slot, result);
     return;
   }
-  cast_->on_feedback(slot - boundary, result);
+  cast_->on_feedback(slot - aggregation_end_, result);
   if (!decided_ && cast_->informed()) {
     decision_ = cast_->payload().a;
     decided_ = true;

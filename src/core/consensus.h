@@ -83,6 +83,7 @@ class CogConsensusNode : public Protocol {
  private:
   NodeId id_;
   ConsensusParams params_;
+  Slot aggregation_end_;  // params_.aggregation_end(), worked out once
   bool is_source_;
   ConsensusRule rule_;
   Rng cast_rng_;

@@ -7,14 +7,14 @@ VerifiedBroadcastNode::VerifiedBroadcastNode(
     Message payload, Rng rng)
     : id_(id),
       params_(params),
+      broadcast_end_(params.broadcast_end()),
       is_source_(is_source),
       comp_rng_(rng.split(2)),
       cast_(id, params.c, is_source, std::move(payload), rng.split(1),
-            /*horizon=*/params.broadcast_end()) {}
+            /*horizon=*/broadcast_end_) {}
 
 Action VerifiedBroadcastNode::on_slot(Slot slot) {
-  const Slot boundary = params_.broadcast_end();
-  if (slot <= boundary) return cast_.on_slot(slot);
+  if (slot <= broadcast_end_) return cast_.on_slot(slot);
   if (!comp_.has_value()) {
     // Verification round: every node contributes 1 iff it is informed.
     comp_.emplace(id_, CogCompParams{params_.n, params_.c, params_.k,
@@ -22,16 +22,15 @@ Action VerifiedBroadcastNode::on_slot(Slot slot) {
                   is_source_, cast_.informed() ? 1 : 0, Aggregator(AggOp::Sum),
                   comp_rng_);
   }
-  return comp_->on_slot(slot - boundary);
+  return comp_->on_slot(slot - broadcast_end_);
 }
 
 void VerifiedBroadcastNode::on_feedback(Slot slot, const SlotResult& result) {
-  const Slot boundary = params_.broadcast_end();
-  if (slot <= boundary) {
+  if (slot <= broadcast_end_) {
     cast_.on_feedback(slot, result);
     return;
   }
-  comp_->on_feedback(slot - boundary, result);
+  comp_->on_feedback(slot - broadcast_end_, result);
 }
 
 bool VerifiedBroadcastNode::done() const {

@@ -55,6 +55,7 @@ class VerifiedBroadcastNode : public Protocol {
  private:
   NodeId id_;
   VerifiedBroadcastParams params_;
+  Slot broadcast_end_;  // params_.broadcast_end(), worked out once
   bool is_source_;
   Rng comp_rng_;
   CogCastNode cast_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace cogradio {
@@ -57,11 +58,63 @@ std::int64_t partitioned_universe(int n, int c, int k) {
   return std::int64_t{k} + std::int64_t{n} * (std::int64_t{c} - k);
 }
 
+// Applies make_labeling to every c-entry row of `table` in node order:
+// the same sort and shuffle draws as labeling each node's set on its own.
+void label_rows(std::span<Channel> table, int c, LabelMode mode, Rng& rng) {
+  for (std::size_t at = 0; at < table.size(); at += static_cast<std::size_t>(c))
+    make_labeling(table.subspan(at, static_cast<std::size_t>(c)), mode, rng);
+}
+
+// The table draws below write every row of the n*c `table` they are
+// handed, drawing from `rng` exactly as building each node's raw set in
+// turn and then labeling every row does. `sample` and `rest` are buffers
+// they reuse: once grown to the shape, a draw allocates nothing.
+
+// SharedCore: k core channels (0..k-1 when `low_core`, else drawn from
+// all C), then each node's c-k tail drawn from the other C-k channels.
+void draw_shared_core(std::span<Channel> table, int c, int k,
+                      int total_channels, bool low_core, LabelMode labels,
+                      Rng& rng, std::vector<std::int32_t>& sample,
+                      std::vector<Channel>& rest) {
+  // Row 0's first k entries hold the core until the rows are labeled.
+  const std::span<Channel> core = table.first(static_cast<std::size_t>(k));
+  if (low_core) {
+    std::iota(core.begin(), core.end(), Channel{0});
+  } else {
+    rng.sample_without_replacement(total_channels, k, sample);
+    std::copy(sample.begin(), sample.end(), core.begin());
+  }
+  rest.resize(static_cast<std::size_t>(total_channels));
+  std::iota(rest.begin(), rest.end(), Channel{0});
+  for (const Channel ch : core) rest[static_cast<std::size_t>(ch)] = kNoChannel;
+  std::erase(rest, kNoChannel);
+  const auto width = static_cast<std::size_t>(c);
+  for (std::size_t at = 0; at < table.size(); at += width) {
+    if (at > 0) std::copy(core.begin(), core.end(), table.begin() + at);
+    rng.sample_without_replacement(static_cast<std::int32_t>(rest.size()),
+                                   c - k, sample);
+    for (std::size_t j = 0; j < sample.size(); ++j)
+      table[at + core.size() + j] = rest[static_cast<std::size_t>(sample[j])];
+  }
+  label_rows(table, c, labels, rng);
+}
+
+// Pigeonhole: each node's c channels drawn from all C.
+void draw_pigeonhole(std::span<Channel> table, int c, int total_channels,
+                     LabelMode labels, Rng& rng,
+                     std::vector<std::int32_t>& sample) {
+  for (std::size_t at = 0; at < table.size(); at += static_cast<std::size_t>(c)) {
+    rng.sample_without_replacement(total_channels, c, sample);
+    std::copy(sample.begin(), sample.end(), table.begin() + at);
+  }
+  label_rows(table, c, labels, rng);
+}
+
 }  // namespace
 
 TableAssignment::TableAssignment(int n, int c, int k, int total_channels)
     : ChannelAssignment(n, c, k, total_channels) {
-  table_.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(c));
+  table_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(c));
 }
 
 Channel TableAssignment::global_channel(NodeId node, LocalLabel label) const {
@@ -78,10 +131,6 @@ std::span<Channel> TableAssignment::row(NodeId node) {
       static_cast<std::size_t>(c_));
 }
 
-void TableAssignment::label_rows(LabelMode mode, Rng& rng) {
-  for (NodeId u = 0; u < n_; ++u) make_labeling(row(u), mode, rng);
-}
-
 SharedCoreAssignment::SharedCoreAssignment(int n, int c, int k,
                                            LabelMode labels, Rng rng,
                                            int total_channels, bool low_core)
@@ -90,31 +139,11 @@ SharedCoreAssignment::SharedCoreAssignment(int n, int c, int k,
                           ? checked_total_channels(2 * std::int64_t{c},
                                                    "shared-core")
                           : total_channels) {
-  const int big_c = total_channels_;
-  if (big_c < c) throw std::invalid_argument("shared-core: C < c");
-  // Choose the k core channels, then per-node tails from the complement.
-  std::vector<Channel> core;
-  if (low_core) {
-    for (Channel ch = 0; ch < k; ++ch) core.push_back(ch);
-  } else {
-    core = rng.sample_without_replacement(big_c, k);
-  }
+  if (total_channels_ < c) throw std::invalid_argument("shared-core: C < c");
+  std::vector<std::int32_t> sample;
   std::vector<Channel> rest;
-  {
-    std::vector<bool> in_core(static_cast<std::size_t>(big_c), false);
-    for (Channel ch : core) in_core[static_cast<std::size_t>(ch)] = true;
-    for (Channel ch = 0; ch < big_c; ++ch)
-      if (!in_core[static_cast<std::size_t>(ch)]) rest.push_back(ch);
-  }
-  // Every node's raw set first, then every node's labeling: the draw order
-  // of building all sets before labeling any.
-  for (NodeId u = 0; u < n; ++u) {
-    table_.insert(table_.end(), core.begin(), core.end());
-    const auto tail = rng.sample_without_replacement(
-        static_cast<std::int32_t>(rest.size()), c - k);
-    for (auto idx : tail) table_.push_back(rest[static_cast<std::size_t>(idx)]);
-  }
-  label_rows(labels, rng);
+  draw_shared_core(table_, c, k, total_channels_, low_core, labels, rng,
+                   sample, rest);
 }
 
 PartitionedAssignment::PartitionedAssignment(int n, int c, int k,
@@ -131,11 +160,11 @@ PartitionedAssignment::PartitionedAssignment(int n, int c, int k,
 
   const auto core_end = perm.begin() + k;
   for (NodeId u = 0; u < n; ++u) {
-    table_.insert(table_.end(), perm.begin(), core_end);
+    const auto tail = std::copy(perm.begin(), core_end, row(u).begin());
     const auto block = core_end + static_cast<std::ptrdiff_t>(u) * (c - k);
-    table_.insert(table_.end(), block, block + (c - k));
+    std::copy(block, block + (c - k), tail);
   }
-  label_rows(labels, rng);
+  label_rows(table_, c, labels, rng);
 }
 
 PigeonholeAssignment::PigeonholeAssignment(int n, int c, int k,
@@ -143,24 +172,27 @@ PigeonholeAssignment::PigeonholeAssignment(int n, int c, int k,
     : TableAssignment(n, c, k,
                       checked_total_channels(2 * std::int64_t{c} - k,
                                              "pigeonhole")) {
-  for (NodeId u = 0; u < n; ++u) {
-    const auto set = rng.sample_without_replacement(total_channels_, c);
-    table_.insert(table_.end(), set.begin(), set.end());
-  }
-  label_rows(labels, rng);
+  std::vector<std::int32_t> sample;
+  draw_pigeonhole(table_, c, total_channels_, labels, rng, sample);
 }
 
 IdentityAssignment::IdentityAssignment(int n, int c, LabelMode labels, Rng rng)
     : TableAssignment(n, c, /*k=*/c, /*total_channels=*/c) {
-  for (NodeId u = 0; u < n; ++u)
-    for (Channel ch = 0; ch < c; ++ch) table_.push_back(ch);
-  label_rows(labels, rng);
+  for (NodeId u = 0; u < n; ++u) {
+    const std::span<Channel> channels = row(u);
+    std::iota(channels.begin(), channels.end(), Channel{0});
+  }
+  label_rows(table_, c, labels, rng);
 }
 
-DynamicAssignment::DynamicAssignment(int n, int c, int k, int total_channels,
-                                     Factory factory, Rng rng)
-    : ChannelAssignment(n, c, k, total_channels),
-      factory_(std::move(factory)),
+DynamicAssignment::DynamicAssignment(int n, int c, int k, Pattern pattern,
+                                     Rng rng)
+    : TableAssignment(
+          n, c, k,
+          pattern == Pattern::SharedCore
+              ? checked_total_channels(2 * std::int64_t{c}, "shared-core")
+              : checked_total_channels(2 * std::int64_t{c} - k, "pigeonhole")),
+      pattern_(pattern),
       seed_(rng()) {
   begin_slot(0);
 }
@@ -169,37 +201,25 @@ void DynamicAssignment::begin_slot(Slot slot) {
   // Derive the slot's stream statelessly so that re-entering a slot (e.g.
   // for inspection or replay) reproduces the same assignment.
   std::uint64_t s = seed_ ^ (static_cast<std::uint64_t>(slot) * 0x9E3779B97F4A7C15ULL);
-  current_ = factory_(Rng(splitmix64(s)));
-}
-
-Channel DynamicAssignment::global_channel(NodeId node, LocalLabel label) const {
-  return current_->global_channel(node, label);
+  Rng rng(splitmix64(s));
+  if (pattern_ == Pattern::SharedCore)
+    draw_shared_core(table_, c_, k_, total_channels_, /*low_core=*/false,
+                     LabelMode::LocalRandom, rng, sample_, rest_);
+  else
+    draw_pigeonhole(table_, c_, total_channels_, LabelMode::LocalRandom, rng,
+                    sample_);
 }
 
 std::unique_ptr<DynamicAssignment> DynamicAssignment::shared_core(int n, int c,
                                                                   int k,
                                                                   Rng rng) {
-  auto factory = [n, c, k](Rng slot_rng) {
-    return std::make_unique<SharedCoreAssignment>(n, c, k,
-                                                  LabelMode::LocalRandom,
-                                                  slot_rng);
-  };
-  return std::make_unique<DynamicAssignment>(
-      n, c, k, checked_total_channels(2 * std::int64_t{c}, "shared-core"),
-      std::move(factory), rng);
+  return std::make_unique<DynamicAssignment>(n, c, k, Pattern::SharedCore, rng);
 }
 
 std::unique_ptr<DynamicAssignment> DynamicAssignment::pigeonhole(int n, int c,
                                                                  int k,
                                                                  Rng rng) {
-  auto factory = [n, c, k](Rng slot_rng) {
-    return std::make_unique<PigeonholeAssignment>(n, c, k,
-                                                  LabelMode::LocalRandom,
-                                                  slot_rng);
-  };
-  return std::make_unique<DynamicAssignment>(
-      n, c, k, checked_total_channels(2 * std::int64_t{c} - k, "pigeonhole"),
-      std::move(factory), rng);
+  return std::make_unique<DynamicAssignment>(n, c, k, Pattern::Pigeonhole, rng);
 }
 
 AdaptiveAdversaryAssignment::AdaptiveAdversaryAssignment(int n, int c, int k,
@@ -213,7 +233,6 @@ AdaptiveAdversaryAssignment::AdaptiveAdversaryAssignment(int n, int c, int k,
   if (k >= c)
     throw std::invalid_argument(
         "adversary: needs k < c (with k = c there is nowhere to dodge to)");
-  table_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(c));
   begin_slot(1);
 }
 

@@ -12,13 +12,14 @@
 //   Partitioned         Theorem 16 setup: C = k + n(c-k), disjoint tails
 //   PigeonholeRandom    random c-subsets of C = 2c-k (overlap >= k forced)
 //   Identity            all nodes share channels 0..c-1 (k = c extreme)
-//   DynamicAssignment   any generator re-drawn independently every slot
+//   DynamicAssignment   SharedCore or Pigeonhole re-drawn independently
+//                       every slot
 //   AdaptiveAdversary   re-labels per slot to dodge a predicted choice
 //                       (Theorem 17 demonstration)
 //
 // Table format. Every table-backed assignment (the four static generators,
-// DynamicAssignment's per-slot draws, AdaptiveAdversary, and the Markov
-// spectrum of sim/spectrum.h) stores its whole label map as ONE flat
+// DynamicAssignment, AdaptiveAdversary, and the Markov spectrum of
+// sim/spectrum.h) stores its whole label map as ONE flat
 // node-major vector of n*c channels: entry node*c + label is the physical
 // channel behind `label` at `node`. table() lends that vector to the
 // engine, which indexes it directly instead of copying it or calling
@@ -98,14 +99,12 @@ class TableAssignment : public ChannelAssignment {
   std::span<const Channel> table() const override { return table_; }
 
  protected:
-  // Validates the shape, then reserves (never fills) the n*c table.
+  // Validates the shape, then sizes the n*c table for the generator to
+  // draw into.
   TableAssignment(int n, int c, int k, int total_channels);
 
-  // `node`'s c entries of table_, which must already be sized.
+  // `node`'s c entries of table_.
   std::span<Channel> row(NodeId node);
-  // Applies make_labeling to every row in node order: the same sort and
-  // shuffle draws as labeling each node's set on its own.
-  void label_rows(LabelMode mode, Rng& rng);
 
   // table_[node*c + label] = physical channel. On huge pages
   // (util/huge_pages.h): the engine reads one scattered entry per active
@@ -151,33 +150,33 @@ class IdentityAssignment : public TableAssignment {
 
 // --- Dynamic assignments (Section 7 discussion) ----------------------------
 
-// Re-generates an independent static assignment every slot using a factory,
-// modelling the dynamic model in which channel availability changes over
-// time while the pairwise-k invariant is preserved slot by slot.
-class DynamicAssignment : public ChannelAssignment {
+// Draws an independent static assignment every slot, modelling the dynamic
+// model in which channel availability changes over time while the
+// pairwise-k invariant is preserved slot by slot. Each begin_slot
+// overwrites the one table in place with the draw the static generator
+// (with LabelMode::LocalRandom) makes from the slot's stream, which
+// derives purely from (seed, slot): entering a slot again reproduces it,
+// and once the draw buffers have grown no slot allocates.
+class DynamicAssignment : public TableAssignment {
  public:
-  using Factory =
-      std::function<std::unique_ptr<TableAssignment>(Rng slot_rng)>;
+  enum class Pattern : std::uint8_t { SharedCore, Pigeonhole };
 
-  DynamicAssignment(int n, int c, int k, int total_channels, Factory factory,
-                    Rng rng);
+  DynamicAssignment(int n, int c, int k, Pattern pattern, Rng rng);
 
   bool is_dynamic() const override { return true; }
   void begin_slot(Slot slot) override;
-  Channel global_channel(NodeId node, LocalLabel label) const override;
-  // The current slot's draw's table; replaced by the next begin_slot.
-  std::span<const Channel> table() const override { return current_->table(); }
 
-  // Convenience constructors for the common dynamic patterns.
+  // Convenience constructors for the two patterns.
   static std::unique_ptr<DynamicAssignment> shared_core(int n, int c, int k,
                                                         Rng rng);
   static std::unique_ptr<DynamicAssignment> pigeonhole(int n, int c, int k,
                                                        Rng rng);
 
  private:
-  Factory factory_;
-  std::uint64_t seed_;  // per-slot streams derive purely from (seed, slot)
-  std::unique_ptr<TableAssignment> current_;
+  Pattern pattern_;
+  std::uint64_t seed_;
+  std::vector<std::int32_t> sample_;  // the draws' sampler buffer
+  std::vector<Channel> rest_;         // shared-core: channels off the core
 };
 
 // Adversarial dynamic assignment for the Theorem 17 demonstration.

@@ -8,37 +8,49 @@
 
 namespace cogradio {
 
+namespace {
+
+// Node `node`'s `width` entries of a node-major flat array.
+template <typename Flat>
+auto node_row(Flat& flat, NodeId node, int width) {
+  return std::span(flat).subspan(
+      static_cast<std::size_t>(node) * static_cast<std::size_t>(width),
+      static_cast<std::size_t>(width));
+}
+
+}  // namespace
+
 BudgetedJammer::BudgetedJammer(int num_nodes, int num_channels, int budget)
-    : num_nodes_(num_nodes),
-      num_channels_(num_channels),
-      budget_(budget),
-      jam_sets_(static_cast<std::size_t>(num_nodes)) {
+    : num_nodes_(num_nodes), num_channels_(num_channels), budget_(budget) {
   if (num_nodes < 1 || num_channels < 1)
     throw std::invalid_argument("jammer: need nodes >= 1 and channels >= 1");
   if (budget < 0 || budget >= num_channels)
     throw std::invalid_argument("jammer: need 0 <= budget < channels");
+  jams_.resize(static_cast<std::size_t>(num_nodes) *
+               static_cast<std::size_t>(budget));
+  jam_count_.resize(static_cast<std::size_t>(num_nodes));
 }
 
 bool BudgetedJammer::is_jammed(NodeId node, Channel channel) const {
-  assert(node >= 0 && node < num_nodes_);
-  const auto& set = jam_sets_[static_cast<std::size_t>(node)];
+  const std::span<const Channel> set = jam_set(node);
   return std::find(set.begin(), set.end(), channel) != set.end();
 }
 
-const std::vector<Channel>& BudgetedJammer::jam_set(NodeId node) const {
+std::span<const Channel> BudgetedJammer::jam_set(NodeId node) const {
   assert(node >= 0 && node < num_nodes_);
-  return jam_sets_[static_cast<std::size_t>(node)];
+  return node_row(jams_, node, budget_)
+      .first(static_cast<std::size_t>(jam_count_[static_cast<std::size_t>(node)]));
 }
 
 void BudgetedJammer::clear_jams() {
-  for (auto& set : jam_sets_) set.clear();
+  std::fill(jam_count_.begin(), jam_count_.end(), 0);
 }
 
 void BudgetedJammer::jam(NodeId node, Channel channel) {
-  auto& set = jam_sets_[static_cast<std::size_t>(node)];
-  assert(static_cast<int>(set.size()) < budget_);
-  if (static_cast<int>(set.size()) >= budget_) return;
-  set.push_back(channel);
+  int& count = jam_count_[static_cast<std::size_t>(node)];
+  assert(count < budget_);
+  if (count >= budget_) return;
+  node_row(jams_, node, budget_)[static_cast<std::size_t>(count++)] = channel;
 }
 
 RandomJammer::RandomJammer(int num_nodes, int num_channels, int budget,
@@ -76,33 +88,50 @@ void SweepJammer::begin_slot(Slot slot) {
 
 ReactiveJammer::ReactiveJammer(int num_nodes, int num_channels, int budget)
     : BudgetedJammer(num_nodes, num_channels, budget),
-      history_(static_cast<std::size_t>(num_nodes)) {}
+      history_(static_cast<std::size_t>(num_nodes) *
+               static_cast<std::size_t>(budget)),
+      history_len_(static_cast<std::size_t>(num_nodes)) {}
+
+std::span<const Channel> ReactiveJammer::history(NodeId node) const {
+  return node_row(history_, node, budget_)
+      .first(static_cast<std::size_t>(
+          history_len_[static_cast<std::size_t>(node)]));
+}
 
 void ReactiveJammer::begin_slot(Slot /*slot*/) {
   clear_jams();
   for (NodeId u = 0; u < num_nodes_; ++u)
-    for (Channel ch : history_[static_cast<std::size_t>(u)]) jam(u, ch);
+    for (const Channel ch : history(u)) jam(u, ch);
 }
 
 void ReactiveJammer::observe(Slot /*slot*/,
                              std::span<const Channel> node_channels) {
+  if (budget_ == 0) return;  // nothing is remembered
   for (NodeId u = 0; u < num_nodes_ &&
                      static_cast<std::size_t>(u) < node_channels.size();
        ++u) {
     const Channel ch = node_channels[static_cast<std::size_t>(u)];
     if (ch == kNoChannel) continue;
-    auto& h = history_[static_cast<std::size_t>(u)];
-    // Keep the most recent `budget` *distinct* channels, newest first.
-    if (auto it = std::find(h.begin(), h.end(), ch); it != h.end()) h.erase(it);
-    h.push_front(ch);
-    while (static_cast<int>(h.size()) > budget_) h.pop_back();
+    // Keep the most recent `budget` *distinct* channels, newest first: a
+    // repeat moves to the front; a new channel enters there, pushing the
+    // oldest out of a full row.
+    const std::span<Channel> row = node_row(history_, u, budget_);
+    int& len = history_len_[static_cast<std::size_t>(u)];
+    auto at = std::find(row.begin(), row.begin() + len, ch) - row.begin();
+    if (at == len) {
+      if (len < budget_) ++len;
+      at = len - 1;
+    }
+    std::copy_backward(row.begin(), row.begin() + at, row.begin() + at + 1);
+    row[0] = ch;
   }
 }
 
 void ReactiveJammer::save_state(CheckpointWriter& w) const {
   w.section("xjam");
-  w.u64(history_.size());
-  for (const auto& h : history_) {
+  w.u64(history_len_.size());
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    const std::span<const Channel> h = history(u);
     w.u64(h.size());
     for (const Channel ch : h) w.i64(ch);
   }
@@ -111,16 +140,33 @@ void ReactiveJammer::save_state(CheckpointWriter& w) const {
 void ReactiveJammer::restore_state(CheckpointReader& r) {
   r.section("xjam");
   const std::size_t nodes = r.length(8);
-  if (nodes != history_.size())
+  if (nodes != history_len_.size())
     throw CheckpointError(
         "checkpoint rejected: reactive jammer tracks " +
-        std::to_string(history_.size()) + " nodes, snapshot holds " +
+        std::to_string(history_len_.size()) + " nodes, snapshot holds " +
         std::to_string(nodes));
-  for (auto& h : history_) {
-    h.clear();
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    const auto reject = [u](const std::string& why) {
+      return CheckpointError(
+          "checkpoint rejected: reactive jammer history of node " +
+          std::to_string(u) + " " + why);
+    };
+    const std::span<Channel> row = node_row(history_, u, budget_);
     const std::size_t len = r.length(8);
-    for (std::size_t i = 0; i < len; ++i)
-      h.push_back(static_cast<Channel>(r.i64()));
+    if (len > row.size())
+      throw reject("holds " + std::to_string(len) + " channels, budget " +
+                   std::to_string(budget_));
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::int64_t ch = r.i64();
+      if (ch < 0 || ch >= num_channels_)
+        throw reject("holds channel " + std::to_string(ch) + " outside [0, " +
+                     std::to_string(num_channels_) + ")");
+      const auto seen = row.first(i);
+      if (std::find(seen.begin(), seen.end(), ch) != seen.end())
+        throw reject("repeats channel " + std::to_string(ch));
+      row[i] = static_cast<Channel>(ch);
+    }
+    history_len_[static_cast<std::size_t>(u)] = static_cast<int>(len);
   }
 }
 

@@ -14,7 +14,7 @@
 // exercises that reduction against all three strategies below.
 #pragma once
 
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "sim/network.h"
@@ -32,7 +32,7 @@ class BudgetedJammer : public Jammer {
   bool is_jammed(NodeId node, Channel channel) const override;
 
   // Diagnostics for tests: the jam set fixed for `node` this slot.
-  const std::vector<Channel>& jam_set(NodeId node) const;
+  std::span<const Channel> jam_set(NodeId node) const;
 
  protected:
   void clear_jams();
@@ -45,7 +45,10 @@ class BudgetedJammer : public Jammer {
   int budget_;
 
  private:
-  std::vector<std::vector<Channel>> jam_sets_;  // per node, current slot
+  // This slot's jam sets: node u's is the first jam_count_[u] entries of
+  // its `budget` entries in jams_, so filling them never allocates.
+  std::vector<Channel> jams_;
+  std::vector<int> jam_count_;
 };
 
 // Jams `budget` uniformly random channels per node, fresh every slot.
@@ -80,12 +83,19 @@ class ReactiveJammer : public BudgetedJammer {
   void begin_slot(Slot slot) override;
   void observe(Slot slot, std::span<const Channel> node_channels) override;
 
-  // Cross-slot state is the per-node observation history.
+  // Cross-slot state is the per-node observation history, newest first.
+  // Restore rejects a history longer than `budget`, a repeated channel or
+  // a channel outside [0, C).
   void save_state(CheckpointWriter& w) const override;
   void restore_state(CheckpointReader& r) override;
 
  private:
-  std::vector<std::deque<Channel>> history_;  // recent distinct channels
+  std::span<const Channel> history(NodeId node) const;
+
+  // Each node's recent distinct channels, newest first: node u's are the
+  // first history_len_[u] of its `budget` entries in history_.
+  std::vector<Channel> history_;
+  std::vector<int> history_len_;
 };
 
 }  // namespace cogradio

@@ -23,7 +23,9 @@ enum class LabelMode : std::uint8_t {
 // Turns one node's channel set, in place, into its label row: afterwards
 // row[label] is the physical channel behind `label` according to `mode`.
 // The set is sorted first so the Global mode is deterministic regardless
-// of generation order; LocalRandom then draws one shuffle of the row.
+// of generation order (through a bitmap when its channels span a few
+// 64-bit words, by comparison sort otherwise: the order is the same);
+// LocalRandom then draws one shuffle of the row.
 void make_labeling(std::span<Channel> row, LabelMode mode, Rng& rng);
 
 }  // namespace cogradio

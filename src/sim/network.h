@@ -318,8 +318,8 @@ class Network {
   // Per-slot scratch, sized once (in the constructor, or by the setter
   // that attaches its reader) and reused every slot so that step()
   // performs zero heap allocations in steady state (counted by
-  // tests/test_steady_alloc.cpp; a DynamicAssignment or a ReactiveJammer
-  // still allocates in its own begin_slot or observe). Per-node arrays
+  // tests/test_steady_alloc.cpp, with dynamic and spectrum assignments and
+  // random and reactive jammers among its settings). Per-node arrays
   // are sized only for their readers: a 2^20-node BatchClient fleet
   // allocates neither resolved_ nor used_channel_.
   std::vector<ResolvedAction> resolved_;  // only with an observer

@@ -39,6 +39,9 @@ MarkovSpectrumAssignment::MarkovSpectrumAssignment(int n, int c, int k,
   // No channel is kept from before the first build: kNoChannel < k.
   table_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(c),
                 kNoChannel);
+  keep_.reserve(static_cast<std::size_t>(c - k));
+  free_picks_.reserve(static_cast<std::size_t>(spectrum.band));
+  busy_picks_.reserve(static_cast<std::size_t>(spectrum.band));
   rebuild_tables();
 }
 
@@ -82,11 +85,10 @@ void MarkovSpectrumAssignment::begin_slot(Slot slot) {
 
 void MarkovSpectrumAssignment::rebuild_tables() {
   const int stride = std::max(1, spectrum_.band / 2);
-  std::vector<Channel> keep, free_picks, busy_picks;
   for (NodeId u = 0; u < n_; ++u) {
-    keep.clear();
-    free_picks.clear();
-    busy_picks.clear();
+    keep_.clear();
+    free_picks_.clear();
+    busy_picks_.clear();
     const std::span<Channel> row = this->row(u);
 
     // Secondary users are sticky: keep previously selected channels while
@@ -94,31 +96,31 @@ void MarkovSpectrumAssignment::rebuild_tables() {
     // temporal correlation at the protocol level).
     for (Channel ch : row)
       if (ch >= k_ && !busy_[static_cast<std::size_t>(ch - k_)] &&
-          static_cast<int>(keep.size()) < c_ - k_)
-        keep.push_back(ch);
+          static_cast<int>(keep_.size()) < c_ - k_)
+        keep_.push_back(ch);
 
     const Channel band_base = k_ + u * stride;
     for (int j = 0; j < spectrum_.band; ++j) {
       const Channel ch = band_base + j;
-      if (std::find(keep.begin(), keep.end(), ch) != keep.end()) continue;
-      (busy_[static_cast<std::size_t>(ch - k_)] ? busy_picks : free_picks)
+      if (std::find(keep_.begin(), keep_.end(), ch) != keep_.end()) continue;
+      (busy_[static_cast<std::size_t>(ch - k_)] ? busy_picks_ : free_picks_)
           .push_back(ch);
     }
     // Fill vacancies preferring free channels; shuffle within each class
     // so the refilled subset is not positionally biased.
-    rng_.shuffle(free_picks);
-    rng_.shuffle(busy_picks);
+    rng_.shuffle(free_picks_);
+    rng_.shuffle(busy_picks_);
 
     auto out = row.begin();
     for (Channel ch = 0; ch < k_; ++ch) *out++ = ch;  // reserved
-    out = std::copy(keep.begin(), keep.end(), out);
+    out = std::copy(keep_.begin(), keep_.end(), out);
     int fallback = 0;
-    for (int j = static_cast<int>(keep.size()); j < c_ - k_; ++j) {
-      const auto idx = static_cast<std::size_t>(j) - keep.size();
-      if (idx < free_picks.size()) {
-        *out++ = free_picks[idx];
+    for (int j = static_cast<int>(keep_.size()); j < c_ - k_; ++j) {
+      const auto idx = static_cast<std::size_t>(j) - keep_.size();
+      if (idx < free_picks_.size()) {
+        *out++ = free_picks_[idx];
       } else {
-        *out++ = busy_picks[idx - free_picks.size()];
+        *out++ = busy_picks_[idx - free_picks_.size()];
         ++fallback;
       }
     }

@@ -60,6 +60,10 @@ class MarkovSpectrumAssignment : public TableAssignment {
   Slot last_slot_ = 0;
   std::vector<bool> busy_;  // per non-reserved channel (global index >= k)
   std::vector<int> fallbacks_;  // per node, this slot
+  // One node's picks while its row is rebuilt, reserved at construction
+  // so that no slot allocates: kept channels (at most c - k) and the rest
+  // of its band split by state (at most `band` together).
+  std::vector<Channel> keep_, free_picks_, busy_picks_;
 };
 
 }  // namespace cogradio

@@ -359,6 +359,73 @@ TEST(GoldenTable, AdversaryAtSlots1And2) {
                    13, 0, 1, 11, 12});
 }
 
+// --- Golden table digests --------------------------------------------------
+//
+// Wider shapes than the tables above, pinned as FNV-1a 64 digests of the
+// whole table (each channel id as four little-endian bytes, node-major).
+// make_labeling orders a row by bitmap when its channels span a few 64-bit
+// words and by comparison sort otherwise (sim/labels.h), so these shapes
+// cover both sides of that choice draw for draw.
+
+std::uint64_t table_digest(std::span<const Channel> table) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Channel ch : table) {
+    const auto v = static_cast<std::uint32_t>(ch);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+void expect_digest(const ChannelAssignment& a, std::uint64_t want) {
+  EXPECT_EQ(a.table().size(), static_cast<std::size_t>(a.num_nodes()) *
+                                  static_cast<std::size_t>(a.channels_per_node()));
+  const std::uint64_t got = table_digest(a.table());
+  EXPECT_EQ(got, want) << std::hex << "digest 0x" << got;
+}
+
+TEST(GoldenTable, WideStaticPatternsInBothLabelModes) {
+  for (const LabelMode mode : {LabelMode::Global, LabelMode::LocalRandom}) {
+    const bool global = mode == LabelMode::Global;
+    SCOPED_TRACE(global ? "global" : "local");
+    // paper_sweep's partitioned n = 48, c = 96 shape, C = 4514: the sort.
+    expect_digest(PartitionedAssignment(48, 96, 2, mode, Rng(kGoldenSeed)),
+                  global ? 0xa51c2c02dec18909ULL : 0xe140b72be8fcb4b5ULL);
+    // Partitioned n = 32, c = 8, C = 194: a bitmap of four words.
+    expect_digest(PartitionedAssignment(32, 8, 2, mode, Rng(kGoldenSeed)),
+                  global ? 0x3416c476d0780ebcULL : 0x1dfe3f00668b41fcULL);
+    // Shared core over C = 4096, far beyond 2c: the sort.
+    expect_digest(
+        SharedCoreAssignment(64, 8, 2, mode, Rng(kGoldenSeed), 4096),
+        global ? 0xe248ccb916b7f063ULL : 0xc4679a57774d4187ULL);
+  }
+}
+
+// A dynamic assignment redraws one table in place each slot; entering
+// slot 1 again after slot 2 must reproduce slot 1 exactly.
+TEST(GoldenTable, DynamicPatternsAtSlots1Then2Then1) {
+  struct Golden {
+    const char* pattern;
+    std::uint64_t slot1, slot2;
+  };
+  const Golden golden[] = {
+      {"dynamic-shared-core", 0xb04df4cf01d2e0dbULL, 0x9cf65e6bee4320daULL},
+      {"dynamic-pigeonhole", 0xf91e82740190180fULL, 0x388fbd818db3b6e5ULL},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(g.pattern);
+    const auto a = make_assignment(g.pattern, 64, 16, 4,
+                                   LabelMode::LocalRandom, Rng(kGoldenSeed));
+    for (const Slot slot : {1, 2, 1}) {
+      SCOPED_TRACE(slot);
+      a->begin_slot(slot);
+      expect_digest(*a, slot == 1 ? g.slot1 : g.slot2);
+    }
+  }
+}
+
 TEST(Factory, UnknownPatternThrows) {
   EXPECT_THROW(make_assignment("nope", 4, 4, 2, LabelMode::Global, Rng(14)),
                std::invalid_argument);

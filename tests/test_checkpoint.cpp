@@ -10,15 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "serve/journal.h"
 #include "sim/assignment.h"
+#include "sim/jamming.h"
 #include "sim/network.h"
 #include "util/proptest.h"
 
@@ -233,6 +236,48 @@ TEST(CheckpointNetwork, ImpossibleActivityRecordIsRejected) {
   EXPECT_THROW(restore_forged(3, -1), CheckpointError);  // received < 0
   EXPECT_THROW(restore_forged(1, saved.tx + 1), CheckpointError);
   EXPECT_THROW(restore_forged(0, 1000), CheckpointError);  // 1000 tx > 40 slots
+}
+
+// A reactive jammer remembers at most `budget` distinct channels per node,
+// each in [0, C), so a snapshot carrying a longer history, a repeated
+// channel or a channel outside the universe was not written by one.
+TEST(CheckpointJammer, ForgedReactiveHistoryIsRejected) {
+  // Two nodes; node 0 remembers channel 3, node 1 the forged `node1`.
+  const auto payload = [](const std::vector<std::int64_t>& node1) {
+    CheckpointWriter w;
+    w.section("xjam");
+    w.u64(2);
+    w.u64(1);
+    w.i64(3);
+    w.u64(node1.size());
+    for (const std::int64_t ch : node1) w.i64(ch);
+    return w.bytes();
+  };
+  // Restores into a fresh jammer over C = 8 with budget 2 and returns
+  // node 1's jam set for the next slot.
+  const auto restore = [](const std::string& bytes) {
+    ReactiveJammer fresh(2, 8, 2);
+    CheckpointReader r(bytes);
+    fresh.restore_state(r);
+    r.expect_end();
+    fresh.begin_slot(3);
+    const std::span<const Channel> set = fresh.jam_set(1);
+    return std::vector<Channel>(set.begin(), set.end());
+  };
+
+  // Node 1 seen on channel 5, then 6: its history is {6, 5}, newest first.
+  ReactiveJammer written(2, 8, 2);
+  written.observe(1, std::vector<Channel>{3, 5});
+  written.observe(2, std::vector<Channel>{kNoChannel, 6});
+  CheckpointWriter w;
+  written.save_state(w);
+  ASSERT_EQ(w.bytes(), payload({6, 5}));
+  EXPECT_EQ(restore(w.bytes()), (std::vector<Channel>{6, 5}));
+
+  EXPECT_THROW(restore(payload({6, 5, 4})), CheckpointError);  // > budget
+  EXPECT_THROW(restore(payload({6, 6})), CheckpointError);     // repeated
+  EXPECT_THROW(restore(payload({8})), CheckpointError);        // >= C
+  EXPECT_THROW(restore(payload({-1})), CheckpointError);       // < 0
 }
 
 // --- resume equivalence through the property harness ----------------------

@@ -567,6 +567,12 @@ TEST(CogComp, RejectsInvalidConfig) {
   config.params = {4, 4, 4};
   const std::vector<Value> three{1, 2, 3};
   EXPECT_THROW(run_cogcomp(assignment, three, config), std::invalid_argument);
+  // A node rejects a shape outside n, c, k >= 1 before it derives any
+  // phase end from it.
+  for (const CogCompParams bad : {CogCompParams{0, 4, 2}, CogCompParams{4, 0, 2},
+                                  CogCompParams{4, 4, 0}})
+    EXPECT_THROW(CogCompNode(0, bad, true, 1, Aggregator(AggOp::Sum), Rng(1)),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -71,13 +71,7 @@ RunTrace run_family(const Family& fam) {
 
   std::unique_ptr<ChannelAssignment> assignment;
   if (fam.dynamic) {
-    assignment = std::make_unique<DynamicAssignment>(
-        n, c, k, 2 * c,
-        [&](Rng slot_rng) {
-          return std::make_unique<SharedCoreAssignment>(
-              n, c, k, LabelMode::LocalRandom, slot_rng);
-        },
-        Rng(101));
+    assignment = DynamicAssignment::shared_core(n, c, k, Rng(101));
   } else {
     assignment = std::make_unique<SharedCoreAssignment>(
         n, c, k, LabelMode::LocalRandom, Rng(101));

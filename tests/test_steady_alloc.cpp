@@ -7,7 +7,14 @@
 //   * for a dense network below the engine's prefetch threshold (2^14
 //     nodes, kPrefetchMinNodes in network.cpp) and a 1%-duty fleet at it;
 //   * under each collision model, and under OneWinner with backoff
-//     emulation, a RandomJammer, or an observer attached.
+//     emulation, a RandomJammer or a ReactiveJammer, an observer, or an
+//     assignment that changes every slot (dynamic shared-core, dynamic
+//     pigeonhole, Markov spectrum) in place of the static shared core.
+//
+// Such an assignment redraws every node's row each slot, O(n) work even
+// in the 1%-duty fleet, so its settings step 32 slots after 8 warm-up
+// slots instead: every buffer it reuses has its size after its first
+// draw, which its constructor makes.
 //
 // The binary replaces the global operator new/delete pairs with counting
 // ones, the one portable way to see every allocation, those inside
@@ -28,6 +35,7 @@
 #include "sim/assignment.h"
 #include "sim/jamming.h"
 #include "sim/network.h"
+#include "sim/spectrum.h"
 
 namespace {
 
@@ -84,6 +92,10 @@ enum class Setting {
   Backoff,
   Jammer,
   Observer,
+  DynamicSharedCore,
+  DynamicPigeonhole,
+  MarkovSpectrum,
+  ReactiveJammer,
 };
 
 struct Case {
@@ -93,9 +105,11 @@ struct Case {
 };
 
 std::string case_name(const Case& c) {
-  static const char* const kSettings[] = {"one_winner", "all_delivered",
-                                          "collision_loss", "backoff",
-                                          "jammer", "observer"};
+  static const char* const kSettings[] = {
+      "one_winner",          "all_delivered",      "collision_loss",
+      "backoff",             "jammer",             "observer",
+      "dynamic_shared_core", "dynamic_pigeonhole", "markov_spectrum",
+      "reactive_jammer"};
   return std::string(c.client == Client::Batch ? "batch" : "protocols") +
          (c.fleet == Fleet::Duty ? "_duty_n16384_" : "_dense_n256_") +
          kSettings[static_cast<int>(c.setting)];
@@ -111,10 +125,22 @@ TEST_P(SteadyStateAlloc, NoneAfterWarmup) {
   const bool duty = in.fleet == Fleet::Duty;
   const int n = duty ? 1 << 14 : 256;
   const Chatter traffic{.c = 16, .duty = duty ? 100 : 1};
-  constexpr int kWarmup = 64, kWindow = 256;
+  const bool redraws = in.setting == Setting::DynamicSharedCore ||
+                       in.setting == Setting::DynamicPigeonhole ||
+                       in.setting == Setting::MarkovSpectrum;
+  const int warmup = redraws ? 8 : 64, window = redraws ? 32 : 256;
 
-  SharedCoreAssignment assignment(n, traffic.c, 4, LabelMode::LocalRandom,
-                                  Rng(1));
+  std::unique_ptr<ChannelAssignment> assignment;
+  if (in.setting == Setting::DynamicSharedCore)
+    assignment = DynamicAssignment::shared_core(n, traffic.c, 4, Rng(1));
+  else if (in.setting == Setting::DynamicPigeonhole)
+    assignment = DynamicAssignment::pigeonhole(n, traffic.c, 4, Rng(1));
+  else if (in.setting == Setting::MarkovSpectrum)
+    assignment = std::make_unique<MarkovSpectrumAssignment>(
+        n, traffic.c, 4, SpectrumParams{.band = 24}, Rng(1));
+  else
+    assignment = std::make_unique<SharedCoreAssignment>(
+        n, traffic.c, 4, LabelMode::LocalRandom, Rng(1));
   NetworkOptions opt;
   opt.seed = 35;
   opt.loss_prob = 0.125;  // the fade coins run too
@@ -125,7 +151,7 @@ TEST_P(SteadyStateAlloc, NoneAfterWarmup) {
   opt.emulate_backoff = in.setting == Setting::Backoff;
 
   ChatterTally tally;
-  ChatterClient client(n, traffic, kWarmup + kWindow, &tally);
+  ChatterClient client(n, traffic, warmup + window, &tally);
   std::vector<std::unique_ptr<ChatterNode>> nodes;
   std::vector<Protocol*> protocols;
   for (NodeId u = 0; u < n; ++u) {
@@ -134,20 +160,26 @@ TEST_P(SteadyStateAlloc, NoneAfterWarmup) {
   }
   std::optional<Network> net;
   if (in.client == Client::Batch)
-    net.emplace(assignment, client, opt);
+    net.emplace(*assignment, client, opt);
   else
-    net.emplace(assignment, protocols, opt);
-  RandomJammer jammer(n, assignment.total_channels(), 2, Rng(44));
-  if (in.setting == Setting::Jammer) net->set_jammer(&jammer);
+    net.emplace(*assignment, protocols, opt);
+  std::unique_ptr<Jammer> jammer;
+  if (in.setting == Setting::Jammer)
+    jammer = std::make_unique<RandomJammer>(n, assignment->total_channels(), 2,
+                                            Rng(44));
+  if (in.setting == Setting::ReactiveJammer)
+    jammer = std::make_unique<cogradio::ReactiveJammer>(
+        n, assignment->total_channels(), 2);
+  if (jammer) net->set_jammer(jammer.get());
   std::int64_t observed = 0;
   if (in.setting == Setting::Observer)
     net->set_observer([&](Slot, std::span<const ResolvedAction> actions) {
       for (const ResolvedAction& a : actions) observed += a.tx_success;
     });
 
-  for (int s = 0; s < kWarmup; ++s) net->step();
+  for (int s = 0; s < warmup; ++s) net->step();
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int s = 0; s < kWindow; ++s) net->step();
+  for (int s = 0; s < window; ++s) net->step();
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
 
   // The run contended, and did work of the kind the setting names.
@@ -157,7 +189,7 @@ TEST_P(SteadyStateAlloc, NoneAfterWarmup) {
   if (in.setting == Setting::Backoff) {
     EXPECT_GT(stats.micro_slots, 0);
   }
-  if (in.setting == Setting::Jammer) {
+  if (jammer) {
     EXPECT_GT(stats.jammed_node_slots, 0);
   }
   if (in.setting == Setting::Observer) {
@@ -171,7 +203,9 @@ std::vector<Case> all_cases() {
     for (const Fleet fleet : {Fleet::Dense, Fleet::Duty})
       for (const Setting setting :
            {Setting::OneWinner, Setting::AllDelivered, Setting::CollisionLoss,
-            Setting::Backoff, Setting::Jammer, Setting::Observer})
+            Setting::Backoff, Setting::Jammer, Setting::Observer,
+            Setting::DynamicSharedCore, Setting::DynamicPigeonhole,
+            Setting::MarkovSpectrum, Setting::ReactiveJammer})
         cases.push_back({client, fleet, setting});
   return cases;
 }
