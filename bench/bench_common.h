@@ -23,7 +23,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/bench_suite.h"  // add_trace_stats
+#include "analysis/bench_suite.h"  // add_trace_stats, cogcast_slots
 #include "core/runtime.h"
 #include "sim/assignment.h"
 #include "util/bench_report.h"
@@ -124,30 +124,8 @@ inline Summary run_trials(const std::string& pattern, int trials,
       trials, base_seed, jobs, [&](Rng& rng) { return fn(pattern, rng); }));
 }
 
-// Median CogCast completion slots over `trials` independent topologies and
-// executions of the given static/dynamic pattern.
-inline Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
-                             int trials, std::uint64_t base_seed,
-                             int jobs = 1) {
-  return run_trials(
-      pattern, trials, base_seed, jobs,
-      [&](const std::string& pat, Rng& rng) -> std::optional<double> {
-        const std::uint64_t s1 = rng();
-        const std::uint64_t s2 = rng();
-        auto assignment =
-            make_assignment(pat, n, c, k, LabelMode::LocalRandom, Rng(s1));
-        CogCastRunConfig config;
-        config.params = {n, c, k, 4.0};
-        config.seed = s2;
-        config.max_slots = 64 * config.params.horizon();
-        const auto out = run_cogcast(*assignment, config);
-        if (!out.completed) return std::nullopt;
-        return static_cast<double>(out.slots);
-      });
-}
-
-// Median completion of the rendezvous-broadcast baseline on the same kind
-// of topologies.
+// Median completion of the rendezvous-broadcast baseline on the topologies
+// cogcast_slots (analysis/bench_suite.h) draws.
 inline Summary rendezvous_broadcast_slots(const std::string& pattern, int n,
                                           int c, int k, int trials,
                                           std::uint64_t base_seed,

@@ -16,8 +16,7 @@
 //            the unsupervised completion rate vs the supervised one is the
 //            ablation headline.
 #include <cstdio>
-#include <memory>
-#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/supervisor.h"
@@ -35,20 +34,17 @@ struct TrialResult {
   Slot total_slots = 0;
 };
 
-// Wraps a built run so the burst engine lives as long as the epoch.
-SupervisedRun with_burst(SupervisedRun run, int n, int c, std::uint64_t seed,
-                         int affected, Slot from, Slot len) {
-  auto engine = std::make_shared<FaultEngine>(n, c, Rng(seed));
+// The first epoch's churn burst: `affected` nodes, never the source (0),
+// churned out for `len` slots from `from`.
+FaultEngine make_burst(int n, int c, std::uint64_t seed, int affected,
+                       Slot from, Slot len) {
+  FaultEngine engine(n, c, Rng(seed));
   Rng picker(seed + 1);
   const auto picks = picker.sample_without_replacement(n - 1, affected);
   std::vector<NodeId> hit;
-  for (const auto u : picks) hit.push_back(u + 1);  // never the source (0)
-  engine->add_burst(hit, from, len);
-  run.network->set_fault_engine(engine.get());
-  run.state = std::make_shared<std::pair<std::shared_ptr<void>,
-                                         std::shared_ptr<FaultEngine>>>(
-      std::move(run.state), std::move(engine));
-  return run;
+  for (const auto u : picks) hit.push_back(u + 1);
+  engine.add_burst(hit, from, len);
+  return engine;
 }
 
 struct SweepStats {
@@ -132,18 +128,19 @@ int main(int argc, char** argv) {
     const std::uint64_t run_seed = rng();
     SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                     Rng(topo_seed));
+    FaultEngine burst =
+        make_burst(n, c, burst_seed, affected, burst_from, burst_len);
     CogCastRunConfig config;
     config.params = cast_params;
+    CogCastRunConfig first = config;
+    first.fault_engine = &burst;
     SupervisorOptions options;
     options.deadline = 8 * cast_params.horizon() + burst_from + burst_len;
     options.max_restarts = 3;
     const SupervisedOutcome out = run_supervised(
         [&](int attempt, std::uint64_t aseed) {
-          SupervisedRun run = build_cogcast_run(assignment, config, aseed);
-          if (attempt == 0)
-            run = with_burst(std::move(run), n, c, burst_seed, affected,
-                             burst_from, burst_len);
-          return run;
+          return build_cogcast_run(assignment, attempt == 0 ? first : config,
+                                   aseed);
         },
         options, run_seed);
     return to_result(out);
@@ -158,19 +155,19 @@ int main(int argc, char** argv) {
     SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                     Rng(topo_seed));
     const std::vector<Value> values = make_values(n, value_seed);
+    FaultEngine burst =
+        make_burst(n, c, burst_seed, affected, burst_from, burst_len);
     CogCompRunConfig config;
     config.params = comp_params;
+    CogCompRunConfig first = config;
+    first.fault_engine = &burst;
     SupervisorOptions options;
     options.deadline = comp_params.max_slots() + 16;
     options.max_restarts = 3;
     const SupervisedOutcome out = run_supervised(
         [&](int attempt, std::uint64_t aseed) {
-          SupervisedRun run =
-              build_cogcomp_run(assignment, values, config, aseed);
-          if (attempt == 0)
-            run = with_burst(std::move(run), n, c, burst_seed, affected,
-                             burst_from, burst_len);
-          return run;
+          return build_cogcomp_run(assignment, values,
+                                   attempt == 0 ? first : config, aseed);
         },
         options, run_seed);
     return to_result(out);

@@ -44,24 +44,6 @@ void add_summary(RunManifest& m, const std::string& prefix, const Summary& s) {
   m.set(prefix + ".p95", s.p95);
 }
 
-Summary cogcast_summary(const std::string& pattern, int n, int c, int k,
-                        int trials, std::uint64_t seed, int jobs) {
-  return summarize(sweep_trials(
-      trials, seed, jobs, [&](Rng& rng) -> std::optional<double> {
-        const std::uint64_t s1 = rng();
-        const std::uint64_t s2 = rng();
-        auto assignment =
-            make_assignment(pattern, n, c, k, LabelMode::LocalRandom, Rng(s1));
-        CogCastRunConfig config;
-        config.params = {n, c, k, 4.0};
-        config.seed = s2;
-        config.max_slots = 64 * config.params.horizon();
-        const auto out = run_cogcast(*assignment, config);
-        if (!out.completed) return std::nullopt;
-        return static_cast<double>(out.slots);
-      }));
-}
-
 RunManifest smoke_e1_cogcast(const SmokeOptions& opt) {
   const int n = 48, k = 2;
   const int trials = trials_or(opt, 12);
@@ -74,13 +56,13 @@ RunManifest smoke_e1_cogcast(const SmokeOptions& opt) {
   for (const int c : {8, 16}) {
     const std::string tag = "partitioned.c" + std::to_string(c);
     add_summary(m, tag,
-                cogcast_summary("partitioned", n, c, k, trials,
-                                opt.seed + static_cast<std::uint64_t>(c),
-                                opt.jobs));
+                cogcast_slots("partitioned", n, c, k, trials,
+                              opt.seed + static_cast<std::uint64_t>(c),
+                              opt.jobs));
   }
   add_summary(m, "shared-core.c8",
-              cogcast_summary("shared-core", n, 8, k, trials, opt.seed + 1000,
-                              opt.jobs));
+              cogcast_slots("shared-core", n, 8, k, trials, opt.seed + 1000,
+                            opt.jobs));
   return m;
 }
 
@@ -143,7 +125,7 @@ RunManifest smoke_e4_baseline_gap(const SmokeOptions& opt) {
   m.set_config_int("trials", trials);
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
   const Summary cogcast =
-      cogcast_summary("partitioned", n, c, k, trials, opt.seed, opt.jobs);
+      cogcast_slots("partitioned", n, c, k, trials, opt.seed, opt.jobs);
   const Summary rendezvous = summarize(sweep_trials(
       trials, opt.seed + 17, opt.jobs, [&](Rng& rng) -> std::optional<double> {
         const std::uint64_t s1 = rng();
@@ -538,6 +520,24 @@ RunManifest run_smoke_experiment(const std::string& name,
   for (const ExperimentDef& e : kExperiments)
     if (name == e.name) return e.run(options);
   std::abort();  // callers validate against smoke_experiment_names()
+}
+
+Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
+                      int trials, std::uint64_t base_seed, int jobs) {
+  return summarize(sweep_trials(
+      trials, base_seed, jobs, [&](Rng& rng) -> std::optional<double> {
+        const std::uint64_t s1 = rng();
+        const std::uint64_t s2 = rng();
+        auto assignment =
+            make_assignment(pattern, n, c, k, LabelMode::LocalRandom, Rng(s1));
+        CogCastRunConfig config;
+        config.params = {n, c, k, 4.0};
+        config.seed = s2;
+        config.max_slots = 64 * config.params.horizon();
+        const auto out = run_cogcast(*assignment, config);
+        if (!out.completed) return std::nullopt;
+        return static_cast<double>(out.slots);
+      }));
 }
 
 void add_trace_stats(RunManifest& manifest, const std::string& prefix,

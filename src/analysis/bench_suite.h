@@ -19,6 +19,7 @@
 
 #include "sim/trace.h"
 #include "util/bench_report.h"
+#include "util/stats.h"
 
 namespace cogradio {
 
@@ -38,6 +39,14 @@ std::vector<std::string> smoke_experiment_names();
 // config and deterministic metrics; the caller owns volatile timing.
 RunManifest run_smoke_experiment(const std::string& name,
                                  const SmokeOptions& options);
+
+// CogCast completion slots over `trials` independent topologies and runs
+// of `pattern` (static or dynamic), fanned out over `jobs` workers; a
+// trial that misses its 64 x horizon cap is censored. The smoke suite and
+// the bench/ harnesses share it; trial t's coins come from
+// trial_rng(base_seed, t), so the Summary is the same for any `jobs`.
+Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
+                      int trials, std::uint64_t base_seed, int jobs = 1);
 
 // Records the slot engine's TraceStats counters under `prefix.` — the
 // per-run protocol observability block shared by the smoke suite and the

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "core/runtime.h"
 #include "sim/checkpoint.h"
 
 namespace cogradio {
@@ -98,26 +99,19 @@ GossipOutcome run_gossip(ChannelAssignment& assignment,
   if (static_cast<int>(values.size()) != n)
     throw std::invalid_argument("run_gossip: one rumor per node");
 
-  Rng seeder(config.seed);
-  std::vector<std::unique_ptr<GossipNode>> nodes;
-  std::vector<Protocol*> protocols;
-  for (NodeId u = 0; u < n; ++u) {
-    nodes.push_back(std::make_unique<GossipNode>(
-        u, assignment.channels_per_node(), n,
-        values[static_cast<std::size_t>(u)],
-        seeder.split(static_cast<std::uint64_t>(u))));
-    protocols.push_back(nodes.back().get());
-  }
-  NetworkOptions net = config.net;
-  net.seed = seeder.split(0xFEEDu)();
-  Network network(assignment, std::move(protocols), net);
-  network.run(config.max_slots);
+  const auto run = assemble<GossipNode>(
+      assignment, Rng(config.seed), config.net, [&](NodeId u, Rng rng) {
+        return std::make_unique<GossipNode>(
+            u, assignment.channels_per_node(), n,
+            values[static_cast<std::size_t>(u)], rng);
+      });
+  run.network->run(config.max_slots);
 
   GossipOutcome out;
-  out.slots = network.now();
-  out.stats = network.stats();
-  out.completed = network.all_done();
-  for (const auto& node : nodes)
+  out.slots = run.network->now();
+  out.stats = run.network->stats();
+  out.completed = run.network->all_done();
+  for (const auto& node : run.nodes)
     out.completed_slot.push_back(node->completed_slot());
   return out;
 }

@@ -10,12 +10,9 @@
 
 namespace cogradio {
 
-namespace {
-
-// run_cogcast on Network or on the reference engine.
 template <typename Engine>
-BroadcastOutcome run_cogcast_on(ChannelAssignment& assignment,
-                                const CogCastRunConfig& config) {
+Assembly<CogCastNode, Engine> assemble_cogcast(ChannelAssignment& assignment,
+                                               const CogCastRunConfig& config) {
   const CogCastParams& p = config.params;
   if (assignment.num_nodes() != p.n ||
       assignment.channels_per_node() != p.c)
@@ -27,40 +24,44 @@ BroadcastOutcome run_cogcast_on(ChannelAssignment& assignment,
   payload.type = MessageType::Data;
   payload.a = 42;  // arbitrary content; only arrival is measured
 
-  Rng seeder(config.seed);
-  std::vector<std::unique_ptr<CogCastNode>> nodes;
-  nodes.reserve(static_cast<std::size_t>(p.n));
-  std::vector<Protocol*> protocols;
-  protocols.reserve(static_cast<std::size_t>(p.n));
   const Slot horizon = config.bounded ? p.horizon() : 0;
-  for (NodeId u = 0; u < p.n; ++u) {
-    const bool is_source =
-        u == config.source ||
-        std::find(config.extra_sources.begin(), config.extra_sources.end(),
-                  u) != config.extra_sources.end();
-    nodes.push_back(std::make_unique<CogCastNode>(
-        u, p.c, is_source, payload,
-        seeder.split(static_cast<std::uint64_t>(u)), horizon));
-    protocols.push_back(nodes.back().get());
-  }
-
-  NetworkOptions net = config.net;
-  net.seed = seeder.split(0xFEEDu)();
-  Engine network(assignment, std::move(protocols), net);
-  if (config.jammer != nullptr) network.set_jammer(config.jammer);
+  auto run = assemble<CogCastNode, Engine>(
+      assignment, Rng(config.seed), config.net, [&](NodeId u, Rng rng) {
+        const bool is_source =
+            u == config.source ||
+            std::find(config.extra_sources.begin(),
+                      config.extra_sources.end(),
+                      u) != config.extra_sources.end();
+        return std::make_unique<CogCastNode>(u, p.c, is_source, payload, rng,
+                                             horizon);
+      });
+  if (config.jammer != nullptr) run.network->set_jammer(config.jammer);
   if (config.fault_engine != nullptr)
-    network.set_fault_engine(config.fault_engine);
+    run.network->set_fault_engine(config.fault_engine);
+  return run;
+}
 
-  const Slot cap = config.max_slots > 0 ? config.max_slots : 8 * p.horizon();
-  network.run(cap);
+template Assembly<CogCastNode, Network> assemble_cogcast<Network>(
+    ChannelAssignment&, const CogCastRunConfig&);
+
+namespace {
+
+// run_cogcast on Network or on the reference engine.
+template <typename Engine>
+BroadcastOutcome run_cogcast_on(ChannelAssignment& assignment,
+                                const CogCastRunConfig& config) {
+  const auto run = assemble_cogcast<Engine>(assignment, config);
+  const Slot cap =
+      config.max_slots > 0 ? config.max_slots : 8 * config.params.horizon();
+  run.network->run(cap);
 
   BroadcastOutcome out;
-  out.slots = network.now();
-  out.stats = network.stats();
+  out.slots = run.network->now();
+  out.stats = run.network->stats();
   out.completed = true;
-  out.informed_slot.reserve(nodes.size());
-  out.parent.reserve(nodes.size());
-  for (const auto& node : nodes) {
+  out.informed_slot.reserve(run.nodes.size());
+  out.parent.reserve(run.nodes.size());
+  for (const auto& node : run.nodes) {
     out.completed = out.completed && node->informed();
     out.informed_slot.push_back(node->informed_slot());
     out.parent.push_back(node->parent());
@@ -100,9 +101,9 @@ bool valid_distribution_tree(NodeId source, std::span<const Slot> informed_slot,
   return true;
 }
 
-AggregationOutcome run_cogcomp(ChannelAssignment& assignment,
-                               std::span<const Value> values,
-                               const CogCompRunConfig& config) {
+Assembly<CogCompNode> assemble_cogcomp(ChannelAssignment& assignment,
+                                       std::span<const Value> values,
+                                       const CogCompRunConfig& config) {
   const CogCompParams& p = config.params;
   if (assignment.num_nodes() != p.n ||
       assignment.channels_per_node() != p.c)
@@ -113,35 +114,36 @@ AggregationOutcome run_cogcomp(ChannelAssignment& assignment,
     throw std::invalid_argument("run_cogcomp: bad source");
 
   const Aggregator aggregator(config.op);
-  Rng seeder(config.seed);
-  std::vector<std::unique_ptr<CogCompNode>> nodes;
-  nodes.reserve(static_cast<std::size_t>(p.n));
-  std::vector<Protocol*> protocols;
-  protocols.reserve(static_cast<std::size_t>(p.n));
-  for (NodeId u = 0; u < p.n; ++u) {
-    nodes.push_back(std::make_unique<CogCompNode>(
-        u, p, u == config.source, values[static_cast<std::size_t>(u)],
-        aggregator, seeder.split(static_cast<std::uint64_t>(u))));
-    protocols.push_back(nodes.back().get());
-  }
-
-  NetworkOptions net = config.net;
-  net.seed = seeder.split(0xFEEDu)();
-  Network network(assignment, std::move(protocols), net);
+  auto run = assemble<CogCompNode>(
+      assignment, Rng(config.seed), config.net, [&](NodeId u, Rng rng) {
+        return std::make_unique<CogCompNode>(
+            u, p, u == config.source, values[static_cast<std::size_t>(u)],
+            aggregator, rng);
+      });
   if (config.fault_engine != nullptr)
-    network.set_fault_engine(config.fault_engine);
-  const Slot cap = config.max_slots > 0 ? config.max_slots : p.max_slots();
-  network.run(cap);
+    run.network->set_fault_engine(config.fault_engine);
+  return run;
+}
 
-  const CogCompNode& source = *nodes[static_cast<std::size_t>(config.source)];
+AggregationOutcome run_cogcomp(ChannelAssignment& assignment,
+                               std::span<const Value> values,
+                               const CogCompRunConfig& config) {
+  const CogCompParams& p = config.params;
+  const auto run = assemble_cogcomp(assignment, values, config);
+  const Slot cap = config.max_slots > 0 ? config.max_slots : p.max_slots();
+  run.network->run(cap);
+
+  const Aggregator aggregator(config.op);
+  const CogCompNode& source =
+      *run.nodes[static_cast<std::size_t>(config.source)];
   AggregationOutcome out;
-  out.slots = network.now();
+  out.slots = run.network->now();
   out.phase1_end = p.phase1_end();
   out.phase2_end = p.phase2_end();
   out.phase3_end = p.phase3_end();
   out.phase4_slots = std::max<Slot>(0, out.slots - p.phase3_end());
-  out.stats = network.stats();
-  out.completed = source.complete() && network.all_done();
+  out.stats = run.network->stats();
+  out.completed = source.complete() && run.network->all_done();
   out.result = aggregator.result(source.accumulated());
   out.covered = source.accumulated().count;
   std::vector<Value> value_vec(values.begin(), values.end());
@@ -151,30 +153,22 @@ AggregationOutcome run_cogcomp(ChannelAssignment& assignment,
 
 BroadcastOutcome run_rendezvous_broadcast(ChannelAssignment& assignment,
                                           const BaselineRunConfig& config) {
-  const int n = assignment.num_nodes();
   const int c = assignment.channels_per_node();
   Message payload;
   payload.type = MessageType::Data;
 
-  Rng seeder(config.seed);
-  std::vector<std::unique_ptr<RendezvousBroadcastNode>> nodes;
-  std::vector<Protocol*> protocols;
-  for (NodeId u = 0; u < n; ++u) {
-    nodes.push_back(std::make_unique<RendezvousBroadcastNode>(
-        u, c, u == config.source, payload,
-        seeder.split(static_cast<std::uint64_t>(u))));
-    protocols.push_back(nodes.back().get());
-  }
-  NetworkOptions net = config.net;
-  net.seed = seeder.split(0xFEEDu)();
-  Network network(assignment, std::move(protocols), net);
-  network.run(config.max_slots);
+  const auto run = assemble<RendezvousBroadcastNode>(
+      assignment, Rng(config.seed), config.net, [&](NodeId u, Rng rng) {
+        return std::make_unique<RendezvousBroadcastNode>(
+            u, c, u == config.source, payload, rng);
+      });
+  run.network->run(config.max_slots);
 
   BroadcastOutcome out;
-  out.slots = network.now();
-  out.stats = network.stats();
-  out.completed = network.all_done();
-  for (const auto& node : nodes) {
+  out.slots = run.network->now();
+  out.stats = run.network->stats();
+  out.completed = run.network->all_done();
+  for (const auto& node : run.nodes) {
     out.informed_slot.push_back(node->informed_slot());
     out.parent.push_back(node->informed() && node->id() != config.source
                              ? config.source
@@ -192,27 +186,22 @@ AggregationOutcome run_rendezvous_aggregation(ChannelAssignment& assignment,
     throw std::invalid_argument("baseline aggregation: one value per node");
 
   const Aggregator aggregator(config.op);
-  Rng seeder(config.seed);
-  std::vector<std::unique_ptr<RendezvousAggregationNode>> nodes;
-  std::vector<Protocol*> protocols;
-  for (NodeId u = 0; u < n; ++u) {
-    nodes.push_back(std::make_unique<RendezvousAggregationNode>(
-        u, c, u == config.source, values[static_cast<std::size_t>(u)],
-        aggregator, seeder.split(static_cast<std::uint64_t>(u))));
-    protocols.push_back(nodes.back().get());
-  }
-  nodes[static_cast<std::size_t>(config.source)]->set_expected_count(n);
-  NetworkOptions net = config.net;
-  net.seed = seeder.split(0xFEEDu)();
-  Network network(assignment, std::move(protocols), net);
-  network.run(config.max_slots);
+  const auto run = assemble<RendezvousAggregationNode>(
+      assignment, Rng(config.seed), config.net, [&](NodeId u, Rng rng) {
+        auto node = std::make_unique<RendezvousAggregationNode>(
+            u, c, u == config.source, values[static_cast<std::size_t>(u)],
+            aggregator, rng);
+        if (u == config.source) node->set_expected_count(n);
+        return node;
+      });
+  run.network->run(config.max_slots);
 
   AggregationOutcome out;
-  out.slots = network.now();
-  out.stats = network.stats();
-  out.completed = network.all_done();
+  out.slots = run.network->now();
+  out.stats = run.network->stats();
+  out.completed = run.network->all_done();
   const auto& acc =
-      nodes[static_cast<std::size_t>(config.source)]->accumulated();
+      run.nodes[static_cast<std::size_t>(config.source)]->accumulated();
   out.result = aggregator.result(acc);
   out.covered = acc.count;
   std::vector<Value> value_vec(values.begin(), values.end());

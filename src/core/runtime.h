@@ -1,6 +1,9 @@
 // Experiment runtime: assembles a network of protocol nodes, runs it, and
-// extracts structured outcomes. All tests, examples and benches go through
-// these helpers so that a (parameters, seed) pair reproduces bit-identically.
+// extracts structured outcomes. The runners below, run_gossip and the
+// supervised builders (core/supervisor.h) build every run through
+// assemble(), so a (parameters, seed) pair reproduces bit-identically.
+// run_hopping_together, the multi-hop runners, proptest's scenarios and
+// some benches seed their runs by rules of their own and do not.
 #pragma once
 
 #include <memory>
@@ -13,6 +16,39 @@
 #include "sim/network.h"
 
 namespace cogradio {
+
+// --- Assembly ---------------------------------------------------------------
+
+// A run's per-node protocols and the engine that steps them, both on the
+// heap so the assembly can move into a supervised run's state.
+template <typename Node, typename Engine = Network>
+struct Assembly {
+  std::vector<std::unique_ptr<Node>> nodes;
+  std::unique_ptr<Engine> network;
+};
+
+// Builds a run under the one seeding rule (docs/DETERMINISM.md): node u's
+// coins come from seeder.split(u), in ascending u, and then the engine's
+// winner and fade coins come from seeder.split(0xFEED), which replaces
+// net.seed. `make_node(u, rng)` returns node u as a std::unique_ptr<Node>.
+template <typename Node, typename Engine = Network, typename MakeNode>
+Assembly<Node, Engine> assemble(ChannelAssignment& assignment, Rng seeder,
+                                NetworkOptions net, MakeNode make_node) {
+  const auto n = static_cast<std::size_t>(assignment.num_nodes());
+  Assembly<Node, Engine> run;
+  run.nodes.reserve(n);
+  std::vector<Protocol*> protocols;
+  protocols.reserve(n);
+  for (NodeId u = 0; u < assignment.num_nodes(); ++u) {
+    run.nodes.push_back(
+        make_node(u, seeder.split(static_cast<std::uint64_t>(u))));
+    protocols.push_back(run.nodes.back().get());
+  }
+  net.seed = seeder.split(0xFEEDu)();
+  run.network =
+      std::make_unique<Engine>(assignment, std::move(protocols), net);
+  return run;
+}
 
 // --- Local broadcast --------------------------------------------------------
 
@@ -46,6 +82,13 @@ struct CogCastRunConfig {
   // be added before the run. Not owned.
   FaultEngine* fault_engine = nullptr;
 };
+
+// The CogCast run that run_cogcast steps and build_cogcast_run supervises:
+// `config` checked against `assignment`, nodes and engine assembled from
+// config.seed, config.jammer and config.fault_engine attached.
+template <typename Engine = Network>
+Assembly<CogCastNode, Engine> assemble_cogcast(ChannelAssignment& assignment,
+                                               const CogCastRunConfig& config);
 
 // Runs CogCast on `assignment` and reports time-to-all-informed plus the
 // distribution tree. The message disseminated is a Data payload.
@@ -88,6 +131,12 @@ struct CogCompRunConfig {
   FaultEngine* fault_engine = nullptr;  // as in CogCastRunConfig
 };
 
+// The CogComp run that run_cogcomp steps and build_cogcomp_run supervises,
+// assembled like assemble_cogcast's, with config.fault_engine attached.
+Assembly<CogCompNode> assemble_cogcomp(ChannelAssignment& assignment,
+                                       std::span<const Value> values,
+                                       const CogCompRunConfig& config);
+
 // Runs CogComp with the given per-node input values (values.size() == n).
 AggregationOutcome run_cogcomp(ChannelAssignment& assignment,
                                std::span<const Value> values,
@@ -123,20 +172,5 @@ AggregationOutcome run_rendezvous_aggregation(ChannelAssignment& assignment,
 // labels — the physical channel list is read from the assignment.
 BroadcastOutcome run_hopping_together(ChannelAssignment& assignment,
                                       const BaselineRunConfig& config);
-
-// --- Generic many-trial sweep helper -----------------------------------------
-
-// Runs `trials` executions of `fn(trial_seed)` and returns the collected
-// per-trial completion-slot samples (as doubles, for the stats toolkit).
-// `fn` must return a Slot-like value.
-template <typename Fn>
-std::vector<double> collect_trials(int trials, std::uint64_t base_seed, Fn fn) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(trials));
-  Rng seeder(base_seed);
-  for (int t = 0; t < trials; ++t)
-    samples.push_back(static_cast<double>(fn(seeder.split(static_cast<std::uint64_t>(t))())));
-  return samples;
-}
 
 }  // namespace cogradio

@@ -191,50 +191,34 @@ SupervisedOutcome run_supervised(const AttemptFactory& factory,
 
 namespace {
 
-struct CogCastRunState {
-  std::vector<std::unique_ptr<CogCastNode>> nodes;
-  std::unique_ptr<Network> network;
-};
-
-struct CogCompRunState {
-  Aggregator aggregator{AggOp::Sum};
-  std::vector<std::unique_ptr<CogCompNode>> nodes;
-  std::unique_ptr<Network> network;
-};
+// The checkpoint hooks of an assembled run: the engine, the attached
+// jammer and fault engine, then every node in ascending order.
+template <typename Node>
+void add_checkpoint_hooks(SupervisedRun& run, Assembly<Node>* s,
+                          Jammer* jammer, FaultEngine* faults) {
+  run.save_state = [=](CheckpointWriter& w) {
+    s->network->save_state(w);
+    if (jammer != nullptr) jammer->save_state(w);
+    if (faults != nullptr) faults->save_state(w);
+    for (const auto& node : s->nodes) node->save_state(w);
+  };
+  run.restore_state = [=](CheckpointReader& r) {
+    s->network->restore_state(r);
+    if (jammer != nullptr) jammer->restore_state(r);
+    if (faults != nullptr) faults->restore_state(r);
+    for (auto& node : s->nodes) node->restore_state(r);
+  };
+}
 
 }  // namespace
 
 SupervisedRun build_cogcast_run(ChannelAssignment& assignment,
                                 const CogCastRunConfig& config,
                                 std::uint64_t seed) {
-  const CogCastParams& p = config.params;
-  if (assignment.num_nodes() != p.n || assignment.channels_per_node() != p.c)
-    throw std::invalid_argument("supervised cogcast: assignment mismatch");
-
-  Message payload;
-  payload.type = MessageType::Data;
-  payload.a = 42;
-
-  auto state = std::make_shared<CogCastRunState>();
-  Rng seeder(seed);
-  std::vector<Protocol*> protocols;
-  protocols.reserve(static_cast<std::size_t>(p.n));
-  const Slot horizon = config.bounded ? p.horizon() : 0;
-  for (NodeId u = 0; u < p.n; ++u) {
-    const bool is_source =
-        u == config.source ||
-        std::find(config.extra_sources.begin(), config.extra_sources.end(),
-                  u) != config.extra_sources.end();
-    state->nodes.push_back(std::make_unique<CogCastNode>(
-        u, p.c, is_source, payload,
-        seeder.split(static_cast<std::uint64_t>(u)), horizon));
-    protocols.push_back(state->nodes.back().get());
-  }
-  NetworkOptions net = config.net;
-  net.seed = seeder.split(0xFEEDu)();
-  state->network =
-      std::make_unique<Network>(assignment, std::move(protocols), net);
-  if (config.jammer != nullptr) state->network->set_jammer(config.jammer);
+  CogCastRunConfig attempt = config;
+  attempt.seed = seed;
+  auto state = std::make_shared<Assembly<CogCastNode>>(
+      assemble_cogcast(assignment, attempt));
 
   SupervisedRun run;
   run.network = state->network.get();
@@ -247,18 +231,7 @@ SupervisedRun build_cogcast_run(ChannelAssignment& assignment,
     return std::all_of(s->nodes.begin(), s->nodes.end(),
                        [](const auto& node) { return node->informed(); });
   };
-  run.save_state = [s = state.get(), jammer = config.jammer](
-                       CheckpointWriter& w) {
-    s->network->save_state(w);
-    if (jammer != nullptr) jammer->save_state(w);
-    for (const auto& node : s->nodes) node->save_state(w);
-  };
-  run.restore_state = [s = state.get(), jammer = config.jammer](
-                          CheckpointReader& r) {
-    s->network->restore_state(r);
-    if (jammer != nullptr) jammer->restore_state(r);
-    for (auto& node : s->nodes) node->restore_state(r);
-  };
+  add_checkpoint_hooks(run, state.get(), config.jammer, config.fault_engine);
   run.state = state;
   return run;
 }
@@ -267,27 +240,10 @@ SupervisedRun build_cogcomp_run(ChannelAssignment& assignment,
                                 std::span<const Value> values,
                                 const CogCompRunConfig& config,
                                 std::uint64_t seed) {
-  const CogCompParams& p = config.params;
-  if (assignment.num_nodes() != p.n || assignment.channels_per_node() != p.c)
-    throw std::invalid_argument("supervised cogcomp: assignment mismatch");
-  if (static_cast<int>(values.size()) != p.n)
-    throw std::invalid_argument("supervised cogcomp: one value per node");
-
-  auto state = std::make_shared<CogCompRunState>();
-  state->aggregator = Aggregator(config.op);
-  Rng seeder(seed);
-  std::vector<Protocol*> protocols;
-  protocols.reserve(static_cast<std::size_t>(p.n));
-  for (NodeId u = 0; u < p.n; ++u) {
-    state->nodes.push_back(std::make_unique<CogCompNode>(
-        u, p, u == config.source, values[static_cast<std::size_t>(u)],
-        state->aggregator, seeder.split(static_cast<std::uint64_t>(u))));
-    protocols.push_back(state->nodes.back().get());
-  }
-  NetworkOptions net = config.net;
-  net.seed = seeder.split(0xFEEDu)();
-  state->network =
-      std::make_unique<Network>(assignment, std::move(protocols), net);
+  CogCompRunConfig attempt = config;
+  attempt.seed = seed;
+  auto state = std::make_shared<Assembly<CogCompNode>>(
+      assemble_cogcomp(assignment, values, attempt));
 
   SupervisedRun run;
   run.network = state->network.get();
@@ -296,18 +252,12 @@ SupervisedRun build_cogcomp_run(ChannelAssignment& assignment,
     return s->nodes[static_cast<std::size_t>(source)]->complete() &&
            s->network->all_done();
   };
-  run.aggregate = [s = state.get(), source = config.source] {
-    return s->aggregator.result(
+  run.aggregate = [s = state.get(), source = config.source,
+                   aggregator = Aggregator(config.op)] {
+    return aggregator.result(
         s->nodes[static_cast<std::size_t>(source)]->accumulated());
   };
-  run.save_state = [s = state.get()](CheckpointWriter& w) {
-    s->network->save_state(w);
-    for (const auto& node : s->nodes) node->save_state(w);
-  };
-  run.restore_state = [s = state.get()](CheckpointReader& r) {
-    s->network->restore_state(r);
-    for (auto& node : s->nodes) node->restore_state(r);
-  };
+  add_checkpoint_hooks(run, state.get(), nullptr, config.fault_engine);
   run.state = state;
   return run;
 }

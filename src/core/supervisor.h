@@ -97,11 +97,12 @@ struct SupervisedRun {
   // past run_supervised (src/serve/job.cpp) read it after completion.
   std::function<Value()> aggregate;
   // Checkpoint hooks (sim/checkpoint.h): serialize / reconstruct the
-  // attempt's complete cross-slot component state — network, protocol
-  // nodes, attached jammer. restore_state targets a run freshly built by
-  // the same factory call (same attempt, same derived seed). Both empty
-  // means the run cannot be checkpointed; run_supervised refuses a
-  // checkpoint policy in that case rather than writing partial snapshots.
+  // attempt's complete cross-slot component state — network, attached
+  // jammer and fault engine, protocol nodes. restore_state targets a run
+  // freshly built by the same factory call (same attempt, same derived
+  // seed). Both empty means the run cannot be checkpointed;
+  // run_supervised refuses a checkpoint policy in that case rather than
+  // writing partial snapshots.
   std::function<void(CheckpointWriter&)> save_state;
   std::function<void(CheckpointReader&)> restore_state;
   std::shared_ptr<void> state;
@@ -126,8 +127,8 @@ struct CheckpointPolicy {
 };
 
 // Builds attempt `attempt` from its derived seed. The factory may attach
-// jammers or a FaultEngine to the network before returning — e.g. only on
-// attempt 0, so a restart escapes a scripted burst.
+// a jammer or a FaultEngine — e.g. through the config's fault_engine on
+// attempt 0 only, so a restart escapes a scripted burst (E34).
 using AttemptFactory =
     std::function<SupervisedRun(int attempt, std::uint64_t seed)>;
 
@@ -152,8 +153,10 @@ SupervisedOutcome run_supervised(const AttemptFactory& factory,
                                  const CheckpointPolicy& policy,
                                  const EpochObserver& observer = {});
 
-// Standard supervised assemblies, mirroring core/runtime.cpp's runners:
-// nodes and network are rebuilt from `seed` (which replaces config.seed).
+// Standard supervised runs: the run that run_cogcast / run_cogcomp step
+// (assemble_cogcast / assemble_cogcomp, core/runtime.h), assembled from
+// `seed` in place of config.seed, with config.jammer and
+// config.fault_engine attached and included in the checkpoint hooks.
 // progress = number of informed nodes; success = everyone informed.
 SupervisedRun build_cogcast_run(ChannelAssignment& assignment,
                                 const CogCastRunConfig& config,

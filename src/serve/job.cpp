@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <vector>
 
 #include "core/runtime.h"
 #include "sim/assignment.h"
@@ -182,79 +183,73 @@ std::string job_spec_to_json(const JobSpec& spec) {
   return out;
 }
 
+JobTrial run_job_trial(const JobSpec& spec, Rng& seeder,
+                       const CheckpointPolicy& policy,
+                       const EpochObserver& observer) {
+  // The assignment draws first, and it rejects k outside [1, c] before
+  // any phase arithmetic runs on the shape.
+  auto assignment =
+      make_assignment(spec.pattern, spec.n, spec.c, spec.k,
+                      LabelMode::LocalRandom, Rng(seeder()));
+  const bool is_cast = spec.kind == JobKind::CogCast;
+  const std::vector<Value> values =
+      is_cast ? std::vector<Value>{} : make_values(spec.n, seeder());
+  CogCastRunConfig cast;
+  cast.params = {spec.n, spec.c, spec.k, 4.0};
+  CogCompRunConfig comp;
+  comp.params = {spec.n, spec.c, spec.k, 4.0};
+  comp.params.mediated = spec.mediated;
+  comp.op = spec.op;
+  SupervisorOptions supervisor;
+  supervisor.deadline = spec.deadline;
+  supervisor.stall_window = spec.stall_window;
+  supervisor.max_restarts = spec.max_restarts;
+  supervisor.max_deadline = spec.max_deadline;
+  if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
+    supervisor.deadline = is_cast ? 8 * cast.params.horizon()
+                                  : comp.params.max_slots() + 16;
+
+  SupervisedRun last;  // read after the supervisor returns
+  JobTrial trial;
+  trial.outcome = run_supervised(
+      [&](int, std::uint64_t seed) {
+        return last = is_cast
+                          ? build_cogcast_run(*assignment, cast, seed)
+                          : build_cogcomp_run(*assignment, values, comp, seed);
+      },
+      supervisor, seeder(), policy, observer);
+  trial.stats = last.network->stats();
+
+  const SupervisedOutcome& out = trial.outcome;
+  JobResult& result = trial.result;
+  result.ok = true;
+  result.completed = out.completed;
+  result.aborted = out.aborted;
+  result.restarts = out.restarts;
+  result.total_slots = out.total_slots;
+  result.epochs = static_cast<std::int64_t>(out.epochs.size());
+  if (!is_cast) {
+    result.expected = Aggregator(spec.op).expected(values);
+    if (out.completed) result.result = last.aggregate();
+  }
+  result.verified = out.completed && result.result == result.expected;
+  return trial;
+}
+
 JobResult run_job(const JobSpec& spec, const EpochObserver& observer) {
   return run_job(spec, CheckpointPolicy{}, observer);
 }
 
 JobResult run_job(const JobSpec& spec, const CheckpointPolicy& policy,
                   const EpochObserver& observer) {
-  JobResult result;
   try {
-    SupervisorOptions supervisor;
-    supervisor.deadline = spec.deadline;
-    supervisor.stall_window = spec.stall_window;
-    supervisor.max_restarts = spec.max_restarts;
-    supervisor.max_deadline = spec.max_deadline;
-
-    // The draw order below mirrors tools/cograd.cpp's --supervise paths
-    // for trials=1 exactly; reordering any seeder() call breaks the
-    // byte-identity contract with the batch CLI.
-    if (spec.kind == JobKind::CogCast) {
-      CogCastRunConfig config;
-      config.params = {spec.n, spec.c, spec.k, 4.0};
-      if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
-        supervisor.deadline = 8 * config.params.horizon();
-      Rng seeder(spec.seed);
-      auto assignment =
-          make_assignment(spec.pattern, spec.n, spec.c, spec.k,
-                          LabelMode::LocalRandom, Rng(seeder()));
-      const SupervisedOutcome out = run_supervised(
-          [&](int, std::uint64_t aseed) {
-            return build_cogcast_run(*assignment, config, aseed);
-          },
-          supervisor, seeder(), policy, observer);
-      result.completed = out.completed;
-      result.aborted = out.aborted;
-      result.restarts = out.restarts;
-      result.total_slots = out.total_slots;
-      result.epochs = static_cast<std::int64_t>(out.epochs.size());
-      result.verified = out.completed;
-    } else {
-      CogCompRunConfig config;
-      config.params = {spec.n, spec.c, spec.k, 4.0};
-      config.params.mediated = spec.mediated;
-      config.op = spec.op;
-      if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
-        supervisor.deadline = config.params.max_slots() + 16;
-      Rng seeder(spec.seed);
-      auto assignment =
-          make_assignment(spec.pattern, spec.n, spec.c, spec.k,
-                          LabelMode::LocalRandom, Rng(seeder()));
-      const auto values = make_values(spec.n, seeder());
-      // The last attempt's run outlives run_supervised (via its shared
-      // state) so the source's aggregate can be read after completion.
-      SupervisedRun last;
-      const SupervisedOutcome out = run_supervised(
-          [&](int, std::uint64_t aseed) {
-            last = build_cogcomp_run(*assignment, values, config, aseed);
-            return last;
-          },
-          supervisor, seeder(), policy, observer);
-      result.completed = out.completed;
-      result.aborted = out.aborted;
-      result.restarts = out.restarts;
-      result.total_slots = out.total_slots;
-      result.epochs = static_cast<std::int64_t>(out.epochs.size());
-      result.expected = Aggregator(spec.op).expected(values);
-      if (out.completed && last.aggregate) result.result = last.aggregate();
-      result.verified = out.completed && result.result == result.expected;
-    }
-    result.ok = true;
+    Rng seeder(spec.seed);
+    return run_job_trial(spec, seeder, policy, observer).result;
   } catch (const std::exception& e) {
-    result = JobResult{};
+    JobResult result;
     result.error = e.what();
+    return result;
   }
-  return result;
 }
 
 std::string job_result_to_json(const JobResult& result) {

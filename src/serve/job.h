@@ -2,15 +2,15 @@
 //
 // A JobSpec is everything a `cograd serve` client sends to describe a
 // supervised CogCast or CogComp run — the same knobs the batch CLI's
-// `broadcast --supervise` / `aggregate --supervise` paths read. run_job
-// replays the CLI's single-trial draw order exactly (assignment seed,
-// then input values for CogComp, then the supervisor seed, all drawn from
-// Rng(spec.seed) in that order), so a job's result is bit-identical to
-// the batch CLI for the same (seed, config) no matter which daemon worker
-// runs it, how many sessions share the process, or how often the session
-// reconnects. job_result_to_json is the canonical serialization of that
-// result: the daemon's `done` frame embeds it verbatim, which is what
-// lets clients verify a remote run against a local one byte for byte.
+// `broadcast --supervise` / `aggregate --supervise` paths read. Both run
+// the one supervised trial below: run_job runs it once from
+// Rng(spec.seed), and the CLI runs its trials on one seeder in turn, so
+// a job's result is bit-identical to the CLI's first trial for the same
+// (seed, config) no matter which daemon worker runs it, how many sessions
+// share the process, or how often the session reconnects.
+// job_result_to_json is the canonical serialization of that result: the
+// daemon's `done` frame embeds it verbatim, which is what lets clients
+// verify a remote run against a local one byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +78,27 @@ struct JobResult {
   std::int64_t expected = 0;
 };
 
-// Runs `spec` to completion (or abort) on the calling thread. `observer`
-// sees every supervised epoch and may abort between epochs by returning
-// false — the daemon wires the session's cancel/disconnect flag here.
+// One supervised trial's outcome.
+struct JobTrial {
+  SupervisedOutcome outcome;
+  TraceStats stats;  // the final attempt's engine accounting
+  JobResult result;  // ok = true
+};
+
+// Runs one supervised trial of `spec` on the calling thread, drawing from
+// `seeder` in a fixed order: the assignment seed, then (CogComp) the
+// input values' seed, then the supervisor seed. spec.seed is not read.
+// Throws std::invalid_argument on an unrunnable spec and CheckpointError
+// on a rejected resume payload.
+JobTrial run_job_trial(const JobSpec& spec, Rng& seeder,
+                       const CheckpointPolicy& policy = {},
+                       const EpochObserver& observer = {});
+
+// Runs `spec` to completion (or abort) on the calling thread: the trial
+// above from Rng(spec.seed), any exception caught into `error`.
+// `observer` sees every supervised epoch and may abort between epochs by
+// returning false — the daemon wires the session's cancel/disconnect flag
+// here.
 // Deterministic: (spec) alone fixes every byte of the result as long as
 // the observer never returns false.
 JobResult run_job(const JobSpec& spec, const EpochObserver& observer = {});

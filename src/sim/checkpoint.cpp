@@ -207,51 +207,13 @@ std::string load_checkpoint_file(const std::string& path) {
 
 void save_trace_stats(CheckpointWriter& w, const TraceStats& stats) {
   w.section("stat");
-  w.i64(stats.slots);
-  w.i64(stats.broadcasts);
-  w.i64(stats.successes);
-  w.i64(stats.deliveries);
-  w.i64(stats.collision_events);
-  w.i64(stats.jammed_node_slots);
-  w.i64(stats.idle_node_slots);
-  w.i64(stats.total_message_words);
-  w.i64(stats.max_message_words);
-  w.i64(stats.micro_slots);
-  w.i64(stats.backoff_failures);
-  w.i64(stats.fault_node_slots);
-  w.i64(stats.churned_node_slots);
-  w.i64(stats.deaf_node_slots);
-  w.i64(stats.mute_node_slots);
-  w.i64(stats.babble_node_slots);
-  w.i64(stats.feedback_drop_node_slots);
-  w.i64(stats.mute_demotions);
-  w.i64(stats.feedback_drops);
-  w.i64(stats.suppressed_deliveries);
+  for (const auto counter : kTraceStatsCounters) w.i64(stats.*counter);
 }
 
 TraceStats load_trace_stats(CheckpointReader& r) {
   r.section("stat");
   TraceStats stats;
-  stats.slots = r.i64();
-  stats.broadcasts = r.i64();
-  stats.successes = r.i64();
-  stats.deliveries = r.i64();
-  stats.collision_events = r.i64();
-  stats.jammed_node_slots = r.i64();
-  stats.idle_node_slots = r.i64();
-  stats.total_message_words = r.i64();
-  stats.max_message_words = r.i64();
-  stats.micro_slots = r.i64();
-  stats.backoff_failures = r.i64();
-  stats.fault_node_slots = r.i64();
-  stats.churned_node_slots = r.i64();
-  stats.deaf_node_slots = r.i64();
-  stats.mute_node_slots = r.i64();
-  stats.babble_node_slots = r.i64();
-  stats.feedback_drop_node_slots = r.i64();
-  stats.mute_demotions = r.i64();
-  stats.feedback_drops = r.i64();
-  stats.suppressed_deliveries = r.i64();
+  for (const auto counter : kTraceStatsCounters) stats.*counter = r.i64();
   return stats;
 }
 

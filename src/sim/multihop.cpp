@@ -7,8 +7,7 @@ namespace cogradio {
 
 MultihopNetwork::MultihopNetwork(ChannelAssignment& assignment,
                                  const Topology& topology,
-                                 std::vector<Protocol*> protocols,
-                                 std::uint64_t /*seed*/)
+                                 std::vector<Protocol*> protocols)
     : assignment_(assignment),
       topology_(topology),
       protocols_(std::move(protocols)),

@@ -33,7 +33,7 @@ class MultihopNetwork {
   // model; `topology` defines who can hear whom. Non-owning protocols,
   // one per node; all three must agree on n.
   MultihopNetwork(ChannelAssignment& assignment, const Topology& topology,
-                  std::vector<Protocol*> protocols, std::uint64_t seed = 1);
+                  std::vector<Protocol*> protocols);
 
   int num_nodes() const { return static_cast<int>(protocols_.size()); }
   Slot now() const { return stats_.slots; }

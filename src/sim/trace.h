@@ -1,6 +1,7 @@
 // Execution statistics collected by the network engine.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "sim/types.h"
@@ -41,6 +42,34 @@ struct TraceStats {
   // and sim/reference_network.h must agree on every counter, bit for bit).
   bool operator==(const TraceStats&) const = default;
 };
+
+// Every TraceStats counter, in declaration order. The checkpoint codec,
+// `cograd check`'s accounting digest and the supervised outcome file all
+// walk this one list.
+inline constexpr std::array<std::int64_t TraceStats::*, 20>
+    kTraceStatsCounters{&TraceStats::slots,
+                        &TraceStats::broadcasts,
+                        &TraceStats::successes,
+                        &TraceStats::deliveries,
+                        &TraceStats::collision_events,
+                        &TraceStats::jammed_node_slots,
+                        &TraceStats::idle_node_slots,
+                        &TraceStats::total_message_words,
+                        &TraceStats::max_message_words,
+                        &TraceStats::micro_slots,
+                        &TraceStats::backoff_failures,
+                        &TraceStats::fault_node_slots,
+                        &TraceStats::churned_node_slots,
+                        &TraceStats::deaf_node_slots,
+                        &TraceStats::mute_node_slots,
+                        &TraceStats::babble_node_slots,
+                        &TraceStats::feedback_drop_node_slots,
+                        &TraceStats::mute_demotions,
+                        &TraceStats::feedback_drops,
+                        &TraceStats::suppressed_deliveries};
+static_assert(sizeof(TraceStats) ==
+                  kTraceStatsCounters.size() * sizeof(std::int64_t),
+              "kTraceStatsCounters must list every TraceStats counter");
 
 // Per-node activity counters — the radio duty-cycle / energy profile
 // (transmitting and listening are the expensive radio states; idling is

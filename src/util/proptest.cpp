@@ -152,14 +152,7 @@ template <typename Engine>
 std::uint64_t accounting_digest(const Engine& net) {
   const TraceStats& s = net.stats();
   std::uint64_t h = 0x517cc1b727220a95ull;
-  for (const std::int64_t v :
-       {s.slots, s.broadcasts, s.successes, s.deliveries, s.collision_events,
-        s.jammed_node_slots, s.idle_node_slots, s.total_message_words,
-        s.max_message_words, s.micro_slots, s.backoff_failures,
-        s.fault_node_slots, s.churned_node_slots, s.deaf_node_slots,
-        s.mute_node_slots, s.babble_node_slots, s.feedback_drop_node_slots,
-        s.mute_demotions, s.feedback_drops, s.suppressed_deliveries})
-    h = mix64(h, v);
+  for (const auto counter : kTraceStatsCounters) h = mix64(h, s.*counter);
   for (NodeId u = 0; u < net.num_nodes(); ++u) {
     const NodeActivity& a = net.activity(u);
     for (const std::int64_t v :

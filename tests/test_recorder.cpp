@@ -203,7 +203,7 @@ TEST(Recorder, MultihopCastReplaysDeterministically) {
           seeder.split(static_cast<std::uint64_t>(u))));
       protocols.push_back(nodes.back().get());
     }
-    MultihopNetwork net(assignment, topo, protocols, 41);
+    MultihopNetwork net(assignment, topo, protocols);
     rec.attach(net);
     net.run(5'000);
   }));
@@ -232,7 +232,7 @@ TEST(Recorder, MultihopConvergeReplaysDeterministically) {
           Aggregator(AggOp::Sum), seeder.split(static_cast<std::uint64_t>(u))));
       protocols.push_back(nodes.back().get());
     }
-    MultihopNetwork net(assignment, topo, protocols, 43);
+    MultihopNetwork net(assignment, topo, protocols);
     rec.attach(net);
     net.run(params.max_slots());
   }));

@@ -61,17 +61,6 @@ TEST(MakeValues, DeterministicAndInRange) {
   EXPECT_NE(a, c);
 }
 
-TEST(CollectTrials, RunsTheRequestedNumberWithDistinctSeeds) {
-  std::vector<std::uint64_t> seeds;
-  const auto samples = collect_trials(5, 1, [&](std::uint64_t seed) {
-    seeds.push_back(seed);
-    return static_cast<Slot>(seed % 97);
-  });
-  EXPECT_EQ(samples.size(), 5u);
-  std::set<std::uint64_t> unique(seeds.begin(), seeds.end());
-  EXPECT_EQ(unique.size(), 5u);
-}
-
 TEST(RunCogCast, ReproducibleGivenSeed) {
   auto once = [](std::uint64_t seed) {
     SharedCoreAssignment assignment(16, 6, 2, LabelMode::LocalRandom, Rng(5));

@@ -165,6 +165,48 @@ TEST(ServeJob, ResultsAreDeterministicAndVerified) {
                              << " != expected " << comp.expected;
   EXPECT_EQ(comp.result, comp.expected);
   EXPECT_EQ(job_result_to_json(comp), job_result_to_json(run_job(spec)));
+
+  // Golden results: the trial's draws from Rng(spec.seed) (assignment,
+  // then CogComp's values, then the supervisor seed) pinned in bytes, so
+  // a reordered draw shows here and not only as a run unequal to itself.
+  JobSpec cast;
+  cast.n = 64;
+  cast.c = 8;
+  cast.k = 2;
+  cast.pattern = "partitioned";
+  cast.seed = 3;
+  cast.deadline = 20;
+  cast.max_restarts = 4;
+  EXPECT_EQ(job_result_to_json(run_job(cast)),
+            "{\"ok\":true,\"completed\":true,\"aborted\":false,"
+            "\"restarts\":1,\"total_slots\":40,\"epochs\":2,"
+            "\"verified\":true,\"result\":0,\"expected\":0}");
+  JobSpec restarted;
+  restarted.kind = JobKind::CogComp;
+  restarted.n = 24;
+  restarted.c = 6;
+  restarted.k = 2;
+  restarted.seed = 9;
+  restarted.deadline = 60;
+  restarted.max_restarts = 3;
+  EXPECT_EQ(job_result_to_json(run_job(restarted)),
+            "{\"ok\":true,\"completed\":true,\"aborted\":false,"
+            "\"restarts\":2,\"total_slots\":343,\"epochs\":3,"
+            "\"verified\":true,\"result\":12311510,"
+            "\"expected\":12311510}");
+  JobSpec unmediated;
+  unmediated.kind = JobKind::CogComp;
+  unmediated.n = 12;
+  unmediated.c = 8;
+  unmediated.k = 2;
+  unmediated.seed = 42;
+  unmediated.op = AggOp::Max;
+  unmediated.mediated = false;
+  EXPECT_EQ(job_result_to_json(run_job(unmediated)),
+            "{\"ok\":true,\"completed\":true,\"aborted\":false,"
+            "\"restarts\":0,\"total_slots\":160,\"epochs\":1,"
+            "\"verified\":true,\"result\":990549,"
+            "\"expected\":990549}");
 }
 
 TEST(ServeJob, UnrunnableSpecFailsCleanly) {

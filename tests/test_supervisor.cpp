@@ -9,6 +9,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -314,19 +315,15 @@ TEST(Supervisor, AllDoneWithFailedPredicateEndsTheEpochIncomplete) {
 
 // --- The paper's asymmetry under a churn burst -------------------------------
 
-// Bundles a burst engine into the run's state so it lives as long as the
-// epoch's network does.
-SupervisedRun with_burst(SupervisedRun run, int n, int c, Slot from,
-                         Slot len) {
-  auto engine = std::make_shared<FaultEngine>(n, c, Rng(42));
+// A churn burst over the first third of the nodes, never the source;
+// attached through the run config on attempt 0 only, so a restart
+// escapes it.
+FaultEngine make_burst(int n, int c, Slot from, Slot len) {
+  FaultEngine engine(n, c, Rng(42));
   std::vector<NodeId> hit;
-  for (NodeId u = 1; u <= n / 3; ++u) hit.push_back(u);  // never the source
-  engine->add_burst(hit, from, len);
-  run.network->set_fault_engine(engine.get());
-  run.state = std::make_shared<
-      std::pair<std::shared_ptr<void>, std::shared_ptr<FaultEngine>>>(
-      std::move(run.state), std::move(engine));
-  return run;
+  for (NodeId u = 1; u <= n / 3; ++u) hit.push_back(u);
+  engine.add_burst(hit, from, len);
+  return engine;
 }
 
 TEST(Supervisor, CogCastRidesOutAFirstEpochBurst) {
@@ -334,17 +331,18 @@ TEST(Supervisor, CogCastRidesOutAFirstEpochBurst) {
   const CogCastParams params{n, c, k};
   const Slot burst_len = 4 * params.horizon();
   SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(3));
+  FaultEngine burst = make_burst(n, c, /*from=*/3, burst_len);
   CogCastRunConfig config;
   config.params = params;
+  CogCastRunConfig first = config;
+  first.fault_engine = &burst;
   SupervisorOptions options;
   options.deadline = 8 * params.horizon() + burst_len;
   options.max_restarts = 3;
   const SupervisedOutcome out = run_supervised(
       [&](int attempt, std::uint64_t aseed) {
-        SupervisedRun run = build_cogcast_run(assignment, config, aseed);
-        if (attempt == 0)
-          run = with_burst(std::move(run), n, c, /*from=*/3, burst_len);
-        return run;
+        return build_cogcast_run(assignment, attempt == 0 ? first : config,
+                                 aseed);
       },
       options, 7);
   // The oblivious epidemic needs no restart: epoch 0 completes even
@@ -360,25 +358,69 @@ TEST(Supervisor, CogCompNeedsTheRestartToRecover) {
   const CogCompParams params{n, c, k};
   SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(3));
   const std::vector<Value> values = make_values(n, 11);
+  // Burst across phases 1-2 wrecks clustering beyond repair.
+  FaultEngine burst = make_burst(n, c, /*from=*/3, params.phase2_end());
   CogCompRunConfig config;
   config.params = params;
+  CogCompRunConfig first = config;
+  first.fault_engine = &burst;
   SupervisorOptions options;
   options.deadline = params.max_slots() + 16;
   options.max_restarts = 3;
   const SupervisedOutcome out = run_supervised(
       [&](int attempt, std::uint64_t aseed) {
-        SupervisedRun run = build_cogcomp_run(assignment, values, config, aseed);
-        // Burst across phases 1-2 wrecks clustering beyond repair.
-        if (attempt == 0)
-          run = with_burst(std::move(run), n, c, /*from=*/3,
-                           params.phase2_end());
-        return run;
+        return build_cogcomp_run(assignment, values,
+                                 attempt == 0 ? first : config, aseed);
       },
       options, 7);
   EXPECT_TRUE(out.completed);
   EXPECT_GE(out.restarts, 1);
   EXPECT_FALSE(out.epochs.front().completed);
   EXPECT_TRUE(out.epochs.back().completed);
+}
+
+// A supervised run's checkpoint carries its attached fault engine: a run
+// resumed into a fresh engine with the same schedule ends with the
+// uninterrupted engine's injection totals and audit log, both of which
+// count slots from before the snapshot.
+TEST(Supervisor, CheckpointCarriesTheAttachedFaultEngine) {
+  const int n = 24, c = 6, k = 2;
+  const CogCastParams params{n, c, k};
+  const Slot burst_len = 40;
+  SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(3));
+  SupervisorOptions options;
+  options.deadline = 8 * params.horizon() + burst_len;
+  auto run_it = [&](FaultEngine& faults, const CheckpointPolicy& policy) {
+    CogCastRunConfig config;
+    config.params = params;
+    config.fault_engine = &faults;
+    return run_supervised(
+        [&](int, std::uint64_t aseed) {
+          return build_cogcast_run(assignment, config, aseed);
+        },
+        options, 7, policy);
+  };
+
+  FaultEngine whole = make_burst(n, c, /*from=*/3, burst_len);
+  std::string snapshot;  // the first one, cut at slot 8 inside the burst
+  CheckpointPolicy cut;
+  cut.every_slots = 8;
+  cut.sink = [&](const std::string& payload) {
+    if (snapshot.empty()) snapshot = payload;
+  };
+  const SupervisedOutcome full = run_it(whole, cut);
+  ASSERT_FALSE(snapshot.empty());
+
+  FaultEngine resumed = make_burst(n, c, /*from=*/3, burst_len);
+  CheckpointPolicy resume;
+  resume.resume = snapshot;
+  const SupervisedOutcome rest = run_it(resumed, resume);
+  EXPECT_TRUE(full.completed);
+  EXPECT_EQ(full.total_slots, rest.total_slots);
+  EXPECT_GT(whole.injected(FaultKind::Churn), 0);
+  EXPECT_EQ(whole.injected(FaultKind::Churn),
+            resumed.injected(FaultKind::Churn));
+  EXPECT_EQ(whole.serialize_log(), resumed.serialize_log());
 }
 
 TEST(Supervisor, OutcomeIsDeterministicInTheSeed) {

@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "lowerbounds/hitting_game.h"
 #include "lowerbounds/reduction.h"
 #include "serve/crashtest.h"
+#include "serve/job.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
 #include "sim/assignment.h"
@@ -67,17 +69,20 @@ int usage() {
       "commands:\n"
       "  broadcast  --n 32 --c 8 --k 2 [--pattern shared-core] [--trials 1]\n"
       "             [--supervise] [--deadline S] [--stall-window W]\n"
-      "             [--max-restarts R]   (self-healing run supervisor)\n"
+      "             [--max-restarts R] [--max-deadline D]\n"
+      "             (self-healing run supervisor: each trial is a serve\n"
+      "             job's trial, the trials drawn from one seeder)\n"
       "             [--checkpoint FILE] [--checkpoint-every K]\n"
       "             [--resume FILE] [--outcome-out FILE]\n"
-      "             (crash-consistent snapshots every K slots; --resume\n"
-      "             continues one bit-identically — rerun with the SAME\n"
-      "             flags plus --resume; --supervise and --trials 1 only)\n"
+      "             (need --supervise; crash-consistent snapshots every K\n"
+      "             slots; --resume continues one bit-identically — rerun\n"
+      "             with the SAME flags plus --resume; --checkpoint and\n"
+      "             --resume need --trials 1)\n"
       "  aggregate  --n 32 --c 8 --k 2 [--op sum|min|max|count|collect]\n"
       "             [--unmediated] [--supervise] [--deadline S]\n"
-      "             [--stall-window W] [--max-restarts R]\n"
+      "             [--stall-window W] [--max-restarts R] [--max-deadline D]\n"
       "             [--checkpoint FILE] [--checkpoint-every K]\n"
-      "             [--resume FILE] [--outcome-out FILE]\n"
+      "             [--resume FILE] [--outcome-out FILE]   (as broadcast)\n"
       "  crashtest  [--mode run|serve|corrupt] [--seed S] [--points P]\n"
       "             (SIGKILL a child mid-run / mid-journal-append /\n"
       "             between checkpoint write and rename, restart, and\n"
@@ -129,7 +134,10 @@ int usage() {
       "             --stall-window --max-restarts --max-deadline]\n"
       "\n"
       "common: --seed S (default 1), --pattern shared-core|partitioned|\n"
-      "        pigeonhole|identity|dynamic-shared-core|dynamic-pigeonhole");
+      "        pigeonhole|identity|dynamic-shared-core|dynamic-pigeonhole\n"
+      "errors: a malformed flag exits 2 with 'cli error: ...'; a value no\n"
+      "        run can take (k outside [1, c], an unknown name, a checkpoint\n"
+      "        flag without --supervise) exits 2 with 'cograd: ...'");
   return 2;
 }
 
@@ -151,23 +159,28 @@ Common read_common(CliArgs& args) {
   return common;
 }
 
-// Self-healing supervision flags shared by broadcast and aggregate. A
-// default epoch bound is filled in by the caller when neither --deadline
-// nor --stall-window is given (run_supervised requires one).
-SupervisorOptions read_supervisor(CliArgs& args) {
-  SupervisorOptions options;
-  options.deadline = args.get_int("deadline", 0);
-  options.stall_window = args.get_int("stall-window", 0);
-  options.max_restarts = static_cast<int>(args.get_int("max-restarts", 3));
-  options.max_deadline = args.get_int("max-deadline", 0);
-  return options;
+// The supervisor flags of every job-shaped command (broadcast, aggregate,
+// serve --smoke, loadgen). With neither --deadline nor --stall-window,
+// run_job_trial bounds an epoch by the run's own slot cap.
+void read_supervisor_flags(CliArgs& args, JobSpec& job) {
+  job.deadline = args.get_int("deadline", 0);
+  job.stall_window = args.get_int("stall-window", 0);
+  job.max_restarts = static_cast<int>(args.get_int("max-restarts", 3));
+  job.max_deadline = args.get_int("max-deadline", 0);
 }
 
-void print_supervised(int trial, const SupervisedOutcome& out) {
-  std::printf("trial %d: %s after %lld slots, %d restarts (%zu epochs)\n",
-              trial, out.completed ? "completed" : "GAVE UP",
-              static_cast<long long>(out.total_slots), out.restarts,
-              out.epochs.size());
+// broadcast's and aggregate's flags as the serve job (serve/job.h) their
+// supervised trials run.
+JobSpec read_supervised_job(CliArgs& args, JobKind kind, const Common& common) {
+  JobSpec job;
+  job.kind = kind;
+  job.n = common.n;
+  job.c = common.c;
+  job.k = common.k;
+  job.pattern = common.pattern;
+  job.seed = common.seed;
+  read_supervisor_flags(args, job);
+  return job;
 }
 
 // Checkpoint/resume flags shared by the supervised broadcast/aggregate
@@ -190,27 +203,21 @@ CheckpointCli read_checkpoint_cli(CliArgs& args) {
   return cli;
 }
 
-// Validates flag combinations and materializes the CheckpointPolicy;
-// loading the resume file happens here so a corrupted snapshot fails the
-// command before any simulation state exists. Exits 2 on misuse.
+// Validates flag combinations and materializes the CheckpointPolicy
+// before any run starts; loading the resume file happens here so a
+// corrupted snapshot fails the command before any simulation state
+// exists. Throws std::invalid_argument on misuse (main exits 2).
 CheckpointPolicy make_checkpoint_policy(const CheckpointCli& cli,
                                         bool supervise, int trials) {
+  if (!supervise && (cli.any() || !cli.outcome_out.empty()))
+    throw std::invalid_argument(
+        "--checkpoint/--resume/--outcome-out require --supervise");
   CheckpointPolicy policy;
   if (!cli.any()) return policy;
-  if (!supervise) {
-    std::fprintf(stderr,
-                 "cograd: --checkpoint/--resume require --supervise\n");
-    std::exit(2);
-  }
-  if (trials != 1) {
-    std::fprintf(stderr,
-                 "cograd: --checkpoint/--resume require --trials 1\n");
-    std::exit(2);
-  }
-  if (cli.every <= 0) {
-    std::fprintf(stderr, "cograd: --checkpoint-every must be >= 1\n");
-    std::exit(2);
-  }
+  if (trials != 1)
+    throw std::invalid_argument("--checkpoint/--resume require --trials 1");
+  if (cli.every <= 0)
+    throw std::invalid_argument("--checkpoint-every must be >= 1");
   if (!cli.save_path.empty()) {
     policy.sink = [path = cli.save_path](const std::string& payload) {
       save_checkpoint_file(path, payload);
@@ -226,9 +233,8 @@ CheckpointPolicy make_checkpoint_policy(const CheckpointCli& cli,
 // the final network's complete accounting. The crash harness asserts this
 // file is byte-identical between an uninterrupted control run and a
 // killed-and-resumed run — every field that could diverge is in here.
-std::string supervised_outcome_json(const SupervisedOutcome& out,
-                                    const TraceStats& s,
-                                    std::optional<Value> aggregate) {
+std::string supervised_outcome_json(const JobTrial& trial, JobKind kind) {
+  const SupervisedOutcome& out = trial.outcome;
   std::ostringstream os;
   os << "{\"completed\":" << (out.completed ? "true" : "false")
      << ",\"aborted\":" << (out.aborted ? "true" : "false")
@@ -240,63 +246,50 @@ std::string supervised_outcome_json(const SupervisedOutcome& out,
     os << "[" << e.slots << "," << (e.completed ? 1 : 0) << ","
        << (e.stalled ? 1 : 0) << "," << (e.deadline_hit ? 1 : 0) << "]";
   }
-  os << "],\"stats\":[" << s.slots << "," << s.broadcasts << ","
-     << s.successes << "," << s.deliveries << "," << s.collision_events
-     << "," << s.jammed_node_slots << "," << s.idle_node_slots << ","
-     << s.total_message_words << "," << s.max_message_words << ","
-     << s.micro_slots << "," << s.backoff_failures << ","
-     << s.fault_node_slots << "," << s.churned_node_slots << ","
-     << s.deaf_node_slots << "," << s.mute_node_slots << ","
-     << s.babble_node_slots << "," << s.feedback_drop_node_slots << ","
-     << s.mute_demotions << "," << s.feedback_drops << ","
-     << s.suppressed_deliveries << "]";
-  if (aggregate) os << ",\"aggregate\":" << *aggregate;
+  os << "],\"stats\":[";
+  for (std::size_t i = 0; i < kTraceStatsCounters.size(); ++i)
+    os << (i > 0 ? "," : "") << trial.stats.*kTraceStatsCounters[i];
+  os << "]";
+  if (kind == JobKind::CogComp && out.completed)
+    os << ",\"aggregate\":" << trial.result.result;
   os << "}\n";
   return os.str();
+}
+
+// `broadcast|aggregate --supervise`: the job's trials, run one after
+// another on one seeder.
+int run_supervised_trials(const JobSpec& job, int trials,
+                          const CheckpointPolicy& policy,
+                          const std::string& outcome_out) {
+  Rng seeder(job.seed);
+  int completed = 0;
+  for (int t = 0; t < trials; ++t) {
+    const JobTrial trial = run_job_trial(job, seeder, policy);
+    const SupervisedOutcome& out = trial.outcome;
+    completed += out.completed ? 1 : 0;
+    std::printf("trial %d: %s after %lld slots, %d restarts (%zu epochs)\n",
+                t, out.completed ? "completed" : "GAVE UP",
+                static_cast<long long>(out.total_slots), out.restarts,
+                out.epochs.size());
+    if (!outcome_out.empty() &&
+        !write_file_atomic(outcome_out,
+                           supervised_outcome_json(trial, job.kind)))
+      return 1;
+  }
+  return completed == trials ? 0 : 1;
 }
 
 int cmd_broadcast(CliArgs& args) {
   const Common common = read_common(args);
   const bool supervise = args.get_flag("supervise");
-  SupervisorOptions supervisor = read_supervisor(args);
+  const JobSpec job = read_supervised_job(args, JobKind::CogCast, common);
   const CheckpointCli ckpt = read_checkpoint_cli(args);
   args.finish();
+  const CheckpointPolicy policy =
+      make_checkpoint_policy(ckpt, supervise, common.trials);
+  if (supervise)
+    return run_supervised_trials(job, common.trials, policy, ckpt.outcome_out);
 
-  if (supervise) {
-    CogCastRunConfig config;
-    config.params = {common.n, common.c, common.k, 4.0};
-    if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
-      supervisor.deadline = 8 * config.params.horizon();
-    Rng seeder(common.seed);
-    int completed = 0;
-    for (int t = 0; t < common.trials; ++t) {
-      auto assignment = make_assignment(common.pattern, common.n, common.c,
-                                        common.k, LabelMode::LocalRandom,
-                                        Rng(seeder()));
-      try {
-        const CheckpointPolicy policy =
-            make_checkpoint_policy(ckpt, supervise, common.trials);
-        SupervisedRun last;
-        const SupervisedOutcome out = run_supervised(
-            [&](int, std::uint64_t aseed) {
-              last = build_cogcast_run(*assignment, config, aseed);
-              return last;
-            },
-            supervisor, seeder(), policy);
-        completed += out.completed ? 1 : 0;
-        print_supervised(t, out);
-        if (!ckpt.outcome_out.empty() &&
-            !write_file_atomic(ckpt.outcome_out,
-                               supervised_outcome_json(
-                                   out, last.network->stats(), std::nullopt)))
-          return 1;
-      } catch (const CheckpointError& e) {
-        std::fprintf(stderr, "cograd: %s\n", e.what());
-        return 1;
-      }
-    }
-    return completed == common.trials ? 0 : 1;
-  }
   std::vector<double> slots;
   Rng seeder(common.seed);
   for (int t = 0; t < common.trials; ++t) {
@@ -333,55 +326,16 @@ int cmd_broadcast(CliArgs& args) {
 
 int cmd_aggregate(CliArgs& args) {
   const Common common = read_common(args);
-  const AggOp op = parse_agg_op(args.get_string("op", "sum"));
-  const bool unmediated = args.get_flag("unmediated");
+  JobSpec job = read_supervised_job(args, JobKind::CogComp, common);
+  job.op = parse_agg_op(args.get_string("op", "sum"));
+  job.mediated = !args.get_flag("unmediated");
   const bool supervise = args.get_flag("supervise");
-  SupervisorOptions supervisor = read_supervisor(args);
   const CheckpointCli ckpt = read_checkpoint_cli(args);
   args.finish();
-
-  if (supervise) {
-    CogCompRunConfig config;
-    config.params = {common.n, common.c, common.k, 4.0};
-    config.params.mediated = !unmediated;
-    config.op = op;
-    if (supervisor.deadline <= 0 && supervisor.stall_window <= 0)
-      supervisor.deadline = config.params.max_slots() + 16;
-    Rng seeder(common.seed);
-    int completed = 0;
-    for (int t = 0; t < common.trials; ++t) {
-      auto assignment = make_assignment(common.pattern, common.n, common.c,
-                                        common.k, LabelMode::LocalRandom,
-                                        Rng(seeder()));
-      const auto values = make_values(common.n, seeder());
-      try {
-        const CheckpointPolicy policy =
-            make_checkpoint_policy(ckpt, supervise, common.trials);
-        SupervisedRun last;
-        const SupervisedOutcome out = run_supervised(
-            [&](int, std::uint64_t aseed) {
-              last = build_cogcomp_run(*assignment, values, config, aseed);
-              return last;
-            },
-            supervisor, seeder(), policy);
-        completed += out.completed ? 1 : 0;
-        print_supervised(t, out);
-        if (!ckpt.outcome_out.empty() &&
-            !write_file_atomic(
-                ckpt.outcome_out,
-                supervised_outcome_json(
-                    out, last.network->stats(),
-                    out.completed && last.aggregate
-                        ? std::optional<Value>(last.aggregate())
-                        : std::nullopt)))
-          return 1;
-      } catch (const CheckpointError& e) {
-        std::fprintf(stderr, "cograd: %s\n", e.what());
-        return 1;
-      }
-    }
-    return completed == common.trials ? 0 : 1;
-  }
+  const CheckpointPolicy policy =
+      make_checkpoint_policy(ckpt, supervise, common.trials);
+  if (supervise)
+    return run_supervised_trials(job, common.trials, policy, ckpt.outcome_out);
 
   Rng seeder(common.seed);
   for (int t = 0; t < common.trials; ++t) {
@@ -390,14 +344,14 @@ int cmd_aggregate(CliArgs& args) {
                                       Rng(seeder()));
     CogCompRunConfig config;
     config.params = {common.n, common.c, common.k, 4.0};
-    config.params.mediated = !unmediated;
+    config.params.mediated = job.mediated;
     config.seed = seeder();
-    config.op = op;
+    config.op = job.op;
     const auto values = make_values(common.n, seeder());
     const auto out = run_cogcomp(*assignment, values, config);
     std::printf("%s = %lld (expected %lld) in %lld slots "
                 "(phase4 %lld) [%s]\n",
-                to_string(op).c_str(), static_cast<long long>(out.result),
+                to_string(job.op).c_str(), static_cast<long long>(out.result),
                 static_cast<long long>(out.expected),
                 static_cast<long long>(out.slots),
                 static_cast<long long>(out.phase4_slots),
@@ -410,6 +364,8 @@ int cmd_consensus(CliArgs& args) {
   const Common common = read_common(args);
   const std::string rule_name = args.get_string("rule", "min");
   args.finish();
+  if (rule_name != "min" && rule_name != "max" && rule_name != "majority")
+    throw std::invalid_argument("unknown consensus rule: " + rule_name);
   ConsensusRule rule = min_consensus();
   if (rule_name == "max") rule = max_consensus();
   if (rule_name == "majority") rule = majority_consensus();
@@ -461,6 +417,9 @@ int cmd_multihop(CliArgs& args) {
   const Common common = read_common(args);
   const std::string shape = args.get_string("topology", "grid");
   args.finish();
+  if (shape != "line" && shape != "ring" && shape != "grid" &&
+      shape != "geometric")
+    throw std::invalid_argument("unknown topology: " + shape);
   Topology topo = shape == "line"   ? Topology::line(common.n)
                   : shape == "ring" ? Topology::ring(common.n)
                   : shape == "grid"
@@ -488,6 +447,8 @@ int cmd_game(CliArgs& args) {
   const int trials = static_cast<int>(args.get_int("trials", 200));
   const std::string who = args.get_string("player", "fresh");
   args.finish();
+  if (who != "uniform" && who != "fresh" && who != "cogcast")
+    throw std::invalid_argument("unknown player: " + who);
 
   std::vector<double> rounds;
   Rng seeder(seed);
@@ -937,25 +898,15 @@ JobSpec read_job_spec(CliArgs& args) {
   const std::string kind = args.get_string("kind", "cogcast");
   if (kind == "cogcomp")
     job.kind = JobKind::CogComp;
-  else if (kind != "cogcast") {
-    std::fprintf(stderr, "cograd: --kind must be cogcast or cogcomp\n");
-    std::exit(2);
-  }
+  else if (kind != "cogcast")
+    throw std::invalid_argument("--kind must be cogcast or cogcomp");
   job.n = static_cast<int>(args.get_int("n", 24));
   job.c = static_cast<int>(args.get_int("c", 6));
   job.k = static_cast<int>(args.get_int("k", 2));
   job.pattern = args.get_string("pattern", "shared-core");
-  try {
-    job.op = parse_agg_op(args.get_string("op", "sum"));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cograd: %s\n", e.what());
-    std::exit(2);
-  }
+  job.op = parse_agg_op(args.get_string("op", "sum"));
   job.mediated = !args.get_flag("unmediated");
-  job.deadline = args.get_int("deadline", 0);
-  job.stall_window = args.get_int("stall-window", 0);
-  job.max_restarts = static_cast<int>(args.get_int("max-restarts", 3));
-  job.max_deadline = args.get_int("max-deadline", 0);
+  read_supervisor_flags(args, job);
   return job;
 }
 
@@ -1161,22 +1112,33 @@ int cmd_loadgen(CliArgs& args) {
 
 }  // namespace
 
+// A value no run can take (k outside [1, c], an unknown pattern, op or
+// topology, a checkpoint flag without --supervise) exits 2 like a
+// malformed flag; a rejected checkpoint file exits 1.
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   CliArgs args(argc - 1, argv + 1);
-  if (command == "broadcast") return cmd_broadcast(args);
-  if (command == "aggregate") return cmd_aggregate(args);
-  if (command == "consensus") return cmd_consensus(args);
-  if (command == "gossip") return cmd_gossip(args);
-  if (command == "multihop") return cmd_multihop(args);
-  if (command == "game") return cmd_game(args);
-  if (command == "record") return cmd_record(args);
-  if (command == "check") return cmd_check(args);
-  if (command == "bench") return cmd_bench(args);
-  if (command == "lint") return cmd_lint(args);
-  if (command == "serve") return cmd_serve(args);
-  if (command == "loadgen") return cmd_loadgen(args);
-  if (command == "crashtest") return cmd_crashtest(args);
-  return usage();
+  try {
+    if (command == "broadcast") return cmd_broadcast(args);
+    if (command == "aggregate") return cmd_aggregate(args);
+    if (command == "consensus") return cmd_consensus(args);
+    if (command == "gossip") return cmd_gossip(args);
+    if (command == "multihop") return cmd_multihop(args);
+    if (command == "game") return cmd_game(args);
+    if (command == "record") return cmd_record(args);
+    if (command == "check") return cmd_check(args);
+    if (command == "bench") return cmd_bench(args);
+    if (command == "lint") return cmd_lint(args);
+    if (command == "serve") return cmd_serve(args);
+    if (command == "loadgen") return cmd_loadgen(args);
+    if (command == "crashtest") return cmd_crashtest(args);
+    return usage();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "cograd: %s\n", e.what());
+    return 2;
+  } catch (const CheckpointError& e) {
+    std::fprintf(stderr, "cograd: %s\n", e.what());
+    return 1;
+  }
 }
