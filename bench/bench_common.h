@@ -146,13 +146,6 @@ inline Summary rendezvous_broadcast_slots(const std::string& pattern, int n,
       });
 }
 
-// Theorem 4 horizon without the constant: (c/k) * max{1, c/n} * lg n.
-inline double theorem4_shape(int n, int c, int k) {
-  const double lg = std::log2(std::max(2.0, static_cast<double>(n)));
-  return (static_cast<double>(c) / k) *
-         std::max(1.0, static_cast<double>(c) / n) * lg;
-}
-
 // Expected *actual* pairwise overlap of a generator, as opposed to the
 // guaranteed minimum k. Theorem 4's running time is governed by the real
 // overlap, so theory columns use this:

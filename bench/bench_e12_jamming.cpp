@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "analysis/theory.h"
 #include "bench_common.h"
 #include "sim/jamming.h"
 
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
                  "theory shape", "median/theory"});
     for (int j : {0, 2, 4, 6}) {
       const int k_eff = std::max(1, c - 2 * j);
-      const double theory = theorem4_shape(n, c, k_eff);
+      const double shape = theory::cogcast_slots(n, c, k_eff);
       const Summary s = jammed_cogcast(n, c, j, strategy, trials,
                                        seed + static_cast<std::uint64_t>(j * 17),
                                        jobs);
@@ -71,8 +72,8 @@ int main(int argc, char** argv) {
       table.add_row({Table::num(static_cast<std::int64_t>(j)),
                      Table::num(static_cast<std::int64_t>(k_eff)),
                      Table::num(s.median, 1), Table::num(s.p95, 1),
-                     Table::num(theory, 1),
-                     Table::num(safe_ratio(s.median, theory), 3)});
+                     Table::num(shape, 1),
+                     Table::num(safe_ratio(s.median, shape), 3)});
     }
     table.print_with_title("jammer strategy: " + strategy);
   }

@@ -8,6 +8,7 @@
 // players' round counts, making Lemma 12's transfer quantitative.
 #include <cstdio>
 
+#include "analysis/theory.h"
 #include "bench_common.h"
 #include "lowerbounds/hitting_game.h"
 #include "lowerbounds/reduction.h"
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
              Table::num(summarize(slots).median, 1),
              Table::num(summarize(slots).median * std::min(c, n), 1),
              Table::num(static_cast<double>(within) / trials, 3),
-             Table::num(lemma11_round_bound(c, k), 1)});
+             Table::num(theory::lemma11_budget(c, k), 1)});
       }
     }
   }

@@ -10,6 +10,7 @@
 // is mostly free.
 #include <cstdio>
 
+#include "analysis/theory.h"
 #include "bench_common.h"
 #include "sim/spectrum.h"
 
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
               "%d trials/point)\n",
               n, c, k, trials);
 
-  const double envelope = theorem4_shape(n, c, k);
+  const double envelope = theory::cogcast_slots(n, c, k);
   Table table({"PU duty cycle", "median", "p95", "theory envelope (k)",
                "median/envelope"});
   for (double duty : {0.0, 0.2, 0.4, 0.6, 0.8, 0.95}) {

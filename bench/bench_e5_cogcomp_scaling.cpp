@@ -6,6 +6,7 @@
 // the theorem's shape.
 #include <cstdio>
 
+#include "analysis/theory.h"
 #include "bench_common.h"
 
 using namespace cogradio;
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
       p4.push_back(o.p4);
     }
     const CogCompParams params{n, c, k, 4.0};
-    const double theory = theorem4_shape(n, c, k) + n;
+    const double shape = theory::cogcomp_slots(n, c, k);
     const std::string tag = "n" + std::to_string(n);
     manifest.add_summary(tag + ".total", summarize(total));
     manifest.add_summary(tag + ".phase4", summarize(p4));
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
          Table::num(static_cast<std::int64_t>(n)),
          Table::num(params.phase1_end()), Table::num(summarize(p4).median, 1),
          Table::num(static_cast<std::int64_t>(3 * (n + 1))),
-         Table::num(summarize(total).median, 1), Table::num(theory, 1),
+         Table::num(summarize(total).median, 1), Table::num(shape, 1),
          failures == 0 ? "yes" : "FAIL"});
   }
   table.print_with_title("CogComp phase breakdown (shared-core pattern)");

@@ -7,6 +7,7 @@
 // median win round, which should track c^2/k.
 #include <cstdio>
 
+#include "analysis/theory.h"
 #include "bench_common.h"
 #include "lowerbounds/hitting_game.h"
 
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
       for (int k : {2, c / 8, c / 2}) {
         if (k < 1 || 2 * k > c) continue;
         const auto budget =
-            static_cast<std::int64_t>(lemma11_round_bound(c, k));
+            static_cast<std::int64_t>(theory::lemma11_budget(c, k));
         std::vector<GameResult> outcomes(static_cast<std::size_t>(trials));
         pool.run(trials, [&](int t) {
           Rng rng = trial_rng(seed + static_cast<std::uint64_t>(c * 100 + k),

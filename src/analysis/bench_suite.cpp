@@ -8,6 +8,8 @@
 
 #include <algorithm>
 
+#include "analysis/theory.h"
+
 // The in-repo benchmark suite sits in analysis/ so `cograd bench` can gate
 // on it, but it necessarily executes the stacks above it. Accepted edges:
 // cograd-lint: allow(R7) E25/E33 benchmarks time run_multihop_cast itself
@@ -165,7 +167,7 @@ RunManifest smoke_e7_hitting_game(const SmokeOptions& opt) {
         return static_cast<double>(result.rounds);
       });
   add_summary(m, "fresh.win_round", summarize(rounds));
-  const double bound = lemma11_round_bound(c, k);
+  const double bound = theory::lemma11_budget(c, k);
   std::int64_t within = 0;
   for (const double r : rounds)
     if (r <= bound) ++within;

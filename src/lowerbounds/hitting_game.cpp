@@ -64,12 +64,4 @@ GameResult play(HittingGameReferee& referee, HittingGamePlayer& player,
   return result;
 }
 
-double lemma11_round_bound(int c, int k) {
-  if (k < 1 || 2 * k > c)
-    throw std::invalid_argument("lemma11 bound: requires k <= c/2");
-  const double beta = static_cast<double>(c) / k;
-  const double alpha = 2.0 * (beta / (beta - 1.0)) * (beta / (beta - 1.0));
-  return static_cast<double>(c) * c / (alpha * k);
-}
-
 }  // namespace cogradio

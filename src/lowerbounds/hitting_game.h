@@ -87,8 +87,4 @@ struct GameResult {
 GameResult play(HittingGameReferee& referee, HittingGamePlayer& player,
                 std::int64_t max_rounds);
 
-// Lemma 11's round bound c^2/(alpha k) with alpha = 2(beta/(beta-1))^2 for
-// beta = c/k (requires k <= c/2).
-double lemma11_round_bound(int c, int k);
-
 }  // namespace cogradio

@@ -55,9 +55,9 @@ void FaultEngine::add(NodeId node, FaultKind kind, Slot from, Slot to) {
 
 void FaultEngine::add_random(const FaultProfile& profile, Slot horizon) {
   const Slot h = horizon < 2 ? 2 : horizon;
-  // Distinct nodes across the five kinds, like FaultPlan::pick_healthy:
-  // each node carries at most one scripted window, so the per-kind
-  // semantics stay attributable in the log.
+  // Distinct nodes across the five kinds: each node carries at most one
+  // scripted window, so the per-kind semantics stay attributable in the
+  // log.
   std::vector<NodeId> pool;
   pool.reserve(static_cast<std::size_t>(n_));
   for (NodeId u = 0; u < n_; ++u) pool.push_back(u);
@@ -172,16 +172,42 @@ void FaultEngine::restore_state(CheckpointReader& r) {
         std::to_string(n) + "x" + std::to_string(c) + ", engine " +
         std::to_string(n_) + "x" + std::to_string(c_) + ")");
   r.rng(rng_);
+  // Every window and log entry must be one add() could have made: a node
+  // in [0, n), a byte naming a FaultKind, a start at slot 1 or later and,
+  // for a babbler, a stuck label in [0, c).
+  const auto reject = [](const std::string& why) {
+    return CheckpointError("checkpoint rejected: fault-engine " + why);
+  };
+  const auto read_node = [&] {
+    const std::int64_t node = r.i64();
+    if (node < 0 || node >= n_)
+      throw reject("node " + std::to_string(node) + " outside [0, " +
+                   std::to_string(n_) + ")");
+    return static_cast<NodeId>(node);
+  };
+  const auto read_kind = [&] {
+    const std::uint8_t kind = r.u8();
+    if (kind >= kNumFaultKinds)
+      throw reject("kind byte " + std::to_string(kind) + " names no kind");
+    return static_cast<FaultKind>(kind);
+  };
   windows_.clear();
   const std::size_t num_windows = r.length(33);
   windows_.reserve(num_windows);
   for (std::size_t i = 0; i < num_windows; ++i) {
     Window win;
-    win.node = static_cast<NodeId>(r.i64());
-    win.kind = static_cast<FaultKind>(r.u8());
+    win.node = read_node();
+    win.kind = read_kind();
     win.from = r.i64();
     win.to = r.i64();
-    win.label = static_cast<LocalLabel>(r.i64());
+    const std::int64_t label = r.i64();
+    if (win.from < 1)
+      throw reject("window starts at slot " + std::to_string(win.from));
+    if (win.kind == FaultKind::Babble ? label < 0 || label >= c_
+                                      : label != kNoChannel)
+      throw reject(to_string(win.kind) + " window holds label " +
+                   std::to_string(label));
+    win.label = static_cast<LocalLabel>(label);
     windows_.push_back(win);
   }
   for (std::int64_t& count : injected_) count = r.i64();
@@ -191,8 +217,8 @@ void FaultEngine::restore_state(CheckpointReader& r) {
   for (std::size_t i = 0; i < num_events; ++i) {
     FaultEvent e;
     e.slot = r.i64();
-    e.node = static_cast<NodeId>(r.i64());
-    e.kind = static_cast<FaultKind>(r.u8());
+    e.node = read_node();
+    e.kind = read_kind();
     e.onset = r.boolean();
     log_.push_back(e);
   }

@@ -1,13 +1,15 @@
-// Simulator-level adversarial fault engine (robustness harness).
+// Simulator-level adversarial fault engine (robustness harness): the one
+// fault model of the simulator.
 //
-// sim/fault.h's decorators wrap a Protocol from the outside: they can
-// silence a node, but they cannot express radio-level pathologies — a
-// receiver that dies while the transmitter keeps working, a stuck
-// transmitter spewing garbage that *contends* under the collision model,
-// lost feedback, or whole node subsets dropping out at once. The
-// FaultEngine injects those *inside* Network::step, as a dedicated stage
-// between the jammer and action resolution, so every fault interacts with
-// jamming, collisions and fading exactly like failing hardware would.
+// The FaultEngine injects faults *inside* Network::step, as a dedicated
+// stage between the jammer and action resolution, so every fault
+// interacts with jamming, collisions and fading exactly like failing
+// hardware would: a node that is off, a receiver that dies while the
+// transmitter keeps working, a stuck transmitter spewing garbage that
+// *contends* under the collision model, lost feedback, or whole node
+// subsets dropping out at once. A protocol never sees its fault: it is
+// asked for an action every slot, and a silenced slot's feedback is
+// SlotResult{}, the feedback of a powered-off radio.
 //
 // Fault kinds (active per node over [from, to) slot windows):
 //   Deaf          rx dead, tx works: the node transmits and may win its
@@ -20,9 +22,10 @@
 //                 under the collision model; the protocol hears nothing;
 //   FeedbackDrop  the slot's SlotResult is lost: the node acted and
 //                 physics happened, but it learns nothing (blank feedback);
-//   Churn         the node is off: forced idle, hears nothing. Generalizes
-//                 ClockSkew late wake-up / OutageFault to the simulator
-//                 level and is the building block of correlated bursts.
+//   Churn         the node is off: forced idle, hears nothing. A crash is
+//                 a window that never closes, an outage or a late wake-up
+//                 a window [from, to); the building block of correlated
+//                 bursts.
 //
 // Composition precedence within one slot: Churn dominates everything (an
 // off radio neither babbles nor listens); Mute beats Babble (a dead
@@ -166,7 +169,8 @@ class FaultEngine {
   // cursor over them is pure in the slot), injection totals, audit log,
   // burst horizon, and the schedule RNG. The per-slot flag masks are
   // rebuilt by the next begin_slot. restore_state targets a freshly
-  // constructed engine with the same (n, c).
+  // constructed engine with the same (n, c), and throws CheckpointError
+  // on a window or log entry add() could not have made.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);
 

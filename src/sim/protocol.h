@@ -78,8 +78,8 @@ class Protocol {
   // boundaries on a freshly constructed twin (same constructor arguments).
   // The resume-equivalence contract: after restore_state the twin's future
   // actions, feedback handling, and RNG draws are bit-identical to the
-  // original's. Decorators (sim/fault.h) forward to the wrapped protocol
-  // and prepend their own state. The defaults make a protocol opt-in:
+  // original's. A decorator forwards to the wrapped protocol and prepends
+  // its own state. The defaults make a protocol opt-in:
   // harnesses must check checkpointable() before trusting the no-ops.
   virtual bool checkpointable() const { return false; }
   virtual void save_state(CheckpointWriter&) const {}

@@ -17,8 +17,6 @@
 #include "sim/assignment.h"
 // cograd-lint: allow(R7) the resume differential snapshots and restores worlds
 #include "sim/checkpoint.h"
-// cograd-lint: allow(R7) shrinking mutates FaultPlan schedules directly
-#include "sim/fault.h"
 // cograd-lint: allow(R7) every trial is checked against the sim invariant suite
 #include "sim/invariants.h"
 // cograd-lint: allow(R7) scenarios randomize jamming adversaries
@@ -162,12 +160,50 @@ std::uint64_t accounting_digest(const Engine& net) {
   return h;
 }
 
-// Builds the scenario's FaultEngine schedule (empty without faults); the
-// schedule coins are a fixed stream of scn.salt, disjoint from every
-// other coin of the run, so the same scenario replays the same windows.
+// The run's coin streams, split from scn.salt in this fixed order, so
+// every component of a materialization draws the same coins every time.
+struct Streams {
+  Rng assign;
+  Rng proto;
+  Rng jam;
+  Rng fault;  // crash and outage windows
+  std::uint64_t net_seed = 0;
+};
+
+Streams streams_of(const Scenario& scn) {
+  Rng root(scn.salt);
+  Streams s{root.split(1), root.split(2), root.split(3), root.split(4)};
+  s.net_seed = root.split(5)();
+  return s;
+}
+
+// Builds the scenario's FaultEngine schedule: its crashes and outages as
+// Churn windows, then its FaultProfile. Crashes and outages hit distinct
+// nodes, each draw shuffling the nodes still healthy and taking the first
+// `count`: a crash is off from a uniform slot in [1, slots] on, an outage
+// over a uniform [from, to) inside [1, slots]. The profile's coins are a
+// stream of their own, so the same scenario replays the same windows.
 FaultEngine build_fault_engine(const Scenario& scn) {
   Rng root(scn.salt);
   FaultEngine engine(scn.n, scn.c, root.split(6));
+  Rng rng = streams_of(scn).fault;
+  const Slot horizon = std::max(2, scn.slots);
+  std::vector<bool> faulty(static_cast<std::size_t>(scn.n), false);
+  const auto pick_healthy = [&](int count) {
+    std::vector<NodeId> healthy;
+    for (NodeId u = 0; u < scn.n; ++u)
+      if (!faulty[static_cast<std::size_t>(u)]) healthy.push_back(u);
+    rng.shuffle(healthy);
+    healthy.resize(std::min(healthy.size(), static_cast<std::size_t>(count)));
+    for (const NodeId u : healthy) faulty[static_cast<std::size_t>(u)] = true;
+    return healthy;
+  };
+  for (const NodeId u : pick_healthy(scn.crashes))
+    engine.add(u, FaultKind::Churn, rng.between(1, horizon));
+  for (const NodeId u : pick_healthy(scn.outages)) {
+    const Slot from = rng.between(1, horizon - 1);
+    engine.add(u, FaultKind::Churn, from, rng.between(from + 1, horizon));
+  }
   if (scn.faults.any()) engine.add_random(scn.faults, scn.slots);
   return engine;
 }
@@ -180,14 +216,11 @@ template <typename Engine>
 struct World {
   std::unique_ptr<ChannelAssignment> assignment;
   std::unique_ptr<Jammer> jammer;
-  std::unique_ptr<FaultPlan> plan;
   std::unique_ptr<FaultEngine> fault_engine;
   std::unique_ptr<InvariantChecker> checker;  // null for untapped legs
+  // The checkpoint surface: the nodes themselves, never the checker's
+  // taps (observation, not state).
   std::vector<std::unique_ptr<Protocol>> nodes;
-  // The checkpoint surface: plan-wrapped (so crash latches travel with the
-  // snapshot) but pre-tap (the checker's taps are observation, not state).
-  std::vector<Protocol*> wrapped;
-  std::vector<Protocol*> protocols;  // what the network actually drives
   std::unique_ptr<Engine> net;
 };
 
@@ -200,25 +233,15 @@ struct World {
 template <typename Engine = Network>
 World<Engine> materialize(const Scenario& scn, ScnEngine engine,
                           const CheckOptions& options, bool with_checker) {
-  Rng root(scn.salt);
-  Rng assign_rng = root.split(1);
-  Rng proto_seeder = root.split(2);
-  Rng jam_rng = root.split(3);
-  Rng fault_rng = root.split(4);
-  const std::uint64_t net_seed = root.split(5)();
-
+  Streams streams = streams_of(scn);
   World<Engine> world;
-  world.assignment = build_assignment(scn, assign_rng);
+  world.assignment = build_assignment(scn, streams.assign);
   world.jammer =
-      build_jammer(scn, world.assignment->total_channels(), jam_rng);
-
-  world.plan = std::make_unique<FaultPlan>(scn.n, scn.slots, fault_rng);
-  world.plan->add_random_crashes(scn.crashes);
-  world.plan->add_random_outages(scn.outages);
+      build_jammer(scn, world.assignment->total_channels(), streams.jam);
   world.fault_engine = std::make_unique<FaultEngine>(build_fault_engine(scn));
 
   NetworkOptions opt;
-  opt.seed = net_seed;
+  opt.seed = streams.net_seed;
   opt.loss_prob = scn.loss_prob;
   opt.testonly_fault_mutation = options.mutation;
   switch (engine) {
@@ -237,19 +260,18 @@ World<Engine> materialize(const Scenario& scn, ScnEngine engine,
   }
 
   if (with_checker) world.checker = std::make_unique<InvariantChecker>();
+  std::vector<Protocol*> protocols;  // what the network actually drives
   for (NodeId u = 0; u < scn.n; ++u) {
     world.nodes.push_back(build_node(
-        scn, u, proto_seeder.split(static_cast<std::uint64_t>(u))));
-    world.wrapped.push_back(&world.plan->wrap(u, *world.nodes.back()));
-    world.protocols.push_back(with_checker
-                                  ? world.checker->tap(*world.wrapped.back())
-                                  : world.wrapped.back());
+        scn, u, streams.proto.split(static_cast<std::uint64_t>(u))));
+    Protocol& node = *world.nodes.back();
+    protocols.push_back(with_checker ? world.checker->tap(node) : &node);
   }
 
-  world.net = std::make_unique<Engine>(*world.assignment, world.protocols,
-                                       opt);
+  world.net = std::make_unique<Engine>(*world.assignment, protocols, opt);
   if (world.jammer) world.net->set_jammer(world.jammer.get());
-  if (scn.faults.any()) world.net->set_fault_engine(world.fault_engine.get());
+  if (world.fault_engine->num_windows() > 0)
+    world.net->set_fault_engine(world.fault_engine.get());
   return world;
 }
 
@@ -285,20 +307,20 @@ RunOutcome run_reference(const Scenario& scn) {
 
 // Snapshot/restore composition of the resume differential: network
 // accounting + engine RNG, jammer, fault-engine runtime state, then every
-// plan-wrapped node. Fixed order on both sides; CheckpointReader's section
-// tags turn any drift into a named diagnostic.
+// node. Fixed order on both sides; CheckpointReader's section tags turn
+// any drift into a named diagnostic.
 void save_world(const World<Network>& world, CheckpointWriter& w) {
   world.net->save_state(w);
   if (world.jammer) world.jammer->save_state(w);
   world.fault_engine->save_state(w);
-  for (const Protocol* p : world.wrapped) p->save_state(w);
+  for (const auto& node : world.nodes) node->save_state(w);
 }
 
 void restore_world(World<Network>& world, CheckpointReader& r) {
   world.net->restore_state(r);
   if (world.jammer) world.jammer->restore_state(r);
   world.fault_engine->restore_state(r);
-  for (Protocol* p : world.wrapped) p->restore_state(r);
+  for (const auto& node : world.nodes) node->restore_state(r);
   r.expect_end();
 }
 

@@ -2,8 +2,8 @@
 //
 // A *scenario* is a fully-specified randomized execution — topology size,
 // channel structure, assignment family, traffic protocol, jammer, engine
-// variant, fading, fault plan, slot count, and one salt that seeds every
-// run-time coin. Scenarios are drawn from util/sweep.h's trial_rng, so a
+// variant, fading, fault schedule, slot count, and one salt that seeds
+// every run-time coin. Scenarios are drawn from util/sweep.h's trial_rng, so a
 // failing trial is reproducible forever from just (seed, trial); the
 // harness prints that pair as a one-line `cograd check` reproducer.
 //
@@ -41,7 +41,7 @@
 #include <utility>
 #include <vector>
 
-// cograd-lint: allow(R7) Scenario embeds FaultPlan/JammingPlan value types
+// cograd-lint: allow(R7) Scenario embeds the FaultProfile value type
 #include "sim/fault_engine.h"
 // cograd-lint: allow(R7) CheckOptions carries a TestonlyFaultMutation for the sim under test
 #include "sim/network.h"
@@ -90,12 +90,13 @@ struct Scenario {
   // on the OneWinner engines (the raw/AllDelivered paths ignore it).
   double loss_prob = 0.0;
   int slots = 64;
-  int crashes = 0;  // FaultPlan: nodes silenced permanently mid-run
-  int outages = 0;  // FaultPlan: nodes silenced over a sub-interval
-  // Engine-level fault schedule (sim/fault_engine.h): per-kind window
-  // budgets plus one correlated churn burst. Only populated when the
-  // harness runs with faults enabled (`cograd check --faults`), so the
-  // historical (seed, trial) scenario space is unchanged.
+  int crashes = 0;  // nodes churned out for good from a slot on
+  int outages = 0;  // nodes churned out over one [from, to) window
+  // Per-kind window budgets plus one correlated churn burst, on the same
+  // FaultEngine (sim/fault_engine.h) as the crashes and outages. Only
+  // populated when the harness runs with faults enabled (`cograd check
+  // --faults`), so the historical (seed, trial) scenario space is
+  // unchanged.
   FaultProfile faults;
   // Snapshot slot for the resume differential: the primary world is
   // checkpointed after `snap` slots, restored into a freshly materialized
@@ -180,8 +181,9 @@ struct CheckOptions {
 std::string check_scenario(const Scenario& scn);
 std::string check_scenario(const Scenario& scn, const CheckOptions& options);
 
-// The reproducible fault schedule of a scenario (empty without faults):
-// exactly the windows run_once would install, serialized one per line.
+// The reproducible fault schedule of a scenario (empty without crashes,
+// outages or a fault profile): exactly the windows run_once would
+// install, serialized one per line.
 // Failure artifacts attach this next to the reproducer command.
 std::string fault_schedule_for(const Scenario& scn);
 

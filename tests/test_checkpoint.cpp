@@ -21,6 +21,7 @@
 
 #include "serve/journal.h"
 #include "sim/assignment.h"
+#include "sim/fault_engine.h"
 #include "sim/jamming.h"
 #include "sim/network.h"
 #include "util/proptest.h"
@@ -278,6 +279,76 @@ TEST(CheckpointJammer, ForgedReactiveHistoryIsRejected) {
   EXPECT_THROW(restore(payload({6, 6})), CheckpointError);     // repeated
   EXPECT_THROW(restore(payload({8})), CheckpointError);        // >= C
   EXPECT_THROW(restore(payload({-1})), CheckpointError);       // < 0
+}
+
+// A fault engine's windows and log entries are ones add() could have made:
+// a node in [0, n), a byte naming a FaultKind, a start at slot 1 or later
+// and, for a babbler, a stuck label in [0, c) (kNoChannel otherwise). A
+// snapshot carrying anything else was not written by one, and restoring it
+// would index the per-node arrays out of bounds on the next begin_slot.
+TEST(CheckpointFaultEngine, ForgedWindowIsRejected) {
+  // One window and one log entry on an engine over n = 4, c = 3.
+  struct Fields {
+    std::int64_t node = 1;
+    std::uint8_t kind = static_cast<std::uint8_t>(FaultKind::Churn);
+    std::int64_t from = 2;
+    std::int64_t label = kNoChannel;
+    std::int64_t log_node = 1;
+    std::uint8_t log_kind = static_cast<std::uint8_t>(FaultKind::Churn);
+  };
+  const auto payload = [](const Fields& f) {
+    CheckpointWriter w;
+    w.section("flte");
+    w.u32(4);
+    w.u32(3);
+    w.rng(Rng(7));
+    w.u64(1);
+    w.i64(f.node);
+    w.u8(f.kind);
+    w.i64(f.from);
+    w.i64(5);
+    w.i64(f.label);
+    for (const std::int64_t count : {0, 0, 0, 0, 2}) w.i64(count);
+    w.u64(1);
+    w.i64(2);
+    w.i64(f.log_node);
+    w.u8(f.log_kind);
+    w.boolean(true);
+    w.i64(kNoSlot);
+    return w.bytes();
+  };
+  // Restores into a fresh engine and returns node 1's flags in slot 4.
+  const auto restore = [](const std::string& bytes) {
+    FaultEngine fresh(4, 3, Rng(1));
+    CheckpointReader r(bytes);
+    fresh.restore_state(r);
+    r.expect_end();
+    fresh.begin_slot(4);
+    return fresh.flags(1);
+  };
+
+  FaultEngine written(4, 3, Rng(7));
+  written.add(1, FaultKind::Churn, 2, 5);
+  for (Slot s = 1; s <= 3; ++s) written.begin_slot(s);
+  CheckpointWriter w;
+  written.save_state(w);
+  ASSERT_EQ(w.bytes(), payload({}));
+  EXPECT_EQ(restore(w.bytes()), faultflag::kChurnedOut);
+
+  const auto babble = static_cast<std::uint8_t>(FaultKind::Babble);
+  EXPECT_EQ(restore(payload({.kind = babble, .label = 2})),
+            faultflag::kBabble);
+  EXPECT_THROW(restore(payload({.node = 100000})), CheckpointError);
+  EXPECT_THROW(restore(payload({.node = -1})), CheckpointError);
+  EXPECT_THROW(restore(payload({.kind = kNumFaultKinds})), CheckpointError);
+  EXPECT_THROW(restore(payload({.from = 0})), CheckpointError);
+  EXPECT_THROW(restore(payload({.kind = babble, .label = 3})),
+               CheckpointError);
+  EXPECT_THROW(restore(payload({.kind = babble, .label = -1})),
+               CheckpointError);
+  EXPECT_THROW(restore(payload({.label = 0})), CheckpointError);
+  EXPECT_THROW(restore(payload({.log_node = 4})), CheckpointError);
+  EXPECT_THROW(restore(payload({.log_kind = 9})), CheckpointError);
 }
 
 // --- resume equivalence through the property harness ----------------------

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "sim/assignment.h"
-#include "sim/fault.h"
+#include "sim/fault_engine.h"
 #include "sim/network.h"
 
 namespace cogradio {
@@ -22,7 +22,6 @@ Message data_msg() {
 
 struct Run {
   std::vector<std::unique_ptr<VerifiedBroadcastNode>> nodes;
-  std::vector<std::unique_ptr<OutageFault>> outages;
   Slot slots = 0;
   bool all_done = false;
 };
@@ -34,23 +33,21 @@ Run run_verified(int n, int c, int k, std::uint64_t seed,
   SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(seed));
   Rng seeder(seed * 11 + 1);
   std::vector<Protocol*> protocols;
+  FaultEngine faults(n, c, Rng(seed));
   for (NodeId u = 0; u < n; ++u) {
     run.nodes.push_back(std::make_unique<VerifiedBroadcastNode>(
         u, params, u == 0, data_msg(),
         seeder.split(static_cast<std::uint64_t>(u))));
+    protocols.push_back(run.nodes.back().get());
     // Sabotage: the last `nodes_missing_broadcast` nodes sleep through the
     // entire broadcast phase, then rejoin for the verification round.
-    if (u >= n - nodes_missing_broadcast) {
-      run.outages.push_back(std::make_unique<OutageFault>(
-          *run.nodes.back(), 1, params.broadcast_end() + 1));
-      protocols.push_back(run.outages.back().get());
-    } else {
-      protocols.push_back(run.nodes.back().get());
-    }
+    if (u >= n - nodes_missing_broadcast)
+      faults.add(u, FaultKind::Churn, 1, params.broadcast_end() + 1);
   }
   NetworkOptions opt;
   opt.seed = seed + 3;
   Network network(assignment, protocols, opt);
+  network.set_fault_engine(&faults);
   run.slots = network.run(params.max_slots());
   run.all_done = network.all_done();
   return run;

@@ -35,6 +35,7 @@
 
 #include "analysis/bench_suite.h"
 #include "analysis/lint.h"
+#include "analysis/theory.h"
 #include "core/consensus.h"
 #include "core/gossip.h"
 #include "core/multihop_cast.h"
@@ -76,8 +77,8 @@ int usage() {
       "             [--resume FILE] [--outcome-out FILE]\n"
       "             (need --supervise; crash-consistent snapshots every K\n"
       "             slots; --resume continues one bit-identically — rerun\n"
-      "             with the SAME flags plus --resume; --checkpoint and\n"
-      "             --resume need --trials 1)\n"
+      "             with the SAME flags plus --resume; --checkpoint,\n"
+      "             --resume and --outcome-out need --trials 1)\n"
       "  aggregate  --n 32 --c 8 --k 2 [--op sum|min|max|count|collect]\n"
       "             [--unmediated] [--supervise] [--deadline S]\n"
       "             [--stall-window W] [--max-restarts R] [--max-deadline D]\n"
@@ -136,8 +137,9 @@ int usage() {
       "common: --seed S (default 1), --pattern shared-core|partitioned|\n"
       "        pigeonhole|identity|dynamic-shared-core|dynamic-pigeonhole\n"
       "errors: a malformed flag exits 2 with 'cli error: ...'; a value no\n"
-      "        run can take (k outside [1, c], an unknown name, a checkpoint\n"
-      "        flag without --supervise) exits 2 with 'cograd: ...'");
+      "        run can take (k outside [1, c], an unknown name, --trials\n"
+      "        below 1, a checkpoint flag without --supervise) exits 2 with\n"
+      "        'cograd: ...'");
   return 2;
 }
 
@@ -157,6 +159,12 @@ Common read_common(CliArgs& args) {
   common.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   common.trials = static_cast<int>(args.get_int("trials", 1));
   return common;
+}
+
+// The commands that summarize a sample of trials (broadcast, aggregate,
+// game) need one: an empty sample has no median to report.
+void require_trials(int trials) {
+  if (trials < 1) throw std::invalid_argument("--trials must be >= 1");
 }
 
 // The supervisor flags of every job-shaped command (broadcast, aggregate,
@@ -212,10 +220,13 @@ CheckpointPolicy make_checkpoint_policy(const CheckpointCli& cli,
   if (!supervise && (cli.any() || !cli.outcome_out.empty()))
     throw std::invalid_argument(
         "--checkpoint/--resume/--outcome-out require --supervise");
+  if (trials != 1 && cli.any())
+    throw std::invalid_argument("--checkpoint/--resume require --trials 1");
+  // One file holds one outcome: later trials would overwrite earlier ones.
+  if (trials != 1 && !cli.outcome_out.empty())
+    throw std::invalid_argument("--outcome-out requires --trials 1");
   CheckpointPolicy policy;
   if (!cli.any()) return policy;
-  if (trials != 1)
-    throw std::invalid_argument("--checkpoint/--resume require --trials 1");
   if (cli.every <= 0)
     throw std::invalid_argument("--checkpoint-every must be >= 1");
   if (!cli.save_path.empty()) {
@@ -285,6 +296,7 @@ int cmd_broadcast(CliArgs& args) {
   const JobSpec job = read_supervised_job(args, JobKind::CogCast, common);
   const CheckpointCli ckpt = read_checkpoint_cli(args);
   args.finish();
+  require_trials(common.trials);
   const CheckpointPolicy policy =
       make_checkpoint_policy(ckpt, supervise, common.trials);
   if (supervise)
@@ -332,6 +344,7 @@ int cmd_aggregate(CliArgs& args) {
   const bool supervise = args.get_flag("supervise");
   const CheckpointCli ckpt = read_checkpoint_cli(args);
   args.finish();
+  require_trials(common.trials);
   const CheckpointPolicy policy =
       make_checkpoint_policy(ckpt, supervise, common.trials);
   if (supervise)
@@ -447,9 +460,11 @@ int cmd_game(CliArgs& args) {
   const int trials = static_cast<int>(args.get_int("trials", 200));
   const std::string who = args.get_string("player", "fresh");
   args.finish();
+  require_trials(trials);
   if (who != "uniform" && who != "fresh" && who != "cogcast")
     throw std::invalid_argument("unknown player: " + who);
 
+  constexpr std::int64_t kMaxRounds = 1'000'000;
   std::vector<double> rounds;
   Rng seeder(seed);
   for (int t = 0; t < trials; ++t) {
@@ -461,18 +476,26 @@ int cmd_game(CliArgs& args) {
       player = std::make_unique<CogCastHittingPlayer>(n, c, Rng(seeder()));
     else
       player = std::make_unique<FreshPlayer>(c, Rng(seeder()));
-    const GameResult result = play(referee, *player, 1'000'000);
+    const GameResult result = play(referee, *player, kMaxRounds);
     if (result.won) rounds.push_back(static_cast<double>(result.rounds));
   }
-  const Summary s = summarize(rounds);
   std::string budget_note;
   if (2 * k <= c)
     budget_note =
-        ", Lemma 11 budget " + Table::num(lemma11_round_bound(c, k), 1);
-  std::printf("(%d,%d)-hitting game, %s player: median %.1f rounds "
-              "(c^2/k = %.1f%s)\n",
-              c, k, who.c_str(), s.median, static_cast<double>(c) * c / k,
-              budget_note.c_str());
+        ", Lemma 11 budget " + Table::num(theory::lemma11_budget(c, k), 1);
+  const double c2k = static_cast<double>(c) * c / k;
+  // A trial that never wins has no win round: the median of the winners
+  // alone would understate the game, so a lost trial drops the median.
+  if (static_cast<int>(rounds.size()) < trials)
+    std::printf("(%d,%d)-hitting game, %s player: %zu/%d trials won within "
+                "%lld rounds (c^2/k = %.1f%s)\n",
+                c, k, who.c_str(), rounds.size(), trials,
+                static_cast<long long>(kMaxRounds), c2k, budget_note.c_str());
+  else
+    std::printf("(%d,%d)-hitting game, %s player: median %.1f rounds "
+                "(c^2/k = %.1f%s)\n",
+                c, k, who.c_str(), summarize(rounds).median, c2k,
+                budget_note.c_str());
   return 0;
 }
 
