@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "analysis/include_graph.h"
 #include "analysis/lint_internal.h"
@@ -632,6 +633,15 @@ std::string findings_to_json(const std::vector<LintFinding>& findings) {
 
 bool parse_baseline(const std::string& text, std::vector<std::string>* keys,
                     std::string* error) {
+  std::vector<BaselineEntry> entries;
+  if (!parse_baseline_entries(text, &entries, error)) return false;
+  for (BaselineEntry& e : entries) keys->push_back(std::move(e.key));
+  return true;
+}
+
+bool parse_baseline_entries(const std::string& text,
+                            std::vector<BaselineEntry>* entries,
+                            std::string* error) {
   std::string parse_error;
   const auto doc = parse_json(text, &parse_error);
   if (!doc) {
@@ -668,9 +678,60 @@ bool parse_baseline(const std::string& text, std::vector<std::string>* keys,
     f.rule = rule->as_string();
     f.file = file->as_string();
     f.snippet = snippet->as_string();
-    keys->push_back(finding_key(f));
+    BaselineEntry entry;
+    entry.key = finding_key(f);
+    const JsonValue* line = item.find("line");
+    if (line != nullptr && line->is_number())
+      entry.line = static_cast<int>(line->as_number());
+    const JsonValue* status = item.find("status");
+    if (status != nullptr && status->is_string())
+      entry.status = status->as_string();
+    entries->push_back(std::move(entry));
   }
   return true;
+}
+
+std::vector<StaleEntry> stale_entries(
+    const std::vector<LintFinding>& findings,
+    const std::vector<BaselineEntry>& reference) {
+  // Per key: the findings in (file, line) order and the unpaired entries.
+  std::map<std::string, std::vector<const LintFinding*>> found;
+  std::map<std::string, std::vector<const BaselineEntry*>> listed;
+  for (const LintFinding& f : findings) found[finding_key(f)].push_back(&f);
+  for (const BaselineEntry& e : reference) listed[e.key].push_back(&e);
+  const auto status_of = [](const LintFinding& f) {
+    return std::string(f.suppressed ? "suppressed" : "active");
+  };
+  const auto by_line = [](const auto* a, const auto* b) {
+    return a->line < b->line;
+  };
+  std::vector<StaleEntry> stale;
+  for (auto& [key, fs] : found) {
+    const auto it = listed.find(key);
+    if (it == listed.end()) continue;
+    std::vector<const BaselineEntry*>& es = it->second;
+    std::stable_sort(fs.begin(), fs.end(), by_line);
+    std::stable_sort(es.begin(), es.end(), by_line);
+    std::vector<const LintFinding*> moved;
+    for (const LintFinding* f : fs) {
+      const auto exact = std::find_if(es.begin(), es.end(), [&](const auto* e) {
+        return e->line == f->line && e->status == status_of(*f);
+      });
+      if (exact != es.end())
+        es.erase(exact);
+      else
+        moved.push_back(f);
+    }
+    for (std::size_t i = 0; i < moved.size() && i < es.size(); ++i)
+      stale.push_back(
+          {*moved[i], status_of(*moved[i]), es[i]->line, es[i]->status});
+  }
+  std::sort(stale.begin(), stale.end(),
+            [](const StaleEntry& a, const StaleEntry& b) {
+              return std::tie(a.finding.file, a.finding.line) <
+                     std::tie(b.finding.file, b.finding.line);
+            });
+  return stale;
 }
 
 int apply_baseline(std::vector<LintFinding>& findings,

@@ -161,6 +161,38 @@ std::string findings_to_json(const std::vector<LintFinding>& findings);
 bool parse_baseline(const std::string& text, std::vector<std::string>* keys,
                     std::string* error = nullptr);
 
+// One entry of a reference manifest: its baseline key and the line and
+// status the manifest recorded for it (0 and "" when it records none).
+struct BaselineEntry {
+  std::string key;
+  int line = 0;
+  std::string status;
+};
+
+// parse_baseline, keeping each entry's line and status.
+bool parse_baseline_entries(const std::string& text,
+                            std::vector<BaselineEntry>* entries,
+                            std::string* error = nullptr);
+
+// A finding that a reference manifest lists under its key, but at another
+// line or with another status: the manifest has gone stale. `status` is
+// the finding's, "suppressed" or "active", as `cograd lint --json` writes
+// it.
+struct StaleEntry {
+  LintFinding finding;
+  std::string status;
+  int listed_line = 0;
+  std::string listed_status;
+};
+
+// The findings whose reference entry went stale. Within one key, findings
+// first pair with entries that agree on line and status; the rest pair in
+// line order, and each such pair is stale. Findings or entries left
+// without a partner are not reported here.
+std::vector<StaleEntry> stale_entries(
+    const std::vector<LintFinding>& findings,
+    const std::vector<BaselineEntry>& reference);
+
 // Marks findings whose key occurs in `baseline_keys` (with multiplicity)
 // as baselined; returns the number matched.
 int apply_baseline(std::vector<LintFinding>& findings,

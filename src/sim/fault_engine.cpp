@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/checkpoint.h"
 
@@ -35,6 +36,18 @@ FaultEngine::FaultEngine(int n, int c, Rng rng) : n_(n), c_(c), rng_(rng) {
   if (c <= 0) throw std::invalid_argument("fault engine: need c > 0");
   flags_.resize(static_cast<std::size_t>(n), 0);
   babble_label_.resize(static_cast<std::size_t>(n), kNoChannel);
+}
+
+void check_fault_engine_fits(const FaultEngine& engine, int n, int c) {
+  if (engine.num_nodes() != n)
+    throw std::invalid_argument(
+        "fault engine: built for " + std::to_string(engine.num_nodes()) +
+        " node(s), the network has " + std::to_string(n));
+  if (engine.num_labels() > c)
+    throw std::invalid_argument(
+        "fault engine: draws babble labels from " +
+        std::to_string(engine.num_labels()) + ", the network's nodes have " +
+        std::to_string(c));
 }
 
 void FaultEngine::add(NodeId node, FaultKind kind, Slot from, Slot to) {

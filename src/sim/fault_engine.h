@@ -153,6 +153,10 @@ class FaultEngine {
     return injected_[static_cast<std::size_t>(kind)];
   }
 
+  // The node count and the label count the engine was built for.
+  int num_nodes() const { return n_; }
+  int num_labels() const { return c_; }
+
   int num_windows() const { return static_cast<int>(windows_.size()); }
   // End slot of the latest-ending burst window (kNoSlot without a burst);
   // recovery telemetry measures completion relative to this.
@@ -193,5 +197,11 @@ class FaultEngine {
   std::vector<FaultEvent> log_;
   Slot last_burst_end_ = kNoSlot;
 };
+
+// Throws std::invalid_argument unless `engine` can drive a network of `n`
+// nodes with `c` labels each: the network reads every node's flags, so
+// the node counts must match, and a babble label indexes the node's label
+// row, so the engine may draw from at most c labels.
+void check_fault_engine_fits(const FaultEngine& engine, int n, int c);
 
 }  // namespace cogradio

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/active_scan.h"
 #include "sim/checkpoint.h"
@@ -30,14 +31,6 @@ template <typename T>
   const auto* first = reinterpret_cast<const char*>(&record);
   __builtin_prefetch(first, 1);
   __builtin_prefetch(first + sizeof(T) - 1, 1);
-}
-
-// Calls fn(index) for every set bit of `words`, in ascending order.
-template <typename Fn>
-void for_each_set_bit(std::span<const std::uint64_t> words, Fn&& fn) {
-  for (std::size_t w = 0; w < words.size(); ++w)
-    for (std::uint64_t word = words[w]; word != 0; word &= word - 1)
-      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
 }
 
 }  // namespace
@@ -126,6 +119,12 @@ Network::Network(ChannelAssignment& assignment, BatchClient& client,
   init_scratch();
 }
 
+void Network::set_fault_engine(FaultEngine* engine) {
+  if (engine != nullptr)
+    check_fault_engine_fits(*engine, n_, assignment_.channels_per_node());
+  fault_engine_ = engine;
+}
+
 void Network::set_jammer(Jammer* jammer) {
   jammer_ = jammer;
   if (jammer_ != nullptr) used_channel_.resize(static_cast<std::size_t>(n_));
@@ -142,7 +141,7 @@ void Network::init_scratch() {
   // jammer's and observer's arrays are sized when they attach.
   const auto n = static_cast<std::size_t>(n_);
   const auto total = static_cast<std::size_t>(assignment_.total_channels());
-  channel_bucket_.resize(total + 1);
+  channel_bucket_.resize(2 * total + 2);
   // At most one message lands per OneWinner/CollisionLoss channel and one
   // per broadcaster under AllDelivered, so n entries always suffice.
   batch_msgs_.reserve(n);
@@ -170,64 +169,96 @@ void Network::init_scratch() {
   soa_rx_cnt_.resize(n);
   soa_active_.reserve(n);
   soa_key_.reserve(n);
-  order_.reserve(n + 1);  // the channel runs, the jammed run, one trash entry
+  order_.reserve(n);  // the channel runs, then the jammed nodes
   touched_.resize((total + 63) / 64);
+  touched_summary_.resize((touched_.size() + 63) / 64);
+  touched_channels_.reserve(std::min(n, total));
 }
 
 bool Network::all_done() const { return batch_->done(); }
 
-void Network::group_by_key() {
-  // The gather has already counted every key into its channel's bucket
-  // (the jammed ones into bucket C, past the last channel) and marked each
-  // channel in touched_. Only touched channels are visited from here on,
-  // so a slot costs O(active + C/64) however large the channel space.
+std::size_t Network::group_by_key() {
+  // The gather has counted every unjammed key into its (channel, role)
+  // bucket and marked its channel in both levels of touched_. The summary
+  // names the non-zero words, so listing the touched channels, ascending,
+  // costs O(touched + C/4096); both levels are cleared as they are read.
+  // The same loop turns the counts into offsets: each channel's run is
+  // its broadcasters, then its listeners.
   int* const bucket = channel_bucket_.data();
+  touched_channels_.clear();
   int offset = 0;
-  for_each_set_bit(touched_, [&](std::size_t ch) {
-    const int count = bucket[ch];
-    bucket[ch] = offset;
-    offset += count;
-  });
-  const std::size_t jammed_bucket = channel_bucket_.size() - 1;
-  const int jammed = bucket[jammed_bucket];
-  bucket[jammed_bucket] = offset;
-  // Scatter broadcasters (role 0), then listeners (role 1). soa_active_ is
-  // ascending, so each stable pass emits ascending node ids and the
-  // resolution order (hence the RNG draw order) matches the reference.
-  // A key of the other role is written to a trash entry past the jammed
-  // run instead of branching: roles are random, so a branch would miss
-  // half the time. Broadcasters are stored bit-flipped (~node < 0), which
-  // lets the resolve walk find where each run's broadcasters end.
-  const auto trash = static_cast<std::size_t>(offset + jammed);
-  order_.resize(trash + 1);
-  const std::int32_t* const active = soa_active_.data();
-  for (const std::uint32_t role : {0u, 1u}) {
-    const std::int32_t flip = role == 0 ? -1 : 0;
-    for (std::size_t a = 0; a < soa_key_.size(); ++a) {
-      const std::uint32_t key = soa_key_[a];
-      const std::size_t take = 1u ^ ((key ^ role) & 1u);  // role matches
-      int& cursor = bucket[key >> 1];
-      const auto at = static_cast<std::size_t>(cursor);
-      order_[trash ^ ((trash ^ at) & (0 - take))] = active[a] ^ flip;
-      cursor = static_cast<int>(at + take);
+  for (std::size_t s = 0; s < touched_summary_.size(); ++s) {
+    for (std::uint64_t sw = std::exchange(touched_summary_[s], 0); sw != 0;
+         sw &= sw - 1) {
+      const std::size_t w =
+          s * 64 + static_cast<std::size_t>(std::countr_zero(sw));
+      ++touched_words_read_;
+      for (std::uint64_t word = std::exchange(touched_[w], 0); word != 0;
+           word &= word - 1) {
+        const auto ch = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+        touched_channels_.push_back(ch);
+        int* const run = bucket + 2 * static_cast<std::size_t>(ch);
+        const int broadcasters = run[0];
+        const int listeners = run[1];
+        run[0] = offset;
+        run[1] = offset + broadcasters;
+        offset += broadcasters + listeners;
+      }
     }
   }
-  bucket[jammed_bucket] = 0;
-  order_.resize(static_cast<std::size_t>(offset));  // the channel runs
+  // One stable scatter of every key, the jammed ones past the runs.
+  // soa_active_ is ascending, so each (channel, role) bucket receives
+  // ascending node ids and the resolution order (hence the RNG draw order)
+  // matches the reference. Each channel's broadcaster cursor ends where
+  // its listeners start, and its listener cursor at its run's end.
+  int& jammed = bucket[channel_bucket_.size() - 1];
+  jammed = offset;
+  order_.resize(soa_key_.size());
+  const std::int32_t* const active = soa_active_.data();
+  int* const order = order_.data();
+  for (std::size_t a = 0; a < soa_key_.size(); ++a)
+    order[bucket[soa_key_[a]]++] = active[a];
+  jammed = 0;
+  return static_cast<std::size_t>(offset);
 }
 
-// The per-channel resolution core. Coin discipline (the reference's,
-// enumerated in DETERMINISM.md): per OneWinner channel with a broadcaster
-// the winner coin (or the emulated-backoff draws) comes first, then one
-// fade coin per live receiver — listeners in ascending node order, then
-// failed broadcasters in ascending node order; no coin is spent on rx-dead
-// receivers or when loss_prob is zero. Channels resolve in ascending
-// physical order, so the whole draw sequence is a function of the slot's
-// action set alone.
+void Network::mark_success(int idx) {
+  soa_flags_[static_cast<std::size_t>(idx)] |= slotflag::kTxSuccess;
+  ++activity_[static_cast<std::size_t>(idx)].tx_success;
+}
+
+// A babbling radio transmits garbage, never the client's payload — unless
+// it is churned out too (the churn override wins; reachable only under the
+// ChurnActs mutation, where the client's own action stands).
+Message Network::land(Slot slot, int idx) {
+  mark_success(idx);
+  const std::uint8_t f =
+      fault_engine_ != nullptr ? soa_fault_[static_cast<std::size_t>(idx)] : 0;
+  Message msg = (!(f & faultflag::kChurnedOut) && (f & faultflag::kBabble))
+                    ? Message{}
+                    : batch_->source_message(slot, static_cast<NodeId>(idx));
+  msg.sender = static_cast<NodeId>(idx);
+  ++stats_.successes;
+  const auto words = static_cast<std::int64_t>(wire_size_words(msg));
+  stats_.total_message_words += words;
+  stats_.max_message_words = std::max(stats_.max_message_words, words);
+  return msg;
+}
+
+// The per-channel resolution core, for every run with a broadcaster that
+// step() does not settle as a lone one. Coin discipline (the reference's,
+// enumerated in DETERMINISM.md): per OneWinner channel the winner coin (or
+// the emulated-backoff draws) comes first, then one fade coin per live
+// receiver — listeners in ascending node order, then failed broadcasters
+// in ascending node order; no coin is spent on rx-dead receivers or when
+// loss_prob is zero. Channels resolve in ascending physical order, so the
+// whole draw sequence is a function of the slot's action set alone.
 void Network::resolve_group(const Slot slot,
                             const std::span<const int> broadcasters,
                             const std::span<const int> listeners) {
   const auto bcount = static_cast<std::int32_t>(broadcasters.size());
+  assert(bcount > 0);
   if (bcount >= 2) ++stats_.collision_events;
 
   // soa_fault_ is all zero without a fault engine (the scrub slot after a
@@ -242,28 +273,10 @@ void Network::resolve_group(const Slot slot,
       return false;  // mutation: the deaf node hears anyway
     return true;
   };
-  // Sources a successful broadcaster's message into the slot's arena and
-  // accounts it. A babbling radio transmits garbage, never the client's
-  // payload — unless it is churned out too (the churn override wins;
-  // reachable only under the ChurnActs mutation, where the client's own
-  // action stands).
-  auto source = [&](int idx) {
-    const std::uint8_t f = faults ? soa_fault_[static_cast<std::size_t>(idx)] : 0;
-    Message msg = (!(f & faultflag::kChurnedOut) && (f & faultflag::kBabble))
-                      ? Message{}
-                      : batch_->source_message(slot, static_cast<NodeId>(idx));
-    msg.sender = static_cast<NodeId>(idx);
-    ++stats_.successes;
-    const auto words = static_cast<std::int64_t>(wire_size_words(msg));
-    stats_.total_message_words += words;
-    stats_.max_message_words = std::max(stats_.max_message_words, words);
-    batch_msgs_.push_back(std::move(msg));
+  // Lands a broadcast in the slot's arena; returns its offset there.
+  auto land_in_arena = [&](int idx) {
+    batch_msgs_.push_back(land(slot, idx));
     return static_cast<std::int32_t>(batch_msgs_.size()) - 1;
-  };
-  // Outcome marks, each booked in the node's activity ledger as it lands.
-  auto mark_success = [&](int idx) {
-    soa_flags_[static_cast<std::size_t>(idx)] |= slotflag::kTxSuccess;
-    ++activity_[static_cast<std::size_t>(idx)].tx_success;
   };
   auto deliver_to = [&](int idx, std::int32_t offset, std::int32_t count) {
     soa_rx_off_[static_cast<std::size_t>(idx)] = offset;
@@ -272,16 +285,15 @@ void Network::resolve_group(const Slot slot,
     stats_.deliveries += count;
   };
   // Visits `nodes` (a run of order_) in order, warming the receive-side
-  // lines of the node kPrefetchAhead entries further along order_; runs
-  // not yet resolved still hold their broadcasters bit-flipped.
+  // lines of the node kPrefetchAhead entries further along order_ (past
+  // the channel runs, a jammed node's: a wasted request, not a wrong one).
   const bool prefetch = n_ >= kPrefetchMinNodes;
   auto each = [&](std::span<const int> nodes, auto&& fn) {
     for (const int& node : nodes) {
       const auto ahead =
           static_cast<std::size_t>(&node - order_.data()) + kPrefetchAhead;
       if (prefetch && ahead < order_.size()) {
-        const int entry = order_[ahead];
-        const auto i = static_cast<std::size_t>(entry < 0 ? ~entry : entry);
+        const auto i = static_cast<std::size_t>(order_[ahead]);
         __builtin_prefetch(&soa_rx_off_[i], 1);
         __builtin_prefetch(&soa_rx_cnt_[i], 1);
         prefetch_record(activity_[i]);
@@ -292,7 +304,6 @@ void Network::resolve_group(const Slot slot,
 
   switch (options_.collision) {
     case CollisionModel::OneWinner: {
-      if (bcount == 0) break;
       std::size_t pick = 0;
       if (options_.emulate_backoff) {
         const BackoffOutcome outcome =
@@ -307,8 +318,7 @@ void Network::resolve_group(const Slot slot,
         pick = rng_.below(static_cast<std::uint64_t>(bcount));
       }
       const int winner = broadcasters[pick];
-      mark_success(winner);
-      const std::int32_t woff = source(winner);
+      const std::int32_t woff = land_in_arena(winner);
       if (options_.testonly_duplicate_winner && bcount >= 2)
         mark_success(broadcasters[pick == 0 ? 1 : 0]);
       auto deliver = [&](int idx) {
@@ -328,12 +338,8 @@ void Network::resolve_group(const Slot slot,
       break;
     }
     case CollisionModel::AllDelivered: {
-      if (bcount == 0) break;
       const auto start = static_cast<std::int32_t>(batch_msgs_.size());
-      each(broadcasters, [&](int b) {
-        mark_success(b);
-        source(b);
-      });
+      each(broadcasters, land_in_arena);
       each(listeners, [&](int l) {
         if (rx_dead(l)) {
           stats_.suppressed_deliveries += bcount;
@@ -345,9 +351,7 @@ void Network::resolve_group(const Slot slot,
     }
     case CollisionModel::CollisionLoss: {
       if (bcount != 1) break;
-      const int winner = broadcasters.front();
-      mark_success(winner);
-      const std::int32_t woff = source(winner);
+      const std::int32_t woff = land_in_arena(broadcasters.front());
       each(listeners, [&](int l) {
         if (rx_dead(l)) {
           ++stats_.suppressed_deliveries;
@@ -470,8 +474,8 @@ void Network::step() {
   stats_.idle_node_slots += static_cast<std::int64_t>(n - active);
 
   // 2. Gather: book each active node, write its grouping key and count
-  //    the key into its channel's bucket, where the work overlaps the
-  //    misses (group_by_key finishes the sort). By the all-idle
+  //    the key into its (channel, role) bucket, where the work overlaps
+  //    the misses (group_by_key finishes the sort). By the all-idle
   //    invariant the node's flag byte is clear (or holds only the
   //    blank-feedback mark) and its mode byte holds the final action, so
   //    only a jam verdict is stored per node. The duty-cycle ledger is
@@ -481,8 +485,8 @@ void Network::step() {
   //    hardware prefetcher, so each node's lines are requested ahead: its
   //    label and mode first, then the label-table entry they select and
   //    its ledger record.
-  const std::uint32_t jammed_key =
-      (static_cast<std::uint32_t>(channel_bucket_.size() - 1) << 1) | 1u;
+  const auto jammed_key =
+      static_cast<std::uint32_t>(channel_bucket_.size() - 1);
   std::int64_t broadcasts = 0;
   const bool prefetch = n_ >= kPrefetchMinNodes;
   soa_key_.resize(active);
@@ -509,7 +513,6 @@ void Network::step() {
         ++stats_.jammed_node_slots;
         ++act.jammed;
         soa_key_[a] = jammed_key;
-        ++channel_bucket_[jammed_key >> 1];
         continue;
       }
     }
@@ -518,30 +521,44 @@ void Network::step() {
     act.tx += tx;
     act.listen += !tx;
     const auto c = static_cast<std::uint32_t>(ch);
-    soa_key_[a] = (c << 1) | (tx ? 0u : 1u);
-    if (channel_bucket_[c]++ == 0)
+    const std::uint32_t key = (c << 1) | (tx ? 0u : 1u);
+    soa_key_[a] = key;
+    if (channel_bucket_[key]++ == 0) {
       touched_[c >> 6] |= std::uint64_t{1} << (c & 63u);
+      touched_summary_[c >> 12] |= std::uint64_t{1} << ((c >> 6) & 63u);
+    }
   }
   stats_.broadcasts += broadcasts;
 
-  // 3. Group, then resolve channel by channel in ascending order. Each
-  //    run of order_ ends at its bucket; its leading bit-flipped entries
-  //    are its broadcasters, restored as the walk finds them. The walk
-  //    returns every bucket and touched bit it visits to zero.
-  group_by_key();
-  const std::span<const int> runs(order_);
+  // 3. Group, then resolve the touched channels in ascending order. Each
+  //    channel's two buckets hold where its listeners start and where its
+  //    run ends; the walk returns both to zero. A run with no broadcaster
+  //    lands nothing and draws no coin under any model, so it is skipped.
+  //    A lone broadcaster reaches nobody: short of emulated backoff it
+  //    costs its OneWinner coin, below(1), and its landing, whose message
+  //    is sourced for the word count but never enters the arena.
+  const std::span<const int> runs(order_.data(), group_by_key());
+  const bool lone_lands = !options_.emulate_backoff;
+  const bool lone_coin = options_.collision == CollisionModel::OneWinner;
+  int* const bucket = channel_bucket_.data();
   std::size_t start = 0;
-  for_each_set_bit(touched_, [&](std::size_t ch) {
-    touched_[ch >> 6] = 0;  // the walk already holds this word's bits
-    const auto end = static_cast<std::size_t>(channel_bucket_[ch]);
-    channel_bucket_[ch] = 0;
-    std::size_t split = start;
-    for (; split < end && order_[split] < 0; ++split)
-      order_[split] = ~order_[split];
-    resolve_group(slot, runs.subspan(start, split - start),
-                  runs.subspan(split, end - split));
+  for (const std::uint32_t ch : touched_channels_) {
+    int* const run = bucket + 2 * static_cast<std::size_t>(ch);
+    const auto split = static_cast<std::size_t>(run[0]);
+    const auto end = static_cast<std::size_t>(run[1]);
+    run[0] = 0;
+    run[1] = 0;
+    if (split != start) {
+      if (end - start == 1 && lone_lands) {
+        if (lone_coin) (void)rng_.below(1);
+        (void)land(slot, runs[start]);
+      } else {
+        resolve_group(slot, runs.subspan(start, split - start),
+                      runs.subspan(split, end - split));
+      }
+    }
     start = end;
-  });
+  }
 
   // 4. The client's feedback.
   BatchFeedback fb;

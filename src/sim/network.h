@@ -21,8 +21,12 @@
 //
 // The engine keeps per-field node arrays, lists the slot's non-idle nodes
 // once, and runs every pass after the client's begin_slot over that list:
-// a gather that writes each node's (channel, role) key, one counting sort
-// of the keys at O(active + C/64) per slot, and the coins per channel.
+// a gather that counts each node's (channel, role) key into its bucket and
+// marks its channel in a two-level touched map, one stable scatter of the
+// keys, and a walk over the touched channels in ascending order. A slot
+// costs O(active + C/4096), and a channel costs what its contention does:
+// a run with no broadcaster is skipped, and a lone broadcaster, with
+// nobody to reach, costs only its winner coin and its accounting.
 // sim/reference_network.h writes the same model out plainly, and the two
 // are diffed bit for bit; DETERMINISM.md ("The slot engine, its reference,
 // and the draw order") documents the draw order both honor.
@@ -215,7 +219,9 @@ class Network {
   // Attach an adversarial fault engine (non-owning, like the jammer). Its
   // begin_slot runs right after the jammer's; the resulting per-node flag
   // masks override protocol actions and gate delivery/feedback in step().
-  void set_fault_engine(FaultEngine* engine) { fault_engine_ = engine; }
+  // Throws std::invalid_argument unless the engine fits this network
+  // (check_fault_engine_fits); nullptr detaches.
+  void set_fault_engine(FaultEngine* engine);
   const FaultEngine* fault_engine() const { return fault_engine_; }
 
   // Observer invoked after each slot with the resolved actions; used by
@@ -245,6 +251,13 @@ class Network {
     out.idle = stats_.slots - (a.tx + a.listen + a.jammed);
     return out;
   }
+
+  // Words of the touched-channel map the grouping has read since
+  // construction: one per word holding a touched channel, per slot. The
+  // exact work count behind the O(active + C/4096) slot bound (the
+  // summary's C/4096 words are not counted); a diagnostic, not model
+  // state, so it is neither checkpointed nor diffed against the reference.
+  std::int64_t touched_words_read() const { return touched_words_read_; }
 
   bool all_done() const;
 
@@ -303,17 +316,24 @@ class Network {
   // Sizes all per-slot scratch; called once from either constructor.
   void init_scratch();
 
-  // Finishes the counting sort the gather began, placing the unjammed
-  // active nodes into `order_` by soa_key_: each touched channel's run
-  // holds its broadcasters, then its listeners, both ascending. Each
-  // touched channel's bucket is left at its run's end for the resolve
-  // walk.
-  void group_by_key();
+  // Finishes the counting sort the gather began: lists the touched
+  // channels into touched_channels_, ascending, and places the active
+  // nodes into `order_` by soa_key_, each touched channel's run holding
+  // its broadcasters, then its listeners, both ascending. Leaves each
+  // touched channel's two buckets at its listeners' start and its run's
+  // end for the resolve walk, and returns the runs' total length.
+  std::size_t group_by_key();
 
-  // Per-channel resolution: one channel's broadcasters and listeners,
-  // each a run of order_ in ascending node order.
+  // Per-channel resolution: one channel's broadcasters (at least one) and
+  // listeners, each a run of order_ in ascending node order.
   void resolve_group(Slot slot, std::span<const int> broadcasters,
                      std::span<const int> listeners);
+
+  // A landed broadcast: marks `idx` successful, sources the message its
+  // radio put on the air and books the success and word accounting; the
+  // caller delivers the message or, for a lone broadcaster, drops it.
+  Message land(Slot slot, int idx);
+  void mark_success(int idx);
 
   // Per-slot scratch, sized once (in the constructor, or by the setter
   // that attaches its reader) and reused every slot so that step()
@@ -323,12 +343,12 @@ class Network {
   // are sized only for their readers: a 2^20-node BatchClient fleet
   // allocates neither resolved_ nor used_channel_.
   std::vector<ResolvedAction> resolved_;  // only with an observer
-  std::vector<int> order_;          // participating node indices, grouped by channel
+  std::vector<int> order_;          // active node indices, grouped by channel
   std::vector<Channel> used_channel_;  // per node, for jammer observe();
                                        // sized and filled only with a jammer
-  // Counting-sort histogram / offsets, C+1 entries; the gather counts the
-  // jammed nodes in the last one. step() keeps them all zero between
-  // slots, resetting only the ones it touched.
+  // Counting-sort histogram / offsets, indexed by key: 2C + 2 entries,
+  // the last one the jammed nodes' cursor. step() keeps them all zero
+  // between slots, resetting only the ones it touched.
   std::vector<int> channel_bucket_;
 
   // The per-field node state.
@@ -357,12 +377,18 @@ class Network {
   std::vector<std::int32_t> soa_active_;
   bool soa_fault_dirty_ = false;
   // Grouping key of soa_active_[a], written by the gather:
-  // (channel << 1) | listens, where a node the jammer cut off takes
-  // channel C, one past the last.
+  // (channel << 1) | listens, where a node the jammer cut off takes key
+  // 2C + 1, one past the last channel's listeners.
   std::vector<std::uint32_t> soa_key_;
-  // One bit per physical channel: the channels this slot's keys touched.
-  // All-zero between slots, like the buckets it indexes.
+  // The two-level touched map: one bit per physical channel the slot's
+  // keys touched, and a summary with one bit per non-zero word of it. Both
+  // are all zero between slots, like the buckets they index.
   std::vector<std::uint64_t> touched_;
+  std::vector<std::uint64_t> touched_summary_;
+  // This slot's touched channels, ascending: listed by group_by_key,
+  // walked by the resolve pass. Reserved to min(n, C).
+  std::vector<std::uint32_t> touched_channels_;
+  std::int64_t touched_words_read_ = 0;
 };
 
 }  // namespace cogradio

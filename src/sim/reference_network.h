@@ -37,7 +37,13 @@ class ReferenceNetwork {
                    NetworkOptions options = {});
 
   void set_jammer(Jammer* jammer) { jammer_ = jammer; }
-  void set_fault_engine(FaultEngine* engine) { fault_engine_ = engine; }
+  // Throws std::invalid_argument unless the engine fits, as Network does.
+  void set_fault_engine(FaultEngine* engine) {
+    if (engine != nullptr)
+      check_fault_engine_fits(*engine, num_nodes(),
+                              assignment_.channels_per_node());
+    fault_engine_ = engine;
+  }
   void set_observer(Network::SlotObserver observer) {
     observer_ = std::move(observer);
   }

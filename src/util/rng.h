@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -33,21 +34,58 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
+  // The four per-draw calls below are defined inline: the engine's winner
+  // and fade coins and the protocols' label picks call them once per
+  // active node-slot, and the build has no link-time optimization to
+  // inline them across translation units.
+
   // Raw 64 random bits.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound). Precondition: bound > 0.
   // Uses Lemire's multiply-shift rejection method (no modulo bias).
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    assert(bound > 0);
+    // Lemire's nearly-divisionless bounded generation.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
   std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept;
 
   // Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 random bits scaled into [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   // Bernoulli trial with success probability p (clamped to [0,1]).
-  bool chance(double p) noexcept;
+  bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   // Derives an independent child generator; children with distinct `stream`
   // values are statistically independent of each other and of the parent.

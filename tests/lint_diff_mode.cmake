@@ -10,6 +10,9 @@
 #      LINT.json, two runs of leg 3 both fail and leave its bytes as they
 #      were. This leg works in a directory of its own, since cograd.lint
 #      writes LINT.json into the shared test directory.
+#   5. the tree diffed against its own manifest with every line number
+#      shifted by one exits nonzero and names the regenerating command:
+#      the reference matches every finding, but at the wrong line.
 #
 # Invoked by ctest as:
 #   cmake -DCOGRAD=<cograd> -DFIXTURES=<tests/lint_fixtures> -P lint_diff_mode.cmake
@@ -56,3 +59,23 @@ foreach(run 1 2)
     message(FATAL_ERROR "--diff without --json rewrote its reference LINT.json")
   endif()
 endforeach()
+file(READ diff_base.json base_text)
+string(REGEX REPLACE "\"line\": ([0-9]+)" "\"line\": 1\\1" shifted_text
+       "${base_text}")
+if(shifted_text STREQUAL base_text)
+  message(FATAL_ERROR "the shifted reference shifted no line")
+endif()
+file(WRITE diff_shifted.json "${shifted_text}")
+execute_process(
+  COMMAND ${COGRAD} lint --tree ${FIXTURES}/r8_thread --diff diff_shifted.json
+  RESULT_VARIABLE shifted
+  OUTPUT_VARIABLE shifted_out)
+if(shifted EQUAL 0)
+  message(FATAL_ERROR "--diff must fail on a reference whose lines drifted")
+endif()
+string(FIND "${shifted_out}" "regenerate it with `cograd lint" regenerate_at)
+if(regenerate_at EQUAL -1)
+  message(FATAL_ERROR
+          "--diff on a stale reference must name the regenerating command:\n"
+          "${shifted_out}")
+endif()

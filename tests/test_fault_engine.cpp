@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/cogcast.h"
 #include "sim/assignment.h"
 #include "sim/invariants.h"
 #include "sim/network.h"
+#include "sim/reference_network.h"
 #include "sim/skew.h"
 #include "util/proptest.h"
 
@@ -491,6 +493,43 @@ TEST(FaultNetwork, ChurnedNodeIsStillAskedEverySlot) {
     EXPECT_EQ(r->slots_seen, every);
     EXPECT_EQ(r->feedback_slots, every);
   }
+}
+
+TEST(FaultNetwork, SettersRejectAnEngineBuiltForAnotherNetwork) {
+  // Both engines read flags(i) for every node each slot and index a
+  // babbler's label row with its stuck label, so an engine for fewer nodes
+  // or more labels than the network's is refused when attached.
+  const int n = 64, c = 4;
+  SharedCoreAssignment assignment(n, c, 2, LabelMode::LocalRandom, Rng(3));
+  std::vector<std::unique_ptr<Protocol>> nodes;
+  std::vector<Protocol*> protocols;
+  Rng seeder(4);
+  for (NodeId u = 0; u < n; ++u) {
+    nodes.push_back(std::make_unique<RandomTrafficNode>(
+        c, seeder.split(static_cast<std::uint64_t>(u))));
+    protocols.push_back(nodes.back().get());
+  }
+  Network net(assignment, protocols);
+  ReferenceNetwork reference(assignment, protocols);
+  FaultEngine too_few_nodes(2, 1, Rng(2));
+  FaultEngine too_many_labels(n, c + 1, Rng(2));
+  FaultEngine fits(n, c, Rng(2));
+  fits.add_random(FaultProfile{2, 2, 2, 2, 2, 4, 3}, 8);
+  for (FaultEngine* wrong : {&too_few_nodes, &too_many_labels}) {
+    EXPECT_THROW(net.set_fault_engine(wrong), std::invalid_argument);
+    EXPECT_THROW(reference.set_fault_engine(wrong), std::invalid_argument);
+  }
+  EXPECT_EQ(net.fault_engine(), nullptr);  // a refused engine is not kept
+
+  // A matching engine still attaches and steps, in both engines alike.
+  net.set_fault_engine(&fits);
+  for (int s = 0; s < 8; ++s) net.step();
+  EXPECT_GT(net.stats().fault_node_slots, 0);
+  FaultEngine fits_again(n, c, Rng(2));
+  fits_again.add_random(FaultProfile{2, 2, 2, 2, 2, 4, 3}, 8);
+  reference.set_fault_engine(&fits_again);
+  for (int s = 0; s < 8; ++s) reference.step();
+  EXPECT_EQ(reference.stats().fault_node_slots, net.stats().fault_node_slots);
 }
 
 // --- Every collision model under a mixed fault schedule ----------------------

@@ -390,6 +390,47 @@ TEST(LintBaseline, LineNumberShiftsDoNotUnmask) {
   EXPECT_EQ(apply_baseline(after, keys), 1);
 }
 
+TEST(LintBaseline, ShiftedReferenceIsStale) {
+  // A reference whose line numbers drifted still masks its findings (the
+  // keys ignore lines), but --diff reports each drifted entry as stale.
+  const auto before = lint_source(
+      "src/x.cpp", "int a = std::rand();\nint b = std::rand();\n");
+  std::vector<BaselineEntry> reference;
+  ASSERT_TRUE(
+      parse_baseline_entries(findings_to_json(before), &reference, nullptr));
+  ASSERT_EQ(reference.size(), 2u);
+  EXPECT_EQ(reference[0].line, 1);
+  EXPECT_EQ(reference[0].status, "active");
+  EXPECT_TRUE(stale_entries(before, reference).empty());
+
+  // One line inserted above the second site only: it moves, the first
+  // does not.
+  const auto after = lint_source(
+      "src/x.cpp", "int a = std::rand();\n\nint b = std::rand();\n");
+  const std::vector<StaleEntry> stale = stale_entries(after, reference);
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale[0].finding.line, 3);
+  EXPECT_EQ(stale[0].status, "active");
+  EXPECT_EQ(stale[0].listed_line, 2);
+  EXPECT_EQ(stale[0].listed_status, "active");
+
+  // A status the reference no longer matches is stale too.
+  auto suppressed = before;
+  suppressed[1].suppressed = true;
+  const std::vector<StaleEntry> flipped = stale_entries(suppressed, reference);
+  ASSERT_EQ(flipped.size(), 1u);
+  EXPECT_EQ(flipped[0].finding.line, 2);
+  EXPECT_EQ(flipped[0].status, "suppressed");
+  EXPECT_EQ(flipped[0].listed_status, "active");
+
+  // A new finding that shares the key of a listed one pairs with nothing,
+  // and leaves the listed one in place.
+  const auto added = lint_source(
+      "src/x.cpp",
+      "int a = std::rand();\nint b = std::rand();\nint b = std::rand();\n");
+  EXPECT_TRUE(stale_entries(added, reference).empty());
+}
+
 TEST(LintBaseline, NewFindingsStayActive) {
   const auto before = lint_source("src/x.cpp", "int a = std::rand();\n");
   std::vector<std::string> keys;

@@ -18,9 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -44,7 +46,24 @@ struct RunTrace {
   std::vector<ResolvedAction> actions;
   TraceStats stats;
   std::vector<NodeActivity> activity;
+  std::int64_t touched_words_read = 0;  // Network only
 };
+
+// The touched-map words a run's grouping must read: per slot, the
+// distinct 64-channel words holding a channel some unjammed node acted on.
+std::int64_t expected_touched_words(const RunTrace& run, int n) {
+  std::int64_t words = 0;
+  for (std::size_t slot = 0; slot < run.actions.size();
+       slot += static_cast<std::size_t>(n)) {
+    std::set<Channel> touched;
+    for (std::size_t i = slot; i < slot + static_cast<std::size_t>(n); ++i) {
+      const ResolvedAction& r = run.actions[i];
+      if (r.mode != Mode::Idle && !r.jammed) touched.insert(r.channel / 64);
+    }
+    words += static_cast<std::int64_t>(touched.size());
+  }
+  return words;
+}
 
 struct Family {
   std::string name;
@@ -61,33 +80,84 @@ struct Family {
 // so change the discovered ctest name whenever the heap layout moves.
 void PrintTo(const Family& fam, std::ostream* os) { *os << fam.name; }
 
-// One fixed randomized run of a family on `Engine`. All seeds are pinned,
-// so for a fixed family the engine is the *only* difference between the
-// two runs being compared.
+// The channel universe a family runs in, with the seeds of its run.
+struct Universe {
+  int n, c, k;
+  Slot slots;
+  bool partitioned = false;  // Partitioned: C = k + n(c-k) channels
+  std::uint64_t assignment_seed, traffic_seed, engine_seed;
+  int jam_budget = 2;  // channels the RandomJammer cuts per node per slot
+  // Broadcasts carry AggPayload items (SizedTrafficNode), so a landed
+  // message's word count tells a client's payload from a babbler's garbage.
+  bool sized_payloads = false;
+};
+
+// n = 48 on a shared-core assignment with C = 2c = 16 channels: most
+// channels are contended.
+constexpr Universe kSharedCore{.n = 48, .c = 8, .k = 2, .slots = 64,
+                               .assignment_seed = 101, .traffic_seed = 202,
+                               .engine_seed = 303};
+// n = 300 on a Partitioned assignment with C = 4202 channels: most
+// channels go untouched in any slot, nearly every touched one holds a
+// single node, and the touched map's summary spans two words. The jammer
+// cuts a sixteenth of the universe per node, so it still bites: about one
+// action in sixteen lands on a jammed channel.
+constexpr Universe kPartitioned{.n = 300, .c = 16, .k = 2, .slots = 48,
+                                .partitioned = true, .assignment_seed = 7,
+                                .traffic_seed = 8, .engine_seed = 9,
+                                .jam_budget = 4202 / 16,
+                                .sized_payloads = true};
+
+// RandomTrafficNode whose broadcasts carry 0-3 payload items, so each
+// landed message's wire size depends on whose payload it is.
+class SizedTrafficNode : public RandomTrafficNode {
+ public:
+  using RandomTrafficNode::RandomTrafficNode;
+  Action on_slot(Slot slot) override {
+    Action action = RandomTrafficNode::on_slot(slot);
+    if (action.mode == Mode::Broadcast) {
+      action.msg.type = MessageType::Value;
+      const auto items = static_cast<std::size_t>(action.msg.a % 4);
+      action.msg.payload.items.resize(items);
+    }
+    return action;
+  }
+};
+
+// One fixed randomized run of a family on `Engine` in `universe`. All
+// seeds are pinned, so for a fixed family and universe the engine is the
+// *only* difference between the two runs being compared.
 template <typename Engine>
-RunTrace run_family(const Family& fam) {
-  const int n = 48, c = 8, k = 2;
-  const Slot slots = 64;
+RunTrace run_family(const Family& fam, const Universe& universe) {
+  const int n = universe.n, c = universe.c, k = universe.k;
+  const Slot slots = universe.slots;
 
   std::unique_ptr<ChannelAssignment> assignment;
+  const Rng assignment_rng(universe.assignment_seed);
   if (fam.dynamic) {
-    assignment = DynamicAssignment::shared_core(n, c, k, Rng(101));
+    assignment = DynamicAssignment::shared_core(n, c, k, assignment_rng);
+  } else if (universe.partitioned) {
+    assignment = std::make_unique<PartitionedAssignment>(
+        n, c, k, LabelMode::LocalRandom, assignment_rng);
   } else {
     assignment = std::make_unique<SharedCoreAssignment>(
-        n, c, k, LabelMode::LocalRandom, Rng(101));
+        n, c, k, LabelMode::LocalRandom, assignment_rng);
   }
 
-  Rng seeder(202);
+  Rng seeder(universe.traffic_seed);
   std::vector<std::unique_ptr<RandomTrafficNode>> nodes;
   std::vector<Protocol*> protocols;
   for (NodeId u = 0; u < n; ++u) {
-    nodes.push_back(std::make_unique<RandomTrafficNode>(
-        c, seeder.split(static_cast<std::uint64_t>(u))));
+    const Rng rng = seeder.split(static_cast<std::uint64_t>(u));
+    if (universe.sized_payloads)
+      nodes.push_back(std::make_unique<SizedTrafficNode>(c, rng));
+    else
+      nodes.push_back(std::make_unique<RandomTrafficNode>(c, rng));
     protocols.push_back(nodes.back().get());
   }
 
   NetworkOptions opt;
-  opt.seed = 303;
+  opt.seed = universe.engine_seed;
   opt.collision = fam.collision;
   opt.emulate_backoff = fam.backoff;
   opt.loss_prob = fam.loss_prob;
@@ -95,7 +165,8 @@ RunTrace run_family(const Family& fam) {
 
   std::optional<RandomJammer> jammer;
   if (fam.jammed) {
-    jammer.emplace(n, assignment->total_channels(), /*budget=*/2, Rng(404));
+    jammer.emplace(n, assignment->total_channels(), universe.jam_budget,
+                   Rng(404));
     net.set_jammer(&*jammer);
   }
   std::optional<FaultEngine> faults;
@@ -120,6 +191,8 @@ RunTrace run_family(const Family& fam) {
   for (Slot s = 0; s < slots; ++s) net.step();
   out.stats = net.stats();
   for (NodeId u = 0; u < n; ++u) out.activity.push_back(net.activity(u));
+  if constexpr (std::is_same_v<Engine, Network>)
+    out.touched_words_read = net.touched_words_read();
   return out;
 }
 
@@ -136,67 +209,76 @@ class ReferenceDifferential : public ::testing::TestWithParam<Family> {};
 
 TEST_P(ReferenceDifferential, MatchesBitForBit) {
   const Family& fam = GetParam();
-  expect_identical(run_family<Network>(fam),
-                   run_family<ReferenceNetwork>(fam));
+  const RunTrace engine = run_family<Network>(fam, kSharedCore);
+  expect_identical(engine, run_family<ReferenceNetwork>(fam, kSharedCore));
+  EXPECT_EQ(engine.touched_words_read,
+            expected_touched_words(engine, kSharedCore.n));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Families, ReferenceDifferential,
-    ::testing::Values(
-        Family{.name = "plain"},
-        Family{.name = "backoff", .backoff = true},
-        Family{.name = "fading", .loss_prob = 0.25},
-        Family{.name = "jammed", .jammed = true},
-        Family{.name = "faulted", .faulted = true},
-        Family{.name = "all_delivered",
-               .collision = CollisionModel::AllDelivered},
-        Family{.name = "collision_loss",
-               .collision = CollisionModel::CollisionLoss},
-        Family{.name = "dynamic", .dynamic = true},
-        Family{.name = "kitchen_sink",
-               .loss_prob = 0.125,
-               .jammed = true,
-               .faulted = true}),
-    [](const ::testing::TestParamInfo<Family>& info) {
-      return info.param.name;
-    });
+// The families that run in both universes; "dynamic" redraws a shared
+// core, so it runs in kSharedCore only.
+const Family kFamilies[] = {
+    Family{.name = "plain"},
+    Family{.name = "backoff", .backoff = true},
+    Family{.name = "fading", .loss_prob = 0.25},
+    Family{.name = "jammed", .jammed = true},
+    Family{.name = "faulted", .faulted = true},
+    Family{.name = "all_delivered", .collision = CollisionModel::AllDelivered},
+    Family{.name = "collision_loss",
+           .collision = CollisionModel::CollisionLoss},
+    Family{.name = "kitchen_sink",
+           .loss_prob = 0.125,
+           .jammed = true,
+           .faulted = true},
+};
+
+std::string family_name(const ::testing::TestParamInfo<Family>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, ReferenceDifferential,
+                         ::testing::ValuesIn([] {
+                           std::vector<Family> all(std::begin(kFamilies),
+                                                   std::end(kFamilies));
+                           all.push_back({.name = "dynamic", .dynamic = true});
+                           return all;
+                         }()),
+                         family_name);
 
 // A Partitioned universe: C = k + n(c-k) physical channels, so most
 // channels go untouched in any slot and the engine grouping's touched map
 // spans dozens of words — and the result must still match the reference
-// exactly.
+// exactly. OneWinner with fading on RandomTrafficNode's own traffic.
 TEST(ReferenceSparse, PartitionedUniverseMatchesReference) {
-  const int n = 300, c = 16, k = 2;
-  const Slot slots = 48;
-
-  const auto run_once = [&](auto engine) {
-    using Engine = typename decltype(engine)::type;
-    PartitionedAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(7));
-    Rng seeder(8);
-    std::vector<std::unique_ptr<RandomTrafficNode>> nodes;
-    std::vector<Protocol*> protocols;
-    for (NodeId u = 0; u < n; ++u) {
-      nodes.push_back(std::make_unique<RandomTrafficNode>(
-          c, seeder.split(static_cast<std::uint64_t>(u))));
-      protocols.push_back(nodes.back().get());
-    }
-    NetworkOptions opt;
-    opt.seed = 9;
-    opt.loss_prob = 0.125;
-    Engine net(assignment, std::move(protocols), opt);
-    RunTrace out;
-    net.set_observer([&](Slot, std::span<const ResolvedAction> actions) {
-      out.actions.insert(out.actions.end(), actions.begin(), actions.end());
-    });
-    for (Slot s = 0; s < slots; ++s) net.step();
-    out.stats = net.stats();
-    for (NodeId u = 0; u < n; ++u) out.activity.push_back(net.activity(u));
-    return out;
-  };
-
-  expect_identical(run_once(std::type_identity<Network>{}),
-                   run_once(std::type_identity<ReferenceNetwork>{}));
+  Universe universe = kPartitioned;
+  universe.sized_payloads = false;
+  const Family fam{.name = "fading", .loss_prob = 0.125};
+  expect_identical(run_family<Network>(fam, universe),
+                   run_family<ReferenceNetwork>(fam, universe));
 }
+
+// Every family in the Partitioned universe, where a slot's channels are
+// mostly lone broadcasters and listeners: the engine resolves those runs
+// by their contention alone (a broadcaster-less run is skipped, a lone
+// broadcaster spends only its coin and its accounting), and the result
+// must still match the reference's full resolution, draw for draw.
+class ReferenceSparseDifferential : public ::testing::TestWithParam<Family> {};
+
+TEST_P(ReferenceSparseDifferential, MatchesBitForBit) {
+  const Family& fam = GetParam();
+  const RunTrace engine = run_family<Network>(fam, kPartitioned);
+  expect_identical(engine, run_family<ReferenceNetwork>(fam, kPartitioned));
+  // The grouping read only the words holding this slot's channels: none
+  // of the universe's other words, and nothing an earlier slot left set.
+  EXPECT_EQ(engine.touched_words_read,
+            expected_touched_words(engine, kPartitioned.n));
+  // The adversaries actually bit.
+  if (fam.jammed) EXPECT_GT(engine.stats.jammed_node_slots, 0);
+  if (fam.faulted) EXPECT_GT(engine.stats.babble_node_slots, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(SparseFamilies, ReferenceSparseDifferential,
+                         ::testing::ValuesIn(kFamilies), family_name);
 
 // --- Batch-client twin --------------------------------------------------
 

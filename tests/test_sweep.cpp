@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/stats.h"
@@ -66,6 +67,55 @@ TEST(TrialRng, GoldenFirstDraws) {
   EXPECT_EQ(trial_rng(1, 0).below(100), 15u);
   EXPECT_EQ(trial_rng(42, 7).below(100), 25u);
   EXPECT_EQ(trial_rng(1, 1).between(10, 20), 10);
+
+  // uniform() scales the top 53 bits of each raw draw; chance(p) spends
+  // one uniform() per trial strictly inside (0, 1) and none at 0 or 1.
+  {
+    Rng rng = trial_rng(1, 0);
+    EXPECT_EQ(rng.uniform(), 0x1.3760ac212b6bcp-3);
+    EXPECT_EQ(rng.uniform(), 0x1.c163b3c927147p-1);
+    EXPECT_EQ(rng.uniform(), 0x1.6d28327d774fcp-2);
+    EXPECT_EQ(trial_rng(42, 7).uniform(), 0x1.05c49e776e8f6p-2);
+  }
+  const auto coins = [](Rng rng, double p) {
+    std::string out;
+    for (int i = 0; i < 16; ++i) out += rng.chance(p) ? '1' : '0';
+    return out;
+  };
+  EXPECT_EQ(coins(trial_rng(1, 0), 0.5), "1010001100000000");
+  EXPECT_EQ(coins(trial_rng(42, 7), 0.125), "0000010000000000");
+  {
+    Rng rng = trial_rng(1, 0);
+    EXPECT_FALSE(rng.chance(0.0));
+    EXPECT_TRUE(rng.chance(1.0));
+    EXPECT_EQ(rng(), 2804640325252774558ULL);  // still the first raw draw
+  }
+
+  // below(2^63 + 1) rejects about half its raw draws, so it pins the
+  // rejection branch: the values and the raw draw after them fix how
+  // many draws each call spent (trial 0's four calls spend 15).
+  const std::uint64_t wide = (std::uint64_t{1} << 63) + 1;
+  struct Rejecting {
+    std::uint64_t trial;
+    std::uint64_t draws[4];
+    std::uint64_t next;
+  };
+  constexpr Rejecting kRejecting[] = {
+      {0,
+       {3289042042170768251ULL, 5172209110844069650ULL,
+        6239303062592476484ULL, 4745546046199524618ULL},
+       11462288105322175346ULL},
+      {63,
+       {4589823267725649776ULL, 3885426195717846101ULL,
+        6207269237860344839ULL, 4886481217533438133ULL},
+       15417785930432330562ULL},
+  };
+  for (const Rejecting& g : kRejecting) {
+    Rng rng = trial_rng(1, g.trial);
+    for (const std::uint64_t draw : g.draws)
+      EXPECT_EQ(rng.below(wide), draw) << "trial " << g.trial;
+    EXPECT_EQ(rng(), g.next) << "trial " << g.trial;
+  }
 }
 
 TEST(ParallelSweep, RunsEveryIndexExactlyOnce) {

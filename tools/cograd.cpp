@@ -808,10 +808,11 @@ int cmd_bench(CliArgs& args) {
 // --baseline. With --update-baseline the current active findings become
 // the new baseline (accepted pre-existing sites that should not block CI).
 // --diff OLD.json gates on regressions only: findings already present in
-// OLD.json (schema 1 or 2) are tolerated, new active findings fail. It
-// writes a manifest only when --json names one, so it never overwrites
-// the reference it reads. --jobs N scans files in parallel; output is
-// byte-identical for any N.
+// OLD.json (schema 1 or 2) are tolerated, new active findings fail, and
+// so does a stale OLD.json, one that lists a finding at another line or
+// with another status. It writes a manifest only when --json names one,
+// so it never overwrites the reference it reads. --jobs N scans files in
+// parallel; output is byte-identical for any N.
 int cmd_lint(CliArgs& args) {
   const std::string tree = args.get_string("tree", ".");
   const std::string diff_path = args.get_string("diff", "");
@@ -845,7 +846,10 @@ int cmd_lint(CliArgs& args) {
   }
 
   // --diff reuses the baseline matcher: old findings are "baselined" and
-  // only new active findings remain to fail the run.
+  // only new active findings remain to fail the run. Since the matcher
+  // ignores lines, --diff also checks that the reference still lists each
+  // finding at its line and status.
+  std::vector<StaleEntry> stale;
   const std::string& reference_path =
       diff_path.empty() ? baseline_path : diff_path;
   if (!reference_path.empty() && !update_baseline) {
@@ -857,13 +861,16 @@ int cmd_lint(CliArgs& args) {
       return 2;
     }
     std::string error;
-    std::vector<std::string> keys;
-    if (!parse_baseline(*text, &keys, &error)) {
+    std::vector<BaselineEntry> entries;
+    if (!parse_baseline_entries(*text, &entries, &error)) {
       std::fprintf(stderr, "cograd lint: %s %s invalid: %s\n",
                    diff_path.empty() ? "baseline" : "diff reference",
                    reference_path.c_str(), error.c_str());
       return 2;
     }
+    if (!diff_path.empty()) stale = stale_entries(findings, entries);
+    std::vector<std::string> keys;
+    for (const BaselineEntry& e : entries) keys.push_back(e.key);
     apply_baseline(findings, keys);
   }
 
@@ -902,11 +909,26 @@ int cmd_lint(CliArgs& args) {
   }
 
   if (!diff_path.empty()) {
+    for (const StaleEntry& e : stale)
+      std::printf("%s:%d: [%s] %s finding listed in %s at line %d as %s\n"
+                  "    %s\n",
+                  e.finding.file.c_str(), e.finding.line,
+                  e.finding.rule.c_str(), e.status.c_str(), diff_path.c_str(),
+                  e.listed_line,
+                  e.listed_status.empty() ? "(no status)"
+                                          : e.listed_status.c_str(),
+                  e.finding.snippet.c_str());
     std::printf("lint: %d files, %d findings, %d new vs %s "
                 "(%d carried over, %d suppressed)\n",
                 stats.files_scanned, stats.findings, active,
                 diff_path.c_str(), baselined, suppressed);
-    return active == 0 ? 0 : 1;
+    if (!stale.empty())
+      std::printf("lint: %s is stale (%zu finding(s) moved or changed "
+                  "status); regenerate it with `cograd lint --tree %s "
+                  "--json %s`\n",
+                  diff_path.c_str(), stale.size(), tree.c_str(),
+                  diff_path.c_str());
+    return active == 0 && stale.empty() ? 0 : 1;
   }
   std::printf("lint: %d files, %d findings (%d active, %d suppressed, "
               "%d baselined)\n",
