@@ -1,8 +1,8 @@
 // Core of cograd lint: lexical stripping, the tree walk, the cross-file
 // analysis stage (R7 include graph, R9 sibling merge, R11 CI coverage,
-// global R12 suppression audit), and the LINT.json schema-2 writer. The
-// per-file rule scanners live in lint_rules.cpp; the include-graph builder
-// in include_graph.cpp.
+// global R12 suppression audit), the LINT.json schema-2 writer, and the
+// pairing of findings with a --diff reference. The per-file rule scanners
+// live in lint_rules.cpp; the include-graph builder in include_graph.cpp.
 #include "analysis/lint.h"
 
 #include <algorithm>
@@ -631,74 +631,52 @@ std::string findings_to_json(const std::vector<LintFinding>& findings) {
   return out;
 }
 
-bool parse_baseline(const std::string& text, std::vector<std::string>* keys,
-                    std::string* error) {
-  std::vector<BaselineEntry> entries;
-  if (!parse_baseline_entries(text, &entries, error)) return false;
-  for (BaselineEntry& e : entries) keys->push_back(std::move(e.key));
-  return true;
-}
-
-bool parse_baseline_entries(const std::string& text,
-                            std::vector<BaselineEntry>* entries,
-                            std::string* error) {
+bool parse_reference(const std::string& text,
+                     std::vector<ReferenceEntry>* entries,
+                     std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
   std::string parse_error;
   const auto doc = parse_json(text, &parse_error);
-  if (!doc) {
-    if (error != nullptr) *error = parse_error;
-    return false;
-  }
+  if (!doc) return fail(parse_error);
   const JsonValue* schema = doc->find("schema_version");
-  if (schema != nullptr) {
-    const int v = schema->is_number()
-                      ? static_cast<int>(schema->as_number())
-                      : -1;
-    if (v != 1 && v != 2) {
-      if (error != nullptr)
-        *error = "unsupported baseline schema_version (want 1 or 2)";
-      return false;
-    }
-  }
+  if (schema == nullptr || !schema->is_number() ||
+      static_cast<int>(schema->as_number()) != 2)
+    return fail("unsupported reference schema_version (want 2)");
   const JsonValue* findings = doc->find("findings");
-  if (findings == nullptr || !findings->is_array()) {
-    if (error != nullptr) *error = "baseline has no \"findings\" array";
-    return false;
-  }
+  if (findings == nullptr || !findings->is_array())
+    return fail("reference has no \"findings\" array");
   for (const JsonValue& item : findings->items()) {
     const JsonValue* rule = item.find("rule");
     const JsonValue* file = item.find("file");
+    const JsonValue* line = item.find("line");
+    const JsonValue* status = item.find("status");
     const JsonValue* snippet = item.find("snippet");
     if (rule == nullptr || !rule->is_string() || file == nullptr ||
-        !file->is_string() || snippet == nullptr || !snippet->is_string()) {
-      if (error != nullptr)
-        *error = "baseline finding lacks rule/file/snippet strings";
-      return false;
-    }
+        !file->is_string() || line == nullptr || !line->is_number() ||
+        status == nullptr || !status->is_string() || snippet == nullptr ||
+        !snippet->is_string())
+      return fail("reference finding lacks rule/file/line/status/snippet");
     LintFinding f;
     f.rule = rule->as_string();
     f.file = file->as_string();
     f.snippet = snippet->as_string();
-    BaselineEntry entry;
-    entry.key = finding_key(f);
-    const JsonValue* line = item.find("line");
-    if (line != nullptr && line->is_number())
-      entry.line = static_cast<int>(line->as_number());
-    const JsonValue* status = item.find("status");
-    if (status != nullptr && status->is_string())
-      entry.status = status->as_string();
-    entries->push_back(std::move(entry));
+    entries->push_back({finding_key(f), static_cast<int>(line->as_number()),
+                        status->as_string()});
   }
   return true;
 }
 
-std::vector<StaleEntry> stale_entries(
-    const std::vector<LintFinding>& findings,
-    const std::vector<BaselineEntry>& reference) {
-  // Per key: the findings in (file, line) order and the unpaired entries.
-  std::map<std::string, std::vector<const LintFinding*>> found;
-  std::map<std::string, std::vector<const BaselineEntry*>> listed;
-  for (const LintFinding& f : findings) found[finding_key(f)].push_back(&f);
-  for (const BaselineEntry& e : reference) listed[e.key].push_back(&e);
+std::vector<StaleEntry> apply_reference(
+    std::vector<LintFinding>& findings,
+    const std::vector<ReferenceEntry>& reference) {
+  // Per key: the findings and the entries not yet paired, in line order.
+  std::map<std::string, std::vector<LintFinding*>> found;
+  std::map<std::string, std::vector<const ReferenceEntry*>> listed;
+  for (LintFinding& f : findings) found[finding_key(f)].push_back(&f);
+  for (const ReferenceEntry& e : reference) listed[e.key].push_back(&e);
   const auto status_of = [](const LintFinding& f) {
     return std::string(f.suppressed ? "suppressed" : "active");
   };
@@ -709,22 +687,26 @@ std::vector<StaleEntry> stale_entries(
   for (auto& [key, fs] : found) {
     const auto it = listed.find(key);
     if (it == listed.end()) continue;
-    std::vector<const BaselineEntry*>& es = it->second;
+    std::vector<const ReferenceEntry*>& es = it->second;
     std::stable_sort(fs.begin(), fs.end(), by_line);
     std::stable_sort(es.begin(), es.end(), by_line);
-    std::vector<const LintFinding*> moved;
-    for (const LintFinding* f : fs) {
+    std::vector<LintFinding*> moved;
+    for (LintFinding* f : fs) {
       const auto exact = std::find_if(es.begin(), es.end(), [&](const auto* e) {
         return e->line == f->line && e->status == status_of(*f);
       });
-      if (exact != es.end())
-        es.erase(exact);
-      else
+      if (exact == es.end()) {
         moved.push_back(f);
+        continue;
+      }
+      es.erase(exact);
+      f->baselined = true;
     }
-    for (std::size_t i = 0; i < moved.size() && i < es.size(); ++i)
+    for (std::size_t i = 0; i < moved.size() && i < es.size(); ++i) {
+      moved[i]->baselined = true;
       stale.push_back(
           {*moved[i], status_of(*moved[i]), es[i]->line, es[i]->status});
+    }
   }
   std::sort(stale.begin(), stale.end(),
             [](const StaleEntry& a, const StaleEntry& b) {
@@ -732,31 +714,6 @@ std::vector<StaleEntry> stale_entries(
                      std::tie(b.finding.file, b.finding.line);
             });
   return stale;
-}
-
-int apply_baseline(std::vector<LintFinding>& findings,
-                   const std::vector<std::string>& baseline_keys) {
-  std::map<std::string, int> budget;
-  for (const std::string& key : baseline_keys) ++budget[key];
-  // Active findings are matched in sorted order so multiplicity handling
-  // is deterministic.
-  std::vector<LintFinding*> ordered;
-  for (LintFinding& f : findings)
-    if (!f.suppressed) ordered.push_back(&f);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const LintFinding* a, const LintFinding* b) {
-              if (a->file != b->file) return a->file < b->file;
-              return a->line < b->line;
-            });
-  int matched = 0;
-  for (LintFinding* f : ordered) {
-    const auto it = budget.find(finding_key(*f));
-    if (it == budget.end() || it->second == 0) continue;
-    --it->second;
-    f->baselined = true;
-    ++matched;
-  }
-  return matched;
 }
 
 }  // namespace cogradio

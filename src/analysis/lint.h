@@ -58,9 +58,9 @@
 //       suppressions (no finding left to suppress) are findings themselves.
 //
 // Per-site suppression:  // cograd-lint: allow(R2) <non-empty reason>
-// on the finding's line or the line directly above it. Accepted legacy
-// sites can instead live in a --baseline manifest (see tools/cograd.cpp);
-// baselined findings are reported but do not fail the run.
+// on the finding's line or the line directly above it. `cograd lint
+// --diff REF.json` (tools/cograd.cpp) carries over the findings that REF
+// lists: they are reported as baselined and do not fail the run.
 #pragma once
 
 #include <string>
@@ -76,7 +76,7 @@ struct LintFinding {
   std::string message;  // human diagnostic with the rule's rationale
   std::string fixit;    // optional machine-free remediation hint ("" = none)
   bool suppressed = false;  // an allow(R*) comment covers the site
-  bool baselined = false;   // matched an entry of the --baseline manifest
+  bool baselined = false;   // carried over from the --diff reference
 };
 
 struct LintStats {
@@ -145,9 +145,9 @@ std::vector<LintFinding> check_ci_coverage(
 std::vector<LintFinding> lint_tree(const std::string& tree_root,
                                    LintStats* stats = nullptr, int jobs = 1);
 
-// Stable identity for baseline matching: rule + file + whitespace-normalized
-// snippet. Line numbers are excluded so unrelated edits above a site do not
-// invalidate a baseline entry.
+// Stable identity for pairing a finding with a reference entry: rule +
+// file + whitespace-normalized snippet. Line numbers are excluded so
+// unrelated edits above a site still pair it with its entry.
 std::string finding_key(const LintFinding& f);
 
 // Serializes findings as the deterministic LINT.json manifest (schema 2):
@@ -156,28 +156,25 @@ std::string finding_key(const LintFinding& f);
 // byte-identical across runs and --jobs values on the same tree.
 std::string findings_to_json(const std::vector<LintFinding>& findings);
 
-// Parses a LINT.json document (schema 1 or 2) into baseline keys. Returns
-// false and sets `error` on malformed input or an unknown schema_version.
-bool parse_baseline(const std::string& text, std::vector<std::string>* keys,
-                    std::string* error = nullptr);
-
-// One entry of a reference manifest: its baseline key and the line and
-// status the manifest recorded for it (0 and "" when it records none).
-struct BaselineEntry {
+// One entry of a `cograd lint --diff` reference, a LINT.json that
+// `cograd lint --json` wrote: the entry's key and the line and status it
+// records.
+struct ReferenceEntry {
   std::string key;
   int line = 0;
   std::string status;
 };
 
-// parse_baseline, keeping each entry's line and status.
-bool parse_baseline_entries(const std::string& text,
-                            std::vector<BaselineEntry>* entries,
-                            std::string* error = nullptr);
+// Parses a reference manifest. Returns false and sets `error` on malformed
+// JSON, on a document without "schema_version": 2, or on a finding that
+// lacks its rule, file, line, status or snippet.
+bool parse_reference(const std::string& text,
+                     std::vector<ReferenceEntry>* entries,
+                     std::string* error = nullptr);
 
-// A finding that a reference manifest lists under its key, but at another
-// line or with another status: the manifest has gone stale. `status` is
-// the finding's, "suppressed" or "active", as `cograd lint --json` writes
-// it.
+// A finding that a reference lists under its key, but at another line or
+// with another status: the reference has gone stale. `status` is the
+// finding's, "suppressed" or "active", as `cograd lint --json` writes it.
 struct StaleEntry {
   LintFinding finding;
   std::string status;
@@ -185,17 +182,15 @@ struct StaleEntry {
   std::string listed_status;
 };
 
-// The findings whose reference entry went stale. Within one key, findings
-// first pair with entries that agree on line and status; the rest pair in
-// line order, and each such pair is stale. Findings or entries left
-// without a partner are not reported here.
-std::vector<StaleEntry> stale_entries(
-    const std::vector<LintFinding>& findings,
-    const std::vector<BaselineEntry>& reference);
-
-// Marks findings whose key occurs in `baseline_keys` (with multiplicity)
-// as baselined; returns the number matched.
-int apply_baseline(std::vector<LintFinding>& findings,
-                   const std::vector<std::string>& baseline_keys);
+// Pairs findings with reference entries, one pairing per key: a finding
+// first takes an entry at its own line and status, then the findings and
+// entries left over pair in line order. Every paired finding is carried
+// over (marked baselined; a suppressed one still reports as suppressed),
+// and those paired at another line or status come back as stale, sorted
+// by (file, line). A finding left unpaired is new; an entry left unpaired
+// names a finding that is gone.
+std::vector<StaleEntry> apply_reference(
+    std::vector<LintFinding>& findings,
+    const std::vector<ReferenceEntry>& reference);
 
 }  // namespace cogradio

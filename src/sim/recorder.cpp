@@ -1,7 +1,7 @@
 #include "sim/recorder.h"
 
+#include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 namespace cogradio {
 
@@ -14,37 +14,15 @@ char mode_code(Mode mode) {
   }
   return '?';
 }
-
-Mode mode_from(char code) {
-  switch (code) {
-    case 'L': return Mode::Listen;
-    case 'B': return Mode::Broadcast;
-    case 'I': return Mode::Idle;
-    default: throw std::invalid_argument("recorder: bad mode code");
-  }
-}
 }  // namespace
 
-void ExecutionRecorder::attach(Network& network, bool record_idle) {
-  record_idle_ = record_idle;
-  network.set_observer([this](Slot slot, std::span<const ResolvedAction> acts) {
-    for (const ResolvedAction& a : acts) {
-      if (a.mode == Mode::Idle && !record_idle_) continue;
-      log_.push_back(RecordedAction{slot, a.node, a.mode, a.channel, a.jammed,
-                                    a.tx_success});
-    }
-  });
-}
-
-void ExecutionRecorder::attach(MultihopNetwork& network, bool record_idle) {
-  record_idle_ = record_idle;
-  network.set_observer([this](Slot slot, std::span<const ResolvedAction> acts) {
-    for (const ResolvedAction& a : acts) {
-      if (a.mode == Mode::Idle && !record_idle_) continue;
-      log_.push_back(RecordedAction{slot, a.node, a.mode, a.channel, a.jammed,
-                                    a.tx_success});
-    }
-  });
+void ExecutionRecorder::record(Slot slot,
+                               std::span<const ResolvedAction> actions) {
+  for (const ResolvedAction& a : actions) {
+    if (a.mode == Mode::Idle && !record_idle_) continue;
+    log_.push_back(RecordedAction{slot, a.node, a.mode, a.channel, a.jammed,
+                                  a.tx_success});
+  }
 }
 
 std::uint64_t ExecutionRecorder::fingerprint() const {
@@ -65,37 +43,13 @@ std::uint64_t ExecutionRecorder::fingerprint() const {
   return h;
 }
 
-void ExecutionRecorder::serialize(std::ostream& os) const {
+std::string ExecutionRecorder::serialize() const {
+  std::ostringstream os;
   for (const RecordedAction& a : log_)
     os << a.slot << ' ' << a.node << ' ' << mode_code(a.mode) << ' '
        << a.channel << ' ' << (a.jammed ? 1 : 0) << ' '
        << (a.tx_success ? 1 : 0) << '\n';
-}
-
-std::string ExecutionRecorder::serialize() const {
-  std::ostringstream os;
-  serialize(os);
   return os.str();
-}
-
-std::vector<RecordedAction> ExecutionRecorder::parse(const std::string& text) {
-  std::vector<RecordedAction> out;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    RecordedAction a;
-    char mode = '?';
-    int jammed = 0, success = 0;
-    if (!(ls >> a.slot >> a.node >> mode >> a.channel >> jammed >> success))
-      throw std::invalid_argument("recorder: malformed line: " + line);
-    a.mode = mode_from(mode);
-    a.jammed = jammed != 0;
-    a.tx_success = success != 0;
-    out.push_back(a);
-  }
-  return out;
 }
 
 std::ptrdiff_t ExecutionRecorder::first_divergence(

@@ -8,7 +8,7 @@
 //
 //   slot node mode channel jammed success
 //
-// The log can be serialized to a compact text form, parsed back, diffed,
+// The log can be written out in that text form (`cograd record`), diffed
 // and fingerprinted. `verify_replay` runs a workload twice and reports
 // whether the two logs are identical — used by the test suite to pin the
 // determinism guarantee down for every protocol in the repository.
@@ -16,11 +16,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "sim/multihop.h"
 #include "sim/network.h"
 
 namespace cogradio {
@@ -38,11 +37,21 @@ struct RecordedAction {
 
 class ExecutionRecorder {
  public:
-  // Attaches to the network (replaces any existing observer). Idle nodes
-  // are skipped unless record_idle is true. The multi-hop overload logs
-  // the same schema (tx_success is always false on that engine).
-  void attach(Network& network, bool record_idle = false);
-  void attach(MultihopNetwork& network, bool record_idle = false);
+  // Attaches to a Network or a MultihopNetwork as its slot observer
+  // (replacing any existing one). Idle nodes are skipped unless
+  // record_idle is true. The multi-hop engine logs the same schema
+  // (tx_success is always false there).
+  template <class Engine>
+  void attach(Engine& network, bool record_idle = false) {
+    record_idle_ = record_idle;
+    network.set_observer(
+        [this](Slot slot, std::span<const ResolvedAction> actions) {
+          record(slot, actions);
+        });
+  }
+
+  // Logs one slot's resolved actions: the observer attach() installs.
+  void record(Slot slot, std::span<const ResolvedAction> actions);
 
   const std::vector<RecordedAction>& log() const { return log_; }
   std::size_t size() const { return log_.size(); }
@@ -52,12 +61,7 @@ class ExecutionRecorder {
   std::uint64_t fingerprint() const;
 
   // One action per line: "slot node mode channel jammed success".
-  void serialize(std::ostream& os) const;
   std::string serialize() const;
-
-  // Parses the serialize() format; throws std::invalid_argument on
-  // malformed input.
-  static std::vector<RecordedAction> parse(const std::string& text);
 
   // First index at which two logs differ, or -1 if identical (length
   // mismatch counts as a difference at the shorter length).

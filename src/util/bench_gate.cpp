@@ -9,13 +9,6 @@ namespace cogradio {
 
 namespace {
 
-bool pattern_matches(const std::string& pattern, const std::string& id) {
-  if (!pattern.empty() && pattern.back() == '*')
-    return id.compare(0, pattern.size() - 1, pattern, 0, pattern.size() - 1) ==
-           0;
-  return pattern == id;
-}
-
 // Collects one experiment object's metrics as (exp.key, value).
 void flatten_experiment(const JsonValue& exp,
                         std::vector<std::pair<std::string, double>>& out) {
@@ -33,46 +26,6 @@ void flatten_experiment(const JsonValue& exp,
 }
 
 }  // namespace
-
-double GateTolerances::tolerance_for(const std::string& metric_id) const {
-  double best = default_rel_tol;
-  std::size_t best_len = 0;
-  bool found = false;
-  for (const auto& [pattern, tol] : per_metric) {
-    if (!pattern_matches(pattern, metric_id)) continue;
-    if (!found || pattern.size() > best_len) {
-      best = tol;
-      best_len = pattern.size();
-      found = true;
-    }
-  }
-  return best;
-}
-
-std::optional<GateTolerances> parse_tolerances(const JsonValue& doc,
-                                               std::string* error) {
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (!doc.is_object()) return fail("tolerance document must be an object");
-  GateTolerances out;
-  if (const JsonValue* def = doc.find("default_rel_tol")) {
-    if (!def->is_number() || def->as_number() < 0)
-      return fail("default_rel_tol must be a non-negative number");
-    out.default_rel_tol = def->as_number();
-  }
-  if (const JsonValue* metrics = doc.find("metrics")) {
-    if (!metrics->is_object()) return fail("metrics must be an object");
-    for (const auto& [pattern, tol] : metrics->members()) {
-      if (!tol.is_number() || tol.as_number() < 0)
-        return fail("tolerance for '" + pattern +
-                    "' must be a non-negative number");
-      out.per_metric.emplace_back(pattern, tol.as_number());
-    }
-  }
-  return out;
-}
 
 std::vector<std::pair<std::string, double>> flatten_metrics(
     const JsonValue& doc) {
@@ -112,56 +65,36 @@ std::string validate_manifest(const JsonValue& doc) {
 }
 
 GateResult compare_bench_manifests(const JsonValue& current,
-                                   const JsonValue& baseline,
-                                   const GateTolerances& tolerances) {
+                                   const JsonValue& baseline) {
   const auto base = flatten_metrics(baseline);
   const auto cur = flatten_metrics(current);
+  const auto find = [](const auto& metrics, const std::string& id) {
+    return std::find_if(metrics.begin(), metrics.end(),
+                        [&id](const auto& kv) { return kv.first == id; });
+  };
   GateResult out;
   for (const auto& [id, base_value] : base) {
     GateDiff diff;
     diff.metric_id = id;
     diff.baseline = base_value;
-    diff.rel_tol = tolerances.tolerance_for(id);
-    const auto it =
-        std::find_if(cur.begin(), cur.end(),
-                     [&id = id](const auto& kv) { return kv.first == id; });
-    if (it == cur.end() || std::isnan(it->second)) {
-      // A baseline null stays null-comparable: both missing/null is Ok.
-      if (std::isnan(base_value) && it != cur.end()) {
-        diff.status = GateDiff::Status::Ok;
-        ++out.compared;
-      } else {
-        diff.status = GateDiff::Status::MissingInRun;
-        ++out.breaches;
-      }
-      out.diffs.push_back(diff);
-      continue;
-    }
-    diff.current = it->second;
-    ++out.compared;
-    if (std::isnan(base_value)) {
-      // Baseline pinned a null (non-finite) value; a numeric current value
-      // is a behavior change worth flagging.
-      diff.status = GateDiff::Status::Breach;
-      ++out.breaches;
-      out.diffs.push_back(diff);
-      continue;
-    }
-    const double denom = std::max(std::fabs(base_value), 1e-12);
-    diff.rel_dev = std::fabs(diff.current - base_value) / denom;
-    if (diff.rel_dev > diff.rel_tol) {
-      diff.status = GateDiff::Status::Breach;
+    const auto it = find(cur, id);
+    if (it == cur.end() ||
+        (std::isnan(it->second) && !std::isnan(base_value))) {
+      diff.status = GateDiff::Status::MissingInRun;
       ++out.breaches;
     } else {
-      diff.status = GateDiff::Status::Ok;
+      // A pinned null matches only a null; a number only itself.
+      diff.current = it->second;
+      ++out.compared;
+      const bool same = std::isnan(base_value) ? std::isnan(diff.current)
+                                               : diff.current == base_value;
+      diff.status = same ? GateDiff::Status::Ok : GateDiff::Status::Breach;
+      if (!same) ++out.breaches;
     }
     out.diffs.push_back(diff);
   }
   for (const auto& [id, value] : cur) {
-    const bool in_base =
-        std::any_of(base.begin(), base.end(),
-                    [&id = id](const auto& kv) { return kv.first == id; });
-    if (in_base) continue;
+    if (find(base, id) != base.end()) continue;
     GateDiff diff;
     diff.metric_id = id;
     diff.current = value;
@@ -177,26 +110,22 @@ std::string GateResult::report() const {
   for (const GateDiff& d : diffs) {
     switch (d.status) {
       case GateDiff::Status::Ok:
-        std::snprintf(line, sizeof(line),
-                      "OK      %-56s  %.10g -> %.10g  (rel %.3e <= tol %.3e)\n",
-                      d.metric_id.c_str(), d.baseline, d.current, d.rel_dev,
-                      d.rel_tol);
+        std::snprintf(line, sizeof(line), "OK      %-56s  %.17g\n",
+                      d.metric_id.c_str(), d.baseline);
         break;
       case GateDiff::Status::Breach:
-        std::snprintf(line, sizeof(line),
-                      "BREACH  %-56s  %.10g -> %.10g  (rel %.3e >  tol %.3e)\n",
-                      d.metric_id.c_str(), d.baseline, d.current, d.rel_dev,
-                      d.rel_tol);
+        std::snprintf(line, sizeof(line), "BREACH  %-56s  %.17g -> %.17g\n",
+                      d.metric_id.c_str(), d.baseline, d.current);
         break;
       case GateDiff::Status::MissingInRun:
         std::snprintf(line, sizeof(line),
-                      "MISSING %-56s  baseline %.10g has no numeric value in "
+                      "MISSING %-56s  baseline %.17g has no numeric value in "
                       "the current run\n",
                       d.metric_id.c_str(), d.baseline);
         break;
       case GateDiff::Status::NewInRun:
         std::snprintf(line, sizeof(line),
-                      "NEW     %-56s  %.10g (not pinned by the baseline)\n",
+                      "NEW     %-56s  %.17g (not pinned by the baseline)\n",
                       d.metric_id.c_str(), d.current);
         break;
     }

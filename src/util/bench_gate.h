@@ -1,29 +1,17 @@
 // Bench regression gate: compares a merged benchmark manifest
 // (BENCH_all.json, or a single BENCH_<exp>.json) against a committed
-// baseline with per-metric relative tolerances, for `cograd bench
-// --compare` and the CI bench-gate step.
+// baseline, for `cograd bench --compare` and the CI bench-gate step.
 //
-// Metric identity is "<experiment>.<metric key>". A metric present in the
-// baseline but absent (or null / non-numeric) in the current run is a
-// breach — a silently dropped metric must not pass the gate. Metrics new
-// in the current run are reported but do not fail; regenerate the
-// baseline to start pinning them.
-//
-// Tolerances come from a JSON file:
-//
-//   {
-//     "default_rel_tol": 1e-9,
-//     "metrics": {
-//       "e1_cogcast_vs_c.partitioned.*": 0.05,
-//       "smoke_trace_counters.deliveries": 0
-//     }
-//   }
-//
-// Patterns are exact metric ids or a prefix followed by '*'; the longest
-// matching pattern wins.
+// The smoke suite is a pure function of (seed, trials), so the gate is
+// exact: a pinned metric passes only when the current run reproduces the
+// baseline's value bit for bit, and a pinned null only when the run
+// reports null too. Metric identity is "<experiment>.<metric key>". A
+// metric present in the baseline but absent (or null / non-numeric) in
+// the current run is a breach — a silently dropped metric must not pass
+// the gate. Metrics new in the current run are reported but do not fail;
+// regenerate the baseline to start pinning them.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,31 +19,16 @@
 
 namespace cogradio {
 
-struct GateTolerances {
-  double default_rel_tol = 1e-9;
-  // (pattern, rel_tol) pairs, most specific match (longest pattern) wins.
-  std::vector<std::pair<std::string, double>> per_metric;
-
-  double tolerance_for(const std::string& metric_id) const;
-};
-
-// Parses a tolerance document (see header comment). Returns nullopt and
-// fills `error` on malformed input.
-std::optional<GateTolerances> parse_tolerances(const JsonValue& doc,
-                                               std::string* error);
-
 struct GateDiff {
   enum class Status {
-    Ok,            // within tolerance
-    Breach,        // relative deviation beyond tolerance
+    Ok,            // current value equals the baseline's
+    Breach,        // current value differs from the baseline's
     MissingInRun,  // baseline metric absent/non-numeric in current run
     NewInRun,      // current metric not pinned by the baseline (informative)
   };
   std::string metric_id;
   double baseline = 0.0;
   double current = 0.0;
-  double rel_dev = 0.0;  // |current-baseline| / max(|baseline|, tiny)
-  double rel_tol = 0.0;
   Status status = Status::Ok;
 };
 
@@ -74,8 +47,7 @@ struct GateResult {
 // may be a merged manifest ({"experiments": [...]}) or a single
 // experiment manifest ({"name": ..., "metrics": {...}}).
 GateResult compare_bench_manifests(const JsonValue& current,
-                                   const JsonValue& baseline,
-                                   const GateTolerances& tolerances);
+                                   const JsonValue& baseline);
 
 // Flattens a manifest document into (metric_id, value) pairs; null-encoded
 // metrics surface as NaN. Exposed for tests and `cograd bench --validate`.

@@ -1,11 +1,13 @@
 // Minimal JSON value tree + recursive-descent parser.
 //
-// Exists so the bench regression gate (util/bench_gate.h) can *parse* the
-// manifests that util/bench_report.h emits instead of diffing text, and so
-// tests can certify that every BENCH_<exp>.json is valid JSON. Supports
-// the full JSON grammar (objects, arrays, strings with escapes, numbers,
-// booleans, null); object members preserve insertion order, matching the
-// writer's line-aligned-diffs contract.
+// The one JSON reader in the tree: the bench gate (util/bench_gate.h)
+// parses the manifests util/bench_report.h emits, serve its request and
+// response frames and job specs (serve/protocol.h, serve/job.h), the
+// journal its records (serve/journal.h), and `cograd lint --diff` its
+// LINT.json reference (analysis/lint.h). Supports the full JSON grammar
+// (objects, arrays, strings with escapes, numbers, booleans, null);
+// object members preserve insertion order, matching the writer's
+// line-aligned-diffs contract.
 #pragma once
 
 #include <memory>

@@ -1,5 +1,5 @@
 # Behavioral check for `cograd lint --diff OLD.json`: the diff gate fails
-# only on findings that are NOT in the reference manifest. Four legs:
+# only on findings that are NOT in the reference manifest. Six legs:
 #
 #   1. the r8_thread fixture without --diff exits nonzero (sanity),
 #   2. the same tree diffed against its own manifest exits 0 — every
@@ -13,6 +13,10 @@
 #   5. the tree diffed against its own manifest with every line number
 #      shifted by one exits nonzero and names the regenerating command:
 #      the reference matches every finding, but at the wrong line.
+#   6. a reference that lists `int a = std::rand();` once, at line 2,
+#      against a tree that holds that line at lines 1 and 2, exits nonzero
+#      on line 1 alone: line 2 pairs with its own entry and is carried
+#      over, line 1 is new, and nothing is stale.
 #
 # Invoked by ctest as:
 #   cmake -DCOGRAD=<cograd> -DFIXTURES=<tests/lint_fixtures> -P lint_diff_mode.cmake
@@ -78,4 +82,33 @@ if(regenerate_at EQUAL -1)
   message(FATAL_ERROR
           "--diff on a stale reference must name the regenerating command:\n"
           "${shifted_out}")
+endif()
+
+set(pair ${CMAKE_CURRENT_BINARY_DIR}/lint_diff_pair)
+file(REMOVE_RECURSE ${pair})
+file(WRITE ${pair}/src/x.cpp "int pad = 0;\nint a = std::rand();\n")
+execute_process(
+  COMMAND ${COGRAD} lint --tree ${pair} --json ${pair}/reference.json
+  RESULT_VARIABLE pair_base
+  OUTPUT_QUIET)
+if(pair_base EQUAL 0)
+  message(FATAL_ERROR "the std::rand() site unexpectedly linted clean")
+endif()
+file(WRITE ${pair}/src/x.cpp
+     "int a = std::rand();\nint a = std::rand();\n")
+execute_process(
+  COMMAND ${COGRAD} lint --tree ${pair} --diff ${pair}/reference.json
+  RESULT_VARIABLE paired
+  OUTPUT_VARIABLE paired_out)
+string(FIND "${paired_out}" "src/x.cpp:1: [R1/" added_at)
+string(FIND "${paired_out}" "src/x.cpp:2:" listed_at)
+string(FIND "${paired_out}" "1 new vs" one_new_at)
+string(FIND "${paired_out}" "(1 carried over" carried_at)
+string(FIND "${paired_out}" "is stale" stale_at)
+if(paired EQUAL 0 OR added_at EQUAL -1 OR NOT listed_at EQUAL -1 OR
+   one_new_at EQUAL -1 OR carried_at EQUAL -1 OR NOT stale_at EQUAL -1)
+  message(FATAL_ERROR
+          "--diff must report the added site at line 1 as new and carry "
+          "the listed one at line 2 over, with nothing stale (got "
+          "${paired}):\n${paired_out}")
 endif()

@@ -182,31 +182,6 @@ TEST(ValidateManifest, RejectsStructuralDefects) {
   EXPECT_NE(validate_manifest(*bad_exp), "");
 }
 
-TEST(Tolerances, ParseAndLongestPrefixMatch) {
-  std::string error;
-  const auto doc = parse_json(
-      R"({"default_rel_tol": 0.01,
-          "metrics": {"exp.*": 0.1, "exp.slots.*": 0.2, "exp.slots.median": 0}})",
-      &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  const auto tol = parse_tolerances(*doc, &error);
-  ASSERT_TRUE(tol.has_value()) << error;
-  EXPECT_DOUBLE_EQ(tol->tolerance_for("other.m"), 0.01);
-  EXPECT_DOUBLE_EQ(tol->tolerance_for("exp.deliveries"), 0.1);
-  EXPECT_DOUBLE_EQ(tol->tolerance_for("exp.slots.p95"), 0.2);
-  EXPECT_DOUBLE_EQ(tol->tolerance_for("exp.slots.median"), 0);
-}
-
-TEST(Tolerances, RejectsNegativeAndNonNumeric) {
-  std::string error;
-  const auto neg = parse_json(R"({"default_rel_tol": -1})", &error);
-  ASSERT_TRUE(neg.has_value());
-  EXPECT_FALSE(parse_tolerances(*neg, &error).has_value());
-  const auto bad = parse_json(R"({"metrics": {"a": "x"}})", &error);
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_FALSE(parse_tolerances(*bad, &error).has_value());
-}
-
 JsonValue manifest_doc(const std::string& json) {
   std::string error;
   const auto doc = parse_json(json, &error);
@@ -217,25 +192,39 @@ JsonValue manifest_doc(const std::string& json) {
 TEST(Gate, IdenticalManifestsPass) {
   const JsonValue doc = manifest_doc(
       R"({"name": "e", "metrics": {"a": 1.0, "b": 2, "nul": null}})");
-  const GateResult result =
-      compare_bench_manifests(doc, doc, GateTolerances{});
+  const GateResult result = compare_bench_manifests(doc, doc);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.compared, 3);
   EXPECT_NE(result.report().find("0 breach(es)"), std::string::npos);
 }
 
 TEST(Gate, PerturbationBeyondToleranceBreaches) {
+  // The gate has no tolerance: any move breaches, and only the pinned
+  // value itself passes.
   const JsonValue base =
       manifest_doc(R"({"name": "e", "metrics": {"a": 100.0}})");
   const JsonValue cur =
       manifest_doc(R"({"name": "e", "metrics": {"a": 104.0}})");
-  GateTolerances tol;
-  tol.default_rel_tol = 0.01;
-  const GateResult fail = compare_bench_manifests(cur, base, tol);
+  const GateResult fail = compare_bench_manifests(cur, base);
   EXPECT_FALSE(fail.ok());
   EXPECT_NE(fail.report().find("BREACH"), std::string::npos);
-  tol.default_rel_tol = 0.05;
-  EXPECT_TRUE(compare_bench_manifests(cur, base, tol).ok());
+  EXPECT_TRUE(compare_bench_manifests(base, base).ok());
+}
+
+TEST(Gate, OneUlpMoveBreaches) {
+  const double pinned = 100.0;
+  const double moved = std::nextafter(pinned, 200.0);
+  char text[128];
+  std::snprintf(text, sizeof(text), R"({"name": "e", "metrics": {"a": %.17g}})",
+                moved);
+  const JsonValue base =
+      manifest_doc(R"({"name": "e", "metrics": {"a": 100.0}})");
+  const JsonValue cur = manifest_doc(text);
+  ASSERT_EQ(flatten_metrics(cur)[0].second, moved);
+  const GateResult result = compare_bench_manifests(cur, base);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.breaches, 1);
+  EXPECT_NE(result.report().find("100.00000000000001"), std::string::npos);
 }
 
 TEST(Gate, MissingMetricIsABreachNewMetricIsNot) {
@@ -243,8 +232,7 @@ TEST(Gate, MissingMetricIsABreachNewMetricIsNot) {
       manifest_doc(R"({"name": "e", "metrics": {"gone": 1.0}})");
   const JsonValue cur =
       manifest_doc(R"({"name": "e", "metrics": {"fresh": 2.0}})");
-  const GateResult result =
-      compare_bench_manifests(cur, base, GateTolerances{});
+  const GateResult result = compare_bench_manifests(cur, base);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.breaches, 1);
   EXPECT_NE(result.report().find("MISSING"), std::string::npos);
@@ -255,8 +243,8 @@ TEST(Gate, BaselineNullAgainstNumericCurrentBreaches) {
   const JsonValue base =
       manifest_doc(R"({"name": "e", "metrics": {"m": null}})");
   const JsonValue cur = manifest_doc(R"({"name": "e", "metrics": {"m": 3}})");
-  EXPECT_FALSE(compare_bench_manifests(cur, base, GateTolerances{}).ok());
-  EXPECT_TRUE(compare_bench_manifests(base, base, GateTolerances{}).ok());
+  EXPECT_FALSE(compare_bench_manifests(cur, base).ok());
+  EXPECT_TRUE(compare_bench_manifests(base, base).ok());
 }
 
 TEST(SmokeSuite, MetricsAreJobsInvariant) {
@@ -286,8 +274,8 @@ TEST(SmokeSuite, EveryExperimentEmitsAValidGateableManifest) {
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(validate_manifest(*doc), "");
   EXPECT_FALSE(flatten_metrics(*doc).empty());
-  // Self-comparison passes the gate with zero tolerance.
-  EXPECT_TRUE(compare_bench_manifests(*doc, *doc, GateTolerances{}).ok());
+  // Self-comparison passes the exact gate.
+  EXPECT_TRUE(compare_bench_manifests(*doc, *doc).ok());
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 // edge cases (comments, strings, raw strings, splices), preprocessor
 // masking, the per-file rules R1-R6 and R8-R10 positive + suppressed +
 // out-of-scope, the R11 CI-coverage checker, the file-local half of R12,
-// suppression syntax, baseline round-trip, schema-v2 manifest fields, and
-// LINT.json determinism. All fixtures are in-memory snippets handed to
-// lint_source with a synthetic tree-relative path that selects the rule
-// scope under test; the cross-file rules (R7, global R12) are covered by
-// tests/test_include_graph.cpp and the lint_fixtures ctest legs.
+// suppression syntax, the --diff reference pairing, schema-v2 manifest
+// fields, and LINT.json determinism. All fixtures are in-memory snippets
+// handed to lint_source with a synthetic tree-relative path that selects
+// the rule scope under test; the cross-file rules (R7, global R12) are
+// covered by tests/test_include_graph.cpp and the lint_fixtures ctest
+// legs.
 #include "analysis/lint.h"
 
 #include <gtest/gtest.h>
@@ -331,7 +332,7 @@ TEST(LintR6, IntegerEqualityAndOtherScopesPass) {
             0);
 }
 
-// --- LINT.json + baseline ------------------------------------------------
+// --- LINT.json + --diff reference ----------------------------------------
 
 std::vector<LintFinding> sample_findings() {
   return lint_source("src/core/x.cpp",
@@ -364,50 +365,54 @@ TEST(LintJson, SortedByFileLineRule) {
   EXPECT_LT(out.find("std::rand"), out.find("unordered_set"));
 }
 
+std::vector<ReferenceEntry> reference_of(
+    const std::vector<LintFinding>& findings) {
+  std::vector<ReferenceEntry> reference;
+  std::string error;
+  EXPECT_TRUE(parse_reference(findings_to_json(findings), &reference, &error))
+      << error;
+  return reference;
+}
+
 TEST(LintBaseline, RoundTripMasksKnownFindings) {
   std::vector<LintFinding> findings = sample_findings();
-  const std::string json = findings_to_json(findings);
-  std::vector<std::string> keys;
-  std::string error;
-  ASSERT_TRUE(parse_baseline(json, &keys, &error)) << error;
-  EXPECT_EQ(keys.size(), findings.size());
-  EXPECT_EQ(apply_baseline(findings, keys),
-            static_cast<int>(findings.size()));
+  const std::vector<ReferenceEntry> reference = reference_of(findings);
+  EXPECT_EQ(reference.size(), findings.size());
+  EXPECT_TRUE(apply_reference(findings, reference).empty());
   for (const LintFinding& f : findings) EXPECT_TRUE(f.baselined);
 }
 
 TEST(LintBaseline, LineNumberShiftsDoNotUnmask) {
-  // Baseline captured at one line number still matches after unrelated
-  // lines are inserted above the site (keys ignore line numbers).
+  // A reference captured at one line number still carries its finding
+  // over after unrelated lines are inserted above the site (keys ignore
+  // line numbers); the pairing reports the entry as stale.
   const auto before = lint_source("src/x.cpp", "int a = std::rand();\n");
-  const std::string json = findings_to_json(before);
-  std::vector<std::string> keys;
-  ASSERT_TRUE(parse_baseline(json, &keys, nullptr));
+  const std::vector<ReferenceEntry> reference = reference_of(before);
   auto after =
       lint_source("src/x.cpp", "int pad = 0;\n\nint a = std::rand();\n");
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].line, 3);
-  EXPECT_EQ(apply_baseline(after, keys), 1);
+  EXPECT_EQ(apply_reference(after, reference).size(), 1u);
+  EXPECT_TRUE(after[0].baselined);
 }
 
 TEST(LintBaseline, ShiftedReferenceIsStale) {
-  // A reference whose line numbers drifted still masks its findings (the
-  // keys ignore lines), but --diff reports each drifted entry as stale.
+  // A reference whose line numbers drifted still carries its findings
+  // over (the keys ignore lines), but each drifted entry comes back stale.
   const auto before = lint_source(
       "src/x.cpp", "int a = std::rand();\nint b = std::rand();\n");
-  std::vector<BaselineEntry> reference;
-  ASSERT_TRUE(
-      parse_baseline_entries(findings_to_json(before), &reference, nullptr));
+  const std::vector<ReferenceEntry> reference = reference_of(before);
   ASSERT_EQ(reference.size(), 2u);
   EXPECT_EQ(reference[0].line, 1);
   EXPECT_EQ(reference[0].status, "active");
-  EXPECT_TRUE(stale_entries(before, reference).empty());
+  auto same = before;
+  EXPECT_TRUE(apply_reference(same, reference).empty());
 
   // One line inserted above the second site only: it moves, the first
   // does not.
-  const auto after = lint_source(
+  auto after = lint_source(
       "src/x.cpp", "int a = std::rand();\n\nint b = std::rand();\n");
-  const std::vector<StaleEntry> stale = stale_entries(after, reference);
+  const std::vector<StaleEntry> stale = apply_reference(after, reference);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].finding.line, 3);
   EXPECT_EQ(stale[0].status, "active");
@@ -417,7 +422,8 @@ TEST(LintBaseline, ShiftedReferenceIsStale) {
   // A status the reference no longer matches is stale too.
   auto suppressed = before;
   suppressed[1].suppressed = true;
-  const std::vector<StaleEntry> flipped = stale_entries(suppressed, reference);
+  const std::vector<StaleEntry> flipped =
+      apply_reference(suppressed, reference);
   ASSERT_EQ(flipped.size(), 1u);
   EXPECT_EQ(flipped[0].finding.line, 2);
   EXPECT_EQ(flipped[0].status, "suppressed");
@@ -425,19 +431,34 @@ TEST(LintBaseline, ShiftedReferenceIsStale) {
 
   // A new finding that shares the key of a listed one pairs with nothing,
   // and leaves the listed one in place.
-  const auto added = lint_source(
+  auto added = lint_source(
       "src/x.cpp",
       "int a = std::rand();\nint b = std::rand();\nint b = std::rand();\n");
-  EXPECT_TRUE(stale_entries(added, reference).empty());
+  EXPECT_TRUE(apply_reference(added, reference).empty());
+}
+
+TEST(LintBaseline, SameLineEntryPairsBeforeLineOrder) {
+  // The reference lists the site once, at line 2; an identical site is
+  // then added above it. The listed site pairs with its own entry and is
+  // carried over; the added one at line 1 is new, and nothing is stale.
+  const std::vector<ReferenceEntry> reference = reference_of(
+      lint_source("src/x.cpp", "int pad = 0;\nint a = std::rand();\n"));
+  ASSERT_EQ(reference.size(), 1u);
+  ASSERT_EQ(reference[0].line, 2);
+  auto findings = lint_source(
+      "src/x.cpp", "int a = std::rand();\nint a = std::rand();\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_TRUE(apply_reference(findings, reference).empty());
+  for (const LintFinding& f : findings)
+    EXPECT_EQ(f.baselined, f.line == 2) << "line " << f.line;
 }
 
 TEST(LintBaseline, NewFindingsStayActive) {
   const auto before = lint_source("src/x.cpp", "int a = std::rand();\n");
-  std::vector<std::string> keys;
-  ASSERT_TRUE(parse_baseline(findings_to_json(before), &keys, nullptr));
+  const std::vector<ReferenceEntry> reference = reference_of(before);
   auto after = lint_source("src/x.cpp",
                            "int a = std::rand();\nsrand(9);\n");
-  apply_baseline(after, keys);
+  apply_reference(after, reference);
   int active = 0;
   for (const LintFinding& f : after)
     if (!f.baselined && !f.suppressed) ++active;
@@ -445,10 +466,10 @@ TEST(LintBaseline, NewFindingsStayActive) {
 }
 
 TEST(LintBaseline, RejectsMalformedDocuments) {
-  std::vector<std::string> keys;
+  std::vector<ReferenceEntry> reference;
   std::string error;
-  EXPECT_FALSE(parse_baseline("not json", &keys, &error));
-  EXPECT_FALSE(parse_baseline("{\"no_findings\": 1}", &keys, &error));
+  EXPECT_FALSE(parse_reference("not json", &reference, &error));
+  EXPECT_FALSE(parse_reference("{\"no_findings\": 1}", &reference, &error));
 }
 
 // --- preprocessor masking ------------------------------------------------
@@ -695,8 +716,8 @@ TEST(LintJson, SchemaV2CarriesSeverityDocAndFixit) {
 }
 
 TEST(LintBaseline, ParsesSchemaV1Documents) {
-  // A manifest written before the schema bump (no severity/doc fields)
-  // must still work as a --baseline / --diff reference.
+  // A manifest written before the schema bump (no severity/doc fields) is
+  // not a reference: --diff rejects it and names the schema it wants.
   const std::string v1 =
       "{\n"
       "  \"schema_version\": 1,\n"
@@ -706,19 +727,19 @@ TEST(LintBaseline, ParsesSchemaV1Documents) {
       "     \"message\": \"m\"}\n"
       "  ]\n"
       "}\n";
-  std::vector<std::string> keys;
+  std::vector<ReferenceEntry> reference;
   std::string error;
-  ASSERT_TRUE(parse_baseline(v1, &keys, &error)) << error;
-  ASSERT_EQ(keys.size(), 1u);
-  auto findings = lint_source("src/x.cpp", "int a = std::rand();\n");
-  EXPECT_EQ(apply_baseline(findings, keys), 1);
+  EXPECT_FALSE(parse_reference(v1, &reference, &error));
+  EXPECT_NE(error.find("schema_version"), std::string::npos) << error;
+  EXPECT_NE(error.find('2'), std::string::npos) << error;
+  EXPECT_TRUE(reference.empty());
 }
 
 TEST(LintBaseline, RejectsFutureSchemaVersions) {
-  std::vector<std::string> keys;
+  std::vector<ReferenceEntry> reference;
   std::string error;
-  EXPECT_FALSE(parse_baseline("{\"schema_version\": 3, \"findings\": []}",
-                              &keys, &error));
+  EXPECT_FALSE(parse_reference("{\"schema_version\": 3, \"findings\": []}",
+                               &reference, &error));
 }
 
 }  // namespace

@@ -109,15 +109,16 @@ int usage() {
       "             [--fault-log-out FILE]  (fault schedules of failures)\n"
       "  bench      [--jobs J] [--trials T] [--only e1,e2,...]\n"
       "             [--out BENCH_all.json] [--compare BASELINE.json]\n"
-      "             [--tolerances TOL.json] [--diff-out FILE]\n"
-      "             [--list] [--validate F1,F2,...]\n"
-      "             (smoke benchmark suite + regression gate)\n"
-      "  lint       [--tree DIR] [--json LINT.json] [--baseline FILE]\n"
-      "             [--update-baseline] [--diff OLD.json] [--jobs J]\n"
+      "             [--diff-out FILE] [--list] [--validate F1,F2,...]\n"
+      "             (smoke benchmark suite + exact regression gate:\n"
+      "             every metric BASELINE.json pins must reproduce)\n"
+      "  lint       [--tree DIR] [--json LINT.json] [--diff REF.json]\n"
+      "             [--jobs J]\n"
       "             (determinism + concurrency/layering source linter:\n"
-      "             rules R1-R12, see docs/LINT.md; --diff fails only on\n"
-      "             findings not present in OLD.json, and writes no\n"
-      "             manifest unless --json is given)\n"
+      "             rules R1-R12, see docs/LINT.md; --diff fails on\n"
+      "             findings REF.json does not list and on a stale\n"
+      "             REF.json, and writes no manifest unless --json is\n"
+      "             given)\n"
       "  serve      [--socket PATH] [--port P] [--workers W]\n"
       "             [--max-queue Q] [--max-sessions S] [--smoke N]\n"
       "             (line-JSON job daemon; --smoke N runs an in-process\n"
@@ -668,7 +669,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
 // in-process experiments of analysis/bench_suite.h, merges their
 // manifests (volatile sections stripped, so the output is bit-identical
 // for any --jobs) into --out, and optionally compares against a committed
-// baseline, exiting nonzero on any tolerance breach.
+// baseline, exiting nonzero unless every pinned metric reproduces exactly.
 int cmd_bench(CliArgs& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int trials = static_cast<int>(args.get_int("trials", 0));
@@ -676,7 +677,6 @@ int cmd_bench(CliArgs& args) {
   const std::string only = args.get_string("only", "");
   const std::string out_path = args.get_string("out", "BENCH_all.json");
   const std::string compare_path = args.get_string("compare", "");
-  const std::string tolerances_path = args.get_string("tolerances", "");
   const std::string diff_out = args.get_string("diff-out", "");
   const bool list = args.get_flag("list");
   const std::string validate = args.get_string("validate", "");
@@ -772,26 +772,7 @@ int cmd_bench(CliArgs& args) {
                  compare_path.c_str(), error.c_str());
     return 1;
   }
-  GateTolerances tolerances;
-  if (!tolerances_path.empty()) {
-    const auto tolerances_text = read_file(tolerances_path);
-    if (!tolerances_text) {
-      std::fprintf(stderr, "cograd bench: cannot read tolerances %s\n",
-                   tolerances_path.c_str());
-      return 1;
-    }
-    const auto doc = parse_json(*tolerances_text, &error);
-    std::optional<GateTolerances> parsed;
-    if (doc) parsed = parse_tolerances(*doc, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "cograd bench: tolerances %s invalid: %s\n",
-                   tolerances_path.c_str(), error.c_str());
-      return 1;
-    }
-    tolerances = *parsed;
-  }
-  const GateResult result =
-      compare_bench_manifests(*current, *baseline, tolerances);
+  const GateResult result = compare_bench_manifests(*current, *baseline);
   const std::string report = result.report();
   std::fputs(report.c_str(), stdout);
   if (!diff_out.empty() && !write_file_atomic(diff_out, report)) {
@@ -804,36 +785,20 @@ int cmd_bench(CliArgs& args) {
 // Determinism & model-soundness linter (src/analysis/lint.h). Scans
 // --tree's src/ bench/ tools/ tests/ against rules R1-R12 (docs/LINT.md),
 // writes the deterministic schema-2 LINT.json manifest, and exits nonzero
-// on any finding that is neither suppressed in-source nor covered by
-// --baseline. With --update-baseline the current active findings become
-// the new baseline (accepted pre-existing sites that should not block CI).
-// --diff OLD.json gates on regressions only: findings already present in
-// OLD.json (schema 1 or 2) are tolerated, new active findings fail, and
-// so does a stale OLD.json, one that lists a finding at another line or
-// with another status. It writes a manifest only when --json names one,
-// so it never overwrites the reference it reads. --jobs N scans files in
-// parallel; output is byte-identical for any N.
+// on any finding not suppressed in-source. --diff REF.json gates on
+// regressions only: findings REF lists are carried over, new ones fail,
+// and so does a stale REF, one that lists a finding at another line or
+// with another status (apply_reference pairs the two). It writes a
+// manifest only when --json names one, so it never overwrites the
+// reference it reads. --jobs N scans files in parallel; output is
+// byte-identical for any N.
 int cmd_lint(CliArgs& args) {
   const std::string tree = args.get_string("tree", ".");
   const std::string diff_path = args.get_string("diff", "");
   const std::string json_path =
       args.get_string("json", diff_path.empty() ? "LINT.json" : "");
-  const std::string baseline_path = args.get_string("baseline", "");
-  const bool update_baseline = args.get_flag("update-baseline");
   const int jobs = static_cast<int>(args.get_int("jobs", 1));
   args.finish();
-
-  if (update_baseline && baseline_path.empty()) {
-    std::fprintf(stderr,
-                 "cograd lint: --update-baseline requires --baseline FILE\n");
-    return 2;
-  }
-  if (!diff_path.empty() && !baseline_path.empty()) {
-    std::fprintf(stderr,
-                 "cograd lint: --diff and --baseline are mutually "
-                 "exclusive\n");
-    return 2;
-  }
 
   LintStats stats;
   std::vector<LintFinding> findings = lint_tree(tree, &stats, jobs);
@@ -845,33 +810,22 @@ int cmd_lint(CliArgs& args) {
     return 2;
   }
 
-  // --diff reuses the baseline matcher: old findings are "baselined" and
-  // only new active findings remain to fail the run. Since the matcher
-  // ignores lines, --diff also checks that the reference still lists each
-  // finding at its line and status.
   std::vector<StaleEntry> stale;
-  const std::string& reference_path =
-      diff_path.empty() ? baseline_path : diff_path;
-  if (!reference_path.empty() && !update_baseline) {
-    const auto text = read_file(reference_path);
+  if (!diff_path.empty()) {
+    const auto text = read_file(diff_path);
     if (!text) {
-      std::fprintf(stderr, "cograd lint: cannot read %s %s\n",
-                   diff_path.empty() ? "baseline" : "diff reference",
-                   reference_path.c_str());
+      std::fprintf(stderr, "cograd lint: cannot read diff reference %s\n",
+                   diff_path.c_str());
       return 2;
     }
     std::string error;
-    std::vector<BaselineEntry> entries;
-    if (!parse_baseline_entries(*text, &entries, &error)) {
-      std::fprintf(stderr, "cograd lint: %s %s invalid: %s\n",
-                   diff_path.empty() ? "baseline" : "diff reference",
-                   reference_path.c_str(), error.c_str());
+    std::vector<ReferenceEntry> reference;
+    if (!parse_reference(*text, &reference, &error)) {
+      std::fprintf(stderr, "cograd lint: diff reference %s invalid: %s\n",
+                   diff_path.c_str(), error.c_str());
       return 2;
     }
-    if (!diff_path.empty()) stale = stale_entries(findings, entries);
-    std::vector<std::string> keys;
-    for (const BaselineEntry& e : entries) keys.push_back(e.key);
-    apply_baseline(findings, keys);
+    stale = apply_reference(findings, reference);
   }
 
   const std::string json = findings_to_json(findings);
@@ -897,26 +851,13 @@ int cmd_lint(CliArgs& args) {
     if (!f.fixit.empty()) std::printf("    fix: %s\n", f.fixit.c_str());
   }
 
-  if (update_baseline) {
-    if (!write_file_atomic(baseline_path, json)) {
-      std::fprintf(stderr, "cograd lint: cannot write baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::printf("lint: wrote baseline %s (%d accepted findings)\n",
-                baseline_path.c_str(), active);
-    return 0;
-  }
-
   if (!diff_path.empty()) {
     for (const StaleEntry& e : stale)
       std::printf("%s:%d: [%s] %s finding listed in %s at line %d as %s\n"
                   "    %s\n",
                   e.finding.file.c_str(), e.finding.line,
                   e.finding.rule.c_str(), e.status.c_str(), diff_path.c_str(),
-                  e.listed_line,
-                  e.listed_status.empty() ? "(no status)"
-                                          : e.listed_status.c_str(),
+                  e.listed_line, e.listed_status.c_str(),
                   e.finding.snippet.c_str());
     std::printf("lint: %d files, %d findings, %d new vs %s "
                 "(%d carried over, %d suppressed)\n",
