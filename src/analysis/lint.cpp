@@ -568,9 +568,6 @@ std::vector<LintFinding> lint_tree(const std::string& tree_root,
   if (stats != nullptr) {
     stats->files_scanned = static_cast<int>(files.size());
     stats->findings = static_cast<int>(findings.size());
-    stats->active = 0;
-    for (const LintFinding& f : findings)
-      if (!f.suppressed && !f.baselined) ++stats->active;
   }
   return findings;
 }

@@ -81,8 +81,7 @@ struct LintFinding {
 
 struct LintStats {
   int files_scanned = 0;
-  int findings = 0;  // total, including suppressed and baselined
-  int active = 0;    // neither suppressed nor baselined => exit nonzero
+  int findings = 0;  // total, including suppressed ones
 };
 
 // Severity a rule reports at: "error" for determinism/layering breakers,

@@ -39,7 +39,7 @@ namespace cogradio {
 // Bumped whenever the payload layout of any section changes; open_
 // checkpoint rejects files from any other schema (no migration — a
 // checkpoint is a short-lived artifact of one binary, not an archive).
-inline constexpr std::uint32_t kCheckpointSchema = 1;
+inline constexpr std::uint32_t kCheckpointSchema = 2;
 
 // Every validation or decode failure surfaces as this exception; CLI
 // surfaces turn it into a nonzero exit with the diagnostic.

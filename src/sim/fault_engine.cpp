@@ -36,6 +36,7 @@ FaultEngine::FaultEngine(int n, int c, Rng rng) : n_(n), c_(c), rng_(rng) {
   if (c <= 0) throw std::invalid_argument("fault engine: need c > 0");
   flags_.resize(static_cast<std::size_t>(n), 0);
   babble_label_.resize(static_cast<std::size_t>(n), kNoChannel);
+  flagged_.reserve(static_cast<std::size_t>(n));
 }
 
 void check_fault_engine_fits(const FaultEngine& engine, int n, int c) {
@@ -108,12 +109,18 @@ void FaultEngine::add_burst(std::span<const NodeId> nodes, Slot from,
 }
 
 void FaultEngine::begin_slot(Slot slot) {
-  std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
-  std::fill(babble_label_.begin(), babble_label_.end(), kNoChannel);
+  // Only last slot's flagged nodes left the clear state.
+  for (const NodeId u : flagged_) {
+    flags_[static_cast<std::size_t>(u)] = 0;
+    babble_label_[static_cast<std::size_t>(u)] = kNoChannel;
+  }
+  flagged_.clear();
   for (const Window& w : windows_) {
     const bool active = slot >= w.from && (w.to == kNoSlot || slot < w.to);
     if (active) {
-      flags_[static_cast<std::size_t>(w.node)] |= fault_bit(w.kind);
+      std::uint8_t& f = flags_[static_cast<std::size_t>(w.node)];
+      if (f == 0) flagged_.push_back(w.node);
+      f |= fault_bit(w.kind);
       if (w.kind == FaultKind::Babble)
         babble_label_[static_cast<std::size_t>(w.node)] = w.label;
     }
@@ -121,23 +128,15 @@ void FaultEngine::begin_slot(Slot slot) {
     if (w.from == slot) log_.push_back({slot, w.node, w.kind, true});
     if (w.to == slot) log_.push_back({slot, w.node, w.kind, false});
   }
-  for (std::size_t u = 0; u < flags_.size(); ++u) {
-    std::uint8_t& f = flags_[u];
+  for (const NodeId u : flagged_) {
+    std::uint8_t& f = flags_[static_cast<std::size_t>(u)];
     // Precedence: an off radio neither babbles nor listens; a dead
-    // transmitter cannot babble.
+    // transmitter cannot babble. Either way the node stays flagged.
     if (f & faultflag::kChurnedOut) f = faultflag::kChurnedOut;
     if ((f & faultflag::kMute) && (f & faultflag::kBabble))
       f &= static_cast<std::uint8_t>(~faultflag::kBabble);
     if (!(f & faultflag::kBabble))
-      babble_label_[u] = kNoChannel;
-    if (f & faultflag::kDeaf) ++injected_[static_cast<std::size_t>(FaultKind::Deaf)];
-    if (f & faultflag::kMute) ++injected_[static_cast<std::size_t>(FaultKind::Mute)];
-    if (f & faultflag::kBabble)
-      ++injected_[static_cast<std::size_t>(FaultKind::Babble)];
-    if (f & faultflag::kFeedbackDrop)
-      ++injected_[static_cast<std::size_t>(FaultKind::FeedbackDrop)];
-    if (f & faultflag::kChurnedOut)
-      ++injected_[static_cast<std::size_t>(FaultKind::Churn)];
+      babble_label_[static_cast<std::size_t>(u)] = kNoChannel;
   }
 }
 
@@ -163,7 +162,6 @@ void FaultEngine::save_state(CheckpointWriter& w) const {
     w.i64(win.to);
     w.i64(win.label);
   }
-  for (const std::int64_t count : injected_) w.i64(count);
   w.u64(log_.size());
   for (const FaultEvent& e : log_) {
     w.i64(e.slot);
@@ -223,7 +221,6 @@ void FaultEngine::restore_state(CheckpointReader& r) {
     win.label = static_cast<LocalLabel>(label);
     windows_.push_back(win);
   }
-  for (std::int64_t& count : injected_) count = r.i64();
   log_.clear();
   const std::size_t num_events = r.length(17);
   log_.reserve(num_events);

@@ -40,7 +40,6 @@
 // lets `cograd check --faults` fuzz fault schedules with shrinking.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -133,9 +132,10 @@ class FaultEngine {
   // [from, from + len).
   void add_burst(std::span<const NodeId> nodes, Slot from, Slot len);
 
-  // Resolves the per-node flag masks for `slot` and logs window
-  // transitions. The network calls this once per slot, after the jammer's
-  // begin_slot; tests may drive it directly.
+  // Resolves the per-node flag masks for `slot`, lists the flagged nodes
+  // and logs window transitions, in O(windows + flagged): only last
+  // slot's flagged nodes are cleared. The network calls this once per
+  // slot, after the jammer's begin_slot; tests may drive it directly.
   void begin_slot(Slot slot);
 
   std::uint8_t flags(NodeId node) const {
@@ -145,13 +145,9 @@ class FaultEngine {
   LocalLabel babble_label(NodeId node) const {
     return babble_label_[static_cast<std::size_t>(node)];
   }
-
-  // Node-slots each kind was effectively active (post-precedence), summed
-  // over every begin_slot so far. `cograd check --faults` requires every
-  // kind's total to be positive across a sweep.
-  std::int64_t injected(FaultKind kind) const {
-    return injected_[static_cast<std::size_t>(kind)];
-  }
+  // This slot's flagged nodes: each node with non-zero flags(), once, in
+  // the order the schedule first flagged it.
+  std::span<const NodeId> flagged() const { return flagged_; }
 
   // The node count and the label count the engine was built for.
   int num_nodes() const { return n_; }
@@ -170,11 +166,12 @@ class FaultEngine {
   std::string serialize_schedule() const;
 
   // Checkpoint/restore (sim/checkpoint.h): the scheduled windows (the
-  // cursor over them is pure in the slot), injection totals, audit log,
-  // burst horizon, and the schedule RNG. The per-slot flag masks are
-  // rebuilt by the next begin_slot. restore_state targets a freshly
-  // constructed engine with the same (n, c), and throws CheckpointError
-  // on a window or log entry add() could not have made.
+  // cursor over them is pure in the slot), audit log, burst horizon, and
+  // the schedule RNG. The per-slot flag masks and flagged list are
+  // rebuilt by the next begin_slot; the per-kind fault tally is the
+  // network's TraceStats. restore_state targets a freshly constructed
+  // engine with the same (n, c), and throws CheckpointError on a window
+  // or log entry add() could not have made.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);
 
@@ -193,15 +190,15 @@ class FaultEngine {
   std::vector<Window> windows_;
   std::vector<std::uint8_t> flags_;        // per node, current slot
   std::vector<LocalLabel> babble_label_;   // per node, current slot
-  std::array<std::int64_t, kNumFaultKinds> injected_{};
+  std::vector<NodeId> flagged_;  // nodes with non-zero flags_; reserved to n
   std::vector<FaultEvent> log_;
   Slot last_burst_end_ = kNoSlot;
 };
 
 // Throws std::invalid_argument unless `engine` can drive a network of `n`
-// nodes with `c` labels each: the network reads every node's flags, so
-// the node counts must match, and a babble label indexes the node's label
-// row, so the engine may draw from at most c labels.
+// nodes with `c` labels each: a flagged node indexes the network's node
+// arrays, so the node counts must match, and a babble label indexes the
+// node's label row, so the engine may draw from at most c labels.
 void check_fault_engine_fits(const FaultEngine& engine, int n, int c);
 
 }  // namespace cogradio

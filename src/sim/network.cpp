@@ -120,8 +120,10 @@ Network::Network(ChannelAssignment& assignment, BatchClient& client,
 }
 
 void Network::set_fault_engine(FaultEngine* engine) {
-  if (engine != nullptr)
+  if (engine != nullptr) {
     check_fault_engine_fits(*engine, n_, assignment_.channels_per_node());
+    soa_faulted_.reserve(static_cast<std::size_t>(n_));
+  }
   fault_engine_ = engine;
 }
 
@@ -261,8 +263,8 @@ void Network::resolve_group(const Slot slot,
   assert(bcount > 0);
   if (bcount >= 2) ++stats_.collision_events;
 
-  // soa_fault_ is all zero without a fault engine (the scrub slot after a
-  // detach included), so only an attached one makes its bytes worth a load.
+  // soa_fault_ is all zero without a fault engine, so only an attached
+  // one makes its bytes worth a load.
   const bool faults = fault_engine_ != nullptr;
   auto rx_dead = [&](int idx) {
     if (!faults) return false;
@@ -376,29 +378,25 @@ void Network::step() {
   // handoff. The mode span arrives Idle-initialized (BatchClient
   // contract): a client over a mostly-idle fleet only touches its active
   // nodes, which is where the batched interface earns its O(active) slot
-  // cost. With no fault engine in play, only last slot's active nodes ever
-  // left the idle state, so resetting exactly those entries restores the
-  // all-idle invariant in O(active) work. A fault engine can mark any node
-  // (blank feedback hits idle nodes too), so while one is attached -- and
-  // for one scrub slot after a mid-run detach -- the reset falls back to
-  // full fills.
+  // cost. Only last slot's active nodes and the nodes whose fault byte it
+  // wrote (an idle one also holds its blank-feedback flag) ever left the
+  // idle state, so resetting exactly those entries restores the all-idle
+  // invariant in O(active + flagged) work.
   if (jammer_ != nullptr)
     std::fill(used_channel_.begin(), used_channel_.end(), kNoChannel);
   batch_msgs_.clear();
-  if (fault_engine_ != nullptr || soa_fault_dirty_) {
-    std::fill(soa_mode_.begin(), soa_mode_.end(), Mode::Idle);
-    std::fill(soa_flags_.begin(), soa_flags_.end(), std::uint8_t{0});
-    std::fill(soa_rx_cnt_.begin(), soa_rx_cnt_.end(), 0);
-    std::fill(soa_fault_.begin(), soa_fault_.end(), std::uint8_t{0});
-    soa_fault_dirty_ = fault_engine_ != nullptr;
-  } else {
-    for (const std::int32_t node : soa_active_) {
-      const auto idx = static_cast<std::size_t>(node);
-      soa_mode_[idx] = Mode::Idle;
-      soa_flags_[idx] = 0;
-      soa_rx_cnt_[idx] = 0;
-    }
+  for (const std::int32_t node : soa_active_) {
+    const auto idx = static_cast<std::size_t>(node);
+    soa_mode_[idx] = Mode::Idle;
+    soa_flags_[idx] = 0;
+    soa_rx_cnt_[idx] = 0;
   }
+  for (const std::int32_t node : soa_faulted_) {
+    const auto idx = static_cast<std::size_t>(node);
+    soa_flags_[idx] = 0;
+    soa_fault_[idx] = 0;
+  }
+  soa_faulted_.clear();
   batch_->begin_slot(slot, soa_mode_, soa_label_);
 
   // This slot's label map in the flat node-major format: the table the
@@ -415,61 +413,57 @@ void Network::step() {
                 : assignment_.global_channel(static_cast<NodeId>(i), label);
   };
 
-  // 1. Scan: list the slot's non-idle nodes, ascending, so every later
-  //    pass is O(active); the idle tally lands in the stats in one add.
-  soa_active_.clear();
-  if (fault_engine_ == nullptr) {
-    // With no fault engine nothing can reactivate an idle node, so the
-    // scan reads only the mode bytes, 64 nodes per block test where SSE2
-    // is available (sim/active_scan.h).
-    scan_active(soa_mode_, soa_active_);
-  } else {
-    // Fault overrides and their accounting, the reference's rules.
-    // A fault can act on any node (a babbling radio transmits whatever its
-    // client asked for, and blank feedback is charged to idle nodes too),
-    // so this pass visits all of them.
+  // Fault overrides and their accounting, the reference's rules, over the
+  // nodes the engine flagged: a babbling radio transmits whatever its
+  // client asked for, and blank feedback is charged to idle nodes too.
+  if (fault_engine_ != nullptr) {
     const TestonlyFaultMutation mut = options_.testonly_fault_mutation;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint8_t f = fault_engine_->flags(static_cast<NodeId>(i));
-      if (f != 0) {
-        ++stats_.fault_node_slots;
-        if (f & faultflag::kChurnedOut) ++stats_.churned_node_slots;
-        if (f & faultflag::kDeaf) ++stats_.deaf_node_slots;
-        if (f & faultflag::kMute) ++stats_.mute_node_slots;
-        if (f & faultflag::kBabble) ++stats_.babble_node_slots;
-        if (f & faultflag::kFeedbackDrop) ++stats_.feedback_drop_node_slots;
-        Mode& mode = soa_mode_[i];
-        if (f & faultflag::kChurnedOut) {
-          if (mut != TestonlyFaultMutation::ChurnActs) mode = Mode::Idle;
-        } else if (f & faultflag::kBabble) {
-          // The garbage payload is substituted when the broadcast is
-          // sourced (resolve_group), keyed off the same fault bits.
-          if (mut != TestonlyFaultMutation::BabbleIdles) {
-            mode = Mode::Broadcast;
-            soa_label_[i] = fault_engine_->babble_label(static_cast<NodeId>(i));
-          } else {
-            mode = Mode::Idle;
-          }
-        } else if ((f & faultflag::kMute) && mode == Mode::Broadcast) {
-          if (mut != TestonlyFaultMutation::MuteTransmits) {
-            mode = Mode::Listen;
-            f |= faultflag::kDemoted;
-            ++stats_.mute_demotions;
-          }
+    for (const NodeId node : fault_engine_->flagged()) {
+      const auto i = static_cast<std::size_t>(node);
+      std::uint8_t f = fault_engine_->flags(node);
+      ++stats_.fault_node_slots;
+      if (f & faultflag::kChurnedOut) ++stats_.churned_node_slots;
+      if (f & faultflag::kDeaf) ++stats_.deaf_node_slots;
+      if (f & faultflag::kMute) ++stats_.mute_node_slots;
+      if (f & faultflag::kBabble) ++stats_.babble_node_slots;
+      if (f & faultflag::kFeedbackDrop) ++stats_.feedback_drop_node_slots;
+      Mode& mode = soa_mode_[i];
+      if (f & faultflag::kChurnedOut) {
+        if (mut != TestonlyFaultMutation::ChurnActs) mode = Mode::Idle;
+      } else if (f & faultflag::kBabble) {
+        // The garbage payload is substituted when the broadcast is
+        // sourced (land), keyed off the same fault bits.
+        if (mut != TestonlyFaultMutation::BabbleIdles) {
+          mode = Mode::Broadcast;
+          soa_label_[i] = fault_engine_->babble_label(node);
+        } else {
+          mode = Mode::Idle;
         }
-        soa_fault_[i] = f;
-        // The node will see an empty SlotResult; the client contract says
-        // to ignore its other flag bits and rx view.
-        if ((f & faultflag::kBlankFeedback) != 0 &&
-            mut != TestonlyFaultMutation::KeepDroppedFeedback) {
-          ++stats_.feedback_drops;
-          soa_flags_[i] = slotflag::kFeedbackBlank;
+      } else if ((f & faultflag::kMute) && mode == Mode::Broadcast) {
+        if (mut != TestonlyFaultMutation::MuteTransmits) {
+          mode = Mode::Listen;
+          f |= faultflag::kDemoted;
+          ++stats_.mute_demotions;
         }
       }
-      if (soa_mode_[i] != Mode::Idle)
-        soa_active_.push_back(static_cast<std::int32_t>(i));
+      soa_fault_[i] = f;
+      soa_faulted_.push_back(node);
+      // The node will see an empty SlotResult; the client contract says
+      // to ignore its other flag bits and rx view.
+      if ((f & faultflag::kBlankFeedback) != 0 &&
+          mut != TestonlyFaultMutation::KeepDroppedFeedback) {
+        ++stats_.feedback_drops;
+        soa_flags_[i] = slotflag::kFeedbackBlank;
+      }
     }
   }
+
+  // 1. Scan: list the slot's non-idle nodes, ascending, so every later
+  //    pass is O(active); the idle tally lands in the stats in one add.
+  //    It reads only the mode bytes, overrides applied, 64 nodes per
+  //    block test where SSE2 is available (sim/active_scan.h).
+  soa_active_.clear();
+  scan_active(soa_mode_, soa_active_);
   const std::size_t active = soa_active_.size();
   stats_.idle_node_slots += static_cast<std::int64_t>(n - active);
 

@@ -20,13 +20,14 @@
 //                 (sim/backoff.h) rebuilds OneWinner on top of this.
 //
 // The engine keeps per-field node arrays, lists the slot's non-idle nodes
-// once, and runs every pass after the client's begin_slot over that list:
+// once, and runs every pass after the fault overrides over that list:
 // a gather that counts each node's (channel, role) key into its bucket and
 // marks its channel in a two-level touched map, one stable scatter of the
 // keys, and a walk over the touched channels in ascending order. A slot
 // costs O(active + C/4096), and a channel costs what its contention does:
 // a run with no broadcaster is skipped, and a lone broadcaster, with
-// nobody to reach, costs only its winner coin and its accounting.
+// nobody to reach, costs only its winner coin and its accounting; faults
+// add O(flagged).
 // sim/reference_network.h writes the same model out plainly, and the two
 // are diffed bit for bit; DETERMINISM.md ("The slot engine, its reference,
 // and the draw order") documents the draw order both honor.
@@ -217,10 +218,10 @@ class Network {
   void set_jammer(Jammer* jammer);
 
   // Attach an adversarial fault engine (non-owning, like the jammer). Its
-  // begin_slot runs right after the jammer's; the resulting per-node flag
-  // masks override protocol actions and gate delivery/feedback in step().
-  // Throws std::invalid_argument unless the engine fits this network
-  // (check_fault_engine_fits); nullptr detaches.
+  // begin_slot runs right after the jammer's; the flag masks of the nodes
+  // it lists (FaultEngine::flagged) override protocol actions and gate
+  // delivery/feedback in step(). Throws std::invalid_argument unless the
+  // engine fits this network (check_fault_engine_fits); nullptr detaches.
   void set_fault_engine(FaultEngine* engine);
   const FaultEngine* fault_engine() const { return fault_engine_; }
 
@@ -367,15 +368,14 @@ class Network {
   // Messages delivered this slot; reserved to n, so views into it stay
   // valid for the whole slot.
   std::vector<Message> batch_msgs_;
-  // Non-idle nodes this slot (ascending). Every pass after the client's
-  // begin_slot runs over it, and the next slot resets exactly its
+  // Non-idle nodes this slot (ascending). Every pass after the fault
+  // overrides runs over it, and the next slot resets exactly its
   // entries, restoring the all-idle invariant in O(active) work instead
-  // of Theta(n) fills. The dirty bit is true while the per-node arrays may
-  // hold stale bytes written outside the active list (a fault engine can
-  // blank-flag idle nodes), forcing one full-fill scrub slot after it
-  // detaches.
+  // of Theta(n) fills.
   std::vector<std::int32_t> soa_active_;
-  bool soa_fault_dirty_ = false;
+  // Nodes whose fault byte this slot wrote, for the next slot's reset
+  // (an engine may detach in between). Reserved to n when one attaches.
+  std::vector<std::int32_t> soa_faulted_;
   // Grouping key of soa_active_[a], written by the gather:
   // (channel << 1) | listens, where a node the jammer cut off takes key
   // 2C + 1, one past the last channel's listeners.

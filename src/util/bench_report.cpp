@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "util/atomic_file.h"
 #include "util/json.h"
@@ -60,10 +61,16 @@ void MetricStore::emit(std::string& out, int indent) const {
 const std::string& git_revision() {
   static const std::string revision = [] {
     std::string out = "unknown";
-    // `git describe --always --dirty` gives a short hash plus a -dirty
-    // marker; stderr is dropped so running outside a checkout stays quiet.
-    if (std::FILE* pipe =
-            ::popen("git describe --always --dirty 2>/dev/null", "r")) {
+    // `git describe --always --dirty` (a short hash plus a -dirty marker)
+    // in the source tree the library was built from (COGRADIO_SOURCE_DIR,
+    // set by src/CMakeLists.txt), not the launch directory. The path is
+    // single-quoted for the shell, so one holding a quote reads "unknown".
+    const std::string tree = COGRADIO_SOURCE_DIR;
+    const std::string command =
+        "git -C '" + tree + "' describe --always --dirty 2>/dev/null";
+    if (std::FILE* pipe = tree.find('\'') == std::string::npos
+                              ? ::popen(command.c_str(), "r")
+                              : nullptr) {
       char buf[128];
       std::string text;
       while (std::fgets(buf, sizeof(buf), pipe) != nullptr) text += buf;

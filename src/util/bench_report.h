@@ -3,7 +3,7 @@
 // RunManifest — the uniform per-run record every bench harness emits as
 // BENCH_<exp>.json (see bench/bench_common.h for the hook that fills it):
 //   * name            experiment id, e.g. "e1_cogcast_vs_c";
-//   * git_revision    the checkout the binary was built from;
+//   * git_revision    revision of the source tree the binary was built from;
 //   * config          the full resolved flag set (n/c/k/trials/seed/...);
 //   * metrics         headline numbers that are *deterministic* in
 //                     (config, seed) — these are what the regression gate
@@ -54,9 +54,10 @@ struct MetricStore {
 
 }  // namespace detail
 
-// Best-effort revision of the checkout this process runs in (short hash,
-// "-dirty" suffixed when the work tree is modified); "unknown" when git or
-// the repository is unavailable. Cached after the first call.
+// Best-effort revision of the source tree the library was built from
+// (short hash, "-dirty" suffixed when the work tree is modified), wherever
+// the process is launched; "unknown" when git is unavailable or the tree
+// is not a checkout. Cached after the first call.
 const std::string& git_revision();
 
 // Monotonic wall-clock sample in seconds (arbitrary epoch); subtract two

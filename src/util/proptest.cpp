@@ -288,7 +288,7 @@ RunOutcome run_once(const Scenario& scn, ScnEngine engine,
   out.digest = accounting_digest(*world.net);
   if (!world.checker->ok()) out.violation = world.checker->first_violation();
   if (options.injections != nullptr)
-    options.injections->record(*world.fault_engine);
+    options.injections->record(world.net->stats());
   return out;
 }
 

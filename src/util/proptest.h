@@ -135,18 +135,20 @@ std::string describe(const Scenario& scn);
 // A property maps a scenario to a failure message ("" = holds).
 using Property = std::function<std::string(const Scenario&)>;
 
-// Per-kind FaultEngine injection totals, summed across every checked
+// Per-kind faulted node-slots (TraceStats), summed across every checked
 // scenario. Atomic adds of per-run totals commute, so the counts are
 // identical for any worker count / completion order. `cograd check
 // --faults` fails a sweep in which any kind was never exercised.
 struct FaultInjectionCounts {
   std::array<std::atomic<std::int64_t>, kNumFaultKinds> by_kind{};
 
-  void record(const FaultEngine& engine) {
+  void record(const TraceStats& stats) {
+    const std::int64_t counts[] = {  // in FaultKind order
+        stats.deaf_node_slots, stats.mute_node_slots, stats.babble_node_slots,
+        stats.feedback_drop_node_slots, stats.churned_node_slots};
     for (int k = 0; k < kNumFaultKinds; ++k)
       by_kind[static_cast<std::size_t>(k)].fetch_add(
-          engine.injected(static_cast<FaultKind>(k)),
-          std::memory_order_relaxed);
+          counts[k], std::memory_order_relaxed);
   }
   std::int64_t total(FaultKind kind) const {
     return by_kind[static_cast<std::size_t>(kind)].load(
@@ -162,7 +164,7 @@ struct FaultInjectionCounts {
 // Knobs for check_scenario beyond the scenario itself. `mutation` plumbs a
 // testonly invariant-breaking radio into the network so WILL_FAIL legs can
 // prove the oracle actually polices each fault rule; `injections`, when
-// set, accumulates the primary run's per-kind injection totals. The
+// set, accumulates the primary run's per-kind faulted node-slots. The
 // primary run is on Network; the reference differential re-runs every
 // unmutated scenario on the reference engine.
 struct CheckOptions {

@@ -127,11 +127,19 @@ TEST(CheckpointHeader, RejectsEveryCorruptionIndependently) {
     bad[0] ^= 0x20;
     EXPECT_THROW(open_checkpoint(bad), CheckpointError);
   }
-  // Foreign schema.
+  // Foreign schema, the previous one included.
   {
     std::string bad = sealed;
     bad[8] = static_cast<char>(bad[8] + 1);
     EXPECT_THROW(open_checkpoint(bad), CheckpointError);
+    bad[8] = 1;
+    try {
+      open_checkpoint(bad);
+      ADD_FAILURE() << "a schema-1 checkpoint was accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_STREQ(e.what(),
+                   "checkpoint rejected: schema 1, this binary writes 2");
+    }
   }
   // Truncation: declared size no longer matches the carried bytes.
   {
@@ -308,7 +316,6 @@ TEST(CheckpointFaultEngine, ForgedWindowIsRejected) {
     w.i64(f.from);
     w.i64(5);
     w.i64(f.label);
-    for (const std::int64_t count : {0, 0, 0, 0, 2}) w.i64(count);
     w.u64(1);
     w.i64(2);
     w.i64(f.log_node);

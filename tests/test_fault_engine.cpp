@@ -60,10 +60,16 @@ TEST(FaultEngine, ChurnDominatesEveryOtherKind) {
   engine.begin_slot(2);
   EXPECT_EQ(engine.flags(0), kChurnedOut);
   EXPECT_EQ(engine.babble_label(0), kNoChannel);
-  // Post-precedence accounting: only Churn was effectively injected.
-  EXPECT_EQ(engine.injected(FaultKind::Churn), 1);
-  EXPECT_EQ(engine.injected(FaultKind::Deaf), 0);
-  EXPECT_EQ(engine.injected(FaultKind::Babble), 0);
+  // Post-precedence accounting: a network stepping the schedule tallies
+  // only Churn.
+  IdentityAssignment assignment(1, 3, LabelMode::Global, Rng(1));
+  RandomTrafficNode node(3, Rng(4));
+  Network net(assignment, {&node});
+  net.set_fault_engine(&engine);
+  net.step();
+  EXPECT_EQ(net.stats().churned_node_slots, 1);
+  EXPECT_EQ(net.stats().deaf_node_slots, 0);
+  EXPECT_EQ(net.stats().babble_node_slots, 0);
 }
 
 TEST(FaultEngine, MuteBeatsBabble) {
@@ -135,6 +141,35 @@ TEST(FaultEngine, AddRandomTruncatesWhenBudgetExceedsNodes) {
   FaultEngine engine(2, 2, Rng(3));
   engine.add_random(FaultProfile{3, 3, 3, 3, 3, 0, 0}, 20);
   EXPECT_EQ(engine.num_windows(), 2);  // the pool has only two nodes
+}
+
+// flagged() is the network's whole view of a slot's faults: it must list
+// each node with non-zero flags() exactly once, and no other node, in
+// every slot, including those where windows open, overlap and close.
+TEST(FaultEngine, FlaggedListsEachFlaggedNodeExactlyOnce) {
+  const int n = 40;
+  const Slot horizon = 60;
+  FaultEngine engine(n, 4, Rng(11));
+  engine.add_random(FaultProfile{4, 4, 4, 4, 4, 6, 10}, horizon);
+  // A burst over nodes that also hold random windows: one entry each.
+  const std::vector<NodeId> burst{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  engine.add_burst(burst, 20, 15);
+  std::int64_t listed = 0;
+  for (Slot s = 1; s <= horizon + 5; ++s) {
+    engine.begin_slot(s);
+    std::vector<int> times(static_cast<std::size_t>(n), 0);
+    for (const NodeId u : engine.flagged())
+      ++times[static_cast<std::size_t>(u)];
+    for (NodeId u = 0; u < n; ++u)
+      ASSERT_EQ(times[static_cast<std::size_t>(u)], engine.flags(u) != 0)
+          << "slot " << s << " node " << u;
+    listed += static_cast<std::int64_t>(engine.flagged().size());
+  }
+  EXPECT_GT(listed, 0);
+  // Windows closed inside the run, and past the horizon every one has.
+  EXPECT_TRUE(std::any_of(engine.log().begin(), engine.log().end(),
+                          [](const FaultEvent& e) { return !e.onset; }));
+  EXPECT_TRUE(engine.flagged().empty());
 }
 
 TEST(FaultEngine, BurstChurnsExactlyTheGivenNodes) {
@@ -331,10 +366,11 @@ class SlotJammer : public Jammer {
 };
 
 // Runs `protocols` on one shared channel for `slots` slots under `engine`
-// and returns each node's resolved mode per slot.
+// and returns each node's resolved mode per slot; `stats`, when set,
+// receives the run's TraceStats.
 std::vector<std::vector<Mode>> run_on_one_channel(
     std::vector<Protocol*> protocols, FaultEngine& engine, int slots,
-    Jammer* jammer = nullptr) {
+    Jammer* jammer = nullptr, TraceStats* stats = nullptr) {
   const int n = static_cast<int>(protocols.size());
   IdentityAssignment assignment(n, 1, LabelMode::Global, Rng(1));
   NetworkOptions opt;
@@ -348,6 +384,7 @@ std::vector<std::vector<Mode>> run_on_one_channel(
       modes[static_cast<std::size_t>(a.node)].push_back(a.mode);
   });
   for (int s = 0; s < slots; ++s) net.step();
+  if (stats != nullptr) *stats = net.stats();
   return modes;
 }
 
@@ -381,11 +418,13 @@ TEST(CrashFault, SilencesFromCrashSlotOn) {
   Script crashed(Mode::Broadcast), listener(Mode::Listen);
   FaultEngine engine(2, 1, Rng(2));
   engine.add(0, FaultKind::Churn, 3);
-  const auto modes = run_on_one_channel({&crashed, &listener}, engine, 6);
+  TraceStats stats;
+  const auto modes = run_on_one_channel({&crashed, &listener}, engine, 6,
+                                        nullptr, &stats);
   const Mode B = Mode::Broadcast, I = Mode::Idle;
   EXPECT_EQ(modes[0], (std::vector<Mode>{B, B, I, I, I, I}));
   EXPECT_EQ(listener.heard(), (std::vector<std::size_t>{1, 1, 0, 0, 0, 0}));
-  EXPECT_EQ(engine.injected(FaultKind::Churn), 4);
+  EXPECT_EQ(stats.churned_node_slots, 4);
 }
 
 TEST(CrashFault, DropsFeedbackAfterCrash) {
@@ -405,11 +444,13 @@ TEST(FaultNetwork, CrashAtSlotOneNeverActs) {
   Script crashed(Mode::Broadcast), listener(Mode::Listen);
   FaultEngine engine(2, 1, Rng(2));
   engine.add(0, FaultKind::Churn, 1);
-  const auto modes = run_on_one_channel({&crashed, &listener}, engine, 8);
+  TraceStats stats;
+  const auto modes = run_on_one_channel({&crashed, &listener}, engine, 8,
+                                        nullptr, &stats);
   EXPECT_EQ(modes[0], std::vector<Mode>(8, Mode::Idle));
   EXPECT_EQ(crashed.tx_attempted, std::vector<bool>(8, false));
   EXPECT_EQ(listener.heard(), std::vector<std::size_t>(8, 0));
-  EXPECT_EQ(engine.injected(FaultKind::Churn), 8);
+  EXPECT_EQ(stats.churned_node_slots, 8);
 }
 
 TEST(OutageFault, SuppressesOnlyDuringTheWindow) {
@@ -418,11 +459,13 @@ TEST(OutageFault, SuppressesOnlyDuringTheWindow) {
   Script outage(Mode::Broadcast), listener(Mode::Listen);
   FaultEngine engine(2, 1, Rng(2));
   engine.add(0, FaultKind::Churn, 3, 5);
-  const auto modes = run_on_one_channel({&outage, &listener}, engine, 6);
+  TraceStats stats;
+  const auto modes = run_on_one_channel({&outage, &listener}, engine, 6,
+                                        nullptr, &stats);
   const Mode B = Mode::Broadcast, I = Mode::Idle;
   EXPECT_EQ(modes[0], (std::vector<Mode>{B, B, I, I, B, B}));
   EXPECT_EQ(listener.heard(), (std::vector<std::size_t>{1, 1, 0, 0, 1, 1}));
-  EXPECT_EQ(engine.injected(FaultKind::Churn), 2);
+  EXPECT_EQ(stats.churned_node_slots, 2);
 }
 
 TEST(OutageFault, FeedbackDuringOutageIsEmptied) {
@@ -459,11 +502,14 @@ TEST(OutageFault, ZeroLengthWindowIsFullyTransparent) {
   Script node(Mode::Broadcast), listener(Mode::Listen);
   FaultEngine engine(2, 1, Rng(2));
   engine.add(0, FaultKind::Churn, 4, 4);
-  const auto modes = run_on_one_channel({&node, &listener}, engine, 6);
+  TraceStats stats;
+  const auto modes = run_on_one_channel({&node, &listener}, engine, 6,
+                                        nullptr, &stats);
   EXPECT_EQ(modes[0], std::vector<Mode>(6, Mode::Broadcast));
   EXPECT_EQ(node.tx_success, std::vector<bool>(6, true));
   EXPECT_EQ(listener.heard(), std::vector<std::size_t>(6, 1));
-  EXPECT_EQ(engine.injected(FaultKind::Churn), 0);
+  EXPECT_EQ(stats.churned_node_slots, 0);
+  EXPECT_EQ(stats.fault_node_slots, 0);
 }
 
 TEST(OutageFault, ComposesWithClockSkew) {

@@ -73,7 +73,16 @@ struct Family {
   bool jammed = false;
   bool faulted = false;
   bool dynamic = false;
+  // With `faulted`: the fault engine is detached before this slot (0 =
+  // never), while windows that never close keep babblers, churned nodes
+  // and feedback-drop nodes flagged.
+  Slot detach_faults_at = 0;
 };
+
+// The nodes that hold a never-closing window in a detach family.
+constexpr NodeId kDetachBabblers[] = {1, 2};
+constexpr NodeId kDetachChurned[] = {3, 4, 5};
+constexpr NodeId kDetachFeedbackDrop[] = {6, 7, 8, 9, 10, 11, 12, 13};
 
 // Print a family by name. gtest's default dump of an unprintable struct
 // would show the raw bytes of `name`, including its buffer address, and
@@ -181,6 +190,15 @@ RunTrace run_family(const Family& fam, const Universe& universe) {
     profile.burst_nodes = 4;
     profile.burst_len = 6;
     faults->add_random(profile, slots);
+    if (fam.detach_faults_at > 0) {
+      const Slot from = fam.detach_faults_at - 8;
+      for (const NodeId u : kDetachBabblers)
+        faults->add(u, FaultKind::Babble, from);
+      for (const NodeId u : kDetachChurned)
+        faults->add(u, FaultKind::Churn, from);
+      for (const NodeId u : kDetachFeedbackDrop)
+        faults->add(u, FaultKind::FeedbackDrop, from);
+    }
     net.set_fault_engine(&*faults);
   }
 
@@ -188,7 +206,10 @@ RunTrace run_family(const Family& fam, const Universe& universe) {
   net.set_observer([&](Slot, std::span<const ResolvedAction> actions) {
     out.actions.insert(out.actions.end(), actions.begin(), actions.end());
   });
-  for (Slot s = 0; s < slots; ++s) net.step();
+  for (Slot s = 1; s <= slots; ++s) {
+    if (s == fam.detach_faults_at) net.set_fault_engine(nullptr);
+    net.step();
+  }
   out.stats = net.stats();
   for (NodeId u = 0; u < n; ++u) out.activity.push_back(net.activity(u));
   if constexpr (std::is_same_v<Engine, Network>)
@@ -205,6 +226,33 @@ void expect_identical(const RunTrace& engine, const RunTrace& reference) {
   }
 }
 
+// A detach family's run: in the slot before the detach, babblers, churned
+// nodes and feedback-drop nodes were flagged, some of them idle, so the
+// engine wrote fault and flag bytes outside its active list; from the
+// detach on, no node carries a fault byte.
+void expect_detached_mid_fault(const RunTrace& run, int n, Slot detach) {
+  const auto slot_of = [&](Slot slot) {
+    return std::span(run.actions)
+        .subspan(static_cast<std::size_t>((slot - 1) * n),
+                 static_cast<std::size_t>(n));
+  };
+  int babbling = 0, churned = 0, dropped = 0, idle = 0;
+  for (const ResolvedAction& r : slot_of(detach - 1)) {
+    babbling += (r.fault & faultflag::kBabble) != 0;
+    churned += (r.fault & faultflag::kChurnedOut) != 0;
+    dropped += (r.fault & faultflag::kFeedbackDrop) != 0;
+    idle += r.fault != 0 && r.mode == Mode::Idle;
+  }
+  EXPECT_GT(babbling, 0);
+  EXPECT_GT(churned, 0);
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(idle, churned);  // a flagged node idled by its own choice
+  const auto total = static_cast<Slot>(run.actions.size()) / n;
+  for (Slot slot = detach; slot <= total; ++slot)
+    for (const ResolvedAction& r : slot_of(slot))
+      ASSERT_EQ(r.fault, 0) << "slot " << slot << " node " << r.node;
+}
+
 class ReferenceDifferential : public ::testing::TestWithParam<Family> {};
 
 TEST_P(ReferenceDifferential, MatchesBitForBit) {
@@ -213,6 +261,8 @@ TEST_P(ReferenceDifferential, MatchesBitForBit) {
   expect_identical(engine, run_family<ReferenceNetwork>(fam, kSharedCore));
   EXPECT_EQ(engine.touched_words_read,
             expected_touched_words(engine, kSharedCore.n));
+  if (fam.detach_faults_at > 0)
+    expect_detached_mid_fault(engine, kSharedCore.n, fam.detach_faults_at);
 }
 
 // The families that run in both universes; "dynamic" redraws a shared
@@ -230,6 +280,7 @@ const Family kFamilies[] = {
            .loss_prob = 0.125,
            .jammed = true,
            .faulted = true},
+    Family{.name = "faults_detached", .faulted = true, .detach_faults_at = 24},
 };
 
 std::string family_name(const ::testing::TestParamInfo<Family>& info) {
@@ -275,6 +326,8 @@ TEST_P(ReferenceSparseDifferential, MatchesBitForBit) {
   // The adversaries actually bit.
   if (fam.jammed) EXPECT_GT(engine.stats.jammed_node_slots, 0);
   if (fam.faulted) EXPECT_GT(engine.stats.babble_node_slots, 0);
+  if (fam.detach_faults_at > 0)
+    expect_detached_mid_fault(engine, kPartitioned.n, fam.detach_faults_at);
 }
 
 INSTANTIATE_TEST_SUITE_P(SparseFamilies, ReferenceSparseDifferential,
@@ -304,8 +357,7 @@ class ForwardingAssignment : public ChannelAssignment {
 };
 
 // One input to the batch-vs-protocol twin below. `adversaries` attaches a
-// RandomJammer and the full fault kind set; a run without them is the only
-// one whose engine legs take the word-scan collect. `dynamic` re-draws the
+// RandomJammer and the full fault kind set. `dynamic` re-draws the
 // shared-core assignment every slot; `partitioned` swaps it for a
 // Partitioned one, whose channel space grows with n. `duty` is the
 // chatter's duty period.
@@ -416,7 +468,7 @@ TEST(ReferenceBatch, BatchClientMatchesProtocolTwin) {
       // Every listener's rx view spans its channel's whole message range.
       {.name = "all_delivered", .n = 64, .c = 8, .k = 2, .slots = 64,
        .collision = CollisionModel::AllDelivered},
-      // No jammer and no fault engine: the engine legs' word-scan collect.
+      // No jammer and no fault engine, at 4500 nodes.
       {.name = "clean", .n = 4500, .c = 16, .k = 3, .slots = 24,
        .loss_prob = 0.125},
       // A fresh label table every slot, re-read after each begin_slot.

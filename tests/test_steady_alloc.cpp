@@ -7,9 +7,13 @@
 //   * for a dense network below the engine's prefetch threshold (2^14
 //     nodes, kPrefetchMinNodes in network.cpp) and a 1%-duty fleet at it;
 //   * under each collision model, and under OneWinner with backoff
-//     emulation, a RandomJammer or a ReactiveJammer, an observer, or an
-//     assignment that changes every slot (dynamic shared-core, dynamic
-//     pigeonhole, Markov spectrum) in place of the static shared core.
+//     emulation, a RandomJammer or a ReactiveJammer, an observer, a
+//     FaultEngine with every fault kind, or an assignment that changes
+//     every slot (dynamic shared-core, dynamic pigeonhole, Markov
+//     spectrum) in place of the static shared core.
+//
+// The fault engine's windows open during the warm-up and close after the
+// measured window, or never, so its audit log does not grow inside it.
 //
 // Such an assignment redraws every node's row each slot, O(n) work even
 // in the 1%-duty fleet, so its settings step 32 slots after 8 warm-up
@@ -33,6 +37,7 @@
 
 #include "chatter.h"
 #include "sim/assignment.h"
+#include "sim/fault_engine.h"
 #include "sim/jamming.h"
 #include "sim/network.h"
 #include "sim/spectrum.h"
@@ -96,6 +101,7 @@ enum class Setting {
   DynamicPigeonhole,
   MarkovSpectrum,
   ReactiveJammer,
+  Faults,
 };
 
 struct Case {
@@ -109,7 +115,7 @@ std::string case_name(const Case& c) {
       "one_winner",          "all_delivered",      "collision_loss",
       "backoff",             "jammer",             "observer",
       "dynamic_shared_core", "dynamic_pigeonhole", "markov_spectrum",
-      "reactive_jammer"};
+      "reactive_jammer",     "faults"};
   return std::string(c.client == Client::Batch ? "batch" : "protocols") +
          (c.fleet == Fleet::Duty ? "_duty_n16384_" : "_dense_n256_") +
          kSettings[static_cast<int>(c.setting)];
@@ -171,6 +177,17 @@ TEST_P(SteadyStateAlloc, NoneAfterWarmup) {
     jammer = std::make_unique<cogradio::ReactiveJammer>(
         n, assignment->total_channels(), 2);
   if (jammer) net->set_jammer(jammer.get());
+  // Every 32nd node from offset k takes fault kind k, over a window that
+  // opens mid-warm-up and closes after the measured window, or never.
+  std::optional<FaultEngine> faults;
+  if (in.setting == Setting::Faults) {
+    faults.emplace(n, traffic.c, Rng(45));
+    for (int k = 0; k < kNumFaultKinds; ++k)
+      for (NodeId u = k; u < n; u += 32)
+        faults->add(u, static_cast<FaultKind>(k), warmup / 2,
+                    u % 64 < 32 ? warmup + window + 1 : kNoSlot);
+    net->set_fault_engine(&*faults);
+  }
   std::int64_t observed = 0;
   if (in.setting == Setting::Observer)
     net->set_observer([&](Slot, std::span<const ResolvedAction> actions) {
@@ -195,6 +212,13 @@ TEST_P(SteadyStateAlloc, NoneAfterWarmup) {
   if (in.setting == Setting::Observer) {
     EXPECT_GT(observed, 0);
   }
+  if (faults) {
+    EXPECT_GT(stats.deaf_node_slots, 0);
+    EXPECT_GT(stats.mute_node_slots, 0);
+    EXPECT_GT(stats.babble_node_slots, 0);
+    EXPECT_GT(stats.feedback_drop_node_slots, 0);
+    EXPECT_GT(stats.churned_node_slots, 0);
+  }
 }
 
 std::vector<Case> all_cases() {
@@ -205,7 +229,8 @@ std::vector<Case> all_cases() {
            {Setting::OneWinner, Setting::AllDelivered, Setting::CollisionLoss,
             Setting::Backoff, Setting::Jammer, Setting::Observer,
             Setting::DynamicSharedCore, Setting::DynamicPigeonhole,
-            Setting::MarkovSpectrum, Setting::ReactiveJammer})
+            Setting::MarkovSpectrum, Setting::ReactiveJammer,
+            Setting::Faults})
         cases.push_back({client, fleet, setting});
   return cases;
 }

@@ -381,8 +381,8 @@ TEST(Supervisor, CogCompNeedsTheRestartToRecover) {
 
 // A supervised run's checkpoint carries its attached fault engine: a run
 // resumed into a fresh engine with the same schedule ends with the
-// uninterrupted engine's injection totals and audit log, both of which
-// count slots from before the snapshot.
+// uninterrupted run's audit log and its network's churn tally, both of
+// which count slots from before the snapshot.
 TEST(Supervisor, CheckpointCarriesTheAttachedFaultEngine) {
   const int n = 24, c = 6, k = 2;
   const CogCastParams params{n, c, k};
@@ -390,15 +390,22 @@ TEST(Supervisor, CheckpointCarriesTheAttachedFaultEngine) {
   SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom, Rng(3));
   SupervisorOptions options;
   options.deadline = 8 * params.horizon() + burst_len;
-  auto run_it = [&](FaultEngine& faults, const CheckpointPolicy& policy) {
+  // Runs supervised and hands back the last attempt's TraceStats through
+  // `stats`: the attempt is kept alive past run_supervised to read them.
+  auto run_it = [&](FaultEngine& faults, const CheckpointPolicy& policy,
+                    TraceStats& stats) {
     CogCastRunConfig config;
     config.params = params;
     config.fault_engine = &faults;
-    return run_supervised(
+    SupervisedRun last;
+    const SupervisedOutcome out = run_supervised(
         [&](int, std::uint64_t aseed) {
-          return build_cogcast_run(assignment, config, aseed);
+          last = build_cogcast_run(assignment, config, aseed);
+          return last;
         },
         options, 7, policy);
+    stats = last.network->stats();
+    return out;
   };
 
   FaultEngine whole = make_burst(n, c, /*from=*/3, burst_len);
@@ -408,18 +415,18 @@ TEST(Supervisor, CheckpointCarriesTheAttachedFaultEngine) {
   cut.sink = [&](const std::string& payload) {
     if (snapshot.empty()) snapshot = payload;
   };
-  const SupervisedOutcome full = run_it(whole, cut);
+  TraceStats whole_stats, resumed_stats;
+  const SupervisedOutcome full = run_it(whole, cut, whole_stats);
   ASSERT_FALSE(snapshot.empty());
 
   FaultEngine resumed = make_burst(n, c, /*from=*/3, burst_len);
   CheckpointPolicy resume;
   resume.resume = snapshot;
-  const SupervisedOutcome rest = run_it(resumed, resume);
+  const SupervisedOutcome rest = run_it(resumed, resume, resumed_stats);
   EXPECT_TRUE(full.completed);
   EXPECT_EQ(full.total_slots, rest.total_slots);
-  EXPECT_GT(whole.injected(FaultKind::Churn), 0);
-  EXPECT_EQ(whole.injected(FaultKind::Churn),
-            resumed.injected(FaultKind::Churn));
+  EXPECT_GT(whole_stats.churned_node_slots, 0);
+  EXPECT_EQ(whole_stats.churned_node_slots, resumed_stats.churned_node_slots);
   EXPECT_EQ(whole.serialize_log(), resumed.serialize_log());
 }
 

@@ -871,10 +871,10 @@ int cmd_lint(CliArgs& args) {
                   diff_path.c_str());
     return active == 0 && stale.empty() ? 0 : 1;
   }
-  std::printf("lint: %d files, %d findings (%d active, %d suppressed, "
-              "%d baselined)\n",
-              stats.files_scanned, stats.findings, active, suppressed,
-              baselined);
+  // Outside --diff nothing can carry a finding over, so there is no
+  // baselined count to print.
+  std::printf("lint: %d files, %d findings (%d active, %d suppressed)\n",
+              stats.files_scanned, stats.findings, active, suppressed);
   return active == 0 ? 0 : 1;
 }
 
