@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
     const Summary hop = hopping_slots(n, c, k, trials, seed + n);
     const Summary cog =
         cogcast_slots("partitioned", n, c, k, trials, seed + 100 + n, jobs);
-    manifest.add_summary("example.n" + std::to_string(n) + ".hopping", hop);
-    manifest.add_summary("example.n" + std::to_string(n) + ".cogcast", cog);
+    add_summary(manifest, "example.n" + std::to_string(n) + ".hopping", hop);
+    add_summary(manifest, "example.n" + std::to_string(n) + ".cogcast", cog);
     example.add_row({Table::num(static_cast<std::int64_t>(n)),
                      Table::num(static_cast<std::int64_t>(c)),
                      Table::num(static_cast<std::int64_t>(k)),
@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
     const Summary hop = hopping_slots(n, c, k, trials, seed + 200 + k);
     const Summary cog =
         cogcast_slots("partitioned", n, c, k, trials, seed + 300 + k, jobs);
-    manifest.add_summary("crossover.k" + std::to_string(k) + ".hopping", hop);
-    manifest.add_summary("crossover.k" + std::to_string(k) + ".cogcast", cog);
+    add_summary(manifest, "crossover.k" + std::to_string(k) + ".hopping", hop);
+    add_summary(manifest, "crossover.k" + std::to_string(k) + ".cogcast", cog);
     crossover.add_row({Table::num(static_cast<std::int64_t>(k)),
                        Table::num(static_cast<std::int64_t>(big_c)),
                        Table::num(hop.median, 1), Table::num(cog.median, 1),

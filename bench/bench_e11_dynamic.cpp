@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
                                         seed + 50 + c + k, jobs);
       const std::string tag =
           "shared-core.c" + std::to_string(c) + ".k" + std::to_string(k);
-      manifest.add_summary(tag + ".static", stat);
-      manifest.add_summary(tag + ".dynamic", dyn);
+      add_summary(manifest, tag + ".static", stat);
+      add_summary(manifest, tag + ".dynamic", dyn);
       table.add_row({Table::num(static_cast<std::int64_t>(c)),
                      Table::num(static_cast<std::int64_t>(k)),
                      Table::num(stat.median, 1), Table::num(dyn.median, 1),
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
         cogcast_slots("pigeonhole", n, c, k, trials, seed + 500 + c, jobs);
     const Summary dyn = cogcast_slots("dynamic-pigeonhole", n, c, k, trials,
                                       seed + 600 + c, jobs);
-    manifest.add_summary("pigeonhole.c" + std::to_string(c) + ".static", stat);
-    manifest.add_summary("pigeonhole.c" + std::to_string(c) + ".dynamic", dyn);
+    add_summary(manifest, "pigeonhole.c" + std::to_string(c) + ".static", stat);
+    add_summary(manifest, "pigeonhole.c" + std::to_string(c) + ".dynamic", dyn);
     table2.add_row({Table::num(static_cast<std::int64_t>(c)),
                     Table::num(static_cast<std::int64_t>(k)),
                     Table::num(stat.median, 1), Table::num(dyn.median, 1),

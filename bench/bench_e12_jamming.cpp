@@ -6,44 +6,12 @@
 // O((c/(c-2j)) * max{1, c/n} * lg n) slots. The harness sweeps the jamming
 // budget and strategy and reports measured medians against that shape.
 #include <cstdio>
-#include <memory>
 
 #include "analysis/theory.h"
 #include "bench_common.h"
-#include "sim/jamming.h"
 
 using namespace cogradio;
 using namespace cogradio::bench;
-
-namespace {
-
-Summary jammed_cogcast(int n, int c, int budget, const std::string& strategy,
-                       int trials, std::uint64_t base_seed, int jobs) {
-  return summarize(sweep_trials(
-      trials, base_seed, jobs, [&](Rng& rng) -> std::optional<double> {
-        IdentityAssignment assignment(n, c, LabelMode::LocalRandom, Rng(rng()));
-        std::unique_ptr<Jammer> jammer;
-        if (strategy == "random")
-          jammer = std::make_unique<RandomJammer>(n, c, budget, Rng(rng()));
-        else if (strategy == "sweep")
-          jammer = std::make_unique<SweepJammer>(n, c, budget);
-        else
-          jammer = std::make_unique<ReactiveJammer>(n, c, budget);
-
-        CogCastRunConfig config;
-
-        const int k_eff = std::max(1, c - 2 * budget);
-        config.params = {n, c, k_eff, 4.0};
-        config.seed = rng();
-        config.jammer = budget > 0 ? jammer.get() : nullptr;
-        config.max_slots = 64 * config.params.horizon();
-        const auto out = run_cogcast(assignment, config);
-        if (!out.completed) return std::nullopt;
-        return static_cast<double>(out.slots);
-      }));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
@@ -65,10 +33,10 @@ int main(int argc, char** argv) {
     for (int j : {0, 2, 4, 6}) {
       const int k_eff = std::max(1, c - 2 * j);
       const double shape = theory::cogcast_slots(n, c, k_eff);
-      const Summary s = jammed_cogcast(n, c, j, strategy, trials,
-                                       seed + static_cast<std::uint64_t>(j * 17),
-                                       jobs);
-      manifest.add_summary(strategy + ".j" + std::to_string(j), s);
+      const Summary s = summarize(completed_slots(jammed_cogcast_trials(
+          "identity", n, c, k_eff, strategy, j, 64, trials,
+          seed + static_cast<std::uint64_t>(j * 17), jobs)));
+      add_summary(manifest, strategy + ".j" + std::to_string(j), s);
       table.add_row({Table::num(static_cast<std::int64_t>(j)),
                      Table::num(static_cast<std::int64_t>(k_eff)),
                      Table::num(s.median, 1), Table::num(s.p95, 1),

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "sim/backoff.h"
 
 using namespace cogradio;
 using namespace cogradio::bench;
@@ -28,37 +27,22 @@ int main(int argc, char** argv) {
   Table table({"contenders m", "phase len", "budget", "decay median",
                "decay p95", "log2^2(m)", "decay failures",
                "CD-split median", "CD-split p95"});
-  ParallelSweep pool(jobs);
   for (int m : {2, 4, 8, 16, 32, 64, 128, 256, 512}) {
     const auto params = backoff_params_for(m);
-    struct Trial {
-      BackoffOutcome decay, cd;
-    };
-    std::vector<Trial> outcomes(static_cast<std::size_t>(trials));
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(m),
-                          static_cast<std::uint64_t>(t));
-      Trial& o = outcomes[static_cast<std::size_t>(t)];
-      o.decay = decay_backoff(m, params, rng);
-      o.cd = cd_split_backoff(m, params.budget, rng);
-    });
-    std::vector<double> slots, cd_slots;
-    int failures = 0;
-    for (const Trial& o : outcomes) {
-      if (!o.decay.resolved) {
-        ++failures;
-      } else {
-        slots.push_back(static_cast<double>(o.decay.micro_slots));
-      }
-      if (o.cd.resolved)
-        cd_slots.push_back(static_cast<double>(o.cd.micro_slots));
-    }
+    // Two sweeps, each from its own base seed: decay backoff, then tree
+    // splitting with the same micro-slot budget.
+    const std::vector<double> slots = resolved_micro_slots(decay_backoff_trials(
+        m, trials, seed + static_cast<std::uint64_t>(m), jobs));
+    const std::vector<double> cd_slots = resolved_micro_slots(cd_split_trials(
+        m, params.budget, trials, seed + 1000 + static_cast<std::uint64_t>(m),
+        jobs));
+    const int failures = trials - static_cast<int>(slots.size());
     const Summary s = summarize(slots);
     const Summary sc = summarize(cd_slots);
     const double lg = std::log2(static_cast<double>(m));
     const std::string tag = "m" + std::to_string(m);
-    manifest.add_summary(tag + ".decay.micro_slots", s);
-    manifest.add_summary(tag + ".cd.micro_slots", sc);
+    add_summary(manifest, tag + ".decay.micro_slots", s);
+    add_summary(manifest, tag + ".cd.micro_slots", sc);
     manifest.set_int(tag + ".decay.failures", failures);
     table.add_row({Table::num(static_cast<std::int64_t>(m)),
                    Table::num(static_cast<std::int64_t>(params.phase_length)),
@@ -75,20 +59,18 @@ int main(int argc, char** argv) {
              "budget/chan-slot", "emulation failures"});
   for (int n : {16, 64, 256}) {
     const int c = 16, k = 4;
-    std::vector<BroadcastOutcome> outcomes(
-        static_cast<std::size_t>(cast_trials));
-    pool.run(cast_trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(n),
-                          static_cast<std::uint64_t>(t));
-      SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
-                                      Rng(rng()));
-      CogCastRunConfig config;
-      config.params = {n, c, k, 4.0};
-      config.seed = rng();
-      config.net.emulate_backoff = true;
-      config.net.backoff = backoff_params_for(n);
-      outcomes[static_cast<std::size_t>(t)] = run_cogcast(assignment, config);
-    });
+    const auto outcomes = sweep_outcomes(
+        cast_trials, seed + static_cast<std::uint64_t>(n), jobs,
+        [&](Rng& rng) {
+          SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
+                                          Rng(rng()));
+          CogCastRunConfig config;
+          config.params = {n, c, k, 4.0};
+          config.seed = rng();
+          config.net.emulate_backoff = true;
+          config.net.backoff = backoff_params_for(n);
+          return run_cogcast(assignment, config);
+        });
     double slots_sum = 0, micro_sum = 0, success_sum = 0, fail_sum = 0;
     int ok = 0;
     for (const BroadcastOutcome& out : outcomes) {

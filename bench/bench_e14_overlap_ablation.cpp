@@ -43,10 +43,10 @@ int main(int argc, char** argv) {
       const double normalized = safe_ratio(s.median, theory);
       lo = std::min(lo, normalized);
       hi = std::max(hi, normalized);
-      manifest.add_summary("n" + std::to_string(cfg.n) + ".c" +
-                               std::to_string(cfg.c) + ".k" +
-                               std::to_string(cfg.k) + "." + pattern,
-                           s);
+      add_summary(manifest,
+                  "n" + std::to_string(cfg.n) + ".c" + std::to_string(cfg.c) +
+                      ".k" + std::to_string(cfg.k) + "." + pattern,
+                  s);
       table.add_row({pattern,
                      Table::num(effective_overlap(pattern, cfg.c, cfg.k), 1),
                      Table::num(s.median, 1), Table::num(s.p95, 1),

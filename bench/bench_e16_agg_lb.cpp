@@ -30,34 +30,29 @@ int main(int argc, char** argv) {
 
   Table table({"k", "lower bound n/k", "tdma (global labels)", "cogcomp med",
                "phase4 med", "total/(n/k)", "phase4/(n/k)"});
-  ParallelSweep pool(jobs);
   for (int k : {1, 2, 4, 8}) {
     struct Trial {
       bool ok = false;
       double total = 0, p4 = 0;
+      double tdma = 0;  // the optimal global-label schedule's slots
     };
-    std::vector<Trial> outcomes(static_cast<std::size_t>(trials));
-    double tdma_slots = 0;  // written by trial 0 only
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(k),
-                          static_cast<std::uint64_t>(t));
-      const auto values = make_values(n, rng());
-      PartitionedAssignment assignment(n, c, k, LabelMode::LocalRandom,
-                                       Rng(rng()));
-      CogCompRunConfig config;
-      config.params = {n, c, k, 4.0};
-      config.seed = rng();
-      const auto out = run_cogcomp(assignment, values, config);
-      if (t == 0) {
-        // The optimal global-label schedule: deterministic, one run enough.
-        const auto tdma = run_tdma_aggregation(assignment, values, AggOp::Sum);
-        tdma_slots = tdma.completed ? static_cast<double>(tdma.slots) : -1;
-      }
-      if (!out.completed) return;
-      outcomes[static_cast<std::size_t>(t)] = {
-          true, static_cast<double>(out.slots),
-          static_cast<double>(out.phase4_slots)};
-    });
+    const auto outcomes = sweep_outcomes(
+        trials, seed + static_cast<std::uint64_t>(k), jobs, [&](Rng& rng) {
+          const auto values = make_values(n, rng());
+          PartitionedAssignment assignment(n, c, k, LabelMode::LocalRandom,
+                                           Rng(rng()));
+          CogCompRunConfig config;
+          config.params = {n, c, k, 4.0};
+          config.seed = rng();
+          const auto out = run_cogcomp(assignment, values, config);
+          const auto tdma =
+              run_tdma_aggregation(assignment, values, AggOp::Sum);
+          return Trial{out.completed, static_cast<double>(out.slots),
+                       static_cast<double>(out.phase4_slots),
+                       tdma.completed ? static_cast<double>(tdma.slots) : -1};
+        });
+    // TDMA is deterministic: trial 0's run is the column.
+    const double tdma_slots = trials > 0 ? outcomes[0].tdma : 0;
     std::vector<double> total, p4;
     for (const Trial& o : outcomes) {
       if (!o.ok) continue;
@@ -68,8 +63,8 @@ int main(int argc, char** argv) {
     const double tm = summarize(total).median;
     const double pm = summarize(p4).median;
     const std::string tag = "k" + std::to_string(k);
-    manifest.add_summary(tag + ".total", summarize(total));
-    manifest.add_summary(tag + ".phase4", summarize(p4));
+    add_summary(manifest, tag + ".total", summarize(total));
+    add_summary(manifest, tag + ".phase4", summarize(p4));
     manifest.set(tag + ".tdma_slots", tdma_slots);
     table.add_row({Table::num(static_cast<std::int64_t>(k)),
                    Table::num(lb, 1), Table::num(tdma_slots, 0),

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
 
   Table table({"c", "k", "n", "median rounds", "median sim slots",
                "min{c,n}*slots", "rounds within budget", "lemma11 budget"});
-  ParallelSweep pool(jobs);
   for (int c : {16, 32}) {
     for (int k : {2, c / 4}) {
       for (int n : {4, 16, 64}) {
@@ -37,21 +36,20 @@ int main(int argc, char** argv) {
           double rounds = 0, slots = 0;
           bool within = false;
         };
-        std::vector<Trial> outcomes(static_cast<std::size_t>(trials));
-        pool.run(trials, [&](int t) {
-          Rng rng =
-              trial_rng(seed + static_cast<std::uint64_t>(c * 1000 + k * 100 + n),
-                        static_cast<std::uint64_t>(t));
-          HittingGameReferee ref(c, k, Rng(rng()));
-          CogCastHittingPlayer player(n, c, Rng(rng()));
-          const GameResult result = play(ref, player, 1'000'000);
-          if (!result.won) return;
-          outcomes[static_cast<std::size_t>(t)] = {
-              true, static_cast<double>(result.rounds),
-              static_cast<double>(player.simulated_slots()),
-              result.rounds <= static_cast<std::int64_t>(std::min(c, n)) *
-                                   player.simulated_slots()};
-        });
+        const auto outcomes = sweep_outcomes(
+            trials,
+            seed + static_cast<std::uint64_t>(c * 1000 + k * 100 + n), jobs,
+            [&](Rng& rng) {
+              HittingGameReferee ref(c, k, Rng(rng()));
+              CogCastHittingPlayer player(n, c, Rng(rng()));
+              const GameResult result = play(ref, player, 1'000'000);
+              if (!result.won) return Trial{};
+              return Trial{
+                  true, static_cast<double>(result.rounds),
+                  static_cast<double>(player.simulated_slots()),
+                  result.rounds <= static_cast<std::int64_t>(std::min(c, n)) *
+                                       player.simulated_slots()};
+            });
         std::vector<double> rounds, slots;
         int within = 0;
         for (const Trial& o : outcomes) {

@@ -3,8 +3,10 @@
 // gracefully handle changes to the network conditions, temporary faults,
 // and so on".
 //
-// Rewritten around sim/fault_engine.h: instead of protocol decorators, the
-// harness injects radio-level faults inside the engine. Two sweeps:
+// Every run is harness/claims.h's faulted_cogcast_trials, the body the
+// smoke suite's smoke_e19_fault_recovery runs too: run_cogcast with
+// radio-level faults injected inside the engine (sim/fault_engine.h). Two
+// sweeps:
 //
 //   burst/recovery   a correlated churn burst knocks out a growing node
 //                    subset early in the broadcast; we measure the time to
@@ -18,70 +20,13 @@
 // re-spread), never diverges, and no fault kind is fatal.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.h"
-#include "sim/fault_engine.h"
-#include "sim/network.h"
 
 using namespace cogradio;
 using namespace cogradio::bench;
 
 namespace {
-
-Message data_msg() {
-  Message m;
-  m.type = MessageType::Data;
-  return m;
-}
-
-struct FaultedOutcome {
-  bool completed = false;
-  Slot slots = 0;
-  Slot recover = 0;       // completion slot - burst end (bursts only)
-  double goodput = 0.0;   // channel successes per slot
-  int informed = 0;       // nodes informed at exit (survivor completion)
-};
-
-// One CogCast run with a FaultEngine attached. `configure` schedules the
-// trial's fault windows on the engine before the run starts.
-template <typename Configure>
-FaultedOutcome run_faulted(int n, int c, int k, std::uint64_t seed,
-                           Configure configure) {
-  Rng root(seed);
-  SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
-                                  root.split(1));
-  Rng seeder(root.split(2)());
-  std::vector<std::unique_ptr<CogCastNode>> nodes;
-  std::vector<Protocol*> protocols;
-  for (NodeId u = 0; u < n; ++u) {
-    nodes.push_back(std::make_unique<CogCastNode>(
-        u, c, u == 0, data_msg(), seeder.split(static_cast<std::uint64_t>(u))));
-    protocols.push_back(nodes.back().get());
-  }
-  FaultEngine engine(n, c, root.split(3));
-  Rng schedule = root.split(4);
-  configure(engine, schedule);
-  NetworkOptions net;
-  net.seed = root.split(5)();
-  Network network(assignment, std::move(protocols), net);
-  network.set_fault_engine(&engine);
-  network.run(500'000);
-
-  FaultedOutcome out;
-  out.slots = network.now();
-  out.completed = true;
-  for (const auto& node : nodes) {
-    out.informed += node->informed() ? 1 : 0;
-    out.completed = out.completed && node->informed();
-  }
-  if (out.completed && engine.last_burst_end() != kNoSlot)
-    out.recover = std::max<Slot>(0, out.slots - engine.last_burst_end());
-  out.goodput = out.slots > 0 ? static_cast<double>(network.stats().successes) /
-                                    static_cast<double>(out.slots)
-                              : 0.0;
-  return out;
-}
 
 struct SweepResult {
   Summary slots;
@@ -91,28 +36,32 @@ struct SweepResult {
   int informed_min = 0;  // worst-case survivor completion across trials
 };
 
-template <typename Configure>
+// `trials` CogCast runs, each under the fault windows `schedule` adds;
+// `burst_end` (kNoSlot without a burst) is where time-to-recover starts.
 SweepResult sweep(int n, int c, int k, int trials, std::uint64_t base_seed,
-                  int jobs, Configure configure) {
-  std::vector<FaultedOutcome> outcomes(static_cast<std::size_t>(trials));
-  ParallelSweep pool(jobs);
-  pool.run(trials, [&](int t) {
-    Rng rng = trial_rng(base_seed, static_cast<std::uint64_t>(t));
-    outcomes[static_cast<std::size_t>(t)] =
-        run_faulted(n, c, k, rng(), configure);
-  });
+                  int jobs, const FaultSchedule& schedule,
+                  Slot burst_end = kNoSlot) {
   SweepResult res;
   res.informed_min = n;
   std::vector<double> slots, recover, goodput;
-  for (const FaultedOutcome& out : outcomes) {
-    res.informed_min = std::min(res.informed_min, out.informed);
-    goodput.push_back(out.goodput);
+  for (const BroadcastOutcome& out :
+       faulted_cogcast_trials("shared-core", n, c, k, 500'000, schedule,
+                              trials, base_seed, jobs)) {
+    const auto informed = static_cast<int>(
+        std::count_if(out.informed_slot.begin(), out.informed_slot.end(),
+                      [](Slot s) { return s != kNoSlot; }));
+    res.informed_min = std::min(res.informed_min, informed);
+    goodput.push_back(out.slots > 0
+                          ? static_cast<double>(out.stats.successes) /
+                                static_cast<double>(out.slots)
+                          : 0.0);
     if (!out.completed) {
       ++res.failures;
       continue;
     }
     slots.push_back(static_cast<double>(out.slots));
-    recover.push_back(static_cast<double>(out.recover));
+    recover.push_back(static_cast<double>(
+        burst_end == kNoSlot ? 0 : std::max<Slot>(0, out.slots - burst_end)));
   }
   res.slots = summarize(slots);
   res.recover = summarize(recover);
@@ -122,9 +71,9 @@ SweepResult sweep(int n, int c, int k, int trials, std::uint64_t base_seed,
 
 void add_result(BenchManifest& manifest, const std::string& prefix,
                 const SweepResult& res) {
-  manifest.add_summary(prefix + ".slots", res.slots);
-  manifest.add_summary(prefix + ".recover", res.recover);
-  manifest.add_summary(prefix + ".goodput", res.goodput);
+  add_summary(manifest, prefix + ".slots", res.slots);
+  add_summary(manifest, prefix + ".recover", res.recover);
+  add_summary(manifest, prefix + ".goodput", res.goodput);
   manifest.set_int(prefix + ".failures", res.failures);
   manifest.set_int(prefix + ".informed_min", res.informed_min);
 }
@@ -147,8 +96,8 @@ int main(int argc, char** argv) {
               "(n=%d, c=%d, k=%d, %d trials/point)\n",
               n, c, k, trials);
 
-  const SweepResult base = sweep(n, c, k, trials, seed, jobs,
-                                 [](FaultEngine&, Rng&) {});
+  const SweepResult base =
+      sweep(n, c, k, trials, seed, jobs, [](FaultEngine&, Rng&) {});
   add_result(manifest, "fault_free", base);
 
   // --- Correlated churn bursts: knock out a subset, measure recovery. ----
@@ -158,15 +107,10 @@ int main(int argc, char** argv) {
                  Table::num(base.goodput.median, 2), "1.00",
                  Table::num(static_cast<std::int64_t>(base.failures))});
   for (int affected : {n / 8, n / 4, n / 2}) {
+    // A random subset excluding the source, hit over [5, 5+len).
     const SweepResult res = sweep(
         n, c, k, trials, seed + 100 + static_cast<std::uint64_t>(affected),
-        jobs, [&](FaultEngine& engine, Rng& rng) {
-          // Random subset excluding the source, hit over [5, 5+len).
-          const auto picks = rng.sample_without_replacement(n - 1, affected);
-          std::vector<NodeId> hit;
-          for (const auto u : picks) hit.push_back(u + 1);
-          engine.add_burst(hit, /*from=*/5, burst_len);
-        });
+        jobs, churn_burst(n, affected, 5, burst_len), 5 + burst_len);
     add_result(manifest, "burst.a" + std::to_string(affected), res);
     char window[32];
     std::snprintf(window, sizeof(window), "[5, %lld)",

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     for (int c : {8, 16, 32, 64, 128}) {
       const double theory = theorem4_shape_effective(pattern, n, c, k);
       const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + c, jobs);
-      manifest.add_summary(pattern + ".c" + std::to_string(c), s);
+      add_summary(manifest, pattern + ".c" + std::to_string(c), s);
       table.add_row({Table::num(static_cast<std::int64_t>(c)),
                      Table::num(effective_overlap(pattern, c, k), 1),
                      Table::num(theory, 1), Table::num(s.median, 1),

@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
     const Summary s =
         spectrum_cogcast(n, c, k, duty, trials,
                          seed + static_cast<std::uint64_t>(duty * 100), jobs);
-    manifest.add_summary(
-        "duty" + std::to_string(static_cast<int>(duty * 100)), s);
+    add_summary(manifest, "duty" + std::to_string(static_cast<int>(duty * 100)),
+                s);
     table.add_row({Table::num(duty, 2), Table::num(s.median, 1),
                    Table::num(s.p95, 1), Table::num(envelope, 1),
                    Table::num(safe_ratio(s.median, envelope), 3)});

@@ -82,9 +82,9 @@ int main(int argc, char** argv) {
         ablate(n, c, k, p, CollisionModel::OneWinner, true, trials,
                seed + 9000 + static_cast<std::uint64_t>(p * 1000), jobs);
     const std::string tag = "p" + std::to_string(static_cast<int>(p * 100));
-    manifest.add_summary(tag + ".one_winner", ow);
-    manifest.add_summary(tag + ".collision_loss", cl);
-    manifest.add_summary(tag + ".backoff", bo);
+    add_summary(manifest, tag + ".one_winner", ow);
+    add_summary(manifest, tag + ".collision_loss", cl);
+    add_summary(manifest, tag + ".backoff", bo);
     auto cell = [](const Summary& s, int trials_run) {
       return s.count < static_cast<std::size_t>(trials_run) / 2
                  ? std::string("stall")

@@ -73,13 +73,10 @@ int main(int argc, char** argv) {
 
   Table table({"n", "protocol", "slots", "total TX", "total RX",
                "max node energy", "energy/node"});
-  ParallelSweep pool(jobs);
   for (int n : {16, 64}) {
     for (const std::string proto : {"cogcast", "rendezvous", "cogcomp"}) {
-      std::vector<EnergyProfile> outcomes(static_cast<std::size_t>(trials));
-      pool.run(trials, [&](int t) {
-        Rng rng = trial_rng(seed + static_cast<std::uint64_t>(n),
-                            static_cast<std::uint64_t>(t));
+      const std::uint64_t base = seed + static_cast<std::uint64_t>(n);
+      const auto outcomes = sweep_outcomes(trials, base, jobs, [&](Rng& rng) {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                         Rng(rng()));
         Rng node_seeder(rng());
@@ -124,7 +121,7 @@ int main(int argc, char** argv) {
               },
               params.max_slots(), rng());
         }
-        outcomes[static_cast<std::size_t>(t)] = p;
+        return p;
       });
       double slots = 0, tx = 0, rx = 0, worst = 0;
       int ok = 0;

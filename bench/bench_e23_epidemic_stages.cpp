@@ -100,18 +100,12 @@ int main(int argc, char** argv) {
   // c close to n keeps listeners-per-channel ~1 so the doubling stage is
   // actually exercised (with n >> c a single winning broadcast informs
   // ~n/c nodes at once and stage 1 collapses).
-  ParallelSweep pool(jobs);
   for (const Config cfg :
        {Config{64, 32, 4}, Config{128, 64, 8}, Config{128, 64, 2},
         Config{256, 128, 8}}) {
-    std::vector<Curve> outcomes(static_cast<std::size_t>(trials));
-    pool.run(trials, [&](int t) {
-      Rng rng =
-          trial_rng(seed + static_cast<std::uint64_t>(cfg.n + cfg.c + cfg.k),
-                    static_cast<std::uint64_t>(t));
-      outcomes[static_cast<std::size_t>(t)] =
-          run_curve(cfg.n, cfg.c, cfg.k, rng());
-    });
+    const auto outcomes = sweep_outcomes(
+        trials, seed + static_cast<std::uint64_t>(cfg.n + cfg.c + cfg.k), jobs,
+        [&](Rng& rng) { return run_curve(cfg.n, cfg.c, cfg.k, rng()); });
     std::vector<double> half, hazard, total;
     for (const Curve& curve : outcomes) {
       half.push_back(static_cast<double>(curve.reach_half_c));

@@ -86,9 +86,9 @@ int main(int argc, char** argv) {
     const std::string tag = "n" + std::to_string(cfg.n) + ".c" +
                             std::to_string(cfg.c) + ".k" +
                             std::to_string(cfg.k);
-    manifest.add_summary(tag + ".one_winner", ow);
-    manifest.add_summary(tag + ".all_delivered", ad);
-    manifest.add_summary(tag + ".backoff", bo);
+    add_summary(manifest, tag + ".one_winner", ow);
+    add_summary(manifest, tag + ".all_delivered", ad);
+    add_summary(manifest, tag + ".backoff", bo);
     table.add_row({Table::num(static_cast<std::int64_t>(cfg.n)),
                    Table::num(static_cast<std::int64_t>(cfg.c)),
                    Table::num(static_cast<std::int64_t>(cfg.k)),

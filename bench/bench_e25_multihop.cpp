@@ -10,52 +10,9 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/multihop_cast.h"
 
 using namespace cogradio;
 using namespace cogradio::bench;
-
-namespace {
-
-struct HopTrial {
-  bool completed = false;
-  double slots = 0;
-  int diameter = 0;
-};
-
-Summary multihop_slots(const std::string& shape, int n, int c, int k,
-                       int trials, std::uint64_t base_seed, int jobs,
-                       int* diameter) {
-  std::vector<HopTrial> outcomes(static_cast<std::size_t>(trials));
-  ParallelSweep pool(jobs);
-  pool.run(trials, [&](int t) {
-    Rng rng = trial_rng(base_seed, static_cast<std::uint64_t>(t));
-    const std::uint64_t s1 = rng();
-    Topology topo = shape == "line"   ? Topology::line(n)
-                    : shape == "ring" ? Topology::ring(n)
-                    : shape == "grid"
-                        ? Topology::grid(n / 8, 8)
-                        : Topology::random_geometric(n, 0.3, Rng(s1));
-    HopTrial trial;
-    trial.diameter = topo.diameter();
-    SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
-                                    Rng(rng()));
-    MultihopCastConfig config;
-    config.seed = rng();
-    const auto out = run_multihop_cast(assignment, topo, config);
-    trial.completed = out.completed;
-    trial.slots = static_cast<double>(out.slots);
-    outcomes[static_cast<std::size_t>(t)] = trial;
-  });
-  std::vector<double> samples;
-  for (const HopTrial& trial : outcomes) {
-    *diameter = trial.diameter;
-    if (trial.completed) samples.push_back(trial.slots);
-  }
-  return summarize(samples);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
@@ -81,12 +38,14 @@ int main(int argc, char** argv) {
        {Config{"line", 16}, Config{"line", 32}, Config{"line", 64},
         Config{"ring", 32}, Config{"grid", 32}, Config{"grid", 64},
         Config{"geometric", 48}}) {
-    int diameter = 0;
-    const Summary s = multihop_slots(cfg.shape, cfg.n, c, k, trials,
-                                     seed + static_cast<std::uint64_t>(cfg.n),
-                                     jobs, &diameter);
-    manifest.add_summary(
-        std::string(cfg.shape) + ".n" + std::to_string(cfg.n), s);
+    const auto runs =
+        multihop_cast_trials("shared-core", cfg.shape, cfg.n, c, k, trials,
+                             seed + static_cast<std::uint64_t>(cfg.n), jobs);
+    // The geometric graph is redrawn per trial: the last trial's diameter.
+    const int diameter = runs.empty() ? 0 : runs.back().diameter;
+    const Summary s = summarize(completed_slots(runs));
+    add_summary(manifest, std::string(cfg.shape) + ".n" + std::to_string(cfg.n),
+                s);
     table.add_row({cfg.shape, Table::num(static_cast<std::int64_t>(cfg.n)),
                    Table::num(static_cast<std::int64_t>(diameter)),
                    Table::num(s.median, 1), Table::num(s.p95, 1),

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                       seed + 500 + static_cast<std::uint64_t>(n), jobs);
     const double sequential = one_cast.median * n;
     const std::string tag = "n" + std::to_string(n);
-    manifest.add_summary(tag + ".gossip", gossip);
+    add_summary(manifest, tag + ".gossip", gossip);
     manifest.set(tag + ".one_cast_median", one_cast.median);
     manifest.set(tag + ".gossip_vs_sequential",
                  safe_ratio(gossip.median, sequential));

@@ -28,10 +28,7 @@ struct Phase4Trial {
 
 Summary phase4_slots(int n, int c, int k, bool mediated, int trials,
                      std::uint64_t base_seed, int jobs, int* incomplete) {
-  std::vector<Phase4Trial> outcomes(static_cast<std::size_t>(trials));
-  ParallelSweep pool(jobs);
-  pool.run(trials, [&](int t) {
-    Rng rng = trial_rng(base_seed, static_cast<std::uint64_t>(t));
+  const auto outcomes = sweep_outcomes(trials, base_seed, jobs, [&](Rng& rng) {
     PartitionedAssignment assignment(n, c, k, LabelMode::LocalRandom,
                                      Rng(rng()));
     CogCompRunConfig config;
@@ -40,9 +37,8 @@ Summary phase4_slots(int n, int c, int k, bool mediated, int trials,
     config.seed = rng();
     const auto values = make_values(n, rng());
     const auto out = run_cogcomp(assignment, values, config);
-    outcomes[static_cast<std::size_t>(t)] = {
-        out.completed && out.result == out.expected,
-        static_cast<double>(out.phase4_slots)};
+    return Phase4Trial{out.completed && out.result == out.expected,
+                       static_cast<double>(out.phase4_slots)};
   });
   std::vector<double> samples;
   for (const Phase4Trial& trial : outcomes) {

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   Table table({"loss q", "cogcast med", "vs q=0", "1/(1-q)",
                "cogcomp completed", "cogcomp wrong&claimed-ok"});
   double base_median = 0;
-  ParallelSweep pool(jobs);
   for (double q : {0.0, 0.1, 0.25, 0.5, 0.75}) {
     struct FadeTrial {
       bool cast_ok = false;
@@ -42,10 +41,8 @@ int main(int argc, char** argv) {
       bool comp_ok = false;
       bool comp_silent_wrong = false;
     };
-    std::vector<FadeTrial> outcomes(static_cast<std::size_t>(trials));
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(q * 100),
-                          static_cast<std::uint64_t>(t));
+    const std::uint64_t base = seed + static_cast<std::uint64_t>(q * 100);
+    const auto outcomes = sweep_outcomes(trials, base, jobs, [&](Rng& rng) {
       FadeTrial trial;
       {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
@@ -73,7 +70,7 @@ int main(int argc, char** argv) {
         // with a wrong result.
         trial.comp_silent_wrong = out.completed && out.result != out.expected;
       }
-      outcomes[static_cast<std::size_t>(t)] = trial;
+      return trial;
     });
     std::vector<double> cast_slots;
     int comp_ok = 0, comp_silent_wrong = 0;
@@ -86,7 +83,7 @@ int main(int argc, char** argv) {
     // cograd-lint: allow(R6) q iterates exact sweep grid values; 0.0 is the literal baseline point
     if (q == 0.0) base_median = s.median;
     const std::string tag = "q" + std::to_string(static_cast<int>(q * 100));
-    manifest.add_summary(tag + ".cogcast", s);
+    add_summary(manifest, tag + ".cogcast", s);
     manifest.set_int(tag + ".cogcomp_ok", comp_ok);
     manifest.set_int(tag + ".cogcomp_silent_wrong", comp_silent_wrong);
     table.add_row(

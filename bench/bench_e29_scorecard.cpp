@@ -13,8 +13,6 @@
 #include "analysis/theory.h"
 #include "baselines/tdma_aggregation.h"
 #include "bench_common.h"
-#include "lowerbounds/hitting_game.h"
-#include "sim/backoff.h"
 
 using namespace cogradio;
 using namespace cogradio::bench;
@@ -53,50 +51,30 @@ int main(int argc, char** argv) {
   {  // Theorem 10: phase 4 within 3(n+1) slots.
     const int n = 64, c = 16, k = 4;
     std::vector<double> p4;
-    Rng local(seeder());
-    for (int t = 0; t < trials; ++t) {
-      SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
-                                      Rng(local()));
-      CogCompRunConfig config;
-      config.params = {n, c, k, 4.0};
-      config.seed = local();
-      const auto values = make_values(n, local());
-      const auto out = run_cogcomp(assignment, values, config);
+    for (const AggregationOutcome& out :
+         cogcomp_trials("shared-core", n, c, k, trials, seeder(), jobs))
       if (out.completed && out.result == out.expected)
         p4.push_back(static_cast<double>(out.phase4_slots));
-    }
     rows.push_back({"phase-4 slots (n=64)", "Theorem 10",
                     theory::cogcomp_phase4_bound(n), summarize(p4).p95, 0.0,
                     1.0});
   }
-  {  // Lemma 11: the fresh player's median win round exceeds the budget.
-    const int c = 32, k = 4;
+  // Lemmas 11 and 14: the fresh player's median win round exceeds the
+  // budget, (c,k) = (32,4) and the complete game at c = 48.
+  const auto median_win_round = [&](int c, int k, std::int64_t max_rounds) {
     std::vector<double> wins;
-    Rng local(seeder());
-    for (int t = 0; t < 200; ++t) {
-      HittingGameReferee ref(c, k, Rng(local()));
-      FreshPlayer player(c, Rng(local()));
-      const auto result = play(ref, player, 64LL * c * c);
+    for (const GameResult& result :
+         hitting_game_trials(c, k, GamePlayer::Fresh, max_rounds, 200,
+                             seeder(), jobs))
       if (result.won) wins.push_back(static_cast<double>(result.rounds));
-    }
-    rows.push_back({"hitting-game median round (c=32,k=4)", "Lemma 11",
-                    theory::lemma11_budget(c, k), summarize(wins).median, 1.0,
-                    1e9});
-  }
-  {  // Lemma 14: complete-game median exceeds c/3.
-    const int c = 48;
-    std::vector<double> wins;
-    Rng local(seeder());
-    for (int t = 0; t < 200; ++t) {
-      HittingGameReferee ref(c, c, Rng(local()));
-      FreshPlayer player(c, Rng(local()));
-      const auto result = play(ref, player, 64LL * c);
-      if (result.won) wins.push_back(static_cast<double>(result.rounds));
-    }
-    rows.push_back({"complete-game median round (c=48)", "Lemma 14",
-                    theory::lemma14_budget(c), summarize(wins).median, 1.0,
-                    1e9});
-  }
+    return summarize(wins).median;
+  };
+  rows.push_back({"hitting-game median round (c=32,k=4)", "Lemma 11",
+                  theory::lemma11_budget(32, 4),
+                  median_win_round(32, 4, 64LL * 32 * 32), 1.0, 1e9});
+  rows.push_back({"complete-game median round (c=48)", "Lemma 14",
+                  theory::lemma14_budget(48),
+                  median_win_round(48, 48, 64LL * 48), 1.0, 1e9});
   {  // Theorem 16: exact expectation of the optimal scan.
     const int c = 32, k = 2;
     Rng local(seeder());
@@ -143,13 +121,8 @@ int main(int argc, char** argv) {
   }
   {  // Footnote 4: decay backoff micro-slot p95 within the log^2 envelope.
     const int m = 128;
-    Rng local(seeder());
-    std::vector<double> micro;
-    const auto params = backoff_params_for(m);
-    for (int t = 0; t < 2000; ++t) {
-      const auto out = decay_backoff(m, params, local);
-      if (out.resolved) micro.push_back(static_cast<double>(out.micro_slots));
-    }
+    const std::vector<double> micro = resolved_micro_slots(
+        decay_backoff_trials(m, 2000, seeder(), jobs));
     rows.push_back({"backoff p95 micro-slots (m=128)", "footnote 4",
                     theory::backoff_micro_slots(m), summarize(micro).p95, 0.0,
                     1.5});

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       if (k > c) continue;
       const double theory = theorem4_shape_effective(pattern, n, c, k);
       const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + k, jobs);
-      manifest.add_summary(pattern + ".k" + std::to_string(k), s);
+      add_summary(manifest, pattern + ".k" + std::to_string(k), s);
       table.add_row({Table::num(static_cast<std::int64_t>(k)),
                      Table::num(effective_overlap(pattern, c, k), 1),
                      Table::num(theory, 1), Table::num(s.median, 1),

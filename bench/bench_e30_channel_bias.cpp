@@ -94,9 +94,10 @@ int main(int argc, char** argv) {
         base = summary.median;
         first_point = false;
       }
-      manifest.add_summary(std::string(local ? "local" : "global") + ".s" +
-                               std::to_string(static_cast<int>(s * 10)),
-                           summary);
+      add_summary(manifest,
+                  std::string(local ? "local" : "global") + ".s" +
+                      std::to_string(static_cast<int>(s * 10)),
+                  summary);
       table.add_row({Table::num(s, 1), Table::num(summary.median, 1),
                      Table::num(summary.p95, 1),
                      Table::num(safe_ratio(summary.median, base), 2)});

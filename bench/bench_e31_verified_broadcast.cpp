@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     }
     const Summary s = summarize(slots);
     if (m == 1) base = s.median;
-    manifest.add_summary("multi.m" + std::to_string(m), s);
+    add_summary(manifest, "multi.m" + std::to_string(m), s);
     multi.add_row({Table::num(static_cast<std::int64_t>(m)),
                    Table::num(s.median, 1), Table::num(s.p95, 1),
                    Table::num(safe_ratio(s.median, base), 2)});

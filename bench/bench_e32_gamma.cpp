@@ -44,21 +44,18 @@ int main(int argc, char** argv) {
                                  Table::num(static_cast<std::int64_t>(cfg.c)),
                                  Table::num(static_cast<std::int64_t>(cfg.k))};
     // One set of completion samples per config; thresholds re-used.
-    std::vector<double> slots(static_cast<std::size_t>(trials));
-    ParallelSweep pool(jobs);
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(cfg.n * 7 + cfg.c),
-                          static_cast<std::uint64_t>(t));
-      auto assignment = make_assignment(cfg.pattern, cfg.n, cfg.c, cfg.k,
-                                        LabelMode::LocalRandom, Rng(rng()));
-      CogCastRunConfig config;
-      config.params = {cfg.n, cfg.c, cfg.k, 4.0};
-      config.seed = rng();
-      config.max_slots = 256 * config.params.horizon();
-      const auto out = run_cogcast(*assignment, config);
-      slots[static_cast<std::size_t>(t)] =
-          out.completed ? static_cast<double>(out.slots) : 1e18;
-    });
+    const auto slots = sweep_outcomes(
+        trials, seed + static_cast<std::uint64_t>(cfg.n * 7 + cfg.c), jobs,
+        [&](Rng& rng) {
+          auto assignment = make_assignment(cfg.pattern, cfg.n, cfg.c, cfg.k,
+                                            LabelMode::LocalRandom, Rng(rng()));
+          CogCastRunConfig config;
+          config.params = {cfg.n, cfg.c, cfg.k, 4.0};
+          config.seed = rng();
+          config.max_slots = 256 * config.params.horizon();
+          const auto out = run_cogcast(*assignment, config);
+          return out.completed ? static_cast<double>(out.slots) : 1e18;
+        });
     const double shape =
         theorem4_shape_effective(cfg.pattern, cfg.n, cfg.c, cfg.k);
     const std::string tag = std::string(cfg.pattern) + ".n" +

@@ -42,11 +42,8 @@ int main(int argc, char** argv) {
       double slots = 0;
       int diameter = 0;
     };
-    std::vector<ConvergeTrial> outcomes(static_cast<std::size_t>(trials));
-    ParallelSweep pool(jobs);
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(cfg.n),
-                          static_cast<std::uint64_t>(t));
+    const std::uint64_t base = seed + static_cast<std::uint64_t>(cfg.n);
+    const auto outcomes = sweep_outcomes(trials, base, jobs, [&](Rng& rng) {
       const std::string shape = cfg.shape;
       Topology topo = shape == "line"   ? Topology::line(cfg.n)
                       : shape == "ring" ? Topology::ring(cfg.n)
@@ -64,7 +61,7 @@ int main(int argc, char** argv) {
       trial.completed = out.completed;
       trial.exact = out.completed && out.result == out.expected;
       trial.slots = static_cast<double>(out.slots);
-      outcomes[static_cast<std::size_t>(t)] = trial;
+      return trial;
     });
     std::vector<double> slots;
     int exact = 0, shortfall = 0;

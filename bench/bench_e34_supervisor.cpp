@@ -58,12 +58,7 @@ struct SweepStats {
 template <typename RunTrial>
 SweepStats sweep(int trials, std::uint64_t base_seed, int jobs,
                  RunTrial run_trial) {
-  std::vector<TrialResult> results(static_cast<std::size_t>(trials));
-  ParallelSweep pool(jobs);
-  pool.run(trials, [&](int t) {
-    Rng rng = trial_rng(base_seed, static_cast<std::uint64_t>(t));
-    results[static_cast<std::size_t>(t)] = run_trial(rng);
-  });
+  const auto results = sweep_outcomes(trials, base_seed, jobs, run_trial);
   SweepStats stats;
   stats.trials = trials;
   std::vector<double> restarts, slots;
@@ -91,8 +86,8 @@ void add_stats(BenchManifest& manifest, const std::string& prefix,
                const SweepStats& s) {
   manifest.set_int(prefix + ".supervised_completed", s.supervised_completed);
   manifest.set_int(prefix + ".epoch0_completed", s.epoch0_completed);
-  manifest.add_summary(prefix + ".restarts", s.restarts);
-  manifest.add_summary(prefix + ".total_slots", s.total_slots);
+  add_summary(manifest, prefix + ".restarts", s.restarts);
+  add_summary(manifest, prefix + ".total_slots", s.total_slots);
 }
 
 }  // namespace

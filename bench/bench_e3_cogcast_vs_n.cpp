@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     for (int n : {4, 8, 16, 32, 64, 128, 256, 512}) {
       const double theory = theorem4_shape_effective(pattern, n, c, k);
       const Summary s = cogcast_slots(pattern, n, c, k, trials, seed + n, jobs);
-      manifest.add_summary(pattern + ".n" + std::to_string(n), s);
+      add_summary(manifest, pattern + ".n" + std::to_string(n), s);
       table.add_row({Table::num(static_cast<std::int64_t>(n)),
                      n < c ? "c>n (x c/n)" : "n>=c",
                      Table::num(theory, 1), Table::num(s.median, 1),

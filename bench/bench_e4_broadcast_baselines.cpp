@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
                                                   trials, seed + c, jobs);
     const double ratio = safe_ratio(rv.median, cog.median);
     const std::string tag = "c" + std::to_string(c);
-    manifest.add_summary(tag + ".cogcast", cog);
-    manifest.add_summary(tag + ".rendezvous", rv);
+    add_summary(manifest, tag + ".cogcast", cog);
+    add_summary(manifest, tag + ".rendezvous", rv);
     manifest.set(tag + ".ratio", ratio);
     table.add_row({Table::num(static_cast<std::int64_t>(c)),
                    Table::num(cog.median, 1), Table::num(rv.median, 1),
@@ -82,10 +82,10 @@ int main(int argc, char** argv) {
       rnd.push_back(static_cast<double>(out.slots));
       det.push_back(det_rendezvous_slots(c, k, seeder()));
     }
-    manifest.add_summary("pairwise.c" + std::to_string(c) + ".random",
-                         summarize(rnd));
-    manifest.add_summary("pairwise.c" + std::to_string(c) + ".deterministic",
-                         summarize(det));
+    add_summary(manifest, "pairwise.c" + std::to_string(c) + ".random",
+                summarize(rnd));
+    add_summary(manifest, "pairwise.c" + std::to_string(c) + ".deterministic",
+                summarize(det));
     pairwise.add_row(
         {Table::num(static_cast<std::int64_t>(c)),
          Table::num(summarize(rnd).median, 1),

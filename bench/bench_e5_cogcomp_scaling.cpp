@@ -29,43 +29,24 @@ int main(int argc, char** argv) {
   Table table({"n", "phase1 (bcast)", "phase2 (n)", "phase3 (rewind)",
                "phase4 med", "phase4 bound 3(n+1)", "total med",
                "theory shape", "ok"});
-  ParallelSweep pool(jobs);
   for (int n : {8, 16, 32, 64, 128, 256}) {
-    struct Trial {
-      bool ok = false;
-      double total = 0, p4 = 0;
-    };
-    std::vector<Trial> outcomes(static_cast<std::size_t>(trials));
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(n),
-                          static_cast<std::uint64_t>(t));
-      SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
-                                      Rng(rng()));
-      CogCompRunConfig config;
-      config.params = {n, c, k, 4.0};
-      config.seed = rng();
-      const auto values = make_values(n, rng());
-      const auto out = run_cogcomp(assignment, values, config);
-      if (!out.completed || out.result != out.expected) return;
-      outcomes[static_cast<std::size_t>(t)] = {
-          true, static_cast<double>(out.slots),
-          static_cast<double>(out.phase4_slots)};
-    });
     std::vector<double> total, p4;
     int failures = 0;
-    for (const Trial& o : outcomes) {
-      if (!o.ok) {
+    for (const AggregationOutcome& out :
+         cogcomp_trials("shared-core", n, c, k, trials,
+                        seed + static_cast<std::uint64_t>(n), jobs)) {
+      if (!out.completed || out.result != out.expected) {
         ++failures;
         continue;
       }
-      total.push_back(o.total);
-      p4.push_back(o.p4);
+      total.push_back(static_cast<double>(out.slots));
+      p4.push_back(static_cast<double>(out.phase4_slots));
     }
     const CogCompParams params{n, c, k, 4.0};
     const double shape = theory::cogcomp_slots(n, c, k);
     const std::string tag = "n" + std::to_string(n);
-    manifest.add_summary(tag + ".total", summarize(total));
-    manifest.add_summary(tag + ".phase4", summarize(p4));
+    add_summary(manifest, tag + ".total", summarize(total));
+    add_summary(manifest, tag + ".phase4", summarize(p4));
     manifest.set_int(tag + ".failures", failures);
     table.add_row(
         {Table::num(static_cast<std::int64_t>(n)),

@@ -27,16 +27,13 @@ int main(int argc, char** argv) {
 
   Table table({"n", "cogcomp med", "rendezvous med", "ratio",
                "theory c^2n/k", "baseline/theory"});
-  ParallelSweep pool(jobs);
   struct Trial {
     std::optional<double> cog, rv;
   };
   for (int n : {8, 16, 32, 64, 128}) {
-    std::vector<Trial> outcomes(static_cast<std::size_t>(trials));
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(n),
-                          static_cast<std::uint64_t>(t));
-      Trial& o = outcomes[static_cast<std::size_t>(t)];
+    const std::uint64_t base = seed + static_cast<std::uint64_t>(n);
+    const auto outcomes = sweep_outcomes(trials, base, jobs, [&](Rng& rng) {
+      Trial o;
       const auto values = make_values(n, rng());
       {
         SharedCoreAssignment assignment(n, c, k, LabelMode::LocalRandom,
@@ -56,6 +53,7 @@ int main(int argc, char** argv) {
         const auto out = run_rendezvous_aggregation(assignment, values, config);
         if (out.completed) o.rv = static_cast<double>(out.slots);
       }
+      return o;
     });
     std::vector<double> cog, rv;
     for (const Trial& o : outcomes) {
@@ -65,9 +63,9 @@ int main(int argc, char** argv) {
     const double cm = summarize(cog).median;
     const double rm = summarize(rv).median;
     const double theory = static_cast<double>(c) * c * n / k;
-    manifest.add_summary("n" + std::to_string(n) + ".cogcomp", summarize(cog));
-    manifest.add_summary("n" + std::to_string(n) + ".rendezvous",
-                         summarize(rv));
+    add_summary(manifest, "n" + std::to_string(n) + ".cogcomp", summarize(cog));
+    add_summary(manifest, "n" + std::to_string(n) + ".rendezvous",
+                summarize(rv));
     table.add_row({Table::num(static_cast<std::int64_t>(n)),
                    Table::num(cm, 1), Table::num(rm, 1),
                    Table::num(safe_ratio(rm, cm), 2), Table::num(theory, 0),
@@ -86,11 +84,9 @@ int main(int argc, char** argv) {
               "baseline theory tail c^2"});
   for (int n : {8, 16, 32, 64}) {
     const int cc = 32, kk = 1;
-    std::vector<Trial> outcomes(static_cast<std::size_t>(trials));
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + 7000 + static_cast<std::uint64_t>(n),
-                          static_cast<std::uint64_t>(t));
-      Trial& o = outcomes[static_cast<std::size_t>(t)];
+    const std::uint64_t base = seed + 7000 + static_cast<std::uint64_t>(n);
+    const auto outcomes = sweep_outcomes(trials, base, jobs, [&](Rng& rng) {
+      Trial o;
       const auto values = make_values(n, rng());
       {
         PartitionedAssignment assignment(n, cc, kk, LabelMode::LocalRandom,
@@ -110,6 +106,7 @@ int main(int argc, char** argv) {
         const auto out = run_rendezvous_aggregation(assignment, values, config);
         if (out.completed) o.rv = static_cast<double>(out.slots);
       }
+      return o;
     });
     std::vector<double> cog, rv;
     for (const Trial& o : outcomes) {
@@ -118,10 +115,10 @@ int main(int argc, char** argv) {
     }
     const double cm = summarize(cog).median;
     const double rm = summarize(rv).median;
-    manifest.add_summary("tail.n" + std::to_string(n) + ".cogcomp",
-                         summarize(cog));
-    manifest.add_summary("tail.n" + std::to_string(n) + ".rendezvous",
-                         summarize(rv));
+    add_summary(manifest, "tail.n" + std::to_string(n) + ".cogcomp",
+                summarize(cog));
+    add_summary(manifest, "tail.n" + std::to_string(n) + ".rendezvous",
+                summarize(rv));
     tail.add_row({Table::num(static_cast<std::int64_t>(n)),
                   Table::num(cm, 1), Table::num(rm, 1),
                   Table::num(safe_ratio(rm, cm), 2),

@@ -6,10 +6,10 @@
 // the Lemma 11 round budget — which must stay below 1/2 — and (b) the
 // median win round, which should track c^2/k.
 #include <cstdio>
+#include <set>
 
 #include "analysis/theory.h"
 #include "bench_common.h"
-#include "lowerbounds/hitting_game.h"
 
 using namespace cogradio;
 using namespace cogradio::bench;
@@ -25,31 +25,21 @@ int main(int argc, char** argv) {
   std::printf("E7: (c,k)-bipartite hitting game   (Lemma 11, %d trials/point)\n",
               trials);
 
-  ParallelSweep pool(jobs);
   for (const bool fresh : {false, true}) {
     Table table({"c", "k", "lemma11 budget", "win rate in budget",
                  "median win round", "median/(c^2/k)"});
     for (int c : {16, 32, 64}) {
-      for (int k : {2, c / 8, c / 2}) {
+      // Each k of {2, c/8, c/2} once, ascending: at c = 16, c/8 is 2.
+      for (const int k : std::set<int>{2, c / 8, c / 2}) {
         if (k < 1 || 2 * k > c) continue;
         const auto budget =
             static_cast<std::int64_t>(theory::lemma11_budget(c, k));
-        std::vector<GameResult> outcomes(static_cast<std::size_t>(trials));
-        pool.run(trials, [&](int t) {
-          Rng rng = trial_rng(seed + static_cast<std::uint64_t>(c * 100 + k),
-                              static_cast<std::uint64_t>(t));
-          HittingGameReferee ref(c, k, Rng(rng()));
-          std::unique_ptr<HittingGamePlayer> player;
-          if (fresh)
-            player = std::make_unique<FreshPlayer>(c, Rng(rng()));
-          else
-            player = std::make_unique<UniformPlayer>(c, Rng(rng()));
-          outcomes[static_cast<std::size_t>(t)] =
-              play(ref, *player, 64LL * c * c);  // generous cap
-        });
         int wins_in_budget = 0;
         std::vector<double> win_rounds;
-        for (const GameResult& result : outcomes) {
+        for (const GameResult& result : hitting_game_trials(
+                 c, k, fresh ? GamePlayer::Fresh : GamePlayer::Uniform,
+                 64LL * c * c, trials,
+                 seed + static_cast<std::uint64_t>(c * 100 + k), jobs)) {
           if (result.won && result.rounds <= budget) ++wins_in_budget;
           if (result.won)
             win_rounds.push_back(static_cast<double>(result.rounds));

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "lowerbounds/hitting_game.h"
 
 using namespace cogradio;
 using namespace cogradio::bench;
@@ -26,19 +25,12 @@ int main(int argc, char** argv) {
 
   Table table({"c", "budget c/3", "win rate in budget", "median win round",
                "median/c"});
-  ParallelSweep pool(jobs);
   for (int c : {12, 24, 48, 96, 192}) {
-    std::vector<GameResult> outcomes(static_cast<std::size_t>(trials));
-    pool.run(trials, [&](int t) {
-      Rng rng = trial_rng(seed + static_cast<std::uint64_t>(c),
-                          static_cast<std::uint64_t>(t));
-      HittingGameReferee ref(c, c, Rng(rng()));
-      FreshPlayer player(c, Rng(rng()));
-      outcomes[static_cast<std::size_t>(t)] = play(ref, player, 64LL * c);
-    });
     int wins_in_budget = 0;
     std::vector<double> win_rounds;
-    for (const GameResult& result : outcomes) {
+    for (const GameResult& result :
+         hitting_game_trials(c, c, GamePlayer::Fresh, 64LL * c, trials,
+                             seed + static_cast<std::uint64_t>(c), jobs)) {
       if (result.won && result.rounds <= c / 3) ++wins_in_budget;
       if (result.won) win_rounds.push_back(static_cast<double>(result.rounds));
     }

@@ -83,8 +83,9 @@ int main(int argc, char** argv) {
       const Summary s =
           cogcast_slots("partitioned", n, c, k, cast_trials, seed + c + k, jobs);
       const double lb = static_cast<double>(c + 1) / (k + 1);
-      manifest.add_summary(
-          "cogcast.c" + std::to_string(c) + ".k" + std::to_string(k), s);
+      add_summary(manifest,
+                  "cogcast.c" + std::to_string(c) + ".k" + std::to_string(k),
+                  s);
       gap.add_row({Table::num(static_cast<std::int64_t>(c)),
                    Table::num(static_cast<std::int64_t>(k)),
                    Table::num(lb, 2), Table::num(s.median, 1),

@@ -20,7 +20,7 @@ struct ModuleRank {
 const ModuleRank kModuleRanks[] = {
     {"util", 0},        {"sim", 1},       {"analysis", 1}, {"core", 2},
     {"agg", 2},         {"lowerbounds", 2}, {"baselines", 2}, {"serve", 3},
-    {"tools", 4},       {"bench", 4},     {"tests", 4},
+    {"harness", 4},     {"tools", 5},     {"bench", 5},    {"tests", 5},
 };
 
 std::string path_component(const std::string& path, std::size_t index) {
@@ -155,9 +155,9 @@ std::vector<LintFinding> IncludeGraph::check() const {
                       std::to_string(module_rank(to) - module_rank(from)) +
                       " rank(s) above " + from +
                       " (util -> {sim, analysis} -> {core, agg, lowerbounds, "
-                      "baselines} -> serve -> tools/bench/tests)",
-                  "move the shared declaration down a layer, or accept the "
-                  "edge with an allow(R7) reason");
+                      "baselines} -> serve -> harness -> tools/bench/tests)",
+                  "move the shared declaration down a layer, or the "
+                  "includer into a module ranked above what it includes");
   }
 
   // Cycle findings, anchored at the lexicographically first witness edge

@@ -7,12 +7,13 @@
 //   rank 1  sim, analysis
 //   rank 2  core, agg, lowerbounds, baselines
 //   rank 3  serve
-//   rank 4  tools, bench, tests
+//   rank 4  harness
+//   rank 5  tools, bench, tests
 //
 // A quoted #include may only point at the includer's own module or a module
 // of rank <= the includer's (same-rank cross-module edges are legal; true
 // cycles among them are caught separately and reported with the shortest
-// module cycle). Edges suppressed in-source with allow(R7) are accepted
+// module cycle). Edges suppressed in-source for R7 are accepted
 // as documented exceptions and excluded from cycle detection — so a cycle
 // is silenced by suppressing (any) one of its edges. docs/LINT.md#r7 has
 // the rationale and examples.
@@ -32,7 +33,7 @@ struct IncludeRef {
   int line = 0;        // 1-based line of the #include
   std::string target;  // the quoted include path, verbatim
   std::string snippet; // trimmed original source line
-  bool suppressed = false;  // an allow(R7) comment covers the directive
+  bool suppressed = false;  // an R7 suppression covers the directive
 };
 
 // Module of a tree-relative file path: "src/util/x.h" -> "util",

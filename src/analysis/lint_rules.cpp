@@ -33,6 +33,7 @@ bool in_r5_scope(const std::string& rel_path) {
 bool in_r6_scope(const std::string& rel_path) {
   return starts_with(rel_path, "src/util/") ||
          starts_with(rel_path, "src/analysis/") ||
+         starts_with(rel_path, "src/harness/") ||
          starts_with(rel_path, "bench/");
 }
 
@@ -693,10 +694,11 @@ void scan_r9(FileScan& scan,
 // Coins are spent serially, outside parallel regions (docs/DETERMINISM.md):
 // any Rng activity lexically inside a pool task body is nondeterministic
 // unless the generator is the trial's own trial_rng(base_seed, index)
-// stream. Pool
-// task bodies are recognized as lambda arguments of `<pool>.run(...)` /
-// `<pool>->run(...)` where <pool> was declared as a ParallelSweep or has
-// "pool"/"sweep" in its name.
+// stream. Pool task bodies are recognized as the arguments of
+// `<pool>.run(...)` / `<pool>->run(...)`, where <pool> was declared as a
+// ParallelSweep or has "pool"/"sweep" in its name, and of
+// `sweep_trials(...)` / `sweep_outcomes(...)`, whose body's `Rng&`
+// parameter is the trial's stream.
 void scan_r10(FileScan& scan) {
   std::vector<std::string> pool_names;
   for (const std::string& code : scan.stripped.code) {
@@ -749,9 +751,15 @@ void scan_r10(FileScan& scan) {
       for (std::size_t i = 0; i + 5 < code.size(); ++i) {
         const bool dot_run = code.compare(i, 5, ".run(") == 0;
         const bool arrow_run = code.compare(i, 6, "->run(") == 0;
-        if (!dot_run && !arrow_run) continue;
-        const std::string recv = token_before(code, i);
-        if (recv.empty() || !is_pool(recv)) continue;
+        const bool sweep_call =
+            (i == 0 || !ident_char(code[i - 1])) &&
+            (code.compare(i, 13, "sweep_trials(") == 0 ||
+             code.compare(i, 15, "sweep_outcomes(") == 0);
+        if (!sweep_call) {
+          if (!dot_run && !arrow_run) continue;
+          const std::string recv = token_before(code, i);
+          if (recv.empty() || !is_pool(recv)) continue;
+        }
         in_region = true;
         region_parens = 0;
         sanctioned.clear();

@@ -3,7 +3,9 @@
 // supervised builders (core/supervisor.h) build every run through
 // assemble(), so a (parameters, seed) pair reproduces bit-identically.
 // run_hopping_together, the multi-hop runners, proptest's scenarios and
-// some benches seed their runs by rules of their own and do not.
+// the benches that build their own nodes seed their runs by rules of their
+// own and do not; the claim bodies of harness/claims.h, E19's faulted runs
+// among them, come through these runners.
 #pragma once
 
 #include <memory>

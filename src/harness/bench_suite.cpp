@@ -1,34 +1,14 @@
-#include "analysis/bench_suite.h"
-
-#include <cmath>
-#include <cstdlib>
-#include <optional>
-#include <string>
-#include <thread>
+#include "harness/bench_suite.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 
 #include "analysis/theory.h"
-
-// The in-repo benchmark suite sits in analysis/ so `cograd bench` can gate
-// on it, but it necessarily executes the stacks above it. Accepted edges:
-// cograd-lint: allow(R7) E25/E33 benchmarks time run_multihop_cast itself
-#include "core/multihop_cast.h"
-// cograd-lint: allow(R7) supervisor benchmarks execute the core runtime
 #include "core/runtime.h"
-// cograd-lint: allow(R7) E7/E17 benchmark the hitting-game referee directly
-#include "lowerbounds/hitting_game.h"
-#include "sim/assignment.h"
-// cograd-lint: allow(R7) smoke_e37_serve drives the serve daemon with its loadgen
-#include "serve/loadgen.h"
-// cograd-lint: allow(R7) smoke_e37_serve boots an in-process ServeServer
+#include "harness/claims.h"
 #include "serve/server.h"
-#include "sim/backoff.h"
-#include "sim/fault_engine.h"
-#include "sim/jamming.h"
-#include "sim/topology.h"
-#include "util/stats.h"
-#include "util/sweep.h"
+#include "sim/assignment.h"
 
 namespace cogradio {
 
@@ -36,14 +16,6 @@ namespace {
 
 int trials_or(const SmokeOptions& options, int default_trials) {
   return options.trials > 0 ? options.trials : default_trials;
-}
-
-// Records a sweep's Summary under `prefix.` — count pins censoring (a trial
-// newly hitting its slot cap changes count, not just the median).
-void add_summary(RunManifest& m, const std::string& prefix, const Summary& s) {
-  m.set_int(prefix + ".count", static_cast<std::int64_t>(s.count));
-  m.set(prefix + ".median", s.median);
-  m.set(prefix + ".p95", s.p95);
 }
 
 RunManifest smoke_e1_cogcast(const SmokeOptions& opt) {
@@ -78,41 +50,15 @@ RunManifest smoke_e2_cogcomp(const SmokeOptions& opt) {
   m.set_config_int("trials", trials);
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
   for (const int n : {16, 32}) {
-    const std::uint64_t base = opt.seed + static_cast<std::uint64_t>(n) * 7919;
-    // Two sweeps over the same trial seeds: completion slots, then a 0/1
-    // exactness indicator (result == ground truth). Each trial's randomness
-    // is a pure function of (base, t), so both sweeps see identical runs.
-    const auto run_one = [&](Rng& rng) {
-      const std::uint64_t s1 = rng();
-      const std::uint64_t s2 = rng();
-      auto assignment =
-          make_assignment("partitioned", n, c, k, LabelMode::LocalRandom,
-                          Rng(s1));
-      CogCompRunConfig config;
-      config.params.n = n;
-      config.params.c = c;
-      config.params.k = k;
-      config.seed = s2;
-      const auto values = make_values(n, s1 ^ 0x9e3779b97f4a7c15ULL);
-      return run_cogcomp(*assignment, values, config);
-    };
+    const auto runs = cogcomp_trials(
+        "partitioned", n, c, k, trials,
+        opt.seed + static_cast<std::uint64_t>(n) * 7919, opt.jobs);
     const std::string tag = "n" + std::to_string(n);
-    add_summary(m, tag + ".total",
-                summarize(sweep_trials(
-                    trials, base, opt.jobs,
-                    [&](Rng& rng) -> std::optional<double> {
-                      const auto out = run_one(rng);
-                      if (!out.completed) return std::nullopt;
-                      return static_cast<double>(out.slots);
-                    })));
-    const auto exact = sweep_trials(
-        trials, base, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-          const auto out = run_one(rng);
-          return out.completed && out.result == out.expected ? 1.0 : 0.0;
-        });
-    double exact_count = 0;
-    for (const double e : exact) exact_count += e;
-    m.set_int(tag + ".exact_count", static_cast<std::int64_t>(exact_count));
+    add_summary(m, tag + ".total", summarize(completed_slots(runs)));
+    std::int64_t exact = 0;
+    for (const AggregationOutcome& out : runs)
+      if (out.completed && out.result == out.expected) ++exact;
+    m.set_int(tag + ".exact_count", exact);
   }
   return m;
 }
@@ -128,20 +74,8 @@ RunManifest smoke_e4_baseline_gap(const SmokeOptions& opt) {
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
   const Summary cogcast =
       cogcast_slots("partitioned", n, c, k, trials, opt.seed, opt.jobs);
-  const Summary rendezvous = summarize(sweep_trials(
-      trials, opt.seed + 17, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-        const std::uint64_t s1 = rng();
-        const std::uint64_t s2 = rng();
-        auto assignment =
-            make_assignment("partitioned", n, c, k, LabelMode::LocalRandom,
-                            Rng(s1));
-        BaselineRunConfig config;
-        config.seed = s2;
-        config.max_slots = 4'000'000;
-        const auto out = run_rendezvous_broadcast(*assignment, config);
-        if (!out.completed) return std::nullopt;
-        return static_cast<double>(out.slots);
-      }));
+  const Summary rendezvous = rendezvous_broadcast_slots(
+      "partitioned", n, c, k, trials, opt.seed + 17, opt.jobs);
   add_summary(m, "cogcast", cogcast);
   add_summary(m, "rendezvous", rendezvous);
   if (cogcast.median > 0) m.set("ratio", rendezvous.median / cogcast.median);
@@ -158,14 +92,12 @@ RunManifest smoke_e7_hitting_game(const SmokeOptions& opt) {
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
   // A FreshPlayer exhausts every edge within c^2 proposals, so no trial is
   // censored and the sweep records the exact win round.
-  const auto rounds = sweep_trials(
-      trials, opt.seed, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-        HittingGameReferee referee(c, k, Rng(rng()));
-        FreshPlayer player(c, Rng(rng()));
-        const auto result =
-            play(referee, player, static_cast<std::int64_t>(c) * c);
-        return static_cast<double>(result.rounds);
-      });
+  std::vector<double> rounds;
+  for (const GameResult& game :
+       hitting_game_trials(c, k, GamePlayer::Fresh,
+                           static_cast<std::int64_t>(c) * c, trials, opt.seed,
+                           opt.jobs))
+    rounds.push_back(static_cast<double>(game.rounds));
   add_summary(m, "fresh.win_round", summarize(rounds));
   const double bound = theory::lemma11_budget(c, k);
   std::int64_t within = 0;
@@ -187,38 +119,14 @@ RunManifest smoke_e12_jamming(const SmokeOptions& opt) {
   m.set_config_string("jammer", "random");
   m.set_config_int("trials", trials);
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
-  // Same (base, t) randomness for both sweeps: completion slots, then the
-  // jammed-node-slot count of the identical run.
-  const auto run_one = [&](Rng& rng) {
-    const std::uint64_t s1 = rng();
-    const std::uint64_t s2 = rng();
-    const std::uint64_t s3 = rng();
-    auto assignment =
-        make_assignment("partitioned", n, c, k, LabelMode::LocalRandom,
-                        Rng(s1));
-    RandomJammer jammer(n, c, budget, Rng(s3));
-    CogCastRunConfig config;
-    config.params = {n, c, k, 4.0};
-    config.seed = s2;
-    config.max_slots = 256 * config.params.horizon();
-    config.jammer = &jammer;
-    return run_cogcast(*assignment, config);
-  };
-  add_summary(m, "random.slots",
-              summarize(sweep_trials(trials, opt.seed, opt.jobs,
-                                     [&](Rng& rng) -> std::optional<double> {
-                                       const auto out = run_one(rng);
-                                       if (!out.completed) return std::nullopt;
-                                       return static_cast<double>(out.slots);
-                                     })));
-  const auto jammed = sweep_trials(
-      trials, opt.seed, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-        return static_cast<double>(run_one(rng).stats.jammed_node_slots);
-      });
-  double jammed_total = 0;
-  for (const double j : jammed) jammed_total += j;
-  m.set_int("random.jammed_node_slots.total",
-            static_cast<std::int64_t>(jammed_total));
+  const auto runs = jammed_cogcast_trials("partitioned", n, c, k, "random",
+                                          budget, 256, trials, opt.seed,
+                                          opt.jobs);
+  add_summary(m, "random.slots", summarize(completed_slots(runs)));
+  std::int64_t jammed = 0;
+  for (const BroadcastOutcome& out : runs)
+    jammed += out.stats.jammed_node_slots;
+  m.set_int("random.jammed_node_slots.total", jammed);
   return m;
 }
 
@@ -229,15 +137,9 @@ RunManifest smoke_e13_backoff(const SmokeOptions& opt) {
   m.set_config_int("trials", trials);
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
   for (const int contenders : {8, 64}) {
-    const std::uint64_t base =
-        opt.seed + static_cast<std::uint64_t>(contenders) * 104729;
-    const BackoffParams params = backoff_params_for(contenders);
-    const auto micro = sweep_trials(
-        trials, base, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-          const auto out = decay_backoff(contenders, params, rng);
-          if (!out.resolved) return std::nullopt;
-          return static_cast<double>(out.micro_slots);
-        });
+    const std::vector<double> micro = resolved_micro_slots(decay_backoff_trials(
+        contenders, trials,
+        opt.seed + static_cast<std::uint64_t>(contenders) * 104729, opt.jobs));
     const std::string tag = "decay.m" + std::to_string(contenders);
     add_summary(m, tag + ".micro_slots", summarize(micro));
     m.set_int(tag + ".failures",
@@ -245,13 +147,8 @@ RunManifest smoke_e13_backoff(const SmokeOptions& opt) {
                   static_cast<std::int64_t>(micro.size()));
   }
   add_summary(m, "cd.m64.micro_slots",
-              summarize(sweep_trials(
-                  trials, opt.seed + 3, opt.jobs,
-                  [&](Rng& rng) -> std::optional<double> {
-                    const auto out = cd_split_backoff(64, 4096, rng);
-                    if (!out.resolved) return std::nullopt;
-                    return static_cast<double>(out.micro_slots);
-                  })));
+              summarize(resolved_micro_slots(
+                  cd_split_trials(64, 4096, trials, opt.seed + 3, opt.jobs))));
   return m;
 }
 
@@ -266,22 +163,9 @@ RunManifest smoke_e25_multihop(const SmokeOptions& opt) {
   m.set_config_int("trials", trials);
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
   add_summary(m, "line",
-              summarize(sweep_trials(
-                  trials, opt.seed, opt.jobs,
-                  [&](Rng& rng) -> std::optional<double> {
-                    const std::uint64_t s1 = rng();
-                    const std::uint64_t s2 = rng();
-                    auto assignment =
-                        make_assignment("partitioned", n, c, k,
-                                        LabelMode::LocalRandom, Rng(s1));
-                    const Topology topology = Topology::line(n);
-                    MultihopCastConfig config;
-                    config.seed = s2;
-                    const auto out =
-                        run_multihop_cast(*assignment, topology, config);
-                    if (!out.completed) return std::nullopt;
-                    return static_cast<double>(out.slots);
-                  })));
+              summarize(completed_slots(multihop_cast_trials(
+                  "partitioned", "line", n, c, k, trials, opt.seed,
+                  opt.jobs))));
   return m;
 }
 
@@ -302,62 +186,25 @@ RunManifest smoke_e19_fault_recovery(const SmokeOptions& opt) {
   m.set_config_int("burst_len", burst_len);
   m.set_config_int("trials", trials);
   m.set_config_int("seed", static_cast<std::int64_t>(opt.seed));
-  // Each trial's randomness is a pure function of (seed, t): the sweeps
-  // below all replay the same runs and read different outcome facets.
-  const auto run_one = [&](Rng& rng) {
-    const std::uint64_t s1 = rng();
-    const std::uint64_t s2 = rng();
-    const std::uint64_t s3 = rng();
-    const std::uint64_t s4 = rng();
-    auto assignment = make_assignment("shared-core", n, c, k,
-                                      LabelMode::LocalRandom, Rng(s1));
-    FaultEngine engine(n, c, Rng(s3));
-    // Random burst subset, never the source (node 0).
-    std::vector<NodeId> hit;
-    Rng picker(s4);
-    for (const auto u : picker.sample_without_replacement(n - 1, burst_nodes))
-      hit.push_back(u + 1);
-    engine.add_burst(hit, burst_from, burst_len);
-    CogCastRunConfig config;
-    config.params = {n, c, k, 4.0};
-    config.seed = s2;
-    config.max_slots = 64 * config.params.horizon() + burst_len;
-    config.fault_engine = &engine;
-    return run_cogcast(*assignment, config);
-  };
-  add_summary(m, "burst.slots",
-              summarize(sweep_trials(trials, opt.seed, opt.jobs,
-                                     [&](Rng& rng) -> std::optional<double> {
-                                       const auto out = run_one(rng);
-                                       if (!out.completed) return std::nullopt;
-                                       return static_cast<double>(out.slots);
-                                     })));
+  const Slot cap = 64 * CogCastParams{n, c, k, 4.0}.horizon() + burst_len;
+  const auto runs = faulted_cogcast_trials(
+      "shared-core", n, c, k, cap,
+      churn_burst(n, burst_nodes, burst_from, burst_len), trials, opt.seed,
+      opt.jobs);
+  add_summary(m, "burst.slots", summarize(completed_slots(runs)));
   // Time-to-recover: completion slot minus the burst's end.
-  add_summary(
-      m, "burst.recover",
-      summarize(sweep_trials(
-          trials, opt.seed, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-            const auto out = run_one(rng);
-            if (!out.completed) return std::nullopt;
-            return static_cast<double>(
-                std::max<Slot>(0, out.slots - (burst_from + burst_len)));
-          })));
-  const auto churned = sweep_trials(
-      trials, opt.seed, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-        return static_cast<double>(run_one(rng).stats.churned_node_slots);
-      });
-  double churned_total = 0;
-  for (const double x : churned) churned_total += x;
-  m.set_int("burst.churned_node_slots.total",
-            static_cast<std::int64_t>(churned_total));
-  const auto drops = sweep_trials(
-      trials, opt.seed, opt.jobs, [&](Rng& rng) -> std::optional<double> {
-        return static_cast<double>(run_one(rng).stats.feedback_drops);
-      });
-  double drops_total = 0;
-  for (const double x : drops) drops_total += x;
-  m.set_int("burst.feedback_drops.total",
-            static_cast<std::int64_t>(drops_total));
+  std::vector<double> recover;
+  std::int64_t churned = 0, drops = 0;
+  for (const BroadcastOutcome& out : runs) {
+    if (out.completed)
+      recover.push_back(static_cast<double>(
+          std::max<Slot>(0, out.slots - (burst_from + burst_len))));
+    churned += out.stats.churned_node_slots;
+    drops += out.stats.feedback_drops;
+  }
+  add_summary(m, "burst.recover", summarize(recover));
+  m.set_int("burst.churned_node_slots.total", churned);
+  m.set_int("burst.feedback_drops.total", drops);
   return m;
 }
 
@@ -454,24 +301,17 @@ RunManifest smoke_e37_serve(const SmokeOptions& opt) {
   ServeOptions options;
   options.tcp_port = 0;  // ephemeral loopback port
   options.workers = 2;
-  ServeServer server(options);
-  // cograd-lint: allow(R8) smoke_e37_serve hosts the daemon IO loop beside the loadgen it checks
-  std::thread io([&server] { server.run(); });
   LoadgenOptions load;
-  load.tcp_port = server.tcp_port();
   load.sessions = 12;
   load.connections = 4;
   load.seed = opt.seed;
   load.job.n = 24;
   load.job.c = 6;
   load.job.k = 2;
-  const LoadgenReport clean = run_loadgen(load);
-  load.kill_every = 3;
-  load.seed = opt.seed + 1;
-  const LoadgenReport churn = run_loadgen(load);
-  server.stop();
-  io.join();
-  const ServeStats stats = server.stats();
+  const ServeWaves waves = run_serve_waves(options, load);
+  const LoadgenReport& clean = waves.clean;
+  const LoadgenReport& churn = waves.churn;
+  const ServeStats& stats = waves.daemon;
   m.set_int("clean.all_completed",
             clean.ok && clean.completed == clean.sessions ? 1 : 0);
   m.set_int("clean.all_verified",
@@ -524,22 +364,11 @@ RunManifest run_smoke_experiment(const std::string& name,
   std::abort();  // callers validate against smoke_experiment_names()
 }
 
-Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
-                      int trials, std::uint64_t base_seed, int jobs) {
-  return summarize(sweep_trials(
-      trials, base_seed, jobs, [&](Rng& rng) -> std::optional<double> {
-        const std::uint64_t s1 = rng();
-        const std::uint64_t s2 = rng();
-        auto assignment =
-            make_assignment(pattern, n, c, k, LabelMode::LocalRandom, Rng(s1));
-        CogCastRunConfig config;
-        config.params = {n, c, k, 4.0};
-        config.seed = s2;
-        config.max_slots = 64 * config.params.horizon();
-        const auto out = run_cogcast(*assignment, config);
-        if (!out.completed) return std::nullopt;
-        return static_cast<double>(out.slots);
-      }));
+void add_summary(RunManifest& manifest, const std::string& prefix,
+                 const Summary& summary) {
+  manifest.set_int(prefix + ".count", static_cast<std::int64_t>(summary.count));
+  manifest.set(prefix + ".median", summary.median);
+  manifest.set(prefix + ".p95", summary.p95);
 }
 
 void add_trace_stats(RunManifest& manifest, const std::string& prefix,

@@ -8,9 +8,11 @@
 // them into BENCH_all.json for comparison against the committed baseline
 // (bench/baseline/BENCH_all.json) via util/bench_gate.h.
 //
-// Experiments mirror their full-size bench/ counterparts (names carry the
-// e<N> tag) but run seconds, not minutes: the gate exists to catch
-// protocol/engine regressions between PRs, not to re-certify the paper.
+// Experiments are miniatures of their full-size bench/ counterparts (names
+// carry the e<N> tag) and run seconds, not minutes: where a paper claim
+// has a trial body (harness/claims.h), the miniature calls it at a small
+// size and seed. The gate exists to catch protocol/engine regressions
+// between commits, not to re-certify the paper.
 #pragma once
 
 #include <cstdint>
@@ -40,17 +42,15 @@ std::vector<std::string> smoke_experiment_names();
 RunManifest run_smoke_experiment(const std::string& name,
                                  const SmokeOptions& options);
 
-// CogCast completion slots over `trials` independent topologies and runs
-// of `pattern` (static or dynamic), fanned out over `jobs` workers; a
-// trial that misses its 64 x horizon cap is censored. The smoke suite and
-// the bench/ harnesses share it; trial t's coins come from
-// trial_rng(base_seed, t), so the Summary is the same for any `jobs`.
-Summary cogcast_slots(const std::string& pattern, int n, int c, int k,
-                      int trials, std::uint64_t base_seed, int jobs = 1);
+// Records a sweep's Summary under `prefix.`: its count (which pins
+// censoring: a trial newly hitting its slot cap changes the count, not
+// just the median), median and p95.
+void add_summary(RunManifest& manifest, const std::string& prefix,
+                 const Summary& summary);
 
-// Records the slot engine's TraceStats counters under `prefix.` — the
-// per-run protocol observability block shared by the smoke suite and the
-// bench harness hook.
+// Records the slot engine's TraceStats counters under `prefix.`: the
+// per-run protocol observability block of the smoke suite and the bench/
+// harnesses.
 void add_trace_stats(RunManifest& manifest, const std::string& prefix,
                      const TraceStats& stats);
 

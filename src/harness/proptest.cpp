@@ -1,29 +1,17 @@
-#include "util/proptest.h"
+#include "harness/proptest.h"
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <sstream>
 
-// The property harness is a deliberate layering exception: it lives in util
-// so every module can reuse it, but it must *drive* the protocols it
-// fuzzes. Each upward include is individually accepted below; none of them
-// leaks into util's headers except the three Scenario value types.
-// cograd-lint: allow(R7) the harness executes CogCast to fuzz it end to end
 #include "core/cogcast.h"
-// cograd-lint: allow(R7) gossip epidemic runs are one of the fuzzed protocols
 #include "core/gossip.h"
-// cograd-lint: allow(R7) scenarios materialize SharedCoreAssignment instances
 #include "sim/assignment.h"
-// cograd-lint: allow(R7) the resume differential snapshots and restores worlds
 #include "sim/checkpoint.h"
-// cograd-lint: allow(R7) every trial is checked against the sim invariant suite
 #include "sim/invariants.h"
-// cograd-lint: allow(R7) scenarios randomize jamming adversaries
 #include "sim/jamming.h"
-// cograd-lint: allow(R7) trials construct the Network engine they execute on
 #include "sim/network.h"
-// cograd-lint: allow(R7) every trial is diffed against the reference engine
 #include "sim/reference_network.h"
 #include "util/sweep.h"
 

@@ -41,11 +41,8 @@
 #include <utility>
 #include <vector>
 
-// cograd-lint: allow(R7) Scenario embeds the FaultProfile value type
 #include "sim/fault_engine.h"
-// cograd-lint: allow(R7) CheckOptions carries a TestonlyFaultMutation for the sim under test
 #include "sim/network.h"
-// cograd-lint: allow(R7) property callbacks receive protocol Outcome records
 #include "sim/protocol.h"
 #include "util/rng.h"
 

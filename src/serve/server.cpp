@@ -600,4 +600,29 @@ ServeStats ServeServer::stats() const {
   return impl_->stats;
 }
 
+ServeWaves run_serve_waves(const ServeOptions& options, LoadgenOptions load) {
+  ServeServer server(options);
+  std::thread io([&server] { server.run(); });
+  load.unix_path = options.unix_path;
+  load.tcp_port = options.unix_path.empty() ? server.tcp_port() : -1;
+  ServeWaves waves;
+  try {
+    load.kill_every = 0;
+    waves.clean = run_loadgen(load);
+    load.kill_every = 3;
+    load.seed += 1;
+    waves.churn = run_loadgen(load);
+    std::string error;
+    waves.said_bye = request_shutdown(load.unix_path, load.tcp_port, &error);
+  } catch (...) {
+    server.stop();  // the IO thread must be joined before it is destroyed
+    io.join();
+    throw;
+  }
+  if (!waves.said_bye) server.stop();
+  io.join();
+  waves.daemon = server.stats();
+  return waves;
+}
+
 }  // namespace cogradio

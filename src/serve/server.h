@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 
+#include "serve/loadgen.h"
 #include "serve/protocol.h"
 
 namespace cogradio {
@@ -81,5 +82,22 @@ class ServeServer {
   struct Impl;
   Impl* impl_;
 };
+
+// What run_serve_waves saw: both loadgen reports, whether the daemon took
+// the shutdown frame, and the daemon's counters.
+struct ServeWaves {
+  LoadgenReport clean;  // every session runs to its done frame
+  LoadgenReport churn;  // every third session hangs up after accept
+  bool said_bye = false;
+  ServeStats daemon;  // counters after the daemon stopped
+};
+
+// The in-process serve wave of `cograd serve --smoke` and the smoke
+// suite's smoke_e37_serve: boots a ServeServer on `options`, hosts its IO
+// loop on a thread, and drives two loadgen waves from the `load` template
+// at the daemon's own address, a clean one at load.seed and then a
+// kill-every-3 one at load.seed + 1. A shutdown frame ends the daemon;
+// when the frame is not delivered, stop() does, so the join cannot hang.
+ServeWaves run_serve_waves(const ServeOptions& options, LoadgenOptions load);
 
 }  // namespace cogradio

@@ -95,7 +95,7 @@ struct FaultEvent {
 
 // Budget for add_random: how many distinct nodes get each kind, plus one
 // optional correlated churn burst. Also the fault dimension of a proptest
-// Scenario (util/proptest.h), hence the defaulted equality.
+// Scenario (harness/proptest.h), hence the defaulted equality.
 struct FaultProfile {
   int deaf = 0;
   int mute = 0;

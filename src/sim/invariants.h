@@ -41,7 +41,7 @@
 // jammed — deliberately excluding winner identity) into a fingerprint, so
 // two executions that should agree on everything but coin flips (the
 // plain and backoff-emulating engines driving oblivious traffic) can be
-// compared exactly: util/proptest.h's differential property does so.
+// compared exactly: harness/proptest.h's differential property does so.
 #pragma once
 
 #include <memory>
@@ -55,7 +55,7 @@ namespace cogradio {
 
 // FNV-1a fold of (slot, node, mode, channel, jammed, fault flags) over a
 // stream of resolved actions: the checker's, or that of a run observed
-// without one (the reference leg of util/proptest.h).
+// without one (the reference leg of harness/proptest.h).
 class ActionFingerprint {
  public:
   void fold(Slot slot, std::span<const ResolvedAction> acts);

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.h"
@@ -62,23 +63,37 @@ class ParallelSweep {
   bool stop_ = false;  // cograd-guarded-by(mutex_)
 };
 
-// Runs `trials` independent executions of `fn` and collects the returned
-// samples in trial order. `fn(rng)` receives the trial's private generator
-// and returns std::optional<double>; nullopt samples (censored trials that
-// hit a slot cap, say) are dropped, exactly as the sequential loops did.
+// Runs `trials` independent executions of `fn` fanned out over `jobs`
+// workers and returns every trial's outcome in trial order. `fn(rng)`
+// receives trial t's private generator, rng = trial_rng(base_seed, t), and
+// its return type is the outcome type; each trial writes only its own
+// element, so the vector is the same for any `jobs` value. Outcomes must
+// be default-constructible, and not bool: concurrent writes to distinct
+// std::vector<bool> elements race on the shared word.
 template <typename Fn>
-std::vector<double> sweep_trials(int trials, std::uint64_t base_seed, int jobs,
-                                 Fn&& fn) {
-  std::vector<std::optional<double>> slots(
+auto sweep_outcomes(int trials, std::uint64_t base_seed, int jobs, Fn&& fn) {
+  using Outcome = std::decay_t<std::invoke_result_t<Fn&, Rng&>>;
+  static_assert(!std::is_same_v<Outcome, bool>,
+                "std::vector<bool> elements share words; return a struct");
+  std::vector<Outcome> outcomes(
       static_cast<std::size_t>(trials > 0 ? trials : 0));
   ParallelSweep pool(jobs);
   pool.run(trials, [&](int t) {
     Rng rng = trial_rng(base_seed, static_cast<std::uint64_t>(t));
-    slots[static_cast<std::size_t>(t)] = fn(rng);
+    outcomes[static_cast<std::size_t>(t)] = fn(rng);
   });
+  return outcomes;
+}
+
+// sweep_outcomes for a std::optional<double> sample per trial: the
+// nullopt samples (censored trials that hit a slot cap, say) are dropped
+// and the rest kept in trial order.
+template <typename Fn>
+std::vector<double> sweep_trials(int trials, std::uint64_t base_seed, int jobs,
+                                 Fn&& fn) {
   std::vector<double> samples;
-  samples.reserve(slots.size());
-  for (const auto& s : slots)
+  for (const std::optional<double> s :
+       sweep_outcomes(trials, base_seed, jobs, fn))
     if (s) samples.push_back(*s);
   return samples;
 }

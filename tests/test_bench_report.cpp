@@ -9,7 +9,7 @@
 #include <limits>
 #include <string>
 
-#include "analysis/bench_suite.h"
+#include "harness/bench_suite.h"
 #include "util/atomic_file.h"
 #include "util/bench_gate.h"
 #include "util/bench_report.h"

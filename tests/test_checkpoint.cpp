@@ -19,12 +19,12 @@
 #include <utility>
 #include <vector>
 
+#include "harness/proptest.h"
 #include "serve/journal.h"
 #include "sim/assignment.h"
 #include "sim/fault_engine.h"
 #include "sim/jamming.h"
 #include "sim/network.h"
-#include "util/proptest.h"
 
 namespace cogradio {
 namespace {

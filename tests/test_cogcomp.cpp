@@ -480,9 +480,10 @@ TEST(CogComp, FadingNeverAbortsAndNeverMiscounts) {
       EXPECT_LE(out.slots, config.params.max_slots())
           << "loss " << loss << " seed " << seed;
       // ...and a completed run is exact even when most acks faded away.
-      if (out.completed)
+      if (out.completed) {
         EXPECT_EQ(out.result, out.expected)
             << "loss " << loss << " seed " << seed;
+      }
     }
   }
 }

@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "core/cogcast.h"
+#include "harness/proptest.h"
 #include "sim/assignment.h"
 #include "sim/invariants.h"
 #include "sim/network.h"
 #include "sim/reference_network.h"
 #include "sim/skew.h"
-#include "util/proptest.h"
 
 namespace cogradio {
 namespace {

@@ -11,11 +11,11 @@
 #include <memory>
 #include <vector>
 
+#include "harness/proptest.h"
 #include "sim/assignment.h"
 #include "sim/invariants.h"
 #include "sim/jamming.h"
 #include "sim/network.h"
-#include "util/proptest.h"
 
 namespace cogradio {
 namespace {

@@ -23,6 +23,7 @@ TEST(IncludeGraph, ModuleOfPath) {
   EXPECT_EQ(module_of_path("src/util/rng.h"), "util");
   EXPECT_EQ(module_of_path("src/sim/network.cpp"), "sim");
   EXPECT_EQ(module_of_path("src/analysis/lint.cpp"), "analysis");
+  EXPECT_EQ(module_of_path("src/harness/claims.cpp"), "harness");
   EXPECT_EQ(module_of_path("bench/bench_e7.cpp"), "bench");
   EXPECT_EQ(module_of_path("tools/cograd.cpp"), "tools");
   EXPECT_EQ(module_of_path("tests/test_rng.cpp"), "tests");
@@ -39,7 +40,9 @@ TEST(IncludeGraph, ModuleRankRespectsTheLayering) {
   EXPECT_EQ(module_rank("agg"), module_rank("lowerbounds"));
   EXPECT_EQ(module_rank("lowerbounds"), module_rank("baselines"));
   EXPECT_LT(module_rank("core"), module_rank("serve"));
-  EXPECT_LT(module_rank("serve"), module_rank("tools"));
+  EXPECT_LT(module_rank("serve"), module_rank("harness"));
+  EXPECT_LT(module_rank("harness"), module_rank("tools"));
+  EXPECT_EQ(module_rank("tools"), module_rank("bench"));
   EXPECT_EQ(module_rank("bench"), module_rank("tests"));
   EXPECT_EQ(module_rank("vendor"), -1);
 }
@@ -56,6 +59,8 @@ TEST(IncludeGraph, DownwardAndSameRankEdgesAreClean) {
   graph.add(edge("src/sim/network.cpp", "util/rng.h"));
   graph.add(edge("src/core/cogcast.cpp", "agg/aggregate.h"));
   graph.add(edge("tools/cograd.cpp", "serve/server.h"));
+  graph.add(edge("src/harness/bench_suite.cpp", "serve/server.h"));
+  graph.add(edge("bench/bench_e7.cpp", "harness/claims.h"));
   EXPECT_TRUE(graph.check().empty());
   EXPECT_TRUE(graph.cycles().empty());
 }

@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "core/cogcast.h"
+#include "harness/proptest.h"
 #include "sim/assignment.h"
 #include "sim/jamming.h"
-#include "util/proptest.h"
 
 namespace cogradio {
 namespace {

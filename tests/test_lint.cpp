@@ -317,6 +317,13 @@ TEST(LintR6, FlagsFloatLiteralEquality) {
             1);
 }
 
+TEST(LintR6, HarnessIsInScope) {
+  EXPECT_EQ(count_rule(lint_source("src/harness/bench_suite.cpp",
+                                   "if (ratio == 1.0) m.set(\"x\", 1);\n"),
+                       "R6"),
+            1);
+}
+
 TEST(LintR6, IntegerEqualityAndOtherScopesPass) {
   EXPECT_EQ(count_rule(lint_source("src/util/stats.cpp",
                                    "if (count == 0) return;\n"),
@@ -573,7 +580,9 @@ TEST(LintR9, UnlockedTouchOfGuardedMemberIsFlagged) {
   const auto f = lint_source("src/util/counter.h", text);
   ASSERT_EQ(count_rule(f, "R9"), 1);
   for (const LintFinding& finding : f) {
-    if (finding.rule == "R9") EXPECT_EQ(finding.line, 4);
+    if (finding.rule == "R9") {
+      EXPECT_EQ(finding.line, 4);
+    }
   }
 }
 
@@ -617,6 +626,34 @@ TEST(LintR10, GeneratorsDerivedFromTheTrialStreamPass) {
       "  use(child.below(4));\n"
       "});\n";
   EXPECT_EQ(count_rule(lint_source("src/sim/x.cpp", text), "R10"), 0);
+}
+
+TEST(LintR10, ForeignGeneratorInsideSweepOutcomesBodyIsFlagged) {
+  const std::string text =
+      "const auto runs = sweep_outcomes(trials, seed, jobs, [&](Rng& rng) {\n"
+      "  Rng other(shared_seed);\n"
+      "  return other.below(10) + rng.below(2);\n"
+      "});\n";
+  EXPECT_EQ(count_rule(lint_source("src/harness/x.cpp", text), "R10"), 1);
+  const std::string trials_text =
+      "auto xs = sweep_trials(trials, seed, jobs,\n"
+      "    [&](Rng& rng) -> std::optional<double> {\n"
+      "      return rng_.uniform();\n"
+      "    });\n";
+  EXPECT_EQ(count_rule(lint_source("bench/bench_x.cpp", trials_text), "R10"),
+            1);
+}
+
+TEST(LintR10, SweepOutcomesTrialStreamPasses) {
+  const std::string text =
+      "const auto runs = sweep_outcomes(trials, seed, jobs, [&](Rng& rng) {\n"
+      "  const std::uint64_t s1 = rng();\n"
+      "  Rng child(s1);\n"
+      "  return child.below(10) + rng.below(2);\n"
+      "});\n"
+      "Rng after(config.seed);\n"
+      "use(after.below(3));\n";
+  EXPECT_EQ(count_rule(lint_source("src/harness/x.cpp", text), "R10"), 0);
 }
 
 TEST(LintR10, DrawsOutsideSweepBodiesAreNotItsBusiness) {

@@ -1,9 +1,9 @@
-// Tests for the property-based testing harness (util/proptest.h):
+// Tests for the property-based testing harness (harness/proptest.h):
 // generator determinism and validity, the default invariant property over
 // a seeded sweep, jobs-independence of the report, and counterexample
 // shrinking converging to the known-minimal scenario of a synthetic
 // property.
-#include "util/proptest.h"
+#include "harness/proptest.h"
 
 #include <gtest/gtest.h>
 
@@ -34,11 +34,16 @@ TEST(PropTest, GeneratedScenariosAreCanonical) {
     EXPECT_GE(s.n, 1);
     EXPECT_GE(s.k, 1);
     EXPECT_LE(s.k, s.c);
-    if (s.pattern == ScnPattern::Identity) EXPECT_EQ(s.k, s.c);
-    if (s.jammer == ScnJammer::None) EXPECT_EQ(s.jam_budget, 0);
+    if (s.pattern == ScnPattern::Identity) {
+      EXPECT_EQ(s.k, s.c);
+    }
+    if (s.jammer == ScnJammer::None) {
+      EXPECT_EQ(s.jam_budget, 0);
+    }
     if (s.engine == ScnEngine::AllDelivered ||
-        s.engine == ScnEngine::CollisionLoss)
+        s.engine == ScnEngine::CollisionLoss) {
       EXPECT_EQ(s.loss_prob, 0.0);
+    }
     EXPECT_LE(s.crashes + s.outages, s.n);
   }
 }

@@ -29,11 +29,11 @@
 #include <vector>
 
 #include "chatter.h"
+#include "harness/proptest.h"
 #include "sim/assignment.h"
 #include "sim/fault_engine.h"
 #include "sim/jamming.h"
 #include "sim/network.h"
-#include "util/proptest.h"
 #include "util/rng.h"
 
 namespace cogradio {
@@ -324,8 +324,12 @@ TEST_P(ReferenceSparseDifferential, MatchesBitForBit) {
   EXPECT_EQ(engine.touched_words_read,
             expected_touched_words(engine, kPartitioned.n));
   // The adversaries actually bit.
-  if (fam.jammed) EXPECT_GT(engine.stats.jammed_node_slots, 0);
-  if (fam.faulted) EXPECT_GT(engine.stats.babble_node_slots, 0);
+  if (fam.jammed) {
+    EXPECT_GT(engine.stats.jammed_node_slots, 0);
+  }
+  if (fam.faulted) {
+    EXPECT_GT(engine.stats.babble_node_slots, 0);
+  }
   if (fam.detach_faults_at > 0)
     expect_detached_mid_fault(engine, kPartitioned.n, fam.detach_faults_at);
 }

@@ -180,5 +180,28 @@ TEST(SweepTrials, SamplesKeepTrialOrder) {
   EXPECT_EQ(samples, again);
 }
 
+TEST(SweepOutcomes, EveryTrialInTrialOrderForAnyJobs) {
+  // Trial t's outcome is what fn made of trial_rng(base, t), censored or
+  // not, at index t, whatever the worker count.
+  struct Draw {
+    std::uint64_t first = 0;
+    bool kept = false;
+  };
+  const auto body = [](Rng& rng) {
+    const std::uint64_t first = rng();
+    return Draw{first, first % 2 == 0};
+  };
+  const std::vector<Draw> serial = sweep_outcomes(50, 9, 1, body);
+  const std::vector<Draw> par4 = sweep_outcomes(50, 9, 4, body);
+  ASSERT_EQ(serial.size(), 50u);
+  ASSERT_EQ(par4.size(), 50u);
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    EXPECT_EQ(serial[t].first, trial_rng(9, t)());
+    EXPECT_EQ(par4[t].first, serial[t].first);
+    EXPECT_EQ(par4[t].kept, serial[t].kept);
+  }
+  EXPECT_TRUE(sweep_outcomes(0, 9, 4, body).empty());
+}
+
 }  // namespace
 }  // namespace cogradio

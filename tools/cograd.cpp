@@ -28,12 +28,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
-#include "analysis/bench_suite.h"
 #include "analysis/lint.h"
 #include "analysis/theory.h"
 #include "core/consensus.h"
@@ -41,6 +39,8 @@
 #include "core/multihop_cast.h"
 #include "core/runtime.h"
 #include "core/supervisor.h"
+#include "harness/bench_suite.h"
+#include "harness/proptest.h"
 #include "lowerbounds/hitting_game.h"
 #include "lowerbounds/reduction.h"
 #include "serve/crashtest.h"
@@ -55,7 +55,6 @@
 #include "util/bench_report.h"
 #include "util/cli.h"
 #include "util/json.h"
-#include "util/proptest.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -666,7 +665,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
 }
 
 // Smoke benchmark suite + regression gate. Runs the deterministic
-// in-process experiments of analysis/bench_suite.h, merges their
+// in-process experiments of harness/bench_suite.h, merges their
 // manifests (volatile sections stripped, so the output is bit-identical
 // for any --jobs) into --out, and optionally compares against a committed
 // baseline, exiting nonzero unless every pinned metric reproduces exactly.
@@ -914,32 +913,17 @@ void print_loadgen_report(const char* label, const LoadgenReport& report) {
 // orchestrating two processes. Exits nonzero on any failure.
 int serve_smoke(const ServeOptions& options, const JobSpec& job,
                 int sessions, std::uint64_t seed) {
-  ServeServer server(options);
-  // cograd-lint: allow(R8) serve foreground mode parks run() on a thread so main can wait for signals
-  std::thread daemon([&server] { server.run(); });
-
   LoadgenOptions load;
-  load.unix_path = options.unix_path;
-  load.tcp_port = options.unix_path.empty() ? server.tcp_port() : -1;
   load.sessions = sessions;
   load.connections = 4;
   load.seed = seed;
   load.job = job;
-  const LoadgenReport clean = run_loadgen(load);
+  const ServeWaves waves = run_serve_waves(options, load);
+  const LoadgenReport& clean = waves.clean;
+  const LoadgenReport& churn = waves.churn;
   print_loadgen_report("smoke/clean", clean);
-
-  load.kill_every = 3;
-  load.seed = seed + 1;
-  const LoadgenReport churn = run_loadgen(load);
   print_loadgen_report("smoke/churn", churn);
-
-  std::string error;
-  const bool said_bye =
-      request_shutdown(options.unix_path,
-                       options.unix_path.empty() ? server.tcp_port() : -1,
-                       &error);
-  daemon.join();
-  const ServeStats stats = server.stats();
+  const ServeStats& stats = waves.daemon;
   std::printf(
       "smoke/daemon: %lld sessions, %lld accepted, %lld completed, "
       "%lld shed, %lld shed-on-disconnect, %lld aborted, %lld disconnects\n",
@@ -958,8 +942,9 @@ int serve_smoke(const ServeOptions& options, const JobSpec& job,
   const bool accounting_exact =
       stats.accepted == stats.completed + stats.shed_disconnect +
                             stats.aborted + stats.failed;
-  const bool ok = clean.ok && churn.ok && said_bye && stats.failed == 0 &&
-                  clean.killed == 0 && churn.killed > 0 && accounting_exact;
+  const bool ok = clean.ok && churn.ok && waves.said_bye &&
+                  stats.failed == 0 && clean.killed == 0 &&
+                  churn.killed > 0 && accounting_exact;
   std::printf("smoke: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
